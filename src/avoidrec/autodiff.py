@@ -6,13 +6,17 @@ execution order, so replaying the entry list backwards visits every node
 exactly once with all adjoints already accumulated.  Ops executed with no
 active record are plain forward evaluation (used for scoring).
 
-Broadcasting is restricted to bias-style adds; every other op requires
-exact shape agreement and raises ShapeError otherwise.  Training runs in
-float32; float64 exists for gradient checking.
+Broadcasting is restricted to bias-style adds and the leading (batch)
+axes of ``matmul``; every other op requires exact shape agreement and
+raises ShapeError otherwise.  Each thread (or asyncio task) has its own
+active record, so concurrent callers record separate graphs.  Training
+runs in float32; float64 exists for gradient checking.
 """
 
 from __future__ import annotations
 
+import contextvars
+import itertools
 import math
 
 import numpy as np
@@ -33,7 +37,7 @@ class Tensor:
         arr = np.asarray(data)
         if dtype is not None:
             arr = arr.astype(dtype, copy=False)
-        elif not np.issubdtype(arr.dtype, np.floating):
+        elif arr.dtype.kind != "f":
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.grad = None
@@ -74,24 +78,27 @@ class _Entry:
         self.backward_fn = backward_fn
 
 
-class ComputationRecord:
-    """Ordered log of executed ops; context manager activates it."""
+_ACTIVE_RECORD = contextvars.ContextVar("active_record", default=None)
 
-    _active = None
+
+class ComputationRecord:
+    """Ordered log of executed ops; context manager activates it for this context."""
 
     def __init__(self):
         self.entries: list[_Entry] = []
         self._produced: set[int] = set()
         self._leaves: dict[int, Tensor] = {}
+        self._token = None
 
     def __enter__(self):
-        if ComputationRecord._active is not None:
+        if _ACTIVE_RECORD.get() is not None:
             raise RuntimeError("a ComputationRecord is already active")
-        ComputationRecord._active = self
+        self._token = _ACTIVE_RECORD.set(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        ComputationRecord._active = None
+        _ACTIVE_RECORD.reset(self._token)
+        self._token = None
         return False
 
     def last_op(self):
@@ -139,8 +146,8 @@ class ComputationRecord:
 
 
 def _record(op, inputs, out_data, backward_fn):
-    out = Tensor(out_data, dtype=out_data.dtype)
-    rec = ComputationRecord._active
+    out = Tensor(out_data)
+    rec = _ACTIVE_RECORD.get()
     if rec is not None and rec._tracks(*inputs):
         rec._append(op, tuple(inputs), out, backward_fn)
     return out
@@ -185,12 +192,49 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _record("scale", (a,), a.data * c, lambda g: (g * c,))
 
 
+def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
+    """Sum ``g`` down to ``shape`` over the axes that broadcasting added or stretched."""
+    if g.shape == shape:
+        return g
+    g = g.sum(axis=tuple(range(g.ndim - len(shape))))
+    stretched = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    return g.sum(axis=stretched, keepdims=True) if stretched else g
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _need_2d("matmul", a, b)
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}")
-    return _record("matmul", (a, b), a.data @ b.data,
-                   lambda g: (g @ b.data.T, a.data.T @ g))
+    """Matrix product over the last two axes; leading axes broadcast as in numpy."""
+    x, y = a.data, b.data
+    if x.ndim < 2 or y.ndim < 2 or x.shape[-1] != y.shape[-2]:
+        raise ShapeError(f"matmul: incompatible shapes {x.shape} and {y.shape}")
+    try:
+        out = x @ y
+    except ValueError:
+        raise ShapeError(f"matmul: incompatible shapes {x.shape} and {y.shape}") from None
+
+    def backward_fn(g):
+        return (_unbroadcast(g @ np.swapaxes(y, -1, -2), x.shape),
+                _unbroadcast(np.swapaxes(x, -1, -2) @ g, y.shape))
+
+    return _record("matmul", (a, b), out, backward_fn)
+
+
+def reshape(a: Tensor, shape, axes=None) -> Tensor:
+    """``a`` reshaped to ``shape``, then with its axes permuted by ``axes``.
+
+    Splits and merges attention heads without copying when it can; a
+    merge that must permute before reshaping takes two calls.
+    """
+    try:
+        out = a.data.reshape(shape)
+    except ValueError as exc:
+        raise ShapeError(f"reshape: {exc}") from None
+    if axes is None:
+        return _record("reshape", (a,), out, lambda g: (g.reshape(a.data.shape),))
+    if sorted(axes) != list(range(out.ndim)):
+        raise ShapeError(f"reshape: {axes} is not a permutation of {out.ndim} axes")
+    inverse = tuple(int(i) for i in np.argsort(axes))
+    return _record("reshape", (a,), out.transpose(axes),
+                   lambda g: (g.transpose(inverse).reshape(a.data.shape),))
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -206,10 +250,9 @@ def concat(parts, axis: int) -> Tensor:
     _need_2d("concat", *parts)
     if axis not in (0, 1):
         raise ShapeError(f"concat: axis must be 0 or 1, got {axis}")
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
 
     def backward_fn(g):
+        offsets = list(itertools.accumulate((p.data.shape[axis] for p in parts), initial=0))
         return tuple(
             g[offsets[i]:offsets[i + 1]] if axis == 0 else g[:, offsets[i]:offsets[i + 1]]
             for i in range(len(parts)))
@@ -281,11 +324,13 @@ def softmax(a: Tensor, axis: int, mask: np.ndarray | None = None) -> Tensor:
         mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
         if not mask.any(axis=axis).all():
             raise ShapeError("softmax: a row has no unmasked entries")
-        x = np.where(mask, x, -np.inf)
-    m = np.max(x, axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    y = e / e.sum(axis=axis, keepdims=True)
-    y = y.astype(a.data.dtype)
+        y = np.where(mask, x, x.dtype.type(-np.inf))
+        y -= y.max(axis=axis, keepdims=True)
+    else:
+        y = x - x.max(axis=axis, keepdims=True)
+    # In place from here on: one array of the input's size.
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def backward_fn(g):
         inner = (g * y).sum(axis=axis, keepdims=True)

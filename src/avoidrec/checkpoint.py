@@ -10,17 +10,21 @@ Layout (version 1, little-endian, stable across releases):
 The JSON header is ``{"format_version": 1, "meta": {...}, "tensors":
 [{"name", "dtype", "shape", "offset", "nbytes"}, ...]}`` with tensors
 sorted by name.  No timestamps or platform fields are embedded, so
-identical tensors always serialize to identical bytes.
+identical tensors always serialize to identical bytes.  Tensor buffers
+tile the payload exactly, and only the dtypes in ``DTYPES`` are written
+or read; a file that breaks any of this raises ``CheckpointError``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 MAGIC = b"NTCK"
 FORMAT_VERSION = 1
+DTYPES = ("float32", "float64")  # what model parameters use
 
 
 class CheckpointError(Exception):
@@ -33,7 +37,9 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict | None = No
     offset = 0
     for name in sorted(tensors):
         arr = np.ascontiguousarray(tensors[name])
-        buf = arr.tobytes()
+        if arr.dtype.name not in DTYPES:
+            raise CheckpointError(f"{name}: dtype {arr.dtype} is not one of {DTYPES}")
+        buf = arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
         entries.append({
             "name": name,
             "dtype": arr.dtype.name,
@@ -48,7 +54,7 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict | None = No
         sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(np.uint32(len(header)).tobytes())
+        fh.write(len(header).to_bytes(4, "little"))
         fh.write(header)
         for buf in buffers:
             fh.write(buf)
@@ -56,17 +62,53 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict | None = No
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file")
-        header_len = int(np.frombuffer(fh.read(4), dtype=np.uint32)[0])
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        if header.get("format_version") != FORMAT_VERSION:
-            raise CheckpointError(
-                f"{path}: unsupported format version {header.get('format_version')!r}")
-        payload = fh.read()
+        raw = fh.read()
+    if raw[:4] != MAGIC:
+        raise CheckpointError(f"{path}: not a checkpoint file")
+    header_len = int.from_bytes(raw[4:8], "little")
+    if len(raw) < 8 or 8 + header_len > len(raw):
+        raise CheckpointError(f"{path}: header length {header_len} runs past the end of the file")
+    try:
+        header = json.loads(raw[8:8 + header_len].decode("utf-8"))
+    except (UnicodeDecodeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: unreadable header: {exc}") from None
+    if not isinstance(header, dict) or header.get("format_version") != FORMAT_VERSION:
+        version = header.get("format_version") if isinstance(header, dict) else None
+        raise CheckpointError(f"{path}: unsupported format version {version!r}")
+    payload = memoryview(raw)[8 + header_len:]
+    entries, meta = header.get("tensors"), header.get("meta", {})
+    if not isinstance(entries, list) or not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: header needs a tensor list and a meta object")
     tensors = {}
-    for entry in header["tensors"]:
-        raw = payload[entry["offset"]:entry["offset"] + entry["nbytes"]]
-        arr = np.frombuffer(raw, dtype=np.dtype(entry["dtype"])).reshape(entry["shape"])
-        tensors[entry["name"]] = arr.copy()
-    return tensors, header.get("meta", {})
+    offset = 0
+    for entry in entries:
+        name, dtype, shape, nbytes = _checked_entry(path, entry, offset)
+        if name in tensors:
+            raise CheckpointError(f"{path}: tensor {name!r} appears twice")
+        end = offset + nbytes
+        if end > len(payload):
+            raise CheckpointError(f"{path}: tensor {name!r} runs past the end of the file")
+        tensors[name] = np.frombuffer(payload[offset:end], dtype=dtype).reshape(shape).copy()
+        offset = end
+    if offset != len(payload):
+        raise CheckpointError(f"{path}: {len(payload) - offset} bytes after the last tensor")
+    return tensors, meta
+
+
+def _checked_entry(path, entry, offset):
+    """(name, little-endian dtype, shape, nbytes) of a header entry that agrees with itself."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+        raise CheckpointError(f"{path}: malformed tensor entry {entry!r}")
+    name, shape = entry["name"], entry.get("shape")
+    if entry.get("dtype") not in DTYPES:
+        raise CheckpointError(f"{path}: tensor {name!r} has dtype {entry.get('dtype')!r}, "
+                              f"expected one of {DTYPES}")
+    dtype = np.dtype(entry["dtype"]).newbyteorder("<")
+    if not (isinstance(shape, list)
+            and all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape)):
+        raise CheckpointError(f"{path}: tensor {name!r} has a malformed shape {shape!r}")
+    nbytes = math.prod(shape) * dtype.itemsize
+    if entry.get("offset") != offset or entry.get("nbytes") != nbytes:
+        raise CheckpointError(f"{path}: tensor {name!r} offset/nbytes disagree with its shape "
+                              f"and position")
+    return name, dtype, shape, nbytes

@@ -61,11 +61,13 @@ class EngagementEmbeddingTable:
         data = rng.uniform(-init_range, init_range, size=(d * d, dim))
         self.table = ad.parameter(data, name=name, dtype=dtype)
 
-    def lookup(self, i_ue: int) -> ad.Tensor:
-        """Embedding row for one cell, participating in gradient updates."""
-        if not 0 <= i_ue < self.d * self.d:
-            raise IndexError(f"flat cell index {i_ue} outside [0, {self.d * self.d})")
-        return ad.embedding_lookup(self.table, np.array([i_ue]))
+    def lookup(self, i_ue) -> ad.Tensor:
+        """Rows (n, dim) for one flat cell index or a sequence of n; they receive gradients."""
+        ids = np.atleast_1d(np.asarray(i_ue, dtype=np.int64))
+        bad = ids[(ids < 0) | (ids >= self.d * self.d)]
+        if bad.size:
+            raise IndexError(f"flat cell index {bad[0]} outside [0, {self.d * self.d})")
+        return ad.embedding_lookup(self.table, ids)
 
 
 def snapshot_cell(snapshot: StatsSnapshot, news_id: str, d: int) -> EngagementIndex:

@@ -6,7 +6,8 @@ tie-averaged ranks.  MRR and nDCG order candidates by descending score
 with ties broken by the original candidate index (stable), which keeps
 every metric reproducible.  Impressions that cannot support a metric
 (no positive, or single-class for AUC) are excluded from that metric's
-mean rather than zero-filled.
+mean rather than zero-filled.  A non-finite score is an error, never a
+rank: it raises ``NonFiniteScoreError`` naming the impression.
 """
 
 from __future__ import annotations
@@ -22,10 +23,20 @@ import numpy as np
 from .features import impression_features
 
 
+class NonFiniteScoreError(ValueError):
+    """A candidate score is NaN or infinite; no metric can be computed from it."""
+
+    def __init__(self, impression_id=None):
+        where = "" if impression_id is None else f"impression {impression_id!r}: "
+        super().__init__(f"{where}non-finite candidate score")
+        self.impression_id = impression_id
+
+
 @dataclass
 class RankedImpression:
     scores: np.ndarray
     labels: np.ndarray
+    impression_id: str | None = None
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=np.float64)
@@ -35,6 +46,8 @@ class RankedImpression:
                 f"scores {self.scores.shape} and labels {self.labels.shape} must be equal 1-D")
         if not np.isin(self.labels, (0, 1)).all():
             raise ValueError("labels must be 0 or 1")
+        if not np.isfinite(self.scores).all():
+            raise NonFiniteScoreError(self.impression_id)
 
 
 def _tie_averaged_ranks(scores: np.ndarray) -> np.ndarray:
@@ -131,7 +144,7 @@ def config_fingerprint(config_dict: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
-def score_log_impression(model, catalog, timeline, record, mode="full"):
+def score_log_impression(model, catalog, timeline, record, mode="full", news_cache=None):
     """Scores + labels for one log record, or None if a candidate is unknown."""
     candidate_ids = [news_id for news_id, _ in record.shown]
     if any(news_id not in catalog for news_id in candidate_ids):
@@ -143,22 +156,29 @@ def score_log_impression(model, catalog, timeline, record, mode="full"):
         [a.news_id for a in history] + candidate_ids,
         model.config.grid_d, catalog)
     candidates = [catalog.get(news_id) for news_id in candidate_ids]
-    tensors = model.score_impression(history, candidates, feats, mode=mode)
+    tensors = model.score_impression(history, candidates, feats, mode=mode,
+                                     news_cache=news_cache)
     scores = np.array([float(t.data.reshape(())) for t in tensors], dtype=np.float64)
     labels = np.array([label for _, label in record.shown], dtype=np.int64)
-    return RankedImpression(scores, labels)
+    return RankedImpression(scores, labels, record.impression_id)
 
 
 def evaluate(model, test_log, timeline, catalog, mode="full",
              config_dict=None) -> EvalReport:
-    """Mean metrics over all scorable impressions of a log."""
+    """Mean metrics over all scorable impressions of a log.
+
+    Article vectors are cached for the length of the call (the parameters
+    cannot change inside it), so each article is encoded once.
+    """
+    news_cache = {}
     metric_sums = {"auc": 0.0, "mrr": 0.0, "ndcg5": 0.0, "ndcg10": 0.0}
     metric_counts = {name: 0 for name in metric_sums}
     per_impression = []
     n_skipped = 0
     n_scored = 0
     for record in test_log:
-        ranked = score_log_impression(model, catalog, timeline, record, mode=mode)
+        ranked = score_log_impression(model, catalog, timeline, record, mode=mode,
+                                      news_cache=news_cache)
         if ranked is None:
             n_skipped += 1
             continue

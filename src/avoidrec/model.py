@@ -11,12 +11,14 @@ modes support component ablations:
 * ``only_avoid``  -- the user-candidate match alone, relevance bypassed.
 
 Users with an empty history skip the user encoder entirely and are scored
-by the relevance branch in every mode.
+by the relevance branch in every mode.  An impression's articles are encoded
+in one batch, its history terms are shared by all candidates, and ``evaluate``
+keeps article vectors in a per-call ``news_cache``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,9 +98,7 @@ class AvoidanceAwareRanker:
             d_time=config.d_time, dtype=dtype)
         self.user = UserEncoder(
             rng, d_news=config.d_news, dim_ue=config.dim_ue,
-            n_heads=config.user_heads, cnn_window=config.cnn_window,
-            max_history=config.max_history, dtype=dtype)
-        self._zero_ue = ad.constant(np.zeros((1, config.dim_ue)), dtype=dtype)
+            n_heads=config.user_heads, cnn_window=config.cnn_window, dtype=dtype)
 
     # -- parameter access ----------------------------------------------------
 
@@ -121,6 +121,11 @@ class AvoidanceAwareRanker:
         return {name: t.data.copy() for name, t in self.parameters().items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]):
+        state = dict(state)  # older checkpoints hold one tensor per user-attention head
+        for old, new in (("user.rel_head", "user.rel_heads"), ("user.out_head", "user.out_w")):
+            names = [f"{old}{i}" for i in range(self.config.user_heads)]
+            if new not in state and all(name in state for name in names):
+                state[new] = np.stack([state.pop(name) for name in names])
         params = self.parameters()
         missing = set(params) - set(state)
         extra = set(state) - set(params)
@@ -134,53 +139,56 @@ class AvoidanceAwareRanker:
 
     # -- scoring ---------------------------------------------------------------
 
-    def _engagement_vec(self, feat: ArticleFeatures, zeroed: bool) -> ad.Tensor:
-        if zeroed:
-            return self._zero_ue
-        return self.engagement.lookup(feat.cell)
+    def _news_vectors(self, articles, news_cache) -> ad.Tensor:
+        """(N, d_news) vectors of ``articles``; cached ones are not re-encoded."""
+        if news_cache is None:
+            return self.news.encode_news(articles)
+        missing = {a.news_id: a for a in articles if a.news_id not in news_cache}
+        if missing:
+            news_cache.update(zip(missing, self.news.encode_news(missing.values()).data))
+        return ad.constant(np.stack([news_cache[a.news_id] for a in articles]))
 
     def score_impression(self, history_articles, candidate_articles,
-                         feats: dict[str, ArticleFeatures], mode: str = "full"):
+                         feats: dict[str, ArticleFeatures], mode: str = "full",
+                         news_cache: dict | None = None):
         """Interest scores (list of (1,1) tensors) for each candidate.
 
         ``feats`` must cover every history and candidate article; history
         items beyond the model's window are dropped from the old end.
+        ``news_cache`` (news id -> vector) is read and filled; it is valid
+        only while the parameters stay unchanged.
         """
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-        history_articles = list(history_articles)[-self.config.max_history:]
-        encoded = {}
-        for article in list(history_articles) + list(candidate_articles):
-            if article.news_id not in encoded:
-                encoded[article.news_id] = self.news.encode_news(article)
+        history = list(history_articles)[-self.config.max_history:]
+        candidates = list(candidate_articles)
+        distinct = list({a.news_id: a for a in history + candidates}.values())
+        row = {a.news_id: i for i, a in enumerate(distinct)}
+        news = self._news_vectors(distinct, news_cache)
 
-        def relevance_for(article):
-            feat = feats[article.news_id]
-            ue = self._engagement_vec(feat, zeroed=False)
-            t_el = self.relevance.time2vec(feat.age_hours)
-            return self.relevance.relevance(encoded[article.news_id], ue, t_el,
-                                            feat.clicks_norm)
+        def user_ue(ue):  # only_rel keeps engagement out of the user encoder
+            return ad.scale(ue, 0.0) if mode == "only_rel" else ue
 
-        if not history_articles:
-            # Cold user: the relevance branch is the only defined signal.
-            return [relevance_for(article) for article in candidate_articles]
-
-        zero_ue = mode == "only_rel"
-        hist_vecs = [encoded[a.news_id] for a in history_articles]
-        hist_ues = [self._engagement_vec(feats[a.news_id], zero_ue) for a in history_articles]
-        hist, mask = self.user.augment_history(hist_vecs, hist_ues)
-
+        if history:
+            shared = self.user.augment_history(
+                ad.embedding_lookup(news, [row[a.news_id] for a in history]),
+                user_ue(self.engagement.lookup([feats[a.news_id].cell for a in history])))
         scores = []
-        for article in candidate_articles:
-            cand = self.user.augment_item(
-                encoded[article.news_id],
-                self._engagement_vec(feats[article.news_id], zero_ue))
-            attention_ctx = self.user.candidate_aware_self_attention(hist, cand, mask)
-            local_ctx = self.user.candidate_aware_cnn(hist, cand, mask)
-            user_vec = self.user.user_embedding(attention_ctx, local_ctx, cand, mask)
-            if mode == "only_avoid":
-                scores.append(self.user.preliminary_interest(cand, user_vec))
-            else:
-                scores.append(self.user.interest_score(cand, user_vec,
-                                                       relevance_for(article)))
+        for article in candidates:
+            feat = feats[article.news_id]
+            vec = ad.embedding_lookup(news, [row[article.news_id]])
+            ue = self.engagement.lookup(feat.cell)
+            if history:
+                cand = ad.concat([vec, user_ue(ue)], axis=1)  # the augmented candidate
+                user_vec = self.user.user_embedding(
+                    self.user.candidate_aware_self_attention(shared, cand),
+                    self.user.candidate_aware_cnn(shared, cand), cand)
+                if mode == "only_avoid":
+                    scores.append(self.user.preliminary_interest(cand, user_vec))
+                    continue
+            relevance = self.relevance.relevance(
+                vec, ue, self.relevance.time2vec(feat.age_hours), feat.clicks_norm)
+            # A cold user has no history: the relevance branch is the only signal.
+            scores.append(self.user.interest_score(cand, user_vec, relevance)
+                          if history else relevance)
         return scores

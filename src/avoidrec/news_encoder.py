@@ -1,9 +1,11 @@
 """Title/category/entity news encoder.
 
-Title tokens are embedded, contextualized with multi-head self-attention
-over token positions, and pooled with additive attention; padding
-positions are masked out of both attention stages.  The pooled title
-vector is concatenated with a category embedding and a masked mean of
+A list of articles is encoded as one batch: its titles form a masked
+(N, L, d_word) matrix cut to the longest real title, and all heads run
+in one pass.  Title tokens are embedded, contextualized with multi-head
+self-attention over token positions, and pooled with additive attention;
+padding positions are masked out of both attention stages.  The pooled
+title vector is concatenated with a category embedding and a mean of
 entity embeddings (zeros when entities are disabled or absent) and mixed
 by a final dense layer into the news vector.
 """
@@ -13,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import NewsArticle, Vocabulary
+from .corpus import Vocabulary
 
 
 class NewsEncoder:
@@ -23,11 +25,9 @@ class NewsEncoder:
                  word_init=None, word_trainable=True, dtype=None):
         if d_news % n_heads:
             raise ValueError(f"d_news={d_news} not divisible by n_heads={n_heads}")
-        self.d_word = d_word
         self.d_news = d_news
         self.n_heads = n_heads
         self.d_head = d_news // n_heads
-        self.d_cat = d_cat
         self.d_ent = d_ent
         self.use_entities = use_entities and n_entities > 0
         self.dtype = dtype if dtype is not None else ad.DEFAULT_DTYPE
@@ -72,51 +72,68 @@ class NewsEncoder:
             named["news.ent_emb"] = self.ent_emb
         return named
 
-    def _contextualize(self, token_ids, mask):
-        """Multi-head self-attention over token positions (keys masked at padding)."""
-        x = ad.embedding_lookup(self.word_emb, token_ids)
-        q = ad.matmul(x, self.wq)
-        k = ad.matmul(x, self.wk)
-        v = ad.matmul(x, self.wv)
-        key_mask = np.broadcast_to(mask[None, :], (len(token_ids), len(token_ids)))
-        heads = []
-        for i in range(self.n_heads):
-            cols = slice(i * self.d_head, (i + 1) * self.d_head)
-            scores = ad.matmul(ad.slice_(q, cols=cols), ad.transpose(ad.slice_(k, cols=cols)))
-            attn = ad.softmax(scores, axis=1, mask=key_mask)
-            heads.append(ad.matmul(attn, ad.slice_(v, cols=cols)))
-        return ad.concat(heads, axis=1)
+    def _contextualize(self, tokens, mask):
+        """Self-attention of all heads over each title's positions, as (N*L, d_news)."""
+        n, length = tokens.shape
+        x = ad.embedding_lookup(self.word_emb, tokens.reshape(-1))
+
+        def heads(w, axes):  # x @ w with the heads split out, permuted by axes
+            return ad.reshape(ad.matmul(x, w), (n, length, self.n_heads, self.d_head), axes)
+
+        attn = ad.softmax(ad.matmul(heads(self.wq, (0, 2, 1, 3)), heads(self.wk, (0, 2, 3, 1))),
+                          axis=3, mask=mask[:, None, None, :])
+        v = heads(self.wv, (0, 2, 1, 3))
+        del x  # the largest array here: without a record, dropping it lowers the peak
+        per_position = ad.reshape(ad.matmul(attn, v), v.shape, (0, 2, 1, 3))
+        return ad.reshape(per_position, (n * length, self.d_news))
 
     def _pool(self, contextual, mask):
-        """Additive attention pooling over unmasked positions."""
+        """Additive attention pooling of each title over its unmasked positions."""
+        n, length = mask.shape
         hidden = ad.tanh(ad.affine(contextual, self.att_w, self.att_b))
-        scores = ad.matmul(hidden, self.att_q)
-        alpha = ad.softmax(scores, axis=0, mask=mask[:, None])
-        return ad.matmul(ad.transpose(alpha), contextual)
+        scores = ad.reshape(ad.matmul(hidden, self.att_q), (n, 1, length))
+        alpha = ad.softmax(scores, axis=2, mask=mask[:, None, :])
+        pooled = ad.matmul(alpha, ad.reshape(contextual, (n, length, self.d_news)))
+        return ad.reshape(pooled, (n, self.d_news))
 
-    def encode_title(self, title_tokens) -> ad.Tensor:
-        """Title vector of shape (1, d_news); an all-padding title yields zeros."""
-        token_ids = np.asarray(title_tokens, dtype=np.int64)
-        mask = token_ids != Vocabulary.pad_index
-        if not mask.any():
-            return ad.constant(np.zeros((1, self.d_news)), dtype=self.dtype)
-        return self._pool(self._contextualize(token_ids, mask), mask)
+    def encode_titles(self, titles) -> ad.Tensor:
+        """Title vectors (N, d_news), cut to the longest real title; empty titles yield zeros."""
+        pad = Vocabulary.pad_index
+        tokens = np.full((len(titles), max(map(len, titles), default=0)), pad, dtype=np.int64)
+        for row, title in zip(tokens, titles):
+            row[:len(title)] = title
+        mask = tokens != pad
+        real = mask.any(axis=1)
+        if not real.any():
+            return ad.constant(np.zeros((len(titles), self.d_news)), dtype=self.dtype)
+        length = np.flatnonzero(mask.any(axis=0))[-1] + 1
+        tokens, mask = tokens[real, :length], mask[real, :length]
+        pooled = self._pool(self._contextualize(tokens, mask), mask)
+        # Empty titles gather the zero row appended after the encoded ones.
+        zero = ad.constant(np.zeros((1, self.d_news)), dtype=self.dtype)
+        rows = np.where(real, np.cumsum(real) - 1, real.sum())
+        return ad.embedding_lookup(ad.concat([pooled, zero], axis=0), rows)
 
-    def _entity_channel(self, entity_ids) -> ad.Tensor:
-        if not self.use_entities or not entity_ids:
-            return ad.constant(np.zeros((1, self.d_ent)), dtype=self.dtype)
-        rows = ad.embedding_lookup(self.ent_emb, np.asarray(entity_ids, dtype=np.int64))
-        weights = ad.constant(np.full((1, len(entity_ids)), 1.0 / len(entity_ids)),
-                              dtype=self.dtype)
-        return ad.matmul(weights, rows)
+    def _entity_channel(self, entity_lists) -> ad.Tensor:
+        """Mean entity embedding per article (N, d_ent); zeros when it has none."""
+        ids = [e for entities in entity_lists for e in entities] if self.use_entities else []
+        if not ids:
+            return ad.constant(np.zeros((len(entity_lists), self.d_ent)), dtype=self.dtype)
+        counts = np.array([len(entities) for entities in entity_lists])
+        # Row i averages the columns of article i's entities.
+        weights = np.repeat(np.eye(len(counts)) / np.maximum(counts, 1)[:, None], counts, axis=1)
+        return ad.matmul(ad.constant(weights, dtype=self.dtype),
+                         ad.embedding_lookup(self.ent_emb, ids))
 
-    def encode_news(self, article: NewsArticle) -> ad.Tensor:
-        """Full news vector of shape (1, d_news)."""
-        if not 0 <= article.category_id < self.cat_emb.data.shape[0]:
-            raise IndexError(
-                f"unknown category id {article.category_id} for article {article.news_id!r}")
-        n_t = self.encode_title(article.title_tokens)
-        n_cat = ad.embedding_lookup(self.cat_emb, np.array([article.category_id]))
-        n_ent = self._entity_channel(article.entity_ids)
+    def encode_news(self, articles) -> ad.Tensor:
+        """News vectors (N, d_news) of a list of articles, encoded as one batch."""
+        articles = list(articles)
+        for article in articles:
+            if not 0 <= article.category_id < self.cat_emb.data.shape[0]:
+                raise IndexError(
+                    f"unknown category id {article.category_id} for article {article.news_id!r}")
+        n_t = self.encode_titles([a.title_tokens for a in articles])
+        n_cat = ad.embedding_lookup(self.cat_emb, [a.category_id for a in articles])
+        n_ent = self._entity_channel([a.entity_ids for a in articles])
         return ad.affine(ad.concat([n_t, n_cat, n_ent], axis=1),
                          self.combine_w, self.combine_b)

@@ -9,43 +9,52 @@ the user vector, whose dot product with the augmented candidate is gated
 against the standalone relevance score to produce the final interest
 score.
 
-History is truncated to the most recent ``max_history`` items and padded
-with masked zero rows; masked rows are excluded from every softmax and
-zeroed before windowing, so their content can never reach the outputs.
+History rows are real clicks only, never padding.  What does not depend
+on the candidate (the query projection, every head's keys and values as
+one stacked tensor each, the window half of the filter bank) is built
+once per history by ``augment_history`` and shared by every candidate.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 
 
+class History(NamedTuple):
+    """Candidate-independent terms of one augmented history of M clicks."""
+
+    query: ad.Tensor    # (M, d_q) click queries
+    keys: ad.Tensor     # (heads, d_q, M), rel_w of each head times rows^T
+    values: ad.Tensor   # (heads, M, d_head), rows times out_w of each head
+    local: ad.Tensor    # (M, d_aug) filter-bank pre-activation of the click windows
+
+
 class UserEncoder:
     def __init__(self, rng, d_news=256, dim_ue=32, n_heads=4, cnn_window=1,
-                 query_dim=None, max_history=50, dtype=None):
+                 dtype=None):
         self.d_aug = d_news + dim_ue
         if self.d_aug % n_heads:
             raise ValueError(f"augmented width {self.d_aug} not divisible by n_heads={n_heads}")
-        self.d_news = d_news
-        self.dim_ue = dim_ue
         self.n_heads = n_heads
         self.d_head = self.d_aug // n_heads
         self.cnn_window = cnn_window
-        self.query_dim = query_dim if query_dim is not None else self.d_aug
-        self.max_history = max_history
         self.dtype = dtype if dtype is not None else ad.DEFAULT_DTYPE
 
         def xav(fan_in, fan_out):
             return ad.xavier_uniform(rng, fan_in, fan_out, dtype=self.dtype)
 
-        d_aug, d_q = self.d_aug, self.query_dim
+        d_aug = d_q = self.d_aug
         self.q_hist = ad.parameter(xav(d_aug, d_q), name="user.q_hist")
         self.q_cand = ad.parameter(xav(d_aug, d_q), name="user.q_cand")
-        self.rel_heads = [ad.parameter(xav(d_q, d_aug), name=f"user.rel_head{i}")
-                          for i in range(n_heads)]
-        self.out_heads = [ad.parameter(xav(d_aug, self.d_head), name=f"user.out_head{i}")
-                          for i in range(n_heads)]
+        # One xavier draw per head, in head order, stacked along axis 0.
+        self.rel_heads = ad.parameter(np.stack([xav(d_q, d_aug) for _ in range(n_heads)]),
+                                      name="user.rel_heads")
+        self.out_w = ad.parameter(np.stack([xav(d_aug, self.d_head) for _ in range(n_heads)]),
+                                  name="user.out_w")
         win_in = (2 * cnn_window + 1) * d_aug + d_aug
         self.cnn_w = ad.parameter(xav(win_in, d_aug), name="user.cnn_w")
         self.cnn_b = ad.parameter(np.zeros(d_aug, dtype=self.dtype), name="user.cnn_b")
@@ -57,101 +66,65 @@ class UserEncoder:
         self.gate_b = ad.parameter(np.zeros(1, dtype=self.dtype), name="user.gate_b")
 
     def parameters(self):
-        named = {
+        return {
             "user.q_hist": self.q_hist, "user.q_cand": self.q_cand,
             "user.cnn_w": self.cnn_w, "user.cnn_b": self.cnn_b,
             "user.merge_w": self.merge_w, "user.merge_b": self.merge_b,
             "user.pool_w": self.pool_w, "user.pool_b": self.pool_b,
             "user.gate_w": self.gate_w, "user.gate_b": self.gate_b,
+            "user.rel_heads": self.rel_heads, "user.out_w": self.out_w,
         }
-        for i in range(self.n_heads):
-            named[f"user.rel_head{i}"] = self.rel_heads[i]
-            named[f"user.out_head{i}"] = self.out_heads[i]
-        return named
 
     # -- representation assembly ------------------------------------------
 
-    def augment_item(self, news_vec: ad.Tensor, ue: ad.Tensor) -> ad.Tensor:
-        """Widen one (1, d_news) item with its (1, dim_ue) engagement vector."""
-        return ad.concat([news_vec, ue], axis=1)
-
-    def augment_history(self, news_vecs, ues) -> tuple[ad.Tensor, np.ndarray]:
-        """Stack the most recent items into an (M, d_aug) matrix plus keep-mask.
-
-        Shorter histories are padded with masked zero rows; longer ones
-        keep the last ``max_history`` entries.
-        """
-        news_vecs = list(news_vecs)[-self.max_history:]
-        ues = list(ues)[-self.max_history:]
-        rows = [self.augment_item(v, u) for v, u in zip(news_vecs, ues)]
-        n_real = len(rows)
-        n_pad = self.max_history - n_real
-        if n_pad:
-            rows.append(ad.constant(np.zeros((n_pad, self.d_aug)), dtype=self.dtype))
-        mask = np.arange(self.max_history) < n_real
-        return ad.concat(rows, axis=0) if len(rows) > 1 else rows[0], mask
-
-    def augment(self, history_vecs, history_ues, cand_vec, cand_ue):
-        """Augmented history matrix, keep-mask, and augmented candidate row."""
-        hist, mask = self.augment_history(history_vecs, history_ues)
-        return hist, mask, self.augment_item(cand_vec, cand_ue)
+    def augment_history(self, news_vecs: ad.Tensor, ues: ad.Tensor) -> History:
+        """Candidate-independent terms of (M, d_news) clicks widened by their (M, dim_ue) cells."""
+        if not len(news_vecs.data):
+            raise ValueError("empty history; apply the cold-user fallback instead")
+        rows = ad.concat([news_vecs, ues], axis=1)
+        # The filter bank reads [windows, candidate]: the candidate block of
+        # cnn_w meets zeros here, the window blocks meet zeros per candidate.
+        windows = ad.concat([ad.sliding_window_concat(rows, self.cnn_window),
+                             ad.constant(np.zeros(rows.shape), dtype=self.dtype)], axis=1)
+        return History(ad.matmul(rows, self.q_hist), ad.matmul(self.rel_heads, ad.transpose(rows)),
+                       ad.matmul(rows, self.out_w), ad.affine(windows, self.cnn_w, self.cnn_b))
 
     # -- context paths ------------------------------------------------------
 
-    def candidate_aware_self_attention(self, hist: ad.Tensor, cand: ad.Tensor,
-                                       mask: np.ndarray) -> ad.Tensor:
+    def candidate_aware_self_attention(self, history: History, cand: ad.Tensor) -> ad.Tensor:
         """Per-click long-range context (M, d_aug).
 
         Head scores between clicks i and j are q_i^T W h_j plus a shared
-        candidate term q_c^T W h_j, softmax-normalized over unmasked j.
+        candidate term q_c^T W h_j, i.e. (q_i + q_c)^T W h_j, softmax-
+        normalized over j.
         """
-        if not mask.any():
-            raise ValueError("self-attention over an all-masked history; "
-                             "apply the cold-user fallback instead")
-        m = hist.data.shape[0]
-        q = ad.matmul(hist, self.q_hist)
-        q_c = ad.matmul(cand, self.q_cand)
-        key_mask = np.broadcast_to(mask[None, :], (m, m))
-        outputs = []
-        for rel_w, out_w in zip(self.rel_heads, self.out_heads):
-            hist_scores = ad.matmul(ad.matmul(q, rel_w), ad.transpose(hist))
-            cand_scores = ad.matmul(ad.matmul(q_c, rel_w), ad.transpose(hist))
-            gamma = ad.softmax(ad.add(hist_scores, cand_scores), axis=1, mask=key_mask)
-            outputs.append(ad.matmul(ad.matmul(gamma, hist), out_w))
-        return ad.concat(outputs, axis=1)
+        queries = ad.add(history.query, ad.matmul(cand, self.q_cand))
+        gamma = ad.softmax(ad.matmul(queries, history.keys), axis=2)
+        heads = ad.matmul(gamma, history.values)
+        return ad.reshape(ad.reshape(heads, heads.shape, (1, 0, 2)), (heads.shape[1], self.d_aug))
 
-    def candidate_aware_cnn(self, hist: ad.Tensor, cand: ad.Tensor,
-                            mask: np.ndarray, window: int | None = None) -> ad.Tensor:
-        """Per-click local context (M, d_aug) from a 2h+1 click window.
-
-        Masked rows are zeroed before windowing so padding content cannot
-        bleed into neighbors; positions beyond the ends contribute zeros.
-        """
-        h = self.cnn_window if window is None else window
-        m = hist.data.shape[0]
-        keep = ad.constant(np.repeat(mask[:, None], self.d_aug, axis=1).astype(hist.data.dtype),
-                           dtype=hist.data.dtype)
-        windows = ad.sliding_window_concat(ad.mul(hist, keep), h)
-        stacked = ad.concat([windows, ad.repeat_rows(cand, m)], axis=1)
-        return ad.relu(ad.affine(stacked, self.cnn_w, self.cnn_b))
+    def candidate_aware_cnn(self, history: History, cand: ad.Tensor) -> ad.Tensor:
+        """Per-click local context (M, d_aug) from a 2h+1 click window, zeros past the ends."""
+        zeros = ad.constant(np.zeros((1, self.cnn_w.shape[0] - self.d_aug)), dtype=self.dtype)
+        cand_part = ad.matmul(ad.concat([zeros, cand], axis=1), self.cnn_w)
+        return ad.relu(ad.add(history.local, cand_part))
 
     # -- pooling and scoring -------------------------------------------------
 
     def user_embedding(self, attention_ctx: ad.Tensor, local_ctx: ad.Tensor,
-                       cand: ad.Tensor, mask: np.ndarray) -> ad.Tensor:
+                       cand: ad.Tensor) -> ad.Tensor:
         """Candidate-aware pooling of merged per-click vectors into (1, d_aug)."""
         merged = ad.relu(ad.affine(ad.concat([local_ctx, attention_ctx], axis=1),
                                    self.merge_w, self.merge_b))
-        m = merged.data.shape[0]
-        scores = ad.affine(ad.concat([merged, ad.repeat_rows(cand, m)], axis=1),
+        scores = ad.affine(ad.concat([merged, ad.repeat_rows(cand, merged.shape[0])], axis=1),
                            self.pool_w, self.pool_b)
-        alpha = ad.softmax(scores, axis=0, mask=mask[:, None])
+        alpha = ad.softmax(scores, axis=0)
         return ad.matmul(ad.transpose(alpha), merged)
 
     def interest_score(self, cand: ad.Tensor, user_vec: ad.Tensor,
                        relevance_score: ad.Tensor) -> ad.Tensor:
         """Convex mix of the user-candidate dot product and the relevance score."""
-        raw = ad.matmul(cand, ad.transpose(user_vec))
+        raw = self.preliminary_interest(cand, user_vec)
         eta = ad.sigmoid(ad.affine(user_vec, self.gate_w, self.gate_b))
         return ad.add(ad.mul(eta, raw),
                       ad.mul(ad.add_scalar(ad.scale(eta, -1.0), 1.0), relevance_score))

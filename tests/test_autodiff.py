@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,6 +96,34 @@ class TestForward:
         with pytest.raises(IndexError):
             ad.embedding_lookup(table, [4])
 
+    def test_batched_matmul_matches_per_slice_products(self):
+        rng = np.random.default_rng(6)
+        a, b = rng.normal(size=(3, 2, 4)), rng.normal(size=(3, 4, 5))
+        shared = rng.normal(size=(4, 5))
+        assert np.allclose(ad.matmul(c64(a), c64(b)).data,
+                           np.stack([a[i] @ b[i] for i in range(3)]), atol=1e-12)
+        # a 2-D operand broadcasts over the other's leading axis, either side
+        assert np.allclose(ad.matmul(c64(a), c64(shared)).data,
+                           np.stack([a[i] @ shared for i in range(3)]), atol=1e-12)
+        assert np.allclose(ad.matmul(c64(a[0]), c64(b)).data,
+                           np.stack([a[0] @ b[i] for i in range(3)]), atol=1e-12)
+
+    def test_batched_matmul_shape_errors(self):
+        with pytest.raises(ad.ShapeError, match="matmul"):
+            ad.matmul(c64(np.zeros((2, 2, 3))), c64(np.zeros((3, 3, 2))))
+        with pytest.raises(ad.ShapeError, match="matmul"):
+            ad.matmul(c64(np.zeros(3)), c64(np.zeros((3, 2))))
+
+    def test_reshape_then_permute(self):
+        x = np.arange(24, dtype=F64).reshape(4, 6)
+        out = ad.reshape(c64(x), (2, 2, 3, 2), (0, 2, 1, 3)).data
+        assert np.array_equal(out, x.reshape(2, 2, 3, 2).transpose(0, 2, 1, 3))
+        assert np.array_equal(ad.reshape(c64(x), (6, 4)).data, x.reshape(6, 4))
+        with pytest.raises(ad.ShapeError, match="reshape"):
+            ad.reshape(c64(x), (5, 5))
+        with pytest.raises(ad.ShapeError, match="reshape"):
+            ad.reshape(c64(x), (4, 6), (0, 0))
+
 
 class TestBackward:
     def test_sum_grad_is_ones(self):
@@ -157,6 +188,36 @@ class TestBackward:
             with pytest.raises(RuntimeError):
                 with ad.ComputationRecord():
                     pass
+
+    def test_threads_record_their_own_graphs(self):
+        # Each thread has its own active record; none sees another's ops.
+        errors = []
+
+        def work(seed):
+            try:
+                w = p64(np.random.default_rng(seed).normal(size=(2, 2)))
+                for _ in range(200):
+                    w.grad = None
+                    with ad.ComputationRecord() as rec:
+                        loss = ad.sum_(ad.mul(w, w))
+                    rec.backward(loss)
+                    assert len(rec.entries) == 2
+                    assert np.allclose(w.grad, 2.0 * w.data)
+            except Exception as exc:  # surfaced in the main thread below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
 
 
 class TestGradCheck:
@@ -225,6 +286,36 @@ class TestGradCheck:
             return ad.sum_(ad.add(ad.add(a, bias_1d), bias_row))
 
         assert ad.grad_check(fn, [a, bias_1d, bias_row], eps=1e-6) < 1e-8
+
+
+    def test_batched_matmul_broadcast_grads(self):
+        rng = np.random.default_rng(6)
+        a = p64(rng.normal(size=(2, 3, 4)))
+        shared = p64(rng.normal(size=(4, 5)))       # broadcast over a's leading axis
+        stretched = p64(rng.normal(size=(1, 5, 3)))  # leading axis 1 stretched to 2
+        left = p64(rng.normal(size=(2, 3)))          # 2-D on the left of a 3-D operand
+        weights = c64(rng.normal(size=(2, 3, 2)))
+
+        def fn():
+            y = ad.matmul(ad.matmul(a, shared), stretched)    # (2, 3, 3)
+            y = ad.matmul(left, y)                            # (2, 2, 3)
+            return ad.sum_(ad.reshape(ad.matmul(y, weights), (2, 4)))
+
+        assert ad.grad_check(fn, [a, shared, stretched, left], eps=1e-5) < 1e-6
+
+    def test_reshape_split_and_merge_heads(self):
+        rng = np.random.default_rng(7)
+        x = p64(rng.normal(size=(6, 4)))   # 2 items x 3 positions, 2 heads of width 2
+        weights = c64(rng.normal(size=(6, 4)))
+
+        def fn():
+            q = ad.reshape(x, (2, 3, 2, 2), (0, 2, 1, 3))
+            k_t = ad.reshape(x, (2, 3, 2, 2), (0, 2, 3, 1))
+            heads = ad.matmul(ad.softmax(ad.matmul(q, k_t), axis=3), q)
+            merged = ad.reshape(ad.reshape(heads, heads.shape, (0, 2, 1, 3)), (6, 4))
+            return ad.sum_(ad.mul(merged, weights))
+
+        assert ad.grad_check(fn, [x], eps=1e-6) < 1e-7
 
 
 class TestDeterminism:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from avoidrec.checkpoint import (CheckpointError, load_checkpoint,
                                  save_checkpoint)
@@ -57,3 +59,82 @@ def test_rejects_unknown_version(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(path)
+
+
+def test_truncated_file_raises_checkpoint_error(tmp_path):
+    path = tmp_path / "model.ntck"
+    save_checkpoint(path, {"w": np.ones((3, 2), dtype=np.float32)})
+    path.write_bytes(path.read_bytes()[:-10])
+    with pytest.raises(CheckpointError, match="past the end"):
+        load_checkpoint(path)
+
+
+def test_unlisted_dtype_is_refused_both_ways(tmp_path):
+    path = tmp_path / "model.ntck"
+    with pytest.raises(CheckpointError, match="dtype"):
+        save_checkpoint(path, {"w": np.ones(2, dtype=np.complex64)})
+    save_checkpoint(path, {"w": np.ones(2, dtype=np.float64)})
+    raw = path.read_bytes().replace(b'"dtype":"float64"', b'"dtype":"complex"')
+    path.write_bytes(raw)
+    with pytest.raises(CheckpointError, match="dtype"):
+        load_checkpoint(path)
+
+
+_TENSORS = st.dictionaries(
+    st.text("abcxyz._", min_size=1, max_size=6),
+    st.tuples(st.sampled_from(["float32", "float64"]),
+              st.lists(st.integers(0, 3), max_size=3)),
+    min_size=1, max_size=3)
+
+
+def _saved_bytes(tmp_path, spec) -> bytes:
+    rng = np.random.default_rng(0)
+    tensors = {name: (rng.normal(size=shape) * 10).astype(dtype)
+               for name, (dtype, shape) in spec.items()}
+    path = tmp_path / "fuzz.ntck"
+    save_checkpoint(path, tensors, meta={"seed": 1})
+    return path.read_bytes()
+
+
+@given(spec=_TENSORS, cut=st.integers(1, 10_000))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_truncation_raises_checkpoint_error(tmp_path, spec, cut):
+    raw = _saved_bytes(tmp_path, spec)
+    path = tmp_path / "cut.ntck"
+    path.write_bytes(raw[:max(0, len(raw) - cut)])
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+@given(spec=_TENSORS, data=st.data())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_bit_flips_load_or_raise_checkpoint_error(tmp_path, spec, data):
+    raw = bytearray(_saved_bytes(tmp_path, spec))
+    position = data.draw(st.integers(0, len(raw) - 1))
+    raw[position] ^= 1 << data.draw(st.integers(0, 7))
+    path = tmp_path / "flip.ntck"
+    path.write_bytes(bytes(raw))
+    try:
+        tensors, meta = load_checkpoint(path)
+    except CheckpointError:
+        return
+    assert isinstance(meta, dict)
+    assert all(isinstance(arr, np.ndarray) for arr in tensors.values())
+
+
+def test_legacy_per_head_names_load_into_stacked_heads(tmp_path):
+    from avoidrec.model import AvoidanceAwareRanker, VocabSizes
+    from conftest import tiny_config
+
+    model = AvoidanceAwareRanker(tiny_config(), VocabSizes(12, 3, 5), seed=1)
+    state = model.state_dict()
+    heads = model.config.user_heads
+    legacy = {k: v for k, v in state.items() if k not in ("user.rel_heads", "user.out_w")}
+    legacy.update({f"user.rel_head{i}": state["user.rel_heads"][i] for i in range(heads)})
+    legacy.update({f"user.out_head{i}": state["user.out_w"][i] for i in range(heads)})
+    path = tmp_path / "legacy.ntck"
+    save_checkpoint(path, legacy)
+    other = AvoidanceAwareRanker(tiny_config(), VocabSizes(12, 3, 5), seed=2)
+    other.load_state_dict(load_checkpoint(path)[0])
+    for name, arr in state.items():
+        assert np.array_equal(other.parameters()[name].data, arr), name

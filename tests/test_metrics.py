@@ -7,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avoidrec.corpus import ImpressionLog, ImpressionRecord
-from avoidrec.metrics import (RankedImpression, auc, evaluate, mrr, ndcg_at_k)
+from avoidrec.metrics import (NonFiniteScoreError, RankedImpression, auc, evaluate, mrr,
+                              ndcg_at_k, score_log_impression)
+from avoidrec.model import AvoidanceAwareRanker, VocabSizes
+from avoidrec.news_encoder import NewsEncoder
+from conftest import make_articles, tiny_config
 
 
 def imp(scores, labels):
@@ -55,6 +59,12 @@ class TestAuc:
 
     def test_worst_order(self):
         assert auc(imp([0.2, 0.5, 0.4], [1, 0, 0])) == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_is_an_error(self, bad):
+        # A NaN once sorted as the top score and gave AUC = 1.0.
+        with pytest.raises(NonFiniteScoreError):
+            auc(imp([bad, 0.1, 0.2], [1, 0, 0]))
 
     def test_single_class_excluded(self):
         assert auc(imp([0.2, 0.5], [1, 1])) is None
@@ -167,16 +177,16 @@ class _StubModel:
     def __init__(self, fn):
         self.fn = fn
 
-    def score_impression(self, history, candidates, feats, mode="full"):
+    def score_impression(self, history, candidates, feats, mode="full", news_cache=None):
         import avoidrec.autodiff as ad
         return [ad.constant([[self.fn(a.news_id)]], dtype=np.float64)
                 for a in candidates]
 
 
 class _StubCatalog:
-    def __init__(self, ids):
+    def __init__(self, ids=(), articles=None):
         from avoidrec.corpus import NewsArticle
-        self.articles = {i: NewsArticle(i, 0, 0, [0]) for i in ids}
+        self.articles = articles or {i: NewsArticle(i, 0, 0, [0]) for i in ids}
 
     def __contains__(self, news_id):
         return news_id in self.articles
@@ -240,3 +250,54 @@ class TestEvaluate:
             else:
                 assert math.isnan(report.metrics[name])
         assert report.excluded["auc"] == sum(1 for r in dumped if r["auc"] == "")
+
+    def test_non_finite_score_raises_naming_the_impression(self):
+        log = _log([[("A", 1), ("B", 0)], [("A", 0), ("BAD", 1)]])
+        catalog = _StubCatalog(["A", "B", "BAD"])
+        model = _StubModel(lambda nid: math.nan if nid == "BAD" else 0.5)
+        with pytest.raises(NonFiniteScoreError, match="impression '1'") as err:
+            evaluate(model, log, _timeline(), catalog)
+        assert err.value.impression_id == "1"
+
+
+def _real_model_log():
+    """A tiny float64 model and a log whose impressions share articles."""
+    articles = make_articles(9)
+    ids = sorted(articles)
+    rows = [(ids[0:2], [(ids[4], 1), (ids[5], 0), (ids[6], 0)]),
+            (ids[1:4], [(ids[4], 0), (ids[7], 1), (ids[0], 0)]),
+            ([], [(ids[8], 1), (ids[5], 0)]),
+            (ids[2:6], [(ids[6], 1), (ids[8], 0), (ids[1], 0)])]
+    log = ImpressionLog([ImpressionRecord(str(i), "U", 1000 + i, history, shown)
+                         for i, (history, shown) in enumerate(rows)])
+    model = AvoidanceAwareRanker(tiny_config(), VocabSizes(12, 3, 5), seed=3)
+    return model, log, _StubCatalog(articles=articles)
+
+
+class TestEvaluateCache:
+    def test_each_article_encoded_once_per_call(self, monkeypatch):
+        model, log, catalog = _real_model_log()
+        encoded = []
+        encode_news = NewsEncoder.encode_news
+
+        def counting(self, articles):
+            articles = list(articles)
+            encoded.extend(a.news_id for a in articles)
+            return encode_news(self, articles)
+
+        monkeypatch.setattr(NewsEncoder, "encode_news", counting)
+        for _ in range(2):  # a second call starts from an empty cache
+            encoded.clear()
+            evaluate(model, log, _timeline(), catalog)
+            assert sorted(encoded) == sorted(set(encoded))
+            assert len(encoded) == 9
+
+    def test_cached_scores_equal_fresh_scores(self):
+        model, log, catalog = _real_model_log()
+        timeline = _timeline()
+        for mode in ("full", "only_rel", "only_avoid"):
+            cache = {}
+            for record in log:
+                cached = score_log_impression(model, catalog, timeline, record, mode, cache)
+                fresh = score_log_impression(model, catalog, timeline, record, mode)
+                assert np.allclose(cached.scores, fresh.scores, rtol=0, atol=1e-12)

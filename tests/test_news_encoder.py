@@ -16,22 +16,27 @@ def make_encoder(seed=0, **kw):
 class TestEncodeTitle:
     def test_all_padding_yields_zeros(self):
         enc = make_encoder()
-        out = enc.encode_title([0, 0, 0, 0])
+        out = enc.encode_titles([[0, 0, 0, 0]])
         assert np.array_equal(out.data, np.zeros((1, 8)))
+        # inside a batch, the empty title is a zero row and the others are unchanged
+        batch = enc.encode_titles([[5, 6], [0, 0, 0], [7]]).data
+        assert np.array_equal(batch[1], np.zeros(8))
+        assert np.allclose(batch[0], enc.encode_titles([[5, 6]]).data[0], atol=1e-12)
+        assert np.allclose(batch[2], enc.encode_titles([[7]]).data[0], atol=1e-12)
 
     def test_single_token_equals_its_contextual_row(self):
         enc = make_encoder()
-        tokens = np.array([5, 0, 0, 0])
+        tokens = np.array([[5, 0, 0, 0]])
         mask = tokens != 0
         contextual = enc._contextualize(tokens, mask)
-        pooled = enc.encode_title(tokens)
+        pooled = enc.encode_titles(tokens)
         # softmax over one unmasked position puts weight 1 on it
         assert np.allclose(pooled.data, contextual.data[0:1], atol=1e-12)
 
     def test_pad_positions_permutable(self):
         enc = make_encoder()
-        a = enc.encode_title([5, 0, 7, 0]).data
-        b = enc.encode_title([5, 7, 0, 0]).data
+        a = enc.encode_titles([[5, 0, 7, 0]]).data
+        b = enc.encode_titles([[5, 7, 0, 0]]).data
         assert not np.allclose(a, 0)
         # Same real tokens, shifted pads: self-attention sees the same
         # unmasked set, additive pooling the same positions' content.
@@ -40,15 +45,17 @@ class TestEncodeTitle:
     def test_pad_embedding_content_never_leaks(self):
         enc = make_encoder()
         tokens = [5, 7, 0, 0]
-        before = enc.encode_title(tokens).data.copy()
+        before = enc.encode_titles([tokens]).data.copy()
         enc.word_emb.data[0] = 1e4  # poison the padding row
-        after = enc.encode_title(tokens).data
+        after = enc.encode_titles([tokens]).data
         assert np.array_equal(before, after)
 
     def test_output_width(self):
         enc = make_encoder()
-        for tokens in ([5], [5, 6, 7], [0, 3]):
-            assert enc.encode_title(tokens).data.shape == (1, 8)
+        titles = ([5], [5, 6, 7], [0, 3])
+        for tokens in titles:
+            assert enc.encode_titles([tokens]).data.shape == (1, 8)
+        assert enc.encode_titles(titles).data.shape == (3, 8)
 
 
 class TestEncodeNews:
@@ -59,40 +66,40 @@ class TestEncodeNews:
         enc_off = make_encoder(use_entities=False)
         enc_on = make_encoder(use_entities=True)
         # same rng consumption order differs; compare within one encoder:
-        out_empty = enc_on.encode_news(self.art(ents=[])).data
+        out_empty = enc_on.encode_news([self.art(ents=[])]).data
         enc_on.ent_emb.data[:] = 123.0  # irrelevant when list empty
-        assert np.array_equal(out_empty, enc_on.encode_news(self.art(ents=[])).data)
-        assert enc_off.encode_news(self.art(ents=[])).data.shape == (1, 8)
+        assert np.array_equal(out_empty, enc_on.encode_news([self.art(ents=[])]).data)
+        assert enc_off.encode_news([self.art(ents=[])]).data.shape == (1, 8)
 
     def test_entity_channel_changes_output(self):
         enc = make_encoder()
-        a = enc.encode_news(self.art(ents=[]))
-        b = enc.encode_news(self.art(ents=[2]))
+        a = enc.encode_news([self.art(ents=[])])
+        b = enc.encode_news([self.art(ents=[2])])
         assert not np.allclose(a.data, b.data)
 
     def test_category_distinguishes_articles(self):
         # Over many inits, differing only in category must change the output.
         for seed in range(100):
             enc = make_encoder(seed=seed)
-            a = enc.encode_news(self.art(cat=0)).data
-            b = enc.encode_news(self.art(cat=1)).data
+            a = enc.encode_news([self.art(cat=0)]).data
+            b = enc.encode_news([self.art(cat=1)]).data
             assert np.linalg.norm(a - b) > 0
 
     def test_unknown_category_is_hard_error(self):
         enc = make_encoder()
         with pytest.raises(IndexError, match="category"):
-            enc.encode_news(self.art(cat=99))
+            enc.encode_news([self.art(cat=99)])
 
     def test_deterministic(self):
         enc = make_encoder()
         art = self.art(ents=[1, 3])
-        assert np.array_equal(enc.encode_news(art).data, enc.encode_news(art).data)
+        assert np.array_equal(enc.encode_news([art]).data, enc.encode_news([art]).data)
 
     def test_gradients_reach_all_tables(self):
         enc = make_encoder()
         art = self.art(cat=2, toks=(5, 6, 7, 0), ents=[1])
         with ad.ComputationRecord() as rec:
-            loss = ad.sum_(enc.encode_news(art))
+            loss = ad.sum_(enc.encode_news([art]))
         rec.backward(loss)
         assert np.abs(enc.word_emb.grad[5]).sum() > 0
         assert np.abs(enc.word_emb.grad[4]).sum() == 0  # untouched row
@@ -101,11 +108,26 @@ class TestEncodeNews:
 
     def test_grad_check_through_encoder(self):
         enc = make_encoder()
-        art = self.art(toks=(5, 6, 0, 0), ents=[2, 4])
-        weights = ad.constant(np.linspace(0.5, 1.5, 8).reshape(1, 8), dtype=np.float64)
+        arts = [self.art(toks=(5, 6, 0, 0), ents=[2, 4]),
+                self.art(nid="N2", cat=2, toks=(7, 0, 0, 0), ents=[]),
+                self.art(nid="N3", toks=(0, 0, 0, 0), ents=[1])]
+        weights = ad.constant(np.linspace(0.5, 1.5, 24).reshape(3, 8), dtype=np.float64)
 
         def fn():
-            return ad.sum_(ad.mul(enc.encode_news(art), weights))
+            return ad.sum_(ad.mul(enc.encode_news(arts), weights))
 
         params = list(enc.parameters().values())
         assert ad.grad_check(fn, params, eps=1e-5, max_coords_per_param=8) < 1e-3
+
+    def test_batch_rows_equal_single_encodings(self):
+        # Titles of different lengths share one batch cut to the longest;
+        # each row must equal the article encoded on its own.
+        enc = make_encoder()
+        arts = [self.art(toks=(5, 0, 0, 0), ents=[]),
+                self.art(nid="N2", cat=0, toks=(6, 7, 8, 9), ents=[1, 3]),
+                self.art(nid="N3", cat=2, toks=(0, 0, 0, 0), ents=[4]),
+                self.art(nid="N4", cat=1, toks=(9, 0, 4, 0), ents=[2])]
+        batch = enc.encode_news(arts).data
+        assert batch.shape == (4, 8)
+        for row, art in zip(batch, arts):
+            assert np.allclose(row, enc.encode_news([art]).data[0], atol=1e-12)

@@ -206,7 +206,7 @@ class TestModes:
                 ue = model.engagement.lookup(feat.cell)
                 t_el = model.relevance.time2vec(feat.age_hours)
                 expected = model.relevance.relevance(
-                    model.news.encode_news(article), ue, t_el, feat.clicks_norm)
+                    model.news.encode_news([article]), ue, t_el, feat.clicks_norm)
                 assert np.array_equal(s.data, expected.data)
 
     def test_only_rel_ignores_engagement_table_in_user_encoder(self, tiny_instance):

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 import avoidrec.autodiff as ad
+from avoidrec.model import AvoidanceAwareRanker, VocabSizes
 from avoidrec.user_encoder import UserEncoder
+from conftest import make_articles, make_features, tiny_config
 
 
-def make_encoder(seed=0, d_news=4, dim_ue=2, n_heads=2, cnn_window=1, max_history=4,
-                 **kw):
+def make_encoder(seed=0, d_news=4, dim_ue=2, n_heads=2, cnn_window=1, **kw):
     return UserEncoder(np.random.default_rng(seed), d_news=d_news, dim_ue=dim_ue,
-                       n_heads=n_heads, cnn_window=cnn_window,
-                       max_history=max_history, dtype=np.float64, **kw)
+                       n_heads=n_heads, cnn_window=cnn_window, dtype=np.float64, **kw)
 
 
 def rand_items(n, d_news=4, dim_ue=2, seed=1):
@@ -19,62 +19,82 @@ def rand_items(n, d_news=4, dim_ue=2, seed=1):
     return vecs, ues
 
 
+def augment(enc, vecs, ues, cand_vec, cand_ue):
+    """Shared history terms and the augmented candidate row."""
+    history = enc.augment_history(ad.concat(vecs, axis=0), ad.concat(ues, axis=0))
+    return history, ad.concat([cand_vec, cand_ue], axis=1)
+
+
+def rows_of(vecs, ues):
+    """The augmented history matrix, built directly."""
+    return np.concatenate([np.concatenate([v.data, u.data], axis=1)
+                           for v, u in zip(vecs, ues)])
+
+
+def score(enc, history, cand, relevance=0.3):
+    att = enc.candidate_aware_self_attention(history, cand)
+    loc = enc.candidate_aware_cnn(history, cand)
+    u = enc.user_embedding(att, loc, cand)
+    return enc.interest_score(cand, u, ad.constant([[relevance]], dtype=np.float64))
+
+
 class TestAugment:
-    def test_width_and_mask(self):
+    def test_width_and_shared_terms(self):
         enc = make_encoder()
         vecs, ues = rand_items(2)
-        hist, mask, cand = enc.augment(vecs, ues, vecs[0], ues[0])
-        assert hist.data.shape == (4, 6)
+        history, cand = augment(enc, vecs, ues, vecs[0], ues[0])
         assert cand.data.shape == (1, 6)
-        assert mask.tolist() == [True, True, False, False]
-        assert np.array_equal(hist.data[2:], np.zeros((2, 6)))
-
-    def test_empty_history_all_masked(self):
-        enc = make_encoder()
-        hist, mask = enc.augment_history([], [])
-        assert not mask.any()
-        assert np.array_equal(hist.data, np.zeros((4, 6)))
+        assert history.query.data.shape == (2, 6)
+        assert history.keys.data.shape == (2, 6, 2)     # (heads, d_q, M)
+        assert history.values.data.shape == (2, 2, 3)   # (heads, M, d_head)
+        assert history.local.data.shape == (2, 6)
 
     def test_concat_round_trip(self):
+        # Every shared term is built from the [news | engagement] rows.
         enc = make_encoder()
         vecs, ues = rand_items(3)
-        hist, _ = enc.augment_history(vecs, ues)
-        for i in range(3):
-            assert np.array_equal(hist.data[i, :4], vecs[i].data[0])
-            assert np.array_equal(hist.data[i, 4:], ues[i].data[0])
+        history, _ = augment(enc, vecs, ues, vecs[0], ues[0])
+        rows = rows_of(vecs, ues)
+        assert np.allclose(history.query.data, rows @ enc.q_hist.data, atol=1e-12)
+        assert np.allclose(history.keys.data, enc.rel_heads.data @ rows.T, atol=1e-12)
+        assert np.allclose(history.values.data, rows @ enc.out_w.data, atol=1e-12)
 
     def test_truncates_to_most_recent(self):
-        enc = make_encoder(max_history=2)
-        vecs, ues = rand_items(5)
-        hist, mask = enc.augment_history(vecs, ues)
-        assert mask.all()
-        assert np.array_equal(hist.data[0, :4], vecs[3].data[0])
-        assert np.array_equal(hist.data[1, :4], vecs[4].data[0])
+        # The ranker keeps the last max_history clicks; older ones cannot matter.
+        model = AvoidanceAwareRanker(tiny_config(max_history=2), VocabSizes(12, 3, 5), seed=1)
+        articles = make_articles(7)
+        ids = sorted(articles)
+        feats = make_features(ids)
+        history = [articles[i] for i in ids[:5]]
+        candidates = [articles[i] for i in ids[5:]]
+        full = model.score_impression(history, candidates, feats)
+        recent = model.score_impression(history[-2:], candidates, feats)
+        assert [s.data[0, 0] for s in full] == [s.data[0, 0] for s in recent]
 
 
 class TestSelfAttention:
     def test_single_item_is_projected_row(self):
-        enc = make_encoder(max_history=1)
+        enc = make_encoder()
         vecs, ues = rand_items(1)
-        hist, mask, cand = enc.augment(vecs, ues, vecs[0], ues[0])
-        out = enc.candidate_aware_self_attention(hist, cand, mask)
-        expected = np.concatenate(
-            [hist.data @ w.data for w in enc.out_heads], axis=1)
+        history, cand = augment(enc, vecs, ues, vecs[0], ues[0])
+        out = enc.candidate_aware_self_attention(history, cand)
+        rows = rows_of(vecs, ues)
+        expected = np.concatenate([rows @ w for w in enc.out_w.data], axis=1)
         assert np.allclose(out.data, expected, atol=1e-12)
 
     def test_two_item_scores_match_brute_force(self):
         # Brute-force oracle over 3-dim augmented vectors, one identity head.
-        enc = make_encoder(d_news=2, dim_ue=1, n_heads=1, max_history=2)
+        enc = make_encoder(d_news=2, dim_ue=1, n_heads=1)
         eye = np.eye(3)
         enc.q_hist.data[:] = eye
         enc.q_cand.data[:] = eye
-        enc.rel_heads[0].data[:] = eye
-        enc.out_heads[0].data[:] = eye
+        enc.rel_heads.data[0] = eye
+        enc.out_w.data[0] = eye
         h = np.array([[1.0, 0.5, -0.5], [0.2, -1.0, 0.3]])
         c = np.array([[0.7, 0.1, 0.4]])
-        hist = ad.constant(h, dtype=np.float64)
-        cand = ad.constant(c, dtype=np.float64)
-        out = enc.candidate_aware_self_attention(hist, cand, np.array([True, True]))
+        history = enc.augment_history(ad.constant(h[:, :2], dtype=np.float64),
+                                      ad.constant(h[:, 2:], dtype=np.float64))
+        out = enc.candidate_aware_self_attention(history, ad.constant(c, dtype=np.float64))
 
         scores = np.empty((2, 2))
         for i in range(2):
@@ -87,65 +107,85 @@ class TestSelfAttention:
             expected[i] = weights @ h
         assert np.allclose(out.data, expected, atol=1e-12)
 
+    def test_fused_heads_match_per_head_oracle(self):
+        # Per head h: softmax(q W_h H^T + q_c W_h H^T) H O_h, heads side by side.
+        enc = make_encoder(n_heads=3)
+        vecs, ues = rand_items(4)
+        cv, cu = rand_items(1, seed=8)
+        history, cand = augment(enc, vecs, ues, cv[0], cu[0])
+        h, c = rows_of(vecs, ues), cand.data
+        q, q_c = h @ enc.q_hist.data, c @ enc.q_cand.data
+        expected = []
+        for rel_w, out_w in zip(enc.rel_heads.data, enc.out_w.data):
+            s = q @ rel_w @ h.T + q_c @ rel_w @ h.T
+            gamma = np.exp(s - s.max(axis=1, keepdims=True))
+            gamma /= gamma.sum(axis=1, keepdims=True)
+            expected.append(gamma @ h @ out_w)
+        out = enc.candidate_aware_self_attention(history, cand)
+        assert np.allclose(out.data, np.concatenate(expected, axis=1), atol=1e-12)
+
     def test_attention_rows_sum_to_one_over_unmasked(self):
         enc = make_encoder()
         vecs, ues = rand_items(3)
-        hist, mask, cand = enc.augment(vecs, ues, vecs[0], ues[0])
-        m = hist.data.shape[0]
-        q = ad.matmul(hist, enc.q_hist)
-        q_c = ad.matmul(cand, enc.q_cand)
-        key_mask = np.broadcast_to(mask[None, :], (m, m))
-        for rel_w in enc.rel_heads:
-            hist_scores = ad.matmul(ad.matmul(q, rel_w), ad.transpose(hist))
-            cand_scores = ad.matmul(ad.matmul(q_c, rel_w), ad.transpose(hist))
-            gamma = ad.softmax(ad.add(hist_scores, cand_scores), axis=1, mask=key_mask)
-            assert np.allclose(gamma.data.sum(axis=1), 1.0, atol=1e-6)
-            assert np.array_equal(gamma.data[:, ~mask], np.zeros((m, (~mask).sum())))
+        history, cand = augment(enc, vecs, ues, vecs[0], ues[0])
+        queries = ad.add(history.query, ad.matmul(cand, enc.q_cand))
+        gamma = ad.softmax(ad.matmul(queries, history.keys), axis=2).data
+        assert gamma.shape == (2, 3, 3)
+        assert np.allclose(gamma.sum(axis=2), 1.0, atol=1e-12)
 
     def test_all_masked_history_rejected(self):
         enc = make_encoder()
-        hist, mask = enc.augment_history([], [])
-        vecs, ues = rand_items(1)
-        cand = enc.augment_item(vecs[0], ues[0])
         with pytest.raises(ValueError, match="cold-user"):
-            enc.candidate_aware_self_attention(hist, cand, mask)
+            enc.augment_history(ad.constant(np.zeros((0, 4)), dtype=np.float64),
+                                ad.constant(np.zeros((0, 2)), dtype=np.float64))
 
 
 class TestLocalContext:
     def test_zero_window_uses_only_own_row(self):
-        enc = make_encoder(cnn_window=0, max_history=3)
+        enc = make_encoder(cnn_window=0)
         vecs, ues = rand_items(3)
-        hist, mask, cand = enc.augment(vecs, ues, vecs[0], ues[0])
-        base = enc.candidate_aware_cnn(hist, cand, mask).data
+        history, cand = augment(enc, vecs, ues, vecs[0], ues[0])
+        base = enc.candidate_aware_cnn(history, cand).data
         # changing row 2 must not affect row 0 when the window is 0
         vecs2, ues2 = rand_items(3, seed=9)
-        hist2, _, _ = enc.augment([vecs[0], vecs[1], vecs2[2]],
-                                  [ues[0], ues[1], ues2[2]], vecs[0], ues[0])
-        other = enc.candidate_aware_cnn(hist2, cand, mask).data
+        history2, _ = augment(enc, [vecs[0], vecs[1], vecs2[2]],
+                              [ues[0], ues[1], ues2[2]], vecs[0], ues[0])
+        other = enc.candidate_aware_cnn(history2, cand).data
         assert np.allclose(base[0], other[0], atol=1e-12)
         assert not np.allclose(base[2], other[2])
 
     def test_boundary_uses_zero_padding(self):
-        enc = make_encoder(max_history=2)
+        enc = make_encoder()
         vecs, ues = rand_items(2)
-        hist, mask, cand = enc.augment(vecs, ues, vecs[0], ues[0])
-        keep = np.repeat(mask[:, None], enc.d_aug, axis=1)
-        windows = ad.sliding_window_concat(
-            ad.mul(hist, ad.constant(keep.astype(np.float64), dtype=np.float64)), 1)
+        history, cand = augment(enc, vecs, ues, vecs[0], ues[0])
+        rows = rows_of(vecs, ues)
         # left neighbor of position 0 is the zero vector
-        assert np.array_equal(windows.data[0, :enc.d_aug], np.zeros(enc.d_aug))
+        window = np.concatenate([np.zeros(enc.d_aug), rows[0], rows[1], cand.data[0]])
+        expected = np.maximum(window @ enc.cnn_w.data + enc.cnn_b.data, 0)
+        assert np.allclose(enc.candidate_aware_cnn(history, cand).data[0], expected, atol=1e-12)
+
+    def test_split_filter_bank_matches_direct_concat(self):
+        # Shared window term plus per-candidate term == relu([windows, cand] W + b).
+        enc = make_encoder()
+        vecs, ues = rand_items(4)
+        cv, cu = rand_items(1, seed=4)
+        history, cand = augment(enc, vecs, ues, cv[0], cu[0])
+        windows = ad.sliding_window_concat(ad.constant(rows_of(vecs, ues)), enc.cnn_window).data
+        stacked = np.concatenate([windows, np.repeat(cand.data, 4, axis=0)], axis=1)
+        expected = np.maximum(stacked @ enc.cnn_w.data + enc.cnn_b.data, 0)
+        assert np.allclose(enc.candidate_aware_cnn(history, cand).data, expected, atol=1e-12)
 
     def test_translation_shifts_interior_rows(self):
         # Oracle: recompute directly after shifting history by one slot;
         # rows whose window stays clear of the ends must move with it.
-        enc = make_encoder(max_history=4)
+        enc = make_encoder()
         vecs, ues = rand_items(4)
-        hist_a, mask, cand = enc.augment(vecs, ues, vecs[0], ues[0])
+        hist_a, cand = augment(enc, vecs, ues, vecs[0], ues[0])
         shifted_vecs = [vecs[1], vecs[2], vecs[3], vecs[0]]
         shifted_ues = [ues[1], ues[2], ues[3], ues[0]]
-        hist_b, _, _ = enc.augment(shifted_vecs, shifted_ues, vecs[0], ues[0])
-        a = enc.candidate_aware_cnn(hist_a, cand, mask).data
-        b = enc.candidate_aware_cnn(hist_b, cand, mask).data
+        hist_b, _ = augment(enc, shifted_vecs, shifted_ues, vecs[0], ues[0])
+        a = enc.candidate_aware_cnn(hist_a, cand).data
+        b = enc.candidate_aware_cnn(hist_b, cand).data
         # shifted row 1 sees (v1, v2, v3), exactly original row 2's window
         assert np.allclose(b[1], a[2], atol=1e-12)
         # boundary rows see the zero padding instead and must differ
@@ -154,15 +194,15 @@ class TestLocalContext:
 
 class TestUserEmbeddingAndScore:
     def _full(self, enc, vecs, ues, cand_vec, cand_ue):
-        hist, mask, cand = enc.augment(vecs, ues, cand_vec, cand_ue)
-        att = enc.candidate_aware_self_attention(hist, cand, mask)
-        loc = enc.candidate_aware_cnn(hist, cand, mask)
-        return enc.user_embedding(att, loc, cand, mask), cand, hist, mask, att, loc
+        history, cand = augment(enc, vecs, ues, cand_vec, cand_ue)
+        att = enc.candidate_aware_self_attention(history, cand)
+        loc = enc.candidate_aware_cnn(history, cand)
+        return enc.user_embedding(att, loc, cand), cand, history, att, loc
 
     def test_single_item_user_is_its_merged_vector(self):
-        enc = make_encoder(max_history=1)
+        enc = make_encoder()
         vecs, ues = rand_items(1)
-        u, cand, hist, mask, att, loc = self._full(enc, vecs, ues, vecs[0], ues[0])
+        u, cand, history, att, loc = self._full(enc, vecs, ues, vecs[0], ues[0])
         merged = ad.relu(ad.affine(ad.concat([loc, att], axis=1),
                                    enc.merge_w, enc.merge_b))
         assert np.allclose(u.data, merged.data[0:1], atol=1e-12)
@@ -170,29 +210,24 @@ class TestUserEmbeddingAndScore:
     def test_pool_weights_sum_to_one(self):
         enc = make_encoder()
         vecs, ues = rand_items(3)
-        hist, mask, cand = enc.augment(vecs, ues, vecs[0], ues[0])
-        att = enc.candidate_aware_self_attention(hist, cand, mask)
-        loc = enc.candidate_aware_cnn(hist, cand, mask)
+        _, cand, _, att, loc = self._full(enc, vecs, ues, vecs[0], ues[0])
         merged = ad.relu(ad.affine(ad.concat([loc, att], axis=1),
                                    enc.merge_w, enc.merge_b))
-        scores = ad.affine(ad.concat([merged, ad.repeat_rows(cand, 4)], axis=1),
+        scores = ad.affine(ad.concat([merged, ad.repeat_rows(cand, 3)], axis=1),
                            enc.pool_w, enc.pool_b)
-        alpha = ad.softmax(scores, axis=0, mask=mask[:, None]).data
+        alpha = ad.softmax(scores, axis=0).data
+        assert alpha.shape == (3, 1)
         assert alpha.sum() == pytest.approx(1.0, abs=1e-6)
-        assert np.array_equal(alpha[~mask], np.zeros(((~mask).sum(), 1)))
 
     def test_duplicated_rows_tie_and_match_brute_force(self):
         # Duplicated history rows produce identical merged vectors, so
         # their pooling scores tie and alpha splits evenly between them;
         # the pooled sum must equal a direct numpy recomputation.
-        enc = make_encoder(max_history=3, cnn_window=0)
+        enc = make_encoder(cnn_window=0)
         vecs, ues = rand_items(2)
         dup_vecs = [vecs[0], vecs[1], vecs[1]]
         dup_ues = [ues[0], ues[1], ues[1]]
-        hist, mask, cand = enc.augment(dup_vecs, dup_ues, vecs[0], ues[0])
-        att = enc.candidate_aware_self_attention(hist, cand, mask)
-        loc = enc.candidate_aware_cnn(hist, cand, mask)
-        u = enc.user_embedding(att, loc, cand, mask)
+        u, cand, _, att, loc = self._full(enc, dup_vecs, dup_ues, vecs[0], ues[0])
 
         merged = ad.relu(ad.affine(ad.concat([loc, att], axis=1),
                                    enc.merge_w, enc.merge_b)).data
@@ -205,23 +240,22 @@ class TestUserEmbeddingAndScore:
         assert weights[1] == pytest.approx(weights[2], rel=1e-12)
         assert np.allclose(u.data, (weights[None, :] @ merged), atol=1e-12)
 
-    def test_masked_slot_content_cannot_change_anything(self):
-        enc = make_encoder()
-        vecs, ues = rand_items(2)
-        hist, mask, cand = enc.augment(vecs, ues, vecs[0], ues[0])
-
-        def score_from(hist_data):
-            h = ad.constant(hist_data, dtype=np.float64)
-            att = enc.candidate_aware_self_attention(h, cand, mask)
-            loc = enc.candidate_aware_cnn(h, cand, mask)
-            u = enc.user_embedding(att, loc, cand, mask)
-            return enc.interest_score(cand, u, ad.constant([[0.42]], dtype=np.float64)).data
-
-        base = score_from(hist.data.copy())
-        for fill in (1.0, -77.0, 1e6):
-            poisoned = hist.data.copy()
-            poisoned[~mask] = fill
-            assert np.array_equal(base, score_from(poisoned))
+    def test_history_window_cannot_change_scores(self):
+        # A history shorter than max_history is never padded: the window
+        # size must not reach any score.
+        articles = make_articles(6)
+        ids = sorted(articles)
+        feats = make_features(ids)
+        history = [articles[i] for i in ids[:2]]
+        candidates = [articles[i] for i in ids[2:]]
+        by_window = []
+        for max_history in (2, 3, 50):
+            model = AvoidanceAwareRanker(tiny_config(max_history=max_history),
+                                         VocabSizes(12, 3, 5), seed=7)
+            by_window.append([s.data[0, 0] for mode in ("full", "only_rel", "only_avoid")
+                              for s in model.score_impression(history, candidates, feats,
+                                                              mode=mode)])
+        assert by_window[0] == by_window[1] == by_window[2]
 
     def test_interest_is_convex_combination(self):
         enc = make_encoder()
@@ -251,11 +285,19 @@ class TestUserEmbeddingAndScore:
         cv, cu = rand_items(1, seed=50)
 
         def fn():
-            hist, mask, cand = enc.augment(vecs, ues, cv[0], cu[0])
-            att = enc.candidate_aware_self_attention(hist, cand, mask)
-            loc = enc.candidate_aware_cnn(hist, cand, mask)
-            u = enc.user_embedding(att, loc, cand, mask)
-            return enc.interest_score(cand, u, ad.constant([[0.3]], dtype=np.float64))
+            return score(enc, *augment(enc, vecs, ues, cv[0], cu[0]))
 
         params = list(enc.parameters().values())
         assert ad.grad_check(fn, params, eps=1e-5, max_coords_per_param=10) < 1e-3
+
+    def test_stacked_heads_keep_per_head_init_order(self):
+        # Stacked head tensors hold the same xavier draws, in the same
+        # order, as one parameter per head did.
+        enc = make_encoder(n_heads=2)
+        rng = np.random.default_rng(0)
+        for _ in range(2):  # q_hist, q_cand
+            ad.xavier_uniform(rng, 6, 6, dtype=np.float64)
+        rel = [ad.xavier_uniform(rng, 6, 6, dtype=np.float64) for _ in range(2)]
+        out = [ad.xavier_uniform(rng, 6, 3, dtype=np.float64) for _ in range(2)]
+        assert np.array_equal(enc.rel_heads.data, np.stack(rel))
+        assert np.array_equal(enc.out_w.data, np.stack(out))
