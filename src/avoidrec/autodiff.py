@@ -392,15 +392,6 @@ def sliding_window_concat(a: Tensor, h: int) -> Tensor:
     return _record("sliding_window_concat", (a,), out, backward_fn)
 
 
-def repeat_rows(a: Tensor, n: int) -> Tensor:
-    """Tile a (1, d) row n times; gradient sums back over the copies."""
-    if a.data.ndim != 2 or a.data.shape[0] != 1:
-        raise ShapeError(f"repeat_rows: expected shape (1, d), got {a.data.shape}")
-    out = np.repeat(a.data, n, axis=0)
-    return _record("repeat_rows", (a,), out,
-                   lambda g: (g.sum(axis=0, keepdims=True),))
-
-
 def sum_(a: Tensor) -> Tensor:
     """Total of all entries as a (1, 1) scalar."""
     out = a.data.sum(dtype=a.data.dtype).reshape(1, 1)

@@ -100,7 +100,9 @@ def cmd_train(args) -> int:
     result.write_log_csv(out / "training_log.csv")
     last = result.history[-1]
     print(f"trained {len(result.history)} epochs "
-          f"({result.n_instances} instances, {result.n_skipped_instances} skipped); "
+          f"({result.n_instances} instances, {result.n_skipped_instances} skipped, "
+          f"{result.n_unknown_candidate_instances} with unknown candidates, "
+          f"{result.n_missing_history} unknown history ids); "
           f"final train_loss={last.train_loss:.4f} best val_auc={result.best_val_auc:.4f}")
     print(f"checkpoint: {out / 'checkpoint.ntck'}")
     return 0
@@ -127,7 +129,8 @@ def cmd_eval(args) -> int:
     m = report.metrics
     print(f"{args.split} ({mode}): auc={m['auc']:.4f} mrr={m['mrr']:.4f} "
           f"ndcg5={m['ndcg5']:.4f} ndcg10={m['ndcg10']:.4f} "
-          f"[{report.n_scored} impressions, {report.n_skipped_missing} skipped]")
+          f"[{report.n_scored} impressions, {report.n_skipped_missing} skipped, "
+          f"{report.n_missing_history} unknown history ids]")
     return 0
 
 

@@ -109,7 +109,8 @@ class EvalReport:
     metrics: dict[str, float]
     n_impressions: int
     n_scored: int
-    n_skipped_missing: int
+    n_skipped_missing: int   # impressions with a candidate missing from the catalog
+    n_missing_history: int   # history ids of scored impressions missing from the catalog
     excluded: dict[str, int]
     config_fingerprint: str
     per_impression: list[dict] = field(default_factory=list)
@@ -120,6 +121,7 @@ class EvalReport:
             "n_impressions": self.n_impressions,
             "n_scored": self.n_scored,
             "n_skipped_missing": self.n_skipped_missing,
+            "n_missing_history": self.n_missing_history,
             "excluded": self.excluded,
             "config_fingerprint": self.config_fingerprint,
         }
@@ -176,6 +178,7 @@ def evaluate(model, test_log, timeline, catalog, mode="full",
     per_impression = []
     n_skipped = 0
     n_scored = 0
+    n_missing_history = 0
     for record in test_log:
         ranked = score_log_impression(model, catalog, timeline, record, mode=mode,
                                       news_cache=news_cache)
@@ -183,6 +186,7 @@ def evaluate(model, test_log, timeline, catalog, mode="full",
             n_skipped += 1
             continue
         n_scored += 1
+        n_missing_history += sum(news_id not in catalog for news_id in record.history)
         values = {
             "auc": auc(ranked),
             "mrr": mrr(ranked),
@@ -202,6 +206,7 @@ def evaluate(model, test_log, timeline, catalog, mode="full",
         n_impressions=len(test_log),
         n_scored=n_scored,
         n_skipped_missing=n_skipped,
+        n_missing_history=n_missing_history,
         excluded=excluded,
         config_fingerprint=config_fingerprint(config_dict or {}),
         per_impression=per_impression,

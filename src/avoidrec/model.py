@@ -12,8 +12,8 @@ modes support component ablations:
 
 Users with an empty history skip the user encoder entirely and are scored
 by the relevance branch in every mode.  An impression's articles are encoded
-in one batch, its history terms are shared by all candidates, and ``evaluate``
-keeps article vectors in a per-call ``news_cache``.
+in one batch (``evaluate`` caches them per call), its history terms are built
+once, and the candidate-only layers run once over all C candidates.
 """
 
 from __future__ import annotations
@@ -153,15 +153,18 @@ class AvoidanceAwareRanker:
                          news_cache: dict | None = None):
         """Interest scores (list of (1,1) tensors) for each candidate.
 
-        ``feats`` must cover every history and candidate article; history
-        items beyond the model's window are dropped from the old end.
-        ``news_cache`` (news id -> vector) is read and filled; it is valid
-        only while the parameters stay unchanged.
+        A candidate scored alone gets its row of the batch.  ``feats`` must
+        cover every history and candidate article; history items beyond the
+        model's window are dropped from the old end.  ``news_cache`` (news
+        id -> vector) is read and filled; it is valid only while the
+        parameters stay unchanged.
         """
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
         history = list(history_articles)[-self.config.max_history:]
         candidates = list(candidate_articles)
+        if not candidates:
+            return []
         distinct = list({a.news_id: a for a in history + candidates}.values())
         row = {a.news_id: i for i, a in enumerate(distinct)}
         news = self._news_vectors(distinct, news_cache)
@@ -169,26 +172,21 @@ class AvoidanceAwareRanker:
         def user_ue(ue):  # only_rel keeps engagement out of the user encoder
             return ad.scale(ue, 0.0) if mode == "only_rel" else ue
 
-        if history:
+        cand_feats = [feats[a.news_id] for a in candidates]
+        vecs = ad.embedding_lookup(news, [row[a.news_id] for a in candidates])
+        ues = self.engagement.lookup([f.cell for f in cand_feats])
+        if not history or mode != "only_avoid":
+            relevance = self.relevance.relevance(
+                vecs, ues, self.relevance.time2vec([f.age_hours for f in cand_feats]),
+                [f.clicks_norm for f in cand_feats])
+        if not history:  # a cold user: the relevance branch is the only signal
+            scores = relevance
+        else:
             shared = self.user.augment_history(
                 ad.embedding_lookup(news, [row[a.news_id] for a in history]),
                 user_ue(self.engagement.lookup([feats[a.news_id].cell for a in history])))
-        scores = []
-        for article in candidates:
-            feat = feats[article.news_id]
-            vec = ad.embedding_lookup(news, [row[article.news_id]])
-            ue = self.engagement.lookup(feat.cell)
-            if history:
-                cand = ad.concat([vec, user_ue(ue)], axis=1)  # the augmented candidate
-                user_vec = self.user.user_embedding(
-                    self.user.candidate_aware_self_attention(shared, cand),
-                    self.user.candidate_aware_cnn(shared, cand), cand)
-                if mode == "only_avoid":
-                    scores.append(self.user.preliminary_interest(cand, user_vec))
-                    continue
-            relevance = self.relevance.relevance(
-                vec, ue, self.relevance.time2vec(feat.age_hours), feat.clicks_norm)
-            # A cold user has no history: the relevance branch is the only signal.
-            scores.append(self.user.interest_score(cand, user_vec, relevance)
-                          if history else relevance)
-        return scores
+            cands = ad.concat([vecs, user_ue(ues)], axis=1)  # the augmented candidates
+            users = self.user.user_vectors(shared, cands)
+            scores = (self.user.preliminary_interest(cands, users) if mode == "only_avoid"
+                      else self.user.interest_score(cands, users, relevance))
+        return [ad.slice_(scores, rows=slice(i, i + 1)) for i in range(len(candidates))]

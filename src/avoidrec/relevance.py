@@ -1,10 +1,11 @@
-"""Engagement- and time-aware relevance scoring for a single article.
+"""Engagement- and time-aware relevance scoring for a batch of articles.
 
 Two sub-scores are mixed by a learned gate: one driven purely by the
 article content vector, the other by the engagement-cell embedding plus a
 periodic encoding of hours elapsed since the article surfaced.  The mix
 is then combined with a normalized click count through two trainable
-scalar weights and squashed to (0, 1).
+scalar weights and squashed to (0, 1).  Every step is row-wise: C articles
+are scored as one (C, .) batch.
 """
 
 from __future__ import annotations
@@ -42,33 +43,28 @@ class RelevancePredictor:
         self.w_mixed = ad.parameter(np.ones((1, 1), dtype=self.dtype), name="rel.w_mixed")
 
     def parameters(self):
-        return {
-            "rel.t2v_freq": self.t2v_freq, "rel.t2v_phase": self.t2v_phase,
-            "rel.gate_w": self.gate_w, "rel.gate_b": self.gate_b,
-            "rel.content_w": self.content_w, "rel.content_b": self.content_b,
-            "rel.engage_w": self.engage_w, "rel.engage_b": self.engage_b,
-            "rel.w_clicks": self.w_clicks, "rel.w_mixed": self.w_mixed,
-        }
+        return {p.name: p for p in (self.t2v_freq, self.t2v_phase, self.gate_w, self.gate_b,
+                                    self.content_w, self.content_b, self.engage_w, self.engage_b,
+                                    self.w_clicks, self.w_mixed)}
 
-    def time2vec(self, elapsed_hours: float) -> ad.Tensor:
-        """Periodic time embedding of shape (1, d_time).
+    def time2vec(self, elapsed_hours) -> ad.Tensor:
+        """Periodic time embedding (C, d_time) of one or C elapsed times.
 
         Component 0 is linear in the elapsed time, the others are
         sin(freq * t + phase), so they stay in [-1, 1] for any horizon.
         """
-        z = ad.add(ad.scale(self.t2v_freq, float(elapsed_hours)), self.t2v_phase)
-        if self.d_time == 1:
-            return ad.slice_(z, cols=slice(0, 1))
+        hours = ad.constant(np.reshape(elapsed_hours, (-1, 1)), dtype=self.dtype)
+        z = ad.add(ad.matmul(hours, self.t2v_freq), self.t2v_phase)
         linear = ad.slice_(z, cols=slice(0, 1))
-        periodic = ad.sin(ad.slice_(z, cols=slice(1, None)))
+        periodic = ad.sin(ad.slice_(z, cols=slice(1, None)))  # (C, 0) when d_time is 1
         return ad.concat([linear, periodic], axis=1)
 
     def relevance(self, news_vec: ad.Tensor, ue: ad.Tensor, t_el: ad.Tensor,
-                  clicks_norm: float) -> ad.Tensor:
-        """Score in (0, 1) for one (article, time) pair.
+                  clicks_norm) -> ad.Tensor:
+        """Scores (C, 1) in (0, 1) for C (article, time) rows.
 
-        ``clicks_norm`` is the snapshot click count squashed into [0, 1]
-        upstream (log-scaled by the bucket maximum).
+        ``clicks_norm`` holds one snapshot click count per row, squashed
+        into [0, 1] upstream (log-scaled by the bucket maximum).
         """
         gate = ad.sigmoid(ad.affine(ad.concat([news_vec, ue, t_el], axis=1),
                                     self.gate_w, self.gate_b))
@@ -76,5 +72,6 @@ class RelevancePredictor:
         r_engage = ad.affine(ad.concat([ue, t_el], axis=1), self.engage_w, self.engage_b)
         mixed = ad.add(ad.mul(gate, r_content),
                        ad.mul(ad.add_scalar(ad.scale(gate, -1.0), 1.0), r_engage))
-        return ad.sigmoid(ad.add(ad.scale(self.w_clicks, float(clicks_norm)),
-                                 ad.mul(mixed, self.w_mixed)))
+        clicks = ad.constant(np.reshape(clicks_norm, (-1, 1)), dtype=self.dtype)
+        return ad.sigmoid(ad.add(ad.matmul(clicks, self.w_clicks),
+                                 ad.matmul(mixed, self.w_mixed)))

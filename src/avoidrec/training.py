@@ -163,20 +163,18 @@ def build_training_instances(log: ImpressionLog, k: int, rng) -> tuple[list[Trai
     return instances, skipped
 
 
-def instance_loss(pos_score: ad.Tensor, neg_scores) -> tuple[ad.Tensor, ad.Tensor]:
-    """Softmax probability of the positive among K+1 scores, and its -log.
+def instance_loss(pos_score: ad.Tensor, neg_scores) -> ad.Tensor:
+    """-log of the positive's softmax probability among K+1 scores, as (1, 1).
 
     The loss is computed as logsumexp(scores) - positive, which stays
     finite for any finite scores even when the probability itself
-    underflows to zero.
+    underflows to zero; the probability is exp(-loss).
     """
     stacked = ad.concat([pos_score] + list(neg_scores), axis=1)
-    probs = ad.softmax(stacked, axis=1)
-    p = ad.slice_(probs, cols=slice(0, 1))
     shift = float(stacked.data.max())
     z = ad.sum_(ad.exp(ad.add_scalar(stacked, -shift)))
     logsumexp = ad.add_scalar(ad.log(z), shift)
-    return p, ad.add(logsumexp, ad.scale(pos_score, -1.0))
+    return ad.add(logsumexp, ad.scale(pos_score, -1.0))
 
 
 class Adam:
@@ -229,7 +227,9 @@ class TrainResult:
     best_val_auc: float
     history: list[EpochStats]
     n_instances: int
-    n_skipped_instances: int
+    n_skipped_instances: int            # positives with no negative to pair with
+    n_unknown_candidate_instances: int  # never scored: a candidate is not in the catalog
+    n_missing_history: int              # history ids not in the catalog, over scored instances
 
     def write_log_csv(self, path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -239,10 +239,14 @@ class TrainResult:
                          f"{row.wall_seconds:.3f}\n")
 
 
+def _has_unknown_candidate(instance, catalog):
+    return any(cid not in catalog for cid in [instance.positive] + instance.negatives)
+
+
 def _instance_score_inputs(instance, catalog, timeline, grid_d):
-    candidate_ids = [instance.positive] + instance.negatives
-    if any(cid not in catalog for cid in candidate_ids):
+    if _has_unknown_candidate(instance, catalog):
         return None
+    candidate_ids = [instance.positive] + instance.negatives
     history = [catalog.get(h) for h in instance.history]
     history = [a for a in history if a is not None]
     feats = impression_features(
@@ -269,6 +273,9 @@ def train(config: TrainConfig, corpus: Corpus, timeline) -> TrainResult:
     instances, skipped = build_training_instances(corpus.train, config.negatives, rng)
     if not instances:
         raise ValueError("no training instances; is the training split empty?")
+    # Drops are counted once per instance, however many epochs skip them.
+    scorable = [i for i in instances if not _has_unknown_candidate(i, corpus.catalog)]
+    n_missing_history = sum(h not in corpus.catalog for i in scorable for h in i.history)
 
     optimizer = Adam(model.trainable_parameters(), lr=config.learning_rate)
     grid_d = config.model.grid_d
@@ -298,7 +305,7 @@ def train(config: TrainConfig, corpus: Corpus, timeline) -> TrainResult:
                                                     mode=config.mode)
                     pos = scores[pos_slot]
                     negs = scores[:pos_slot] + scores[pos_slot + 1:]
-                    _, loss = instance_loss(pos, negs)
+                    loss = instance_loss(pos, negs)
                 loss_value = float(loss.data.reshape(()))
                 if not math.isfinite(loss_value):
                     raise TrainingDiverged(
@@ -347,7 +354,9 @@ def train(config: TrainConfig, corpus: Corpus, timeline) -> TrainResult:
     model.load_state_dict(best_state)
     return TrainResult(model=model, best_state=best_state,
                        best_val_auc=best_val, history=history,
-                       n_instances=len(instances), n_skipped_instances=skipped)
+                       n_instances=len(instances), n_skipped_instances=skipped,
+                       n_unknown_candidate_instances=len(instances) - len(scorable),
+                       n_missing_history=n_missing_history)
 
 
 def checkpoint_meta(config: TrainConfig, result: TrainResult) -> dict:

@@ -4,15 +4,22 @@ Every history item and the candidate are widened by their engagement-cell
 embedding.  Two context paths run over the augmented history, both
 conditioned on the candidate: multi-head self-attention whose scores
 carry an additive candidate term, and a windowed filter bank over
-adjacent clicks.  A per-click merge plus candidate-aware pooling yields
-the user vector, whose dot product with the augmented candidate is gated
+adjacent clicks.  A per-click merge plus attentive pooling yields the
+user vector, whose dot product with the augmented candidate is gated
 against the standalone relevance score to produce the final interest
 score.
 
-History rows are real clicks only, never padding.  What does not depend
-on the candidate (the query projection, every head's keys and values as
-one stacked tensor each, the window half of the filter bank) is built
-once per history by ``augment_history`` and shared by every candidate.
+History rows are real clicks only, never padding.  ``augment_history``
+builds what does not depend on the candidate once (the query projection,
+every head's keys and values, the window half of the filter bank).  The
+C candidates' own terms, dot products and gates are one (C, .) batch; only
+the history-sized work loops per candidate.
+
+The pooling is candidate-aware only through ``merged``: the candidate term
+and bias of a score ``[merged_j | cand] . pool_w + pool_b`` are the same
+for every click j and cancel in the softmax, so they are not computed
+(``pool_w`` and ``pool_b`` keep their shapes for checkpoints).  CAUM puts
+a tanh before the pooling query, which would make that term matter.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ class History(NamedTuple):
     keys: ad.Tensor     # (heads, d_q, M), rel_w of each head times rows^T
     values: ad.Tensor   # (heads, M, d_head), rows times out_w of each head
     local: ad.Tensor    # (M, d_aug) filter-bank pre-activation of the click windows
+    pool_w: ad.Tensor   # (d_aug, 1) click half of the pooling weights
 
 
 class UserEncoder:
@@ -66,14 +74,9 @@ class UserEncoder:
         self.gate_b = ad.parameter(np.zeros(1, dtype=self.dtype), name="user.gate_b")
 
     def parameters(self):
-        return {
-            "user.q_hist": self.q_hist, "user.q_cand": self.q_cand,
-            "user.cnn_w": self.cnn_w, "user.cnn_b": self.cnn_b,
-            "user.merge_w": self.merge_w, "user.merge_b": self.merge_b,
-            "user.pool_w": self.pool_w, "user.pool_b": self.pool_b,
-            "user.gate_w": self.gate_w, "user.gate_b": self.gate_b,
-            "user.rel_heads": self.rel_heads, "user.out_w": self.out_w,
-        }
+        return {p.name: p for p in (self.q_hist, self.q_cand, self.cnn_w, self.cnn_b, self.merge_w,
+                                    self.merge_b, self.pool_w, self.pool_b, self.gate_w,
+                                    self.gate_b, self.rel_heads, self.out_w)}
 
     # -- representation assembly ------------------------------------------
 
@@ -83,52 +86,63 @@ class UserEncoder:
             raise ValueError("empty history; apply the cold-user fallback instead")
         rows = ad.concat([news_vecs, ues], axis=1)
         # The filter bank reads [windows, candidate]: the candidate block of
-        # cnn_w meets zeros here, the window blocks meet zeros per candidate.
+        # cnn_w meets zeros here, the window blocks meet zeros in user_vectors.
         windows = ad.concat([ad.sliding_window_concat(rows, self.cnn_window),
-                             ad.constant(np.zeros(rows.shape), dtype=self.dtype)], axis=1)
+                             ad.constant(np.zeros(rows.shape, dtype=self.dtype))], axis=1)
         return History(ad.matmul(rows, self.q_hist), ad.matmul(self.rel_heads, ad.transpose(rows)),
-                       ad.matmul(rows, self.out_w), ad.affine(windows, self.cnn_w, self.cnn_b))
+                       ad.matmul(rows, self.out_w), ad.affine(windows, self.cnn_w, self.cnn_b),
+                       ad.slice_(self.pool_w, rows=slice(0, self.d_aug)))
+
+    def candidate_terms(self, cands: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
+        """(C, d_q) attention queries and (C, d_aug) filter-bank terms of C candidates."""
+        pad = (cands.shape[0], self.cnn_w.shape[0] - self.d_aug)  # window blocks meet zeros
+        return ad.matmul(cands, self.q_cand), ad.matmul(
+            ad.concat([ad.constant(np.zeros(pad, dtype=self.dtype)), cands], axis=1), self.cnn_w)
+
+    def user_vectors(self, history: History, cands: ad.Tensor) -> ad.Tensor:
+        """(C, d_aug) user vectors, one per augmented candidate row of ``cands``."""
+        queries, local = self.candidate_terms(cands)
+        rows = [slice(i, i + 1) for i in range(cands.shape[0])]
+        return ad.concat([self.user_embedding(
+            history, self.candidate_aware_self_attention(history, ad.slice_(queries, rows=r)),
+            self.candidate_aware_cnn(history, ad.slice_(local, rows=r))) for r in rows], axis=0)
 
     # -- context paths ------------------------------------------------------
 
-    def candidate_aware_self_attention(self, history: History, cand: ad.Tensor) -> ad.Tensor:
-        """Per-click long-range context (M, d_aug).
+    def candidate_aware_self_attention(self, history: History, cand_query: ad.Tensor) -> ad.Tensor:
+        """Per-click long-range context (M, d_aug) for one (1, d_q) candidate query.
 
         Head scores between clicks i and j are q_i^T W h_j plus a shared
         candidate term q_c^T W h_j, i.e. (q_i + q_c)^T W h_j, softmax-
         normalized over j.
         """
-        queries = ad.add(history.query, ad.matmul(cand, self.q_cand))
-        gamma = ad.softmax(ad.matmul(queries, history.keys), axis=2)
+        gamma = ad.softmax(ad.matmul(ad.add(history.query, cand_query), history.keys), axis=2)
         heads = ad.matmul(gamma, history.values)
         return ad.reshape(ad.reshape(heads, heads.shape, (1, 0, 2)), (heads.shape[1], self.d_aug))
 
-    def candidate_aware_cnn(self, history: History, cand: ad.Tensor) -> ad.Tensor:
-        """Per-click local context (M, d_aug) from a 2h+1 click window, zeros past the ends."""
-        zeros = ad.constant(np.zeros((1, self.cnn_w.shape[0] - self.d_aug)), dtype=self.dtype)
-        cand_part = ad.matmul(ad.concat([zeros, cand], axis=1), self.cnn_w)
-        return ad.relu(ad.add(history.local, cand_part))
+    def candidate_aware_cnn(self, history: History, cand_local: ad.Tensor) -> ad.Tensor:
+        """Per-click local context (M, d_aug) of 2h+1 click windows plus the candidate term."""
+        return ad.relu(ad.add(history.local, cand_local))
 
     # -- pooling and scoring -------------------------------------------------
 
-    def user_embedding(self, attention_ctx: ad.Tensor, local_ctx: ad.Tensor,
-                       cand: ad.Tensor) -> ad.Tensor:
-        """Candidate-aware pooling of merged per-click vectors into (1, d_aug)."""
+    def user_embedding(self, history: History, attention_ctx: ad.Tensor,
+                       local_ctx: ad.Tensor) -> ad.Tensor:
+        """Attentive pooling of merged per-click vectors into (1, d_aug)."""
         merged = ad.relu(ad.affine(ad.concat([local_ctx, attention_ctx], axis=1),
                                    self.merge_w, self.merge_b))
-        scores = ad.affine(ad.concat([merged, ad.repeat_rows(cand, merged.shape[0])], axis=1),
-                           self.pool_w, self.pool_b)
-        alpha = ad.softmax(scores, axis=0)
+        alpha = ad.softmax(ad.matmul(merged, history.pool_w), axis=0)
         return ad.matmul(ad.transpose(alpha), merged)
 
-    def interest_score(self, cand: ad.Tensor, user_vec: ad.Tensor,
+    def interest_score(self, cands: ad.Tensor, users: ad.Tensor,
                        relevance_score: ad.Tensor) -> ad.Tensor:
-        """Convex mix of the user-candidate dot product and the relevance score."""
-        raw = self.preliminary_interest(cand, user_vec)
-        eta = ad.sigmoid(ad.affine(user_vec, self.gate_w, self.gate_b))
+        """(C, 1) convex mix of each user-candidate dot product and its relevance score."""
+        raw = self.preliminary_interest(cands, users)
+        eta = ad.sigmoid(ad.affine(users, self.gate_w, self.gate_b))
         return ad.add(ad.mul(eta, raw),
                       ad.mul(ad.add_scalar(ad.scale(eta, -1.0), 1.0), relevance_score))
 
-    def preliminary_interest(self, cand: ad.Tensor, user_vec: ad.Tensor) -> ad.Tensor:
-        """The ungated user-candidate dot product."""
-        return ad.matmul(cand, ad.transpose(user_vec))
+    def preliminary_interest(self, cands: ad.Tensor, users: ad.Tensor) -> ad.Tensor:
+        """(C, 1) ungated dot products of candidate row i with user row i."""
+        ones = ad.constant(np.ones((self.d_aug, 1)), dtype=self.dtype)
+        return ad.matmul(ad.mul(cands, users), ones)

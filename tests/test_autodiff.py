@@ -87,10 +87,6 @@ class TestForward:
         assert np.array_equal(ad.slice_(joined, cols=slice(0, 2)).data, a)
         assert np.array_equal(ad.slice_(joined, cols=slice(2, 6)).data, b)
 
-    def test_repeat_rows(self):
-        out = ad.repeat_rows(c64([[1.0, 2.0]]), 3).data
-        assert np.array_equal(out, [[1, 2], [1, 2], [1, 2]])
-
     def test_embedding_lookup_bounds(self):
         table = p64(np.zeros((4, 2)))
         with pytest.raises(IndexError):
@@ -269,7 +265,7 @@ class TestGradCheck:
 
         def fn():
             windows = ad.sliding_window_concat(x, 1)
-            stacked = ad.concat([windows, ad.repeat_rows(cand, 4)], axis=1)
+            stacked = ad.concat([windows, ad.concat([cand] * 4, axis=0)], axis=1)
             z = ad.affine(stacked, w, b)
             alpha = ad.softmax(z, axis=0, mask=mask[:, None])
             return ad.sum_(ad.mul(alpha, z))

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 
 import numpy as np
@@ -227,6 +228,18 @@ class TestEvaluate:
         report = evaluate(_StubModel(lambda _: 0.1), log, _timeline(), catalog)
         assert report.n_skipped_missing == 1
         assert report.n_scored == 1
+
+    def test_missing_history_ids_are_counted(self):
+        # Unknown history ids of scored impressions are dropped and counted;
+        # a skipped impression's history is not looked at.
+        shown = [("A", 1), ("B", 0)]
+        log = ImpressionLog([ImpressionRecord("0", "U", 1000, ["A", "X", "Y"], shown),
+                             ImpressionRecord("1", "U", 1001, ["Z"], shown + [("GONE", 0)]),
+                             ImpressionRecord("2", "U", 1002, ["X"], shown)])
+        report = evaluate(_StubModel(lambda _: 0.1), log, _timeline(), _StubCatalog(["A", "B"]))
+        assert report.n_scored == 2 and report.n_skipped_missing == 1
+        assert report.n_missing_history == 3
+        assert json.loads(report.to_json())["n_missing_history"] == 3
 
     def test_report_means_match_csv_dump(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -3,8 +3,11 @@
 Each run must pass the benchmark's correctness gate and find every layer
 it traces: a traced method that is renamed or moved would leave its
 per-layer span silently empty, and the harness reports that on stderr.
+The run's exact per-layer counts pin how often each layer runs, so a
+return to per-candidate work in the candidate-only layers fails here.
 """
 
+import functools
 import json
 import subprocess
 import sys
@@ -14,17 +17,48 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# autodiff ops recorded per training instance (K=4, so 5 candidates) on the
+# train smoke run; it was 310 while every candidate ran its own relevance,
+# gate and candidate projections.
+TRAIN_OPS_PER_INSTANCE = 171
 
-@pytest.mark.parametrize("workload", ["rank", "train"])
-def test_traced_smoke_run_is_correct_and_finds_every_span(workload):
+
+@functools.cache
+def traced_smoke(workload):
+    """(final JSON result, stderr) of one traced smoke run."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "11",
          "--seconds", "1", "--trace", "1", "--smoke"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["correct"] is True, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1]), proc.stderr
+
+
+def metric(workload, name):
+    return traced_smoke(workload)[0]["metrics"][name]["value"]
+
+
+@pytest.mark.parametrize("workload", ["rank", "train"])
+def test_traced_smoke_run_is_correct_and_finds_every_span(workload):
+    result, stderr = traced_smoke(workload)
+    assert result["correct"] is True, stderr
     assert result["failed"] == 0
-    missing = [line for line in proc.stderr.splitlines()
+    missing = [line for line in stderr.splitlines()
                if line.startswith("trace:") and "not found" in line]
     assert missing == []
+
+
+@pytest.mark.parametrize("workload", ["rank", "train"])
+def test_candidate_only_layers_run_once_per_impression(workload):
+    impressions = metric(workload, "model.score_impression.calls")
+    assert impressions > 0
+    for span in ("relevance.relevance", "relevance.time2vec"):
+        assert metric(workload, f"{span}.calls") == impressions, span
+    # The gate runs once per impression with a history (cold users skip it).
+    assert 0 < metric(workload, "user_encoder.gate.calls") <= impressions
+    # One lookup for the candidates' cells, one for the history's.
+    assert metric(workload, "grid.lookup.per_impression") <= 2
+
+
+def test_train_graph_size():
+    assert metric("train", "autodiff.ops_per_instance") <= TRAIN_OPS_PER_INSTANCE

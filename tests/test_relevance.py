@@ -111,3 +111,43 @@ class TestRelevance:
 
         params = list(pred.parameters().values())
         assert ad.grad_check(fn, params, eps=1e-5) < 1e-3
+
+
+class TestBatch:
+    """C articles scored as one (C, .) batch, row by row."""
+
+    def _batch(self, pred, c=3, seed=2):
+        rng = np.random.default_rng(seed)
+        news = ad.constant(rng.normal(size=(c, pred.d_news)), dtype=np.float64)
+        ue = ad.constant(rng.normal(size=(c, pred.dim_ue)), dtype=np.float64)
+        return news, ue, list(rng.random(c) * 40), list(rng.random(c))
+
+    def test_time2vec_rows_equal_single_times(self):
+        pred = make_predictor()
+        hours = [0.0, 2.5, 71.0]
+        batch = pred.time2vec(hours).data
+        assert batch.shape == (3, pred.d_time)
+        for i, h in enumerate(hours):
+            assert np.allclose(batch[i], pred.time2vec(h).data[0], atol=1e-12)
+
+    def test_relevance_rows_equal_single_articles(self):
+        pred = make_predictor()
+        news, ue, hours, clicks = self._batch(pred)
+        batch = pred.relevance(news, ue, pred.time2vec(hours), clicks).data
+        assert batch.shape == (3, 1)
+        for i in range(3):
+            row = slice(i, i + 1)
+            single = pred.relevance(ad.slice_(news, rows=row), ad.slice_(ue, rows=row),
+                                    pred.time2vec(hours[i]), clicks[i]).data
+            assert batch[i, 0] == pytest.approx(single[0, 0], abs=1e-12)
+
+    @pytest.mark.parametrize("d_time", [1, 5])  # 1: no periodic component at all
+    def test_grad_check(self, d_time):
+        pred = make_predictor(d_time=d_time)
+        news, ue, hours, clicks = self._batch(pred)
+
+        def fn():
+            return ad.sum_(pred.relevance(news, ue, pred.time2vec(hours), clicks))
+
+        params = list(pred.parameters().values())
+        assert ad.grad_check(fn, params, eps=1e-5) < 1e-3

@@ -78,7 +78,7 @@ def test_instance_loss_and_gradient_norms_match_pinned_values(setup):
     model.zero_grads()
     with ad.ComputationRecord() as rec:
         scores = model.score_impression(a[:6], [a[6], a[7], a[8], a[2], a[3]], feats)
-        _, loss = instance_loss(scores[0], scores[1:])
+        loss = instance_loss(scores[0], scores[1:])
     rec.backward(loss)
     assert float(loss.data[0, 0]) == pytest.approx(LOSS, abs=TOL)
     for prefix, expected in GRAD_NORMS.items():

@@ -57,25 +57,31 @@ class TestInstanceLoss:
     def c(self, v):
         return ad.constant([[float(v)]], dtype=np.float64)
 
+    def prob(self, loss):
+        """The positive's softmax probability, exp(-loss)."""
+        return math.exp(-float(loss.data[0, 0]))
+
     def test_symmetric_pair(self):
-        p, loss = instance_loss(self.c(1.3), [self.c(1.3)])
-        assert p.data[0, 0] == pytest.approx(0.5)
+        loss = instance_loss(self.c(1.3), [self.c(1.3)])
+        assert self.prob(loss) == pytest.approx(0.5)
         assert loss.data[0, 0] == pytest.approx(math.log(2.0))
 
     def test_dominant_positive(self):
-        p, loss = instance_loss(self.c(50.0), [self.c(0.0), self.c(-3.0)])
-        assert p.data[0, 0] == pytest.approx(1.0)
+        loss = instance_loss(self.c(50.0), [self.c(0.0), self.c(-3.0)])
+        assert self.prob(loss) == pytest.approx(1.0)
         assert loss.data[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_shift_invariance(self):
         scores = [0.4, -1.2, 0.9]
-        p1, _ = instance_loss(self.c(scores[0]), [self.c(s) for s in scores[1:]])
-        p2, _ = instance_loss(self.c(scores[0] + 100),
-                              [self.c(s + 100) for s in scores[1:]])
-        assert p1.data[0, 0] == pytest.approx(p2.data[0, 0], rel=1e-12)
+        p1 = self.prob(instance_loss(self.c(scores[0]), [self.c(s) for s in scores[1:]]))
+        p2 = self.prob(instance_loss(self.c(scores[0] + 100),
+                                     [self.c(s + 100) for s in scores[1:]]))
+        assert p1 == pytest.approx(p2, rel=1e-12)
+        direct = np.exp(scores[0]) / np.exp(scores).sum()
+        assert p1 == pytest.approx(direct, rel=1e-12)
 
     def test_finite_for_extreme_scores(self):
-        _, loss = instance_loss(self.c(-1e4), [self.c(1e4)])
+        loss = instance_loss(self.c(-1e4), [self.c(1e4)])
         assert np.isfinite(loss.data).all()
 
     def test_gradient_matches_finite_differences(self):
@@ -83,8 +89,7 @@ class TestInstanceLoss:
         negs = [ad.parameter(np.array([[v]]), dtype=np.float64) for v in (0.1, -0.4)]
 
         def fn():
-            _, loss = instance_loss(pos, negs)
-            return loss
+            return instance_loss(pos, negs)
 
         assert ad.grad_check(fn, [pos] + negs, eps=1e-6) < 1e-8
 
@@ -163,6 +168,25 @@ class TestTrainLoop:
         after = evaluate(fresh, corpus.validation, timeline,
                          corpus.catalog, mode=meta["mode"]).metrics["auc"]
         assert after == before
+
+    def test_unknown_ids_are_counted(self, tmp_path):
+        # One instance names a candidate missing from the catalog: it is never
+        # scored and counted once.  Another keeps two unknown history ids.
+        _, news, behaviors = make_tiny_corpus(tmp_path)
+        config = make_train_config(news, behaviors, max_steps=1, max_epochs=1, val_fraction=0.0)
+        corpus, timeline = prepare(config)
+        base = train(config, corpus, timeline)
+        assert base.n_unknown_candidate_instances == 0 and base.n_missing_history == 0
+        known = sorted(corpus.catalog.articles)
+        t = corpus.train.records[-1].time
+        extra = [ImpressionRecord("x1", "U1", t, ["GONE_H"], [("GONE", 1), (known[0], 0)]),
+                 ImpressionRecord("x2", "U1", t, [known[2], "GONE_H", "GONE_H2"],
+                                  [(known[0], 1), (known[1], 0)])]
+        corpus.train = ImpressionLog(list(corpus.train) + extra)
+        result = train(config, corpus, timeline)
+        assert result.n_instances == base.n_instances + 2
+        assert result.n_unknown_candidate_instances == 1
+        assert result.n_missing_history == 2
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_loss_aborts_with_diagnostics(self, tmp_path):

@@ -31,11 +31,19 @@ def rows_of(vecs, ues):
                            for v, u in zip(vecs, ues)])
 
 
-def score(enc, history, cand, relevance=0.3):
-    att = enc.candidate_aware_self_attention(history, cand)
-    loc = enc.candidate_aware_cnn(history, cand)
-    u = enc.user_embedding(att, loc, cand)
-    return enc.interest_score(cand, u, ad.constant([[relevance]], dtype=np.float64))
+def cand_query(enc, cand):
+    """The candidate's (1, d_q) attention query, built directly."""
+    return ad.constant(cand.data @ enc.q_cand.data, dtype=np.float64)
+
+
+def cand_local(enc, cand):
+    """The candidate's (1, d_aug) filter-bank term: its block of cnn_w, built directly."""
+    return ad.constant(cand.data @ enc.cnn_w.data[-enc.d_aug:], dtype=np.float64)
+
+
+def score(enc, history, cands, relevance=0.3):
+    rel = ad.constant(np.full((cands.shape[0], 1), relevance), dtype=np.float64)
+    return enc.interest_score(cands, enc.user_vectors(history, cands), rel)
 
 
 class TestAugment:
@@ -48,6 +56,7 @@ class TestAugment:
         assert history.keys.data.shape == (2, 6, 2)     # (heads, d_q, M)
         assert history.values.data.shape == (2, 2, 3)   # (heads, M, d_head)
         assert history.local.data.shape == (2, 6)
+        assert np.array_equal(history.pool_w.data, enc.pool_w.data[:6])  # the click half
 
     def test_concat_round_trip(self):
         # Every shared term is built from the [news | engagement] rows.
@@ -58,6 +67,16 @@ class TestAugment:
         assert np.allclose(history.query.data, rows @ enc.q_hist.data, atol=1e-12)
         assert np.allclose(history.keys.data, enc.rel_heads.data @ rows.T, atol=1e-12)
         assert np.allclose(history.values.data, rows @ enc.out_w.data, atol=1e-12)
+
+    def test_candidate_terms_are_row_wise_projections(self):
+        # (C, .) candidate terms: the query projection and the candidate
+        # block of the filter bank, row by row.
+        enc = make_encoder()
+        cv, cu = rand_items(3, seed=6)
+        cands = ad.concat([ad.concat(cv, axis=0), ad.concat(cu, axis=0)], axis=1)
+        queries, local = enc.candidate_terms(cands)
+        assert np.allclose(queries.data, cands.data @ enc.q_cand.data, atol=1e-12)
+        assert np.allclose(local.data, cands.data @ enc.cnn_w.data[-6:], atol=1e-12)
 
     def test_truncates_to_most_recent(self):
         # The ranker keeps the last max_history clicks; older ones cannot matter.
@@ -77,7 +96,7 @@ class TestSelfAttention:
         enc = make_encoder()
         vecs, ues = rand_items(1)
         history, cand = augment(enc, vecs, ues, vecs[0], ues[0])
-        out = enc.candidate_aware_self_attention(history, cand)
+        out = enc.candidate_aware_self_attention(history, cand_query(enc, cand))
         rows = rows_of(vecs, ues)
         expected = np.concatenate([rows @ w for w in enc.out_w.data], axis=1)
         assert np.allclose(out.data, expected, atol=1e-12)
@@ -94,7 +113,8 @@ class TestSelfAttention:
         c = np.array([[0.7, 0.1, 0.4]])
         history = enc.augment_history(ad.constant(h[:, :2], dtype=np.float64),
                                       ad.constant(h[:, 2:], dtype=np.float64))
-        out = enc.candidate_aware_self_attention(history, ad.constant(c, dtype=np.float64))
+        out = enc.candidate_aware_self_attention(
+            history, cand_query(enc, ad.constant(c, dtype=np.float64)))
 
         scores = np.empty((2, 2))
         for i in range(2):
@@ -121,14 +141,14 @@ class TestSelfAttention:
             gamma = np.exp(s - s.max(axis=1, keepdims=True))
             gamma /= gamma.sum(axis=1, keepdims=True)
             expected.append(gamma @ h @ out_w)
-        out = enc.candidate_aware_self_attention(history, cand)
+        out = enc.candidate_aware_self_attention(history, cand_query(enc, cand))
         assert np.allclose(out.data, np.concatenate(expected, axis=1), atol=1e-12)
 
     def test_attention_rows_sum_to_one_over_unmasked(self):
         enc = make_encoder()
         vecs, ues = rand_items(3)
         history, cand = augment(enc, vecs, ues, vecs[0], ues[0])
-        queries = ad.add(history.query, ad.matmul(cand, enc.q_cand))
+        queries = ad.add(history.query, cand_query(enc, cand))
         gamma = ad.softmax(ad.matmul(queries, history.keys), axis=2).data
         assert gamma.shape == (2, 3, 3)
         assert np.allclose(gamma.sum(axis=2), 1.0, atol=1e-12)
@@ -145,12 +165,12 @@ class TestLocalContext:
         enc = make_encoder(cnn_window=0)
         vecs, ues = rand_items(3)
         history, cand = augment(enc, vecs, ues, vecs[0], ues[0])
-        base = enc.candidate_aware_cnn(history, cand).data
+        base = enc.candidate_aware_cnn(history, cand_local(enc, cand)).data
         # changing row 2 must not affect row 0 when the window is 0
         vecs2, ues2 = rand_items(3, seed=9)
         history2, _ = augment(enc, [vecs[0], vecs[1], vecs2[2]],
                               [ues[0], ues[1], ues2[2]], vecs[0], ues[0])
-        other = enc.candidate_aware_cnn(history2, cand).data
+        other = enc.candidate_aware_cnn(history2, cand_local(enc, cand)).data
         assert np.allclose(base[0], other[0], atol=1e-12)
         assert not np.allclose(base[2], other[2])
 
@@ -162,18 +182,24 @@ class TestLocalContext:
         # left neighbor of position 0 is the zero vector
         window = np.concatenate([np.zeros(enc.d_aug), rows[0], rows[1], cand.data[0]])
         expected = np.maximum(window @ enc.cnn_w.data + enc.cnn_b.data, 0)
-        assert np.allclose(enc.candidate_aware_cnn(history, cand).data[0], expected, atol=1e-12)
+        local = enc.candidate_aware_cnn(history, cand_local(enc, cand))
+        assert np.allclose(local.data[0], expected, atol=1e-12)
 
     def test_split_filter_bank_matches_direct_concat(self):
-        # Shared window term plus per-candidate term == relu([windows, cand] W + b).
+        # Shared window term plus the candidate row of the batched candidate
+        # terms == relu([windows, cand] W + b), for every candidate.
         enc = make_encoder()
         vecs, ues = rand_items(4)
-        cv, cu = rand_items(1, seed=4)
-        history, cand = augment(enc, vecs, ues, cv[0], cu[0])
+        cv, cu = rand_items(3, seed=4)
+        history = enc.augment_history(ad.concat(vecs, axis=0), ad.concat(ues, axis=0))
+        cands = ad.concat([ad.concat(cv, axis=0), ad.concat(cu, axis=0)], axis=1)
+        _, local = enc.candidate_terms(cands)
         windows = ad.sliding_window_concat(ad.constant(rows_of(vecs, ues)), enc.cnn_window).data
-        stacked = np.concatenate([windows, np.repeat(cand.data, 4, axis=0)], axis=1)
-        expected = np.maximum(stacked @ enc.cnn_w.data + enc.cnn_b.data, 0)
-        assert np.allclose(enc.candidate_aware_cnn(history, cand).data, expected, atol=1e-12)
+        for i in range(3):
+            stacked = np.concatenate([windows, np.repeat(cands.data[i:i + 1], 4, axis=0)], axis=1)
+            expected = np.maximum(stacked @ enc.cnn_w.data + enc.cnn_b.data, 0)
+            got = enc.candidate_aware_cnn(history, ad.slice_(local, rows=slice(i, i + 1)))
+            assert np.allclose(got.data, expected, atol=1e-12)
 
     def test_translation_shifts_interior_rows(self):
         # Oracle: recompute directly after shifting history by one slot;
@@ -184,8 +210,8 @@ class TestLocalContext:
         shifted_vecs = [vecs[1], vecs[2], vecs[3], vecs[0]]
         shifted_ues = [ues[1], ues[2], ues[3], ues[0]]
         hist_b, _ = augment(enc, shifted_vecs, shifted_ues, vecs[0], ues[0])
-        a = enc.candidate_aware_cnn(hist_a, cand).data
-        b = enc.candidate_aware_cnn(hist_b, cand).data
+        a = enc.candidate_aware_cnn(hist_a, cand_local(enc, cand)).data
+        b = enc.candidate_aware_cnn(hist_b, cand_local(enc, cand)).data
         # shifted row 1 sees (v1, v2, v3), exactly original row 2's window
         assert np.allclose(b[1], a[2], atol=1e-12)
         # boundary rows see the zero padding instead and must differ
@@ -195,9 +221,11 @@ class TestLocalContext:
 class TestUserEmbeddingAndScore:
     def _full(self, enc, vecs, ues, cand_vec, cand_ue):
         history, cand = augment(enc, vecs, ues, cand_vec, cand_ue)
-        att = enc.candidate_aware_self_attention(history, cand)
-        loc = enc.candidate_aware_cnn(history, cand)
-        return enc.user_embedding(att, loc, cand), cand, history, att, loc
+        att = enc.candidate_aware_self_attention(history, cand_query(enc, cand))
+        loc = enc.candidate_aware_cnn(history, cand_local(enc, cand))
+        u = enc.user_embedding(history, att, loc)
+        assert np.allclose(enc.user_vectors(history, cand).data, u.data, atol=1e-12)
+        return u, cand, history, att, loc
 
     def test_single_item_user_is_its_merged_vector(self):
         enc = make_encoder()
@@ -210,19 +238,18 @@ class TestUserEmbeddingAndScore:
     def test_pool_weights_sum_to_one(self):
         enc = make_encoder()
         vecs, ues = rand_items(3)
-        _, cand, _, att, loc = self._full(enc, vecs, ues, vecs[0], ues[0])
+        _, _, history, att, loc = self._full(enc, vecs, ues, vecs[0], ues[0])
         merged = ad.relu(ad.affine(ad.concat([loc, att], axis=1),
                                    enc.merge_w, enc.merge_b))
-        scores = ad.affine(ad.concat([merged, ad.repeat_rows(cand, 3)], axis=1),
-                           enc.pool_w, enc.pool_b)
-        alpha = ad.softmax(scores, axis=0).data
+        alpha = ad.softmax(ad.matmul(merged, history.pool_w), axis=0).data
         assert alpha.shape == (3, 1)
         assert alpha.sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_duplicated_rows_tie_and_match_brute_force(self):
         # Duplicated history rows produce identical merged vectors, so
         # their pooling scores tie and alpha splits evenly between them;
-        # the pooled sum must equal a direct numpy recomputation.
+        # the pooled sum must equal a direct numpy recomputation with the
+        # full [merged | cand] pooling input.
         enc = make_encoder(cnn_window=0)
         vecs, ues = rand_items(2)
         dup_vecs = [vecs[0], vecs[1], vecs[1]]
@@ -239,6 +266,32 @@ class TestUserEmbeddingAndScore:
         weights /= weights.sum()
         assert weights[1] == pytest.approx(weights[2], rel=1e-12)
         assert np.allclose(u.data, (weights[None, :] @ merged), atol=1e-12)
+
+    def test_pooling_ignores_candidate_half_and_bias(self):
+        # A pooling score [merged_j | cand] . pool_w + pool_b adds the same
+        # term to every click j and the softmax over clicks cancels it: the
+        # pooling is candidate-aware only through merged.  The full formula,
+        # with that half of pool_w and pool_b shifted, is the oracle.
+        enc = make_encoder()
+        vecs, ues = rand_items(4)
+        cv, cu = rand_items(2, seed=12)
+        history, cands = augment(enc, vecs, ues, ad.concat(cv, axis=0), ad.concat(cu, axis=0))
+        before = enc.user_vectors(history, cands).data
+        enc.pool_w.data[6:] += 5.0
+        enc.pool_b.data[:] += 3.0
+        history, _ = augment(enc, vecs, ues, cv[0], cu[0])
+        queries, local = enc.candidate_terms(cands)
+        for i in range(2):
+            row = slice(i, i + 1)
+            merged = ad.relu(ad.affine(ad.concat([
+                enc.candidate_aware_cnn(history, ad.slice_(local, rows=row)),
+                enc.candidate_aware_self_attention(history, ad.slice_(queries, rows=row))],
+                axis=1), enc.merge_w, enc.merge_b)).data
+            scores = (np.concatenate([merged, np.repeat(cands.data[row], 4, axis=0)], axis=1)
+                      @ enc.pool_w.data + enc.pool_b.data).ravel()
+            weights = np.exp(scores - scores.max())
+            assert np.allclose(before[i], weights / weights.sum() @ merged, atol=1e-12)
+        assert np.array_equal(enc.user_vectors(history, cands).data, before)
 
     def test_history_window_cannot_change_scores(self):
         # A history shorter than max_history is never padded: the window
@@ -258,16 +311,19 @@ class TestUserEmbeddingAndScore:
         assert by_window[0] == by_window[1] == by_window[2]
 
     def test_interest_is_convex_combination(self):
+        # One batch of 10 candidates, each with its own relevance score.
         enc = make_encoder()
         vecs, ues = rand_items(3)
-        for seed in range(10):
-            cv, cu = rand_items(1, seed=100 + seed)
-            u, cand, *_ = self._full(enc, vecs, ues, cv[0], cu[0])
-            r_aw = 0.37
-            score = enc.interest_score(cand, u, ad.constant([[r_aw]], dtype=np.float64))
-            raw = enc.preliminary_interest(cand, u).data[0, 0]
-            lo, hi = min(r_aw, raw), max(r_aw, raw)
-            assert lo - 1e-12 <= score.data[0, 0] <= hi + 1e-12
+        cv, cu = rand_items(10, seed=100)
+        history, cands = augment(enc, vecs, ues, ad.concat(cv, axis=0), ad.concat(cu, axis=0))
+        users = enc.user_vectors(history, cands)
+        r_aw = np.linspace(-0.5, 0.9, 10)[:, None]
+        score = enc.interest_score(cands, users, ad.constant(r_aw, dtype=np.float64)).data
+        raw = enc.preliminary_interest(cands, users).data
+        assert score.shape == raw.shape == (10, 1)
+        assert np.allclose(raw[:, 0], (cands.data * users.data).sum(axis=1), atol=1e-12)
+        lo, hi = np.minimum(r_aw, raw), np.maximum(r_aw, raw)
+        assert (lo - 1e-12 <= score).all() and (score <= hi + 1e-12).all()
 
     def test_zero_gate_weights_average(self):
         enc = make_encoder()
@@ -282,10 +338,11 @@ class TestUserEmbeddingAndScore:
     def test_end_to_end_grad_check(self):
         enc = make_encoder()
         vecs, ues = rand_items(3)
-        cv, cu = rand_items(1, seed=50)
+        cv, cu = rand_items(3, seed=50)
+        cand_vecs, cand_ues = ad.concat(cv, axis=0), ad.concat(cu, axis=0)
 
         def fn():
-            return score(enc, *augment(enc, vecs, ues, cv[0], cu[0]))
+            return ad.sum_(score(enc, *augment(enc, vecs, ues, cand_vecs, cand_ues)))
 
         params = list(enc.parameters().values())
         assert ad.grad_check(fn, params, eps=1e-5, max_coords_per_param=10) < 1e-3
