@@ -8,7 +8,9 @@ Subcommands:
   JSON spec.
 * ``train``: train a model from a JSON config, writing a checkpoint and a
   training log.
-* ``eval``: evaluate a checkpoint on a config's test (or validation) split.
+* ``eval``: evaluate a checkpoint on a config's test (or validation) split;
+  a checkpoint saved with a different model config is refused, naming
+  the fields that differ.
 * ``ablate``: train and evaluate the component-ablation modes and print a
   comparison table.
 
@@ -25,12 +27,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .corpus import CorpusError, parse_behaviors_file
 from .grid import write_grid_csv
 from .metrics import evaluate
 from .model import MODES, AvoidanceAwareRanker, VocabSizes
-from .stats import build_timeline, write_snapshot_csv
+from .stats import StatsSnapshot, build_timeline, write_snapshot_csv
 from .synthetic import SyntheticSpec, generate, write_mind_files
 from .training import (TrainConfig, TrainingDiverged, checkpoint_meta,
                        load_corpus, train)
@@ -51,10 +53,11 @@ def cmd_stats(args) -> int:
         print(f"warning: skipped {len(log.issues)} malformed rows", file=sys.stderr)
     timeline = build_timeline(log, args.bucket_width)
     out = _out_dir(args.out)
-    for snap in timeline.buckets:
-        write_snapshot_csv(snap, out / f"bucket_{snap.t}.csv", normalized_clicks=True)
-        write_grid_csv(snap, args.grid_d, out / f"grid_{snap.t}.csv")
-    print(f"wrote {len(timeline.buckets)} bucket snapshots to {out} "
+    for boundary in timeline.boundaries():
+        snap = StatsSnapshot(timeline, boundary)
+        write_snapshot_csv(snap, out / f"bucket_{boundary}.csv", normalized_clicks=True)
+        write_grid_csv(snap, args.grid_d, out / f"grid_{boundary}.csv")
+    print(f"wrote {timeline.n_buckets} bucket snapshots to {out} "
           f"({len(log)} records, {len(log.issues)} skipped)")
     return 0
 
@@ -110,8 +113,16 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     config = _load_config(args)
-    corpus, timeline = _prepare(config)
     state, meta = load_checkpoint(args.checkpoint)
+    saved, current = meta.get("model"), config.model.to_dict()
+    if saved is not None and saved != current:
+        differ = ", ".join(f"{key} (checkpoint {saved.get(key)!r}, config {current.get(key)!r})"
+                           for key in sorted(saved.keys() | current.keys())
+                           if saved.get(key) != current.get(key))
+        print(f"error: {args.checkpoint} was trained with another model config; "
+              f"differing fields: {differ}", file=sys.stderr)
+        return 1
+    corpus, timeline = _prepare(config)
     mode = args.mode or meta.get("mode", config.mode)
     sizes = VocabSizes.from_corpus(corpus.catalog, corpus.vocab)
     model = AvoidanceAwareRanker(config.model, sizes, seed=config.seed,
@@ -226,7 +237,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (FileNotFoundError, CorpusError, ValueError, TrainingDiverged) as exc:
+    except (FileNotFoundError, CorpusError, CheckpointError, ValueError,
+            TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -34,7 +34,7 @@ def impression_features(timeline: BucketTimeline, impression_time: int,
         if news_id in feats:
             continue
         cell = snapshot_cell(snap, news_id, grid_d)
-        clicks = snap.clicks.get(news_id, 0)
+        clicks = snap.clicks(news_id)
         clicks_norm = math.log1p(clicks) / log_den if log_den else 0.0
         published = None
         if catalog is not None:
@@ -42,7 +42,7 @@ def impression_features(timeline: BucketTimeline, impression_time: int,
             if article is not None and article.publish_time is not None:
                 published = article.publish_time
         if published is None:
-            published = snap.first_seen.get(news_id)
+            published = snap.first_seen(news_id)
         age_hours = max(0.0, (impression_time - published) / 3600.0) if published is not None else 0.0
         feats[news_id] = ArticleFeatures(cell=cell.i_ue, clicks_norm=clicks_norm,
                                          age_hours=age_hours)

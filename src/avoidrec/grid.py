@@ -78,7 +78,7 @@ def snapshot_cell(snapshot: StatsSnapshot, news_id: str, d: int) -> EngagementIn
 def grid_cell_counts(snapshot: StatsSnapshot, d: int) -> dict[int, int]:
     """Article count per flat cell index for one snapshot."""
     counts: dict[int, int] = {}
-    for news_id in snapshot.exposures:
+    for news_id in snapshot.news_ids():
         cell = snapshot_cell(snapshot, news_id, d)
         counts[cell.i_ue] = counts.get(cell.i_ue, 0) + 1
     return counts

@@ -1,9 +1,13 @@
 """Cumulative, time-bucketed exposure and avoidance statistics.
 
-The impression log is folded into a sequence of snapshots, one per bucket
-boundary.  A snapshot at boundary ``b`` counts only records with
-``time < b``: the total number of impression records seen (``n_impressions``),
-and per article how often it was shown (``exposures``) and clicked
+A ``BucketTimeline`` is one append-only event index over an impression
+log: records arrive in time order, and it keeps the record times, each
+article's exposure times and click times, and the times at which the
+running maximum of per-article clicks rose.  A ``StatsSnapshot`` is a
+light view of that index at one boundary ``b``: it counts only records
+with ``time < b``, each count being one ``bisect_left`` in a sorted time
+list -- the number of impression records seen (``n_impressions``), and
+per article how often it was shown (``exposures``) and clicked
 (``clicks``).  From those counters two ratios are derived per article:
 
 * exposure per impression: ``exposures / n_impressions`` -- how broadly
@@ -11,18 +15,18 @@ and per article how often it was shown (``exposures``) and clicked
 * avoidance: ``1 - clicks / exposures`` -- the fraction of showings that
   did not convert (1 means never clicked, 0 means always clicked).
 
-Counters are cumulative from the start of the log, never windowed, and
-per-article counters are stored sparsely (only articles seen so far).
-Snapshots are immutable once built and safe to share across threads.
+Counters are cumulative from the start of the log, never windowed.
+Nothing is copied per bucket, so memory grows with the number of events,
+not with buckets x articles.  Appending records at or after ``b`` never
+changes a view at ``b``.  Views only read the index, so any number of
+threads may read views of one timeline at once; appending needs
+exclusive access.
 """
 
 from __future__ import annotations
 
 import csv
-from bisect import bisect_right
-from dataclasses import dataclass, field
-
-from .corpus import ImpressionLog
+from bisect import bisect_left
 
 STATS_SCHEMA_VERSION = "stats-v1"
 
@@ -31,89 +35,93 @@ STATS_SCHEMA_VERSION = "stats-v1"
 GLOBAL_ROW_ID = ""
 
 
-@dataclass(frozen=True)
-class StatsSnapshot:
-    """Counters aggregated over all records strictly before boundary ``t``."""
+class BucketTimeline:
+    """Append-only event index with boundaries at ``origin + k * bucket_width``.
 
-    t: int
-    n_impressions: int
-    exposures: dict[str, int] = field(default_factory=dict)
-    clicks: dict[str, int] = field(default_factory=dict)
-    first_seen: dict[str, int] = field(default_factory=dict)
+    ``origin`` is the first record's time.  Boundaries run for ``k >= 1``
+    up to one full width past the last record, so every record lands
+    strictly before at least one boundary.
+    """
+
+    def __init__(self, bucket_width: int):
+        if bucket_width <= 0:
+            raise ValueError("bucket_width must be positive")
+        self.bucket_width = bucket_width
+        self.times: list[int] = []
+        self.exposure_times: dict[str, list[int]] = {}
+        self.click_times: dict[str, list[int]] = {}
+        self.max_click_rises: list[int] = []  # k-th entry: when max clicks reached k
+
+    @property
+    def origin(self) -> int:
+        return self.times[0] if self.times else 0
+
+    def append(self, record):
+        t = record.time
+        if self.times and t < self.times[-1]:
+            raise ValueError("impression log is not sorted by time")
+        self.times.append(t)
+        for news_id, label in record.shown:
+            self.exposure_times.setdefault(news_id, []).append(t)
+            if label:
+                clicks = self.click_times.setdefault(news_id, [])
+                clicks.append(t)
+                if len(clicks) > len(self.max_click_rises):
+                    self.max_click_rises.append(t)
+
+    @property
+    def n_buckets(self) -> int:
+        return (self.times[-1] - self.origin) // self.bucket_width + 1 if self.times else 0
+
+    def boundaries(self) -> list[int]:
+        return [self.origin + k * self.bucket_width for k in range(1, self.n_buckets + 1)]
+
+
+class StatsSnapshot:
+    """Read-only view of a timeline's counters over records with ``time < t``."""
+
+    __slots__ = ("t", "n_impressions", "_timeline")
+
+    def __init__(self, timeline: BucketTimeline, t: int):
+        self._timeline = timeline
+        self.t = t
+        self.n_impressions = bisect_left(timeline.times, t)
+
+    def exposures(self, news_id: str) -> int:
+        return bisect_left(self._timeline.exposure_times.get(news_id, ()), self.t)
+
+    def clicks(self, news_id: str) -> int:
+        return bisect_left(self._timeline.click_times.get(news_id, ()), self.t)
+
+    def first_seen(self, news_id: str) -> int | None:
+        times = self._timeline.exposure_times.get(news_id)
+        return times[0] if times and times[0] < self.t else None
 
     def max_clicks(self) -> int:
-        return max(self.clicks.values(), default=0)
+        return bisect_left(self._timeline.max_click_rises, self.t)
+
+    def news_ids(self) -> list[str]:
+        """Articles exposed before ``t``, in order of first exposure."""
+        return [news_id for news_id, times in self._timeline.exposure_times.items()
+                if times[0] < self.t]
 
 
-ZERO_SNAPSHOT = StatsSnapshot(t=0, n_impressions=0)
+ZERO_SNAPSHOT = StatsSnapshot(BucketTimeline(1), 0)
 
 
-@dataclass(frozen=True)
-class BucketTimeline:
-    bucket_width: int
-    origin: int
-    buckets: list[StatsSnapshot]
-
-    def boundaries(self):
-        return [snap.t for snap in self.buckets]
-
-
-def build_timeline(log: ImpressionLog, bucket_width: int) -> BucketTimeline:
-    """Fold a time-sorted log into per-boundary snapshots.
-
-    Boundaries run at ``origin + k * bucket_width`` for ``k >= 1`` up to
-    one full width past the last record, so every record lands strictly
-    before at least one boundary.  A record contributes to all snapshots
-    whose boundary lies strictly after its time.
-    """
-    if bucket_width <= 0:
-        raise ValueError("bucket_width must be positive")
-    records = list(log)
-    for prev, cur in zip(records, records[1:]):
-        if cur.time < prev.time:
-            raise ValueError("impression log is not sorted by time")
-    if not records:
-        return BucketTimeline(bucket_width, 0, [])
-
-    origin = records[0].time
-    last = records[-1].time
-    n_buckets = (last - origin) // bucket_width + 1
-
-    n_impressions = 0
-    exposures: dict[str, int] = {}
-    clicks: dict[str, int] = {}
-    first_seen: dict[str, int] = {}
-
-    buckets = []
-    rec_iter = iter(records)
-    pending = next(rec_iter, None)
-    for k in range(1, n_buckets + 1):
-        boundary = origin + k * bucket_width
-        while pending is not None and pending.time < boundary:
-            n_impressions += 1
-            for news_id, label in pending.shown:
-                exposures[news_id] = exposures.get(news_id, 0) + 1
-                if label:
-                    clicks[news_id] = clicks.get(news_id, 0) + 1
-                if news_id not in first_seen:
-                    first_seen[news_id] = pending.time
-            pending = next(rec_iter, None)
-        buckets.append(StatsSnapshot(
-            t=boundary,
-            n_impressions=n_impressions,
-            exposures=dict(exposures),
-            clicks=dict(clicks),
-            first_seen=dict(first_seen),
-        ))
-    assert pending is None, "record past the final boundary"
-    return BucketTimeline(bucket_width, origin, buckets)
+def build_timeline(log, bucket_width: int) -> BucketTimeline:
+    """Index a time-sorted log; raises ``ValueError`` if it is not sorted."""
+    timeline = BucketTimeline(bucket_width)
+    for record in log:
+        timeline.append(record)
+    return timeline
 
 
 def epi(snapshot: StatsSnapshot, news_id: str) -> float:
     """Exposure-per-impression ratio in [0, 1]; 0 when nothing was recorded."""
     if snapshot.n_impressions == 0:
         return 0.0
-    return snapshot.exposures.get(news_id, 0) / snapshot.n_impressions
+    return snapshot.exposures(news_id) / snapshot.n_impressions
 
 
 def avoidance(snapshot: StatsSnapshot, news_id: str) -> float:
@@ -123,24 +131,23 @@ def avoidance(snapshot: StatsSnapshot, news_id: str) -> float:
     which places cold articles in the low-exposure / high-avoidance
     corner of the engagement grid.
     """
-    n_exp = snapshot.exposures.get(news_id, 0)
+    n_exp = snapshot.exposures(news_id)
     if n_exp == 0:
         return 1.0
-    return 1.0 - snapshot.clicks.get(news_id, 0) / n_exp
+    return 1.0 - snapshot.clicks(news_id) / n_exp
 
 
 def snapshot_at(timeline: BucketTimeline, t: int) -> StatsSnapshot:
-    """Snapshot with the largest boundary <= t (all-zero before the first).
+    """Snapshot at the largest boundary <= t (all-zero before the first).
 
     Because a snapshot at boundary ``b`` excludes records at times in
     ``[b, t]``, the result never leaks information from ``t`` itself:
     it is safe to use for features of an impression happening at ``t``.
     """
-    buckets = timeline.buckets
-    idx = bisect_right(buckets, t, key=lambda snap: snap.t) - 1
-    if idx < 0:
+    k = min((t - timeline.origin) // timeline.bucket_width, timeline.n_buckets)
+    if k < 1:
         return ZERO_SNAPSHOT
-    return buckets[idx]
+    return StatsSnapshot(timeline, timeline.origin + k * timeline.bucket_width)
 
 
 def export_snapshot_rows(snapshot: StatsSnapshot, normalized_clicks: bool = False):
@@ -160,17 +167,18 @@ def export_snapshot_rows(snapshot: StatsSnapshot, normalized_clicks: bool = Fals
         global_row.append("")
     yield global_row
     max_clk = snapshot.max_clicks()
-    for news_id in sorted(snapshot.exposures):
+    for news_id in sorted(snapshot.news_ids()):
+        clicks = snapshot.clicks(news_id)
         row = [
             snapshot.t,
             news_id,
-            snapshot.exposures[news_id],
-            snapshot.clicks.get(news_id, 0),
+            snapshot.exposures(news_id),
+            clicks,
             repr(epi(snapshot, news_id)),
             repr(avoidance(snapshot, news_id)),
         ]
         if normalized_clicks:
-            row.append(repr(snapshot.clicks.get(news_id, 0) / max_clk) if max_clk else "0.0")
+            row.append(repr(clicks / max_clk) if max_clk else "0.0")
         yield row
 
 

@@ -1,20 +1,26 @@
 """Synthetic news-click corpus generator.
 
 Produces a catalog (news.tsv) and an impression log (behaviors.tsv) whose
-click behavior is driven by the engagement grid: at each bucket start the
-per-article statistics are frozen, every article is placed in its
-(avoidance, exposure-per-impression) cell, and a user's click probability
-on a shown article is the base rate times the cell's propensity
-multiplier (normalized by the mean multiplier so the base rate stays the
-average).  Articles enter the pool on staggered schedules and their
-exposure weight decays afterwards, so they wander across grid cells as
-buckets pass.  Optional knobs:
+click behavior is driven by the engagement grid: a shown article sits in
+the (avoidance, exposure-per-impression) cell of the statistics frozen at
+the start of the current bucket, and a user's click probability on it is
+the base rate times the cell's propensity multiplier (normalized by the
+mean multiplier so the base rate stays the average).  Articles enter the
+pool on staggered schedules and their exposure weight decays afterwards,
+so they wander across grid cells as buckets pass.  Optional knobs:
 
 * ``affinity_user_fraction`` -- only the first fraction of users follow
   the cell propensities; the rest ignore them (their multiplier is 1).
 * ``freshness_boost`` -- a >1 value multiplies everyone's click
   probability on recently surfaced articles, decaying with the article's
   age in buckets.
+
+Every emitted record is appended to a ``stats.BucketTimeline``, and the
+cell comes from ``grid.snapshot_cell`` on that timeline's view at the
+bucket start -- the same code the model's features use, with no frozen
+copies of the counters.  Cell and freshness are computed once per
+(article, bucket), and only for articles that are shown.  All state is
+local to one ``generate`` call, so concurrent calls are independent.
 
 The first impression lands exactly on the first bucket boundary, so a
 timeline built from the emitted log with the same bucket width freezes
@@ -30,7 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import ImpressionRecord, format_behaviors_line
-from .grid import engagement_index
+from .grid import snapshot_cell
+from .stats import BucketTimeline, StatsSnapshot
 
 # 2019-11-09 00:00:00 UTC; arbitrary but fixed so outputs are reproducible.
 DEFAULT_ORIGIN = 1573257600
@@ -135,35 +142,15 @@ def generate(spec: SyntheticSpec) -> SyntheticDataset:
     affinity_users = set(users[:n_affinity])
     user_history: dict[str, list[str]] = {u: [] for u in users}
 
-    # Running cumulative counters (record granularity) and their frozen
-    # bucket-start copies, which drive the click propensities.
-    n_impressions = 0
-    exposures = np.zeros(spec.n_articles, dtype=np.int64)
-    clicks = np.zeros(spec.n_articles, dtype=np.int64)
-    first_seen = np.full(spec.n_articles, -1, dtype=np.int64)
-
+    # The emitted log, indexed as a timeline; views at each bucket start
+    # drive the click propensities.
+    timeline = BucketTimeline(spec.bucket_width)
     records = []
     shown_probs = []
-    impression_no = 0
     for bucket in range(spec.n_buckets):
-        frozen_n_imp = n_impressions
-        frozen_exp = exposures.copy()
-        frozen_clk = clicks.copy()
-        frozen_seen = first_seen.copy()
-
-        frozen_cells = np.empty(spec.n_articles, dtype=np.int64)
-        frozen_fresh = np.empty(spec.n_articles, dtype=np.float64)
         bucket_start = spec.origin + bucket * spec.bucket_width
-        for a in range(spec.n_articles):
-            av = 1.0 if frozen_exp[a] == 0 else 1.0 - frozen_clk[a] / frozen_exp[a]
-            epi_val = 0.0 if frozen_n_imp == 0 else frozen_exp[a] / frozen_n_imp
-            frozen_cells[a] = engagement_index(av, epi_val, spec.grid_d).i_ue
-            if frozen_seen[a] < 0:
-                age_buckets = 0.0
-            else:
-                age_buckets = (bucket_start - frozen_seen[a]) / spec.bucket_width
-            frozen_fresh[a] = 1.0 + (spec.freshness_boost - 1.0) * (
-                0.5 ** (age_buckets / spec.freshness_halflife_buckets))
+        frozen = StatsSnapshot(timeline, bucket_start)
+        slot_terms = {}  # news_id -> (cell, freshness multiplier) at bucket_start
 
         available = np.flatnonzero(entry_bucket <= bucket)
         weights = np.exp(-(bucket - entry_bucket[available]) / decay[available])
@@ -179,41 +166,38 @@ def generate(spec: SyntheticSpec) -> SyntheticDataset:
         else:
             bucket_users = rng.integers(0, spec.n_users, size=spec.impressions_per_bucket)
         for offset, user_idx in zip(offsets, bucket_users):
-            t = bucket_start + int(offset)
             user = users[int(user_idx)]
             n_show = min(spec.n_shown, len(available))
             probs = weights / weights.sum()
             chosen = rng.choice(available, size=n_show, replace=False, p=probs)
-            prior_history = list(user_history[user])
 
             shown = []
             slot_probs = []
             for a in chosen:
-                # cell = D * epi_idx + av_idx; affinity is indexed [av_idx][epi_idx]
-                av_idx = int(frozen_cells[a]) % spec.grid_d
-                epi_idx = int(frozen_cells[a]) // spec.grid_d
-                mult = cell_mult[av_idx][epi_idx] if user in affinity_users else 1.0
-                p = min(0.95, spec.base_click_rate * mult * frozen_fresh[a])
+                news_id = articles[a].news_id
+                if news_id not in slot_terms:
+                    seen = frozen.first_seen(news_id)
+                    age = 0.0 if seen is None else (bucket_start - seen) / spec.bucket_width
+                    fresh = 1.0 + (spec.freshness_boost - 1.0) * 0.5 ** (
+                        age / spec.freshness_halflife_buckets)
+                    slot_terms[news_id] = (snapshot_cell(frozen, news_id, spec.grid_d), fresh)
+                cell, fresh = slot_terms[news_id]
+                mult = cell_mult[cell.av_idx][cell.epi_idx] if user in affinity_users else 1.0
+                p = min(0.95, spec.base_click_rate * mult * fresh)
                 label = int(rng.random() < p)
-                shown.append((articles[a].news_id, label))
-                slot_probs.append((int(frozen_cells[a]), float(p)))
-                exposures[a] += 1
-                clicks[a] += label
-                if first_seen[a] < 0:
-                    first_seen[a] = t
-                if label:
-                    user_history[user].append(articles[a].news_id)
+                shown.append((news_id, label))
+                slot_probs.append((cell.i_ue, float(p)))
 
-            impression_no += 1
             records.append(ImpressionRecord(
-                impression_id=str(impression_no),
+                impression_id=str(len(records) + 1),
                 user_id=user,
-                time=t,
-                history=prior_history,
+                time=bucket_start + int(offset),
+                history=list(user_history[user]),
                 shown=shown,
             ))
+            timeline.append(records[-1])
             shown_probs.append(slot_probs)
-            n_impressions += 1
+            user_history[user].extend(news_id for news_id, label in shown if label)
 
     return SyntheticDataset(spec=spec, articles=articles, records=records,
                             shown_probs=shown_probs, affinity_users=affinity_users)

@@ -6,7 +6,7 @@ import pytest
 
 from avoidrec.cli import main
 from avoidrec.corpus import parse_behaviors_file
-from avoidrec.stats import avoidance, build_timeline, epi, snapshot_at
+from avoidrec.stats import StatsSnapshot, avoidance, build_timeline, epi
 from avoidrec.synthetic import SyntheticSpec, generate, write_mind_files
 
 
@@ -61,8 +61,8 @@ class TestStatsCommand:
         log = parse_behaviors_file(synth_dir / "behaviors.tsv")
         timeline = build_timeline(log, 3600)
         bucket_files = sorted(out.glob("bucket_*.csv"))
-        assert len(bucket_files) == len(timeline.buckets)
-        snap = timeline.buckets[-1]
+        assert len(bucket_files) == len(timeline.boundaries())
+        snap = StatsSnapshot(timeline, timeline.boundaries()[-1])
         rows = read_csv(out / f"bucket_{snap.t}.csv")
         for row in rows:
             if row["news_id"] == "":
@@ -141,6 +141,30 @@ class TestTrainEvalAblate:
                      "--split", "validation", "--out", str(eval_out)]) == 0
         report = json.loads((eval_out / "report.json").read_text())
         assert report["metrics"]["auc"] == pytest.approx(best, abs=5e-5)
+
+    def test_eval_corrupt_checkpoint_fails_cleanly(self, config_path, tmp_path, capsys):
+        ckpt = tmp_path / "corrupt.ntck"
+        ckpt.write_bytes(b"NTCK" + (1000).to_bytes(4, "little") + b"{")
+        assert main(["eval", "--config", str(config_path), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "eval")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_eval_refuses_checkpoint_of_another_model_config(self, config_path, tmp_path,
+                                                              capsys):
+        train_out = tmp_path / "train"
+        assert main(["train", "--config", str(config_path), "--out", str(train_out)]) == 0
+        cfg = json.loads(config_path.read_text())
+        cfg["model"]["grid_d"] = 4
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(cfg), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["eval", "--config", str(other),
+                     "--checkpoint", str(train_out / "checkpoint.ntck"),
+                     "--out", str(tmp_path / "eval")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "grid_d (checkpoint 5, config 4)" in err
+        assert not (tmp_path / "eval").exists()
 
     def test_missing_config_fails(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.json"),

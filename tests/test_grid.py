@@ -9,7 +9,8 @@ import avoidrec.autodiff as ad
 from avoidrec.grid import (EngagementEmbeddingTable, engagement_index,
                            grid_cell_counts, quantize, unflatten_index,
                            write_grid_csv)
-from avoidrec.stats import StatsSnapshot
+from avoidrec.corpus import ImpressionLog, ImpressionRecord
+from avoidrec.stats import StatsSnapshot, build_timeline
 from avoidrec.training import Adam
 
 
@@ -121,10 +122,11 @@ class TestEmbeddingTable:
 
 class TestGridDump:
     def test_cell_counts_and_csv(self, tmp_path):
-        snap = StatsSnapshot(
-            t=3600, n_impressions=10,
-            exposures={"A": 10, "B": 10, "C": 1},
-            clicks={"A": 10, "B": 0, "C": 0})
+        # Ten impressions: A shown and clicked in each, B shown in each, C once.
+        log = ImpressionLog([
+            ImpressionRecord(str(i), "U", 0, [], [("A", 1), ("B", 0)] + [("C", 0)] * (i == 0))
+            for i in range(10)])
+        snap = StatsSnapshot(build_timeline(log, 3600), 3600)
         # A: av=0, epi=1 -> (0, 4); B: av=1, epi=1 -> (4, 4); C: av=1, epi=0.1 -> (4, 0)
         counts = grid_cell_counts(snap, 5)
         assert counts == {

@@ -1,4 +1,7 @@
 import csv
+import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avoidrec.corpus import ImpressionLog, ImpressionRecord
-from avoidrec.stats import (GLOBAL_ROW_ID, StatsSnapshot, avoidance,
-                            build_timeline, epi, snapshot_at,
+from avoidrec.features import impression_features
+from avoidrec.grid import engagement_index
+from avoidrec.stats import (GLOBAL_ROW_ID, BucketTimeline, StatsSnapshot,
+                            avoidance, build_timeline, epi, snapshot_at,
                             write_snapshot_csv)
 
 
@@ -27,6 +32,19 @@ def random_log(rng, n, horizon=40000, n_articles=30):
     return ImpressionLog(records)
 
 
+def snapshot_of(n_impressions, exposures, clicks=None):
+    """View at boundary 1 of ``n_impressions`` records at time 0 with these counts.
+
+    Record i shows each article whose exposure count exceeds i, clicked
+    when its click count exceeds i.
+    """
+    clicks = clicks or {}
+    records = [rec(i, 0, [(news_id, int(i < clicks.get(news_id, 0)))
+                          for news_id, n in exposures.items() if i < n])
+               for i in range(n_impressions)]
+    return StatsSnapshot(build_timeline(ImpressionLog(records), 1), 1)
+
+
 def brute_force_snapshot(records, boundary):
     """Independent oracle: recount the prefix from scratch."""
     n_imp = 0
@@ -42,32 +60,75 @@ def brute_force_snapshot(records, boundary):
     return n_imp, exposures, clicks, first_seen
 
 
+def oracle_boundary(records, width, t):
+    """Largest boundary origin + k * width (1 <= k <= n_buckets) not after t."""
+    if not records:
+        return None
+    origin = records[0].time
+    n_buckets = (records[-1].time - origin) // width + 1
+    below = [origin + k * width for k in range(1, n_buckets + 1) if origin + k * width <= t]
+    return below[-1] if below else None
+
+
+def oracle_features(records, width, t, news_ids, grid_d):
+    """impression_features recomputed from the dict oracle (no catalog)."""
+    boundary = oracle_boundary(records, width, t)
+    n_imp, exposures, clicks, first_seen = (
+        brute_force_snapshot(records, boundary) if boundary is not None else (0, {}, {}, {}))
+    max_clicks = max(clicks.values(), default=0)
+    log_den = math.log1p(max_clicks) if max_clicks > 0 else 0.0
+    feats = {}
+    for news_id in news_ids:
+        n_exp, n_clk = exposures.get(news_id, 0), clicks.get(news_id, 0)
+        av = 1.0 if n_exp == 0 else 1.0 - n_clk / n_exp
+        epi_value = 0.0 if n_imp == 0 else n_exp / n_imp
+        published = first_seen.get(news_id)
+        feats[news_id] = (
+            engagement_index(av, epi_value, grid_d).i_ue,
+            math.log1p(n_clk) / log_den if log_den else 0.0,
+            max(0.0, (t - published) / 3600.0) if published is not None else 0.0)
+    return feats
+
+
+def as_tuples(feats):
+    return {news_id: (f.cell, f.clicks_norm, f.age_hours) for news_id, f in feats.items()}
+
+
 class TestBuildTimeline:
     def test_single_record_counts(self):
         log = ImpressionLog([rec(0, 0, [("A", 1), ("B", 0)])])
         timeline = build_timeline(log, 3600)
-        assert [s.t for s in timeline.buckets] == [3600]
-        snap = timeline.buckets[0]
+        assert timeline.boundaries() == [3600]
+        snap = StatsSnapshot(timeline, 3600)
         assert snap.n_impressions == 1
-        assert snap.exposures == {"A": 1, "B": 1}
-        assert snap.clicks == {"A": 1}
+        assert snap.news_ids() == ["A", "B"]
+        assert (snap.exposures("A"), snap.exposures("B")) == (1, 1)
+        assert (snap.clicks("A"), snap.clicks("B")) == (1, 0)
+        assert snap.max_clicks() == 1
 
     def test_empty_log(self):
         timeline = build_timeline(ImpressionLog([]), 3600)
-        assert timeline.buckets == []
+        assert timeline.boundaries() == []
+        assert snapshot_at(timeline, 10_000).n_impressions == 0
 
     def test_record_on_boundary_excluded(self):
         log = ImpressionLog([rec(0, 0, [("A", 1)]), rec(1, 7200, [("A", 1)])])
         timeline = build_timeline(log, 3600)
-        assert [s.t for s in timeline.buckets] == [3600, 7200, 10800]
-        assert timeline.buckets[0].exposures["A"] == 1
-        assert timeline.buckets[1].exposures["A"] == 1  # t=7200 not < 7200
-        assert timeline.buckets[2].exposures["A"] == 2
+        assert timeline.boundaries() == [3600, 7200, 10800]
+        assert StatsSnapshot(timeline, 3600).exposures("A") == 1
+        assert StatsSnapshot(timeline, 7200).exposures("A") == 1  # t=7200 not < 7200
+        assert StatsSnapshot(timeline, 10800).exposures("A") == 2
 
     def test_unsorted_log_rejected(self):
         log = ImpressionLog([rec(0, 100, [("A", 1)]), rec(1, 50, [("A", 0)])])
         with pytest.raises(ValueError, match="sorted"):
             build_timeline(log, 3600)
+
+    def test_unsorted_append_rejected(self):
+        timeline = BucketTimeline(3600)
+        timeline.append(rec(0, 100, [("A", 1)]))
+        with pytest.raises(ValueError, match="sorted"):
+            timeline.append(rec(1, 50, [("A", 0)]))
 
     def test_nonpositive_width_rejected(self):
         with pytest.raises(ValueError):
@@ -78,63 +139,62 @@ class TestBuildTimeline:
         for trial in range(5):
             log = random_log(rng, 200)
             timeline = build_timeline(log, 5000)
-            for snap in timeline.buckets:
+            for boundary in timeline.boundaries():
+                snap = StatsSnapshot(timeline, boundary)
                 n_imp, exposures, clicks, first_seen = brute_force_snapshot(
-                    log.records, snap.t)
+                    log.records, boundary)
                 assert snap.n_impressions == n_imp
-                assert snap.exposures == exposures
-                assert {k: v for k, v in snap.clicks.items() if v} == \
-                    {k: v for k, v in clicks.items() if v}
-                assert snap.first_seen == first_seen
+                assert {k: snap.exposures(k) for k in snap.news_ids()} == exposures
+                assert {k: snap.clicks(k) for k in snap.news_ids()} == clicks
+                assert {k: snap.first_seen(k) for k in snap.news_ids()} == first_seen
+                assert snap.max_clicks() == max(clicks.values(), default=0)
 
     def test_counters_monotone_over_buckets(self):
         rng = np.random.default_rng(1)
         log = random_log(rng, 300)
         timeline = build_timeline(log, 4000)
-        for prev, cur in zip(timeline.buckets, timeline.buckets[1:]):
+        boundaries = timeline.boundaries()
+        for prev_b, cur_b in zip(boundaries, boundaries[1:]):
+            prev, cur = StatsSnapshot(timeline, prev_b), StatsSnapshot(timeline, cur_b)
             assert cur.n_impressions >= prev.n_impressions
-            for news_id, count in prev.exposures.items():
-                assert cur.exposures[news_id] >= count
-            for news_id, count in prev.clicks.items():
-                assert cur.clicks.get(news_id, 0) >= count
+            assert cur.max_clicks() >= prev.max_clicks()
+            for news_id in prev.news_ids():
+                assert cur.exposures(news_id) >= prev.exposures(news_id)
+                assert cur.clicks(news_id) >= prev.clicks(news_id)
 
 
 class TestRatios:
     def test_epi_worked_example(self):
-        snap = StatsSnapshot(t=0, n_impressions=100, exposures={"n174": 50})
+        snap = snapshot_of(100, {"n174": 50})
         assert epi(snap, "n174") == 0.5
 
     def test_avoidance_worked_example(self):
-        snap = StatsSnapshot(t=0, n_impressions=100,
-                             exposures={"n174": 50}, clicks={"n174": 20})
+        snap = snapshot_of(100, {"n174": 50}, {"n174": 20})
         assert avoidance(snap, "n174") == pytest.approx(0.6)
 
     def test_unseen_article_epi_zero(self):
-        snap = StatsSnapshot(t=0, n_impressions=10, exposures={"A": 3})
+        snap = snapshot_of(10, {"A": 3})
         assert epi(snap, "B") == 0.0
 
     def test_epi_upper_bound(self):
-        snap = StatsSnapshot(t=0, n_impressions=7, exposures={"A": 7})
+        snap = snapshot_of(7, {"A": 7})
         assert epi(snap, "A") == 1.0
 
     def test_zero_impressions_epi_zero(self):
-        assert epi(StatsSnapshot(t=0, n_impressions=0), "A") == 0.0
+        assert epi(snapshot_of(0, {}), "A") == 0.0
 
     def test_full_engagement_avoidance_zero(self):
-        snap = StatsSnapshot(t=0, n_impressions=5,
-                             exposures={"A": 5}, clicks={"A": 5})
+        snap = snapshot_of(5, {"A": 5}, {"A": 5})
         assert avoidance(snap, "A") == 0.0
 
     def test_unexposed_article_fully_avoided(self):
-        assert avoidance(StatsSnapshot(t=0, n_impressions=5), "A") == 1.0
+        assert avoidance(snapshot_of(5, {}), "A") == 1.0
 
     @given(st.integers(0, 50), st.integers(0, 50), st.integers(0, 200))
     @settings(max_examples=200, deadline=None)
     def test_bounds(self, clicks, extra_exposures, n_imp):
         exposures = clicks + extra_exposures
-        snap = StatsSnapshot(t=0, n_impressions=max(n_imp, exposures),
-                             exposures={"A": exposures} if exposures else {},
-                             clicks={"A": clicks} if clicks else {})
+        snap = snapshot_of(max(n_imp, exposures), {"A": exposures}, {"A": clicks})
         assert 0.0 <= epi(snap, "A") <= 1.0
         assert 0.0 <= avoidance(snap, "A") <= 1.0
 
@@ -156,26 +216,120 @@ class TestSnapshotAt:
         timeline = self._timeline()
         snap = snapshot_at(timeline, 100)
         assert snap.n_impressions == 0
-        assert snap.exposures == {}
+        assert snap.news_ids() == []
 
     def test_causality_under_mutation(self):
         # Changing any record at time >= boundary never changes that snapshot.
         rng = np.random.default_rng(2)
         log = random_log(rng, 100)
         timeline = build_timeline(log, 6000)
-        snap = timeline.buckets[len(timeline.buckets) // 2]
-        reference = (snap.n_impressions, dict(snap.exposures), dict(snap.clicks))
+        boundary = timeline.boundaries()[len(timeline.boundaries()) // 2]
+
+        def counts(snap):
+            return (snap.n_impressions, {k: (snap.exposures(k), snap.clicks(k))
+                                         for k in snap.news_ids()})
+
+        reference = counts(StatsSnapshot(timeline, boundary))
         for _ in range(50):
             records = list(log.records)
-            later = [i for i, r in enumerate(records) if r.time >= snap.t]
+            later = [i for i, r in enumerate(records) if r.time >= boundary]
             if not later:
                 break
             i = later[int(rng.integers(0, len(later)))]
             mutated = rec(999, records[i].time, [("MUT", 1)])
             records[i] = mutated
             new_timeline = build_timeline(ImpressionLog(records), 6000)
-            new_snap = next(s for s in new_timeline.buckets if s.t == snap.t)
-            assert (new_snap.n_impressions, new_snap.exposures, new_snap.clicks) == reference
+            assert counts(StatsSnapshot(new_timeline, boundary)) == reference
+
+
+# Small random logs: few article ids (so they repeat, also within one
+# record), time steps of 0 (equal timestamps) up to a few widths.
+ARTICLES = ["A", "B", "C", "D", "E"]
+shown_lists = st.lists(st.tuples(st.sampled_from(ARTICLES), st.integers(0, 1)),
+                       min_size=1, max_size=4)
+steps = st.lists(st.tuples(st.integers(0, 9), shown_lists), max_size=14)
+
+
+def log_from_steps(start, step_list, first_index=0):
+    records, t = [], start
+    for i, (dt, shown) in enumerate(step_list):
+        t += dt
+        history = [ARTICLES[(i + k) % len(ARTICLES)] for k in range(i % 3)]
+        records.append(rec(first_index + i, t, shown, history))
+    return records
+
+
+class TestAgainstDictOracle:
+    @given(st.integers(0, 30), steps, st.sampled_from([1, 3, 7, 1000]))
+    @settings(max_examples=300, deadline=None)
+    def test_snapshots_and_features_equal_oracle(self, start, step_list, width):
+        records = log_from_steps(start, step_list)
+        timeline = build_timeline(ImpressionLog(records), width)
+        last = records[-1].time if records else start
+        boundaries = timeline.boundaries()
+        queries = {start - 1, last + 2 * width} | {r.time for r in records} | {
+            b + dt for b in boundaries for dt in (-1, 0, 1)}
+        for t in sorted(queries):
+            snap = snapshot_at(timeline, t)
+            boundary = oracle_boundary(records, width, t)
+            assert snap.t == (boundary if boundary is not None else 0)
+            n_imp, exposures, clicks, first_seen = (
+                brute_force_snapshot(records, boundary) if boundary is not None
+                else (0, {}, {}, {}))
+            assert snap.n_impressions == n_imp
+            assert set(snap.news_ids()) == set(exposures)
+            assert snap.max_clicks() == max(clicks.values(), default=0)
+            for news_id in ARTICLES:
+                assert snap.exposures(news_id) == exposures.get(news_id, 0)
+                assert snap.clicks(news_id) == clicks.get(news_id, 0)
+                assert snap.first_seen(news_id) == first_seen.get(news_id)
+        for r in records:
+            ids = r.history + [news_id for news_id, _ in r.shown] + ["UNSEEN"]
+            feats = impression_features(timeline, r.time, ids, 4)
+            assert as_tuples(feats) == oracle_features(records, width, r.time, ids, 4)
+
+    @given(st.integers(0, 30), steps, steps, st.sampled_from([1, 3, 7, 1000]))
+    @settings(max_examples=200, deadline=None)
+    def test_appending_later_records_never_changes_features(self, start, head, tail, width):
+        records = log_from_steps(start, head)
+        timeline = BucketTimeline(width)
+        before = []
+        for r in records:
+            timeline.append(r)
+            ids = r.history + [news_id for news_id, _ in r.shown] + ["UNSEEN"]
+            before.append((r, ids, as_tuples(impression_features(timeline, r.time, ids, 4))))
+        last = records[-1].time if records else start
+        for r in log_from_steps(last, tail, first_index=len(records)):
+            timeline.append(r)
+        for r, ids, feats in before:
+            assert as_tuples(impression_features(timeline, r.time, ids, 4)) == feats
+
+
+def test_concurrent_feature_reads_match_serial_reads():
+    rng = np.random.default_rng(4)
+    log = random_log(rng, 300, n_articles=40)
+    timeline = build_timeline(log, 2000)
+
+    def all_features():
+        return [as_tuples(impression_features(
+                    timeline, r.time, [news_id for news_id, _ in r.shown] + ["N000"], 5))
+                for r in log]
+
+    expected = all_features()
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: results.append(all_features()))
+                   for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * 4
 
 
 class TestExport:
@@ -183,7 +337,7 @@ class TestExport:
         rng = np.random.default_rng(3)
         log = random_log(rng, 60)
         timeline = build_timeline(log, 8000)
-        snap = timeline.buckets[-1]
+        snap = StatsSnapshot(timeline, timeline.boundaries()[-1])
         path = tmp_path / "snap.csv"
         write_snapshot_csv(snap, path, normalized_clicks=True)
         lines = path.read_text().splitlines()
@@ -192,6 +346,9 @@ class TestExport:
         global_rows = [r for r in rows if r["news_id"] == GLOBAL_ROW_ID]
         assert len(global_rows) == 1
         assert int(global_rows[0]["n_E"]) == snap.n_impressions
+        _, exposures, _, _ = brute_force_snapshot(log.records, snap.t)
+        assert sorted(r["news_id"] for r in rows if r["news_id"] != GLOBAL_ROW_ID) == \
+            sorted(exposures)
         max_clk = snap.max_clicks()
         for row in rows:
             if row["news_id"] == GLOBAL_ROW_ID:
@@ -199,8 +356,8 @@ class TestExport:
             nid = row["news_id"]
             assert float(row["epi"]) == epi(snap, nid)
             assert float(row["avoidance"]) == avoidance(snap, nid)
-            assert int(row["n_E"]) == snap.exposures[nid]
-            expected_norm = snap.clicks.get(nid, 0) / max_clk if max_clk else 0.0
+            assert int(row["n_E"]) == snap.exposures(nid)
+            expected_norm = snap.clicks(nid) / max_clk if max_clk else 0.0
             assert float(row["clicks_norm"]) == expected_norm
             assert 0.0 <= float(row["epi"]) <= 1.0
             assert 0.0 <= float(row["avoidance"]) <= 1.0

@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from avoidrec.corpus import parse_behaviors_file, parse_news_file
 from avoidrec.features import impression_features
-from avoidrec.stats import build_timeline
+from avoidrec.stats import StatsSnapshot, build_timeline
 from avoidrec.synthetic import SyntheticSpec, generate, write_mind_files
 
 
@@ -143,8 +145,35 @@ class TestGenerate:
         from avoidrec.stats import epi
         drifted = 0
         for article in dataset.articles:
-            series = [epi(snap, article.news_id) for snap in timeline.buckets]
+            series = [epi(StatsSnapshot(timeline, b), article.news_id) for b in timeline.boundaries()]
             peak = max(range(len(series)), key=lambda i: series[i])
             if 0 < peak < len(series) - 1 and series[-1] < series[peak] * 0.9:
                 drifted += 1
         assert drifted >= 3
+
+
+# sha256 of behaviors.tsv and of repr(shown_probs), recorded while the
+# generator still kept its own copies of the counters, so reading cells
+# from the shared timeline is pinned byte for byte, not just to tolerance.
+GOLDEN = [
+    (dict(n_users=20, n_articles=15, n_buckets=6, impressions_per_bucket=12, seed=11),
+     "fcb8a42769a43ecb44b36ebdc68ba4bb49099ec4636b39f6bd4d50322b541bb2",
+     "17a3df9132045a4fe3f39200516fc40d64a113f0a828ccf0e9501bc040092ef2"),
+    (dict(n_users=30, n_articles=25, n_buckets=8, impressions_per_bucket=15, seed=3,
+          freshness_boost=2.5, freshness_halflife_buckets=1.5, base_click_rate=0.2),
+     "fe434fbe1b72ef242cb899e1e5477041ad805f665e9a7341911eae4d81538d4a",
+     "5908d18fb961ed7d9cbf096490628d4af74dd9d0c51881491809c47044ad8b01"),
+    (dict(n_users=40, n_articles=30, n_buckets=10, impressions_per_bucket=20, seed=6,
+          affinity=high_avoidance_affinity(), affinity_user_fraction=0.5,
+          base_click_rate=0.12),
+     "704568301a42e6e7305ddec6501b74428751b1ed12a2436fda7bffe2fbf2827d",
+     "46b8785874d3111efbcd7f98af60e71acc8d161be8fd81d27065476761ac0dda"),
+]
+
+
+@pytest.mark.parametrize("spec_kwargs, behaviors_sha, probs_sha", GOLDEN)
+def test_generator_output_is_pinned(spec_kwargs, behaviors_sha, probs_sha, tmp_path):
+    dataset = generate(SyntheticSpec(**spec_kwargs))
+    _, behaviors_path = write_mind_files(dataset, tmp_path)
+    assert hashlib.sha256(behaviors_path.read_bytes()).hexdigest() == behaviors_sha
+    assert hashlib.sha256(repr(dataset.shown_probs).encode()).hexdigest() == probs_sha
