@@ -9,8 +9,9 @@ Subcommands:
 * ``train``: train a model from a JSON config, writing a checkpoint and a
   training log.
 * ``eval``: evaluate a checkpoint on a config's test (or validation) split;
-  a checkpoint saved with a different model config is refused, naming
-  the fields that differ.
+  it takes the same ``--bucket-width``/``--grid-d`` overrides as ``train``.
+  A checkpoint saved with a different model config or bucket width is
+  refused, naming what differs.
 * ``ablate``: train and evaluate the component-ablation modes and print a
   comparison table.
 
@@ -122,6 +123,12 @@ def cmd_eval(args) -> int:
         print(f"error: {args.checkpoint} was trained with another model config; "
               f"differing fields: {differ}", file=sys.stderr)
         return 1
+    width = meta.get("bucket_width")
+    if width is not None and width != config.bucket_width:
+        print(f"error: {args.checkpoint} was trained on features bucketed every {width} s, "
+              f"the config buckets every {config.bucket_width} s (see --bucket-width)",
+              file=sys.stderr)
+        return 1
     corpus, timeline = _prepare(config)
     mode = args.mode or meta.get("mode", config.mode)
     sizes = VocabSizes.from_corpus(corpus.catalog, corpus.vocab)
@@ -217,6 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--mode", choices=MODES, default=None)
     p_eval.add_argument("--seed", type=int, default=None)
+    p_eval.add_argument("--bucket-width", type=int, default=None)
+    p_eval.add_argument("--grid-d", type=int, default=None)
     p_eval.add_argument("--split", choices=["test", "validation"], default="test")
     p_eval.add_argument("--out", default="eval_out")
     p_eval.set_defaults(fn=cmd_eval)

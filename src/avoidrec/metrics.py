@@ -152,7 +152,8 @@ def score_log_impression(model, catalog, timeline, record, mode="full", news_cac
     if any(news_id not in catalog for news_id in candidate_ids):
         return None
     history = [catalog.get(news_id) for news_id in record.history]
-    history = [a for a in history if a is not None]
+    # Only the known clicks the model keeps need features.
+    history = [a for a in history if a is not None][-model.config.max_history:]
     feats = impression_features(
         timeline, record.time,
         [a.news_id for a in history] + candidate_ids,

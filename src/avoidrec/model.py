@@ -126,6 +126,14 @@ class AvoidanceAwareRanker:
             names = [f"{old}{i}" for i in range(self.config.user_heads)]
             if new not in state and all(name in state for name in names):
                 state[new] = np.stack([state.pop(name) for name in names])
+        # ... and the filter bank and the merge as one matrix each, not as row blocks.
+        for old, top, bottom in (("user.cnn_w", self.user.cnn_window_w, self.user.cnn_cand_w),
+                                 ("user.merge_w", self.user.merge_local_w,
+                                  self.user.merge_att_w)):
+            if old in state and top.name not in state and bottom.name not in state:
+                w = np.asarray(state.pop(old))
+                cut = top.shape[0]
+                state[top.name], state[bottom.name] = w[:cut], w[cut:]
         params = self.parameters()
         missing = set(params) - set(state)
         extra = set(state) - set(params)

@@ -243,15 +243,16 @@ def _has_unknown_candidate(instance, catalog):
     return any(cid not in catalog for cid in [instance.positive] + instance.negatives)
 
 
-def _instance_score_inputs(instance, catalog, timeline, grid_d):
+def _instance_score_inputs(instance, catalog, timeline, model_config):
     if _has_unknown_candidate(instance, catalog):
         return None
     candidate_ids = [instance.positive] + instance.negatives
     history = [catalog.get(h) for h in instance.history]
-    history = [a for a in history if a is not None]
+    # Only the known clicks the model keeps need features.
+    history = [a for a in history if a is not None][-model_config.max_history:]
     feats = impression_features(
         timeline, instance.time,
-        [a.news_id for a in history] + candidate_ids, grid_d, catalog)
+        [a.news_id for a in history] + candidate_ids, model_config.grid_d, catalog)
     ordered = [candidate_ids[i] for i in instance.order]
     pos_slot = instance.order.index(0)
     candidates = [catalog.get(cid) for cid in ordered]
@@ -278,7 +279,6 @@ def train(config: TrainConfig, corpus: Corpus, timeline) -> TrainResult:
     n_missing_history = sum(h not in corpus.catalog for i in scorable for h in i.history)
 
     optimizer = Adam(model.trainable_parameters(), lr=config.learning_rate)
-    grid_d = config.model.grid_d
     best_val = -math.inf
     best_state = model.state_dict()
     epochs_since_best = 0
@@ -296,7 +296,7 @@ def train(config: TrainConfig, corpus: Corpus, timeline) -> TrainResult:
             optimizer.zero_grads()
             batch_scored = 0
             for instance in batch:
-                prepared = _instance_score_inputs(instance, corpus.catalog, timeline, grid_d)
+                prepared = _instance_score_inputs(instance, corpus.catalog, timeline, config.model)
                 if prepared is None:
                     continue
                 hist, candidates, feats, pos_slot = prepared
@@ -367,4 +367,5 @@ def checkpoint_meta(config: TrainConfig, result: TrainResult) -> dict:
         "best_val_auc": None if math.isnan(result.best_val_auc)
         or math.isinf(result.best_val_auc) else result.best_val_auc,
         "model": config.model.to_dict(),
+        "bucket_width": config.bucket_width,
     }

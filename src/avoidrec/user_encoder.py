@@ -9,11 +9,19 @@ user vector, whose dot product with the augmented candidate is gated
 against the standalone relevance score to produce the final interest
 score.
 
-History rows are real clicks only, never padding.  ``augment_history``
-builds what does not depend on the candidate once (the query projection,
-every head's keys and values, the window half of the filter bank).  The
-C candidates' own terms, dot products and gates are one (C, .) batch; only
-the history-sized work loops per candidate.
+History rows are real clicks only, never padding.  The filter bank and
+the merge are stored as row blocks (``cnn_window_w``/``cnn_cand_w``,
+``merge_local_w``/``merge_att_w``), so every product that does not
+depend on the candidate is built once per history by ``augment_history``:
+the keys of all heads side by side, the click-query half of the scores,
+the values already taken through the attention rows of the merge, and the
+window half of the filter bank.  ``candidate_terms`` builds the C
+candidates' score halves and filter-bank terms once per impression, and
+their dot products and gates are one (C, .) batch.  Each turn of the
+per-candidate loop then reads only history-sized tensors and
+``merge_local_w``: a score row add, a per-head softmax, one product with
+the folded values, the filter-bank relu, the local half of the merge and
+the pooling.
 
 The pooling is candidate-aware only through ``merged``: the candidate term
 and bias of a score ``[merged_j | cand] . pool_w + pool_b`` are the same
@@ -34,9 +42,9 @@ from . import autodiff as ad
 class History(NamedTuple):
     """Candidate-independent terms of one augmented history of M clicks."""
 
-    query: ad.Tensor    # (M, d_q) click queries
-    keys: ad.Tensor     # (heads, d_q, M), rel_w of each head times rows^T
-    values: ad.Tensor   # (heads, M, d_head), rows times out_w of each head
+    keys: ad.Tensor     # (d_q, heads*M), column h*M + j is rel_w of head h times row j
+    scores: ad.Tensor   # (M, heads*M) click-query half of every head's scores
+    values: ad.Tensor   # (heads*M, d_aug), row h*M + j is row j times out_w_h times merge_att_w_h
     local: ad.Tensor    # (M, d_aug) filter-bank pre-activation of the click windows
     pool_w: ad.Tensor   # (d_aug, 1) click half of the pooling weights
 
@@ -55,6 +63,10 @@ class UserEncoder:
         def xav(fan_in, fan_out):
             return ad.xavier_uniform(rng, fan_in, fan_out, dtype=self.dtype)
 
+        def row_blocks(w, cut, *names):  # one xavier draw, cut into two parameters
+            return [ad.parameter(np.ascontiguousarray(part), name=name)
+                    for part, name in zip((w[:cut], w[cut:]), names)]
+
         d_aug = d_q = self.d_aug
         self.q_hist = ad.parameter(xav(d_aug, d_q), name="user.q_hist")
         self.q_cand = ad.parameter(xav(d_aug, d_q), name="user.q_cand")
@@ -63,10 +75,12 @@ class UserEncoder:
                                       name="user.rel_heads")
         self.out_w = ad.parameter(np.stack([xav(d_aug, self.d_head) for _ in range(n_heads)]),
                                   name="user.out_w")
-        win_in = (2 * cnn_window + 1) * d_aug + d_aug
-        self.cnn_w = ad.parameter(xav(win_in, d_aug), name="user.cnn_w")
+        win = (2 * cnn_window + 1) * d_aug
+        self.cnn_window_w, self.cnn_cand_w = row_blocks(
+            xav(win + d_aug, d_aug), win, "user.cnn_window_w", "user.cnn_cand_w")
         self.cnn_b = ad.parameter(np.zeros(d_aug, dtype=self.dtype), name="user.cnn_b")
-        self.merge_w = ad.parameter(xav(2 * d_aug, d_aug), name="user.merge_w")
+        self.merge_local_w, self.merge_att_w = row_blocks(
+            xav(2 * d_aug, d_aug), d_aug, "user.merge_local_w", "user.merge_att_w")
         self.merge_b = ad.parameter(np.zeros(d_aug, dtype=self.dtype), name="user.merge_b")
         self.pool_w = ad.parameter(xav(2 * d_aug, 1), name="user.pool_w")
         self.pool_b = ad.parameter(np.zeros(1, dtype=self.dtype), name="user.pool_b")
@@ -74,7 +88,8 @@ class UserEncoder:
         self.gate_b = ad.parameter(np.zeros(1, dtype=self.dtype), name="user.gate_b")
 
     def parameters(self):
-        return {p.name: p for p in (self.q_hist, self.q_cand, self.cnn_w, self.cnn_b, self.merge_w,
+        return {p.name: p for p in (self.q_hist, self.q_cand, self.cnn_window_w, self.cnn_cand_w,
+                                    self.cnn_b, self.merge_local_w, self.merge_att_w,
                                     self.merge_b, self.pool_w, self.pool_b, self.gate_w,
                                     self.gate_b, self.rel_heads, self.out_w)}
 
@@ -85,40 +100,45 @@ class UserEncoder:
         if not len(news_vecs.data):
             raise ValueError("empty history; apply the cold-user fallback instead")
         rows = ad.concat([news_vecs, ues], axis=1)
-        # The filter bank reads [windows, candidate]: the candidate block of
-        # cnn_w meets zeros here, the window blocks meet zeros in user_vectors.
-        windows = ad.concat([ad.sliding_window_concat(rows, self.cnn_window),
-                             ad.constant(np.zeros(rows.shape, dtype=self.dtype))], axis=1)
-        return History(ad.matmul(rows, self.q_hist), ad.matmul(self.rel_heads, ad.transpose(rows)),
-                       ad.matmul(rows, self.out_w), ad.affine(windows, self.cnn_w, self.cnn_b),
+        m, heads = rows.shape[0], self.n_heads
+        keys = ad.matmul(self.rel_heads, ad.transpose(rows))             # (heads, d_q, M)
+        keys = ad.reshape(ad.reshape(keys, keys.shape, (1, 0, 2)), (self.d_aug, heads * m))
+        att_w = ad.reshape(self.merge_att_w, (heads, self.d_head, self.d_aug))
+        values = ad.matmul(ad.matmul(rows, self.out_w), att_w)           # (heads, M, d_aug)
+        return History(keys, ad.matmul(ad.matmul(rows, self.q_hist), keys),
+                       ad.reshape(values, (heads * m, self.d_aug)),
+                       ad.affine(ad.sliding_window_concat(rows, self.cnn_window),
+                                 self.cnn_window_w, self.cnn_b),
                        ad.slice_(self.pool_w, rows=slice(0, self.d_aug)))
 
-    def candidate_terms(self, cands: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
-        """(C, d_q) attention queries and (C, d_aug) filter-bank terms of C candidates."""
-        pad = (cands.shape[0], self.cnn_w.shape[0] - self.d_aug)  # window blocks meet zeros
-        return ad.matmul(cands, self.q_cand), ad.matmul(
-            ad.concat([ad.constant(np.zeros(pad, dtype=self.dtype)), cands], axis=1), self.cnn_w)
+    def candidate_terms(self, history: History,
+                        cands: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
+        """(C, heads*M) candidate halves of the scores and (C, d_aug) filter-bank terms."""
+        return (ad.matmul(ad.matmul(cands, self.q_cand), history.keys),
+                ad.matmul(cands, self.cnn_cand_w))
 
     def user_vectors(self, history: History, cands: ad.Tensor) -> ad.Tensor:
         """(C, d_aug) user vectors, one per augmented candidate row of ``cands``."""
-        queries, local = self.candidate_terms(cands)
+        scores, local = self.candidate_terms(history, cands)
         rows = [slice(i, i + 1) for i in range(cands.shape[0])]
         return ad.concat([self.user_embedding(
-            history, self.candidate_aware_self_attention(history, ad.slice_(queries, rows=r)),
+            history, self.candidate_aware_self_attention(history, ad.slice_(scores, rows=r)),
             self.candidate_aware_cnn(history, ad.slice_(local, rows=r))) for r in rows], axis=0)
 
     # -- context paths ------------------------------------------------------
 
-    def candidate_aware_self_attention(self, history: History, cand_query: ad.Tensor) -> ad.Tensor:
-        """Per-click long-range context (M, d_aug) for one (1, d_q) candidate query.
+    def candidate_aware_self_attention(self, history: History,
+                                       cand_scores: ad.Tensor) -> ad.Tensor:
+        """Per-click long-range context (M, d_aug), already through the merge's attention rows.
 
         Head scores between clicks i and j are q_i^T W h_j plus a shared
-        candidate term q_c^T W h_j, i.e. (q_i + q_c)^T W h_j, softmax-
-        normalized over j.
+        candidate term q_c^T W h_j, softmax-normalized over j;
+        ``cand_scores`` is the (1, heads*M) row of candidate terms.
         """
-        gamma = ad.softmax(ad.matmul(ad.add(history.query, cand_query), history.keys), axis=2)
-        heads = ad.matmul(gamma, history.values)
-        return ad.reshape(ad.reshape(heads, heads.shape, (1, 0, 2)), (heads.shape[1], self.d_aug))
+        m = history.scores.shape[0]
+        gamma = ad.softmax(ad.reshape(ad.add(history.scores, cand_scores),
+                                      (m, self.n_heads, m)), axis=2)
+        return ad.matmul(ad.reshape(gamma, (m, self.n_heads * m)), history.values)
 
     def candidate_aware_cnn(self, history: History, cand_local: ad.Tensor) -> ad.Tensor:
         """Per-click local context (M, d_aug) of 2h+1 click windows plus the candidate term."""
@@ -128,9 +148,13 @@ class UserEncoder:
 
     def user_embedding(self, history: History, attention_ctx: ad.Tensor,
                        local_ctx: ad.Tensor) -> ad.Tensor:
-        """Attentive pooling of merged per-click vectors into (1, d_aug)."""
-        merged = ad.relu(ad.affine(ad.concat([local_ctx, attention_ctx], axis=1),
-                                   self.merge_w, self.merge_b))
+        """Attentive pooling of merged per-click vectors into (1, d_aug).
+
+        ``attention_ctx`` has already passed the attention rows of the merge,
+        so only its local rows remain: relu(local . W_local + b + att . W_att).
+        """
+        merged = ad.relu(ad.add(ad.affine(local_ctx, self.merge_local_w, self.merge_b),
+                                attention_ctx))
         alpha = ad.softmax(ad.matmul(merged, history.pool_w), axis=0)
         return ad.matmul(ad.transpose(alpha), merged)
 

@@ -313,6 +313,38 @@ class TestGradCheck:
 
         assert ad.grad_check(fn, [x], eps=1e-6) < 1e-7
 
+    def test_error_is_relative_to_each_parameters_gradient_scale(self):
+        # Finite-difference noise of about 1e-8 (one ulp of a loss near 1e3
+        # over 2 eps) on a coordinate whose gradient is 1e-9 is no error when
+        # the parameter's gradient scale is 1.
+        w = p64([[1.0, 2.0]])
+        weights = c64([[1.0, 1e-9]])
+
+        def fn():
+            return ad.add_scalar(ad.sum_(ad.mul(w, weights)), 1e3)
+
+        assert ad.grad_check(fn, [w], eps=1e-6) < 1e-6
+
+    def test_wrong_gradient_is_reported(self):
+        w = p64([[0.5, -1.0, 2.0]])
+
+        def fn():  # forward 2w, backward 3g: |3 - 2| / (3 + 2)
+            return ad.sum_(ad._record("double", (w,), w.data * 2.0, lambda g: (g * 3.0,)))
+
+        assert ad.grad_check(fn, [w], eps=1e-6) == pytest.approx(0.2)
+
+    def test_extended_precision_loss_keeps_its_digits(self):
+        # A gradient of 1e-12 on a loss near 1 is below float64 finite-
+        # difference noise, but not below long double's.
+        assert np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
+        w = ad.parameter(np.array([[0.25]], dtype=np.longdouble))
+        weights = ad.constant(np.array([[1e-12]], dtype=np.longdouble))
+
+        def fn():
+            return ad.add_scalar(ad.sum_(ad.mul(w, weights)), 1.0)
+
+        assert ad.grad_check(fn, [w], eps=1e-4) < 1e-4
+
 
 class TestDeterminism:
     def _build_and_run(self, seed):

@@ -83,7 +83,12 @@ def test_pooling_candidate_half_and_bias_cannot_change_scores(setup):
 
 
 def test_batched_loss_grad_check():
-    model = AvoidanceAwareRanker(tiny_config(), VocabSizes(12, 3, 5), seed=2)
+    # Every parameter, the news encoder included.  Its gradients here are
+    # 1e-10 to 1e-8, and float64 finite differences carry noise of about
+    # 1e-12 (one ulp of the loss over 2 eps), so the model runs in long
+    # double, where that noise is 2000 times smaller.
+    assert np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
+    model = AvoidanceAwareRanker(tiny_config(dtype="longdouble"), VocabSizes(12, 3, 5), seed=2)
     articles = make_articles(9)
     ids = sorted(articles)
     feats = make_features(ids)
@@ -93,8 +98,7 @@ def test_batched_loss_grad_check():
         scores = model.score_impression(a[:5], [a[5], a[6], a[7], a[8]], feats)
         return instance_loss(scores[1], [scores[0]] + scores[2:])
 
-    # Every layer past the news encoder (which has its own grad checks; its
-    # gradients here are ~1e-8, below finite-difference noise).
-    params = [p for name, p in model.trainable_parameters().items()
-              if not name.startswith("news.")]
+    assert fn().data.dtype == np.longdouble
+    params = list(model.trainable_parameters().values())
+    assert any(p.name.startswith("news.") for p in params)
     assert ad.grad_check(fn, params, eps=1e-4, max_coords_per_param=8) < 1e-4

@@ -166,6 +166,26 @@ class TestTrainEvalAblate:
         assert "grid_d (checkpoint 5, config 4)" in err
         assert not (tmp_path / "eval").exists()
 
+    def test_eval_takes_the_grid_and_bucket_overrides_of_train(self, config_path, tmp_path,
+                                                                capsys):
+        flags = ["--grid-d", "4", "--bucket-width", "1800"]
+        train_out = tmp_path / "train"
+        assert main(["train", "--config", str(config_path), *flags,
+                     "--out", str(train_out)]) == 0
+        best = float(capsys.readouterr().out.split("best val_auc=")[1].split()[0])
+        ckpt = str(train_out / "checkpoint.ntck")
+        eval_out = tmp_path / "eval"
+        assert main(["eval", "--config", str(config_path), "--checkpoint", ckpt, *flags,
+                     "--split", "validation", "--out", str(eval_out)]) == 0
+        report = json.loads((eval_out / "report.json").read_text())
+        assert report["metrics"]["auc"] == pytest.approx(best, abs=5e-5)
+        # Without the bucket override the features would be rebucketed.
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config_path), "--checkpoint", ckpt,
+                     "--grid-d", "4", "--out", str(tmp_path / "eval2")]) == 1
+        assert "bucketed every 1800 s" in capsys.readouterr().err
+        assert not (tmp_path / "eval2").exists()
+
     def test_missing_config_fails(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 1

@@ -168,6 +168,7 @@ def test_monotone_transform_invariance(pairs, scale_factor, shift):
 
 class _StubConfig:
     grid_d = 5
+    max_history = 50
 
 
 class _StubModel:
@@ -314,3 +315,35 @@ class TestEvaluateCache:
                 cached = score_log_impression(model, catalog, timeline, record, mode, cache)
                 fresh = score_log_impression(model, catalog, timeline, record, mode)
                 assert np.allclose(cached.scores, fresh.scores, rtol=0, atol=1e-12)
+
+
+def test_features_cover_only_the_kept_history(monkeypatch):
+    # Only the last max_history known clicks are scored, so only they get
+    # features; the scores are those of features for the whole history, and
+    # the unknown click is still counted.
+    import avoidrec.metrics as metrics_mod
+    from avoidrec.features import impression_features
+
+    model = AvoidanceAwareRanker(tiny_config(max_history=3), VocabSizes(12, 3, 5), seed=3)
+    articles = make_articles(10)
+    ids = sorted(articles)
+    history = ids[:6] + ["GONE"]
+    shown = [(ids[6], 1), (ids[7], 0), (ids[8], 0), (ids[9], 0)]
+    log = ImpressionLog([ImpressionRecord("0", "U", 1000, history, shown)])
+    catalog = _StubCatalog(articles=articles)
+    calls = []
+
+    def recording(timeline, time, news_ids, grid_d, catalog=None):
+        calls.append(list(news_ids))
+        return impression_features(timeline, time, news_ids, grid_d, catalog)
+
+    monkeypatch.setattr(metrics_mod, "impression_features", recording)
+    report = evaluate(model, log, _timeline(), catalog)
+    assert calls == [ids[3:6] + ids[6:]]
+    assert report.n_missing_history == 1
+
+    feats = impression_features(_timeline(), 1000, ids, model.config.grid_d, catalog)
+    expected = model.score_impression([articles[i] for i in ids[:6]],
+                                      [articles[i] for i, _ in shown], feats)
+    got = metrics_mod.score_log_impression(model, catalog, _timeline(), log.records[0])
+    assert list(got.scores) == [float(t.data[0, 0]) for t in expected]

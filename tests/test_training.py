@@ -10,9 +10,10 @@ from avoidrec.model import AvoidanceAwareRanker, ModelConfig, VocabSizes
 from avoidrec.stats import build_timeline
 from avoidrec.synthetic import SyntheticSpec, generate, write_mind_files
 from avoidrec.training import (Adam, Corpus, TrainConfig, TrainingDiverged,
+                               TrainingInstance, _instance_score_inputs,
                                build_training_instances, instance_loss,
                                sample_negatives, train)
-from conftest import tiny_config
+from conftest import make_articles, tiny_config
 
 
 def record(i=1, shown=(("P", 1), ("A", 0), ("B", 0), ("C", 0), ("D", 0))):
@@ -267,3 +268,20 @@ class TestAdam:
         p.grad = np.array([[1.0, -2.0, 0.5]])
         opt.step()
         assert (np.sign(p.data) == [[-1.0, 1.0, -1.0]]).all()
+
+
+def test_instance_features_cover_only_the_kept_history():
+    # The model keeps the last max_history known clicks; the others get no
+    # features (unknown ones are counted by train, from the instance).
+    articles = make_articles(9)
+    ids = sorted(articles)
+
+    instance = TrainingInstance(history=ids[:5] + ["GONE"], positive=ids[5],
+                                negatives=ids[6:], time=1000, order=[2, 0, 1, 3])
+    timeline = build_timeline(ImpressionLog([]), 3600)
+    hist, candidates, feats, pos_slot = _instance_score_inputs(
+        instance, articles, timeline, tiny_config(max_history=3))
+    assert [a.news_id for a in hist] == ids[2:5]
+    assert sorted(feats) == ids[2:5] + ids[5:]
+    assert [a.news_id for a in candidates] == [ids[7], ids[5], ids[6], ids[8]]
+    assert pos_slot == 1

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -31,14 +33,38 @@ def rows_of(vecs, ues):
                            for v, u in zip(vecs, ues)])
 
 
-def cand_query(enc, cand):
-    """The candidate's (1, d_q) attention query, built directly."""
-    return ad.constant(cand.data @ enc.q_cand.data, dtype=np.float64)
+def unsplit(enc):
+    """The filter bank and the merge as the single matrices their row blocks were cut from."""
+    return (np.concatenate([enc.cnn_window_w.data, enc.cnn_cand_w.data]),
+            np.concatenate([enc.merge_local_w.data, enc.merge_att_w.data]))
+
+
+def cand_scores(enc, history, cand):
+    """The candidate's (1, heads*M) half of the attention scores, built directly."""
+    return ad.constant(cand.data @ enc.q_cand.data @ history.keys.data, dtype=np.float64)
 
 
 def cand_local(enc, cand):
-    """The candidate's (1, d_aug) filter-bank term: its block of cnn_w, built directly."""
-    return ad.constant(cand.data @ enc.cnn_w.data[-enc.d_aug:], dtype=np.float64)
+    """The candidate's (1, d_aug) filter-bank term: its block of the filter bank, built directly."""
+    return ad.constant(cand.data @ enc.cnn_cand_w.data, dtype=np.float64)
+
+
+def per_head_attention(enc, rows, cand):
+    """Oracle: heads side by side, softmax(q W_h H^T + q_c W_h H^T) H O_h per head."""
+    q, q_c = rows @ enc.q_hist.data, cand @ enc.q_cand.data
+    out = []
+    for rel_w, out_w in zip(enc.rel_heads.data, enc.out_w.data):
+        s = q @ rel_w @ rows.T + q_c @ rel_w @ rows.T
+        gamma = np.exp(s - s.max(axis=1, keepdims=True))
+        gamma /= gamma.sum(axis=1, keepdims=True)
+        out.append(gamma @ rows @ out_w)
+    return np.concatenate(out, axis=1)
+
+
+def merged_oracle(enc, rows, cand, local):
+    """Oracle: relu([local | per-head attention] . merge_w + merge_b) with the unsplit merge_w."""
+    stacked = np.concatenate([local, per_head_attention(enc, rows, cand)], axis=1)
+    return np.maximum(stacked @ unsplit(enc)[1] + enc.merge_b.data, 0)
 
 
 def score(enc, history, cands, relevance=0.3):
@@ -52,31 +78,40 @@ class TestAugment:
         vecs, ues = rand_items(2)
         history, cand = augment(enc, vecs, ues, vecs[0], ues[0])
         assert cand.data.shape == (1, 6)
-        assert history.query.data.shape == (2, 6)
-        assert history.keys.data.shape == (2, 6, 2)     # (heads, d_q, M)
-        assert history.values.data.shape == (2, 2, 3)   # (heads, M, d_head)
+        assert history.keys.data.shape == (6, 4)     # (d_q, heads*M)
+        assert history.scores.data.shape == (2, 4)   # (M, heads*M)
+        assert history.values.data.shape == (4, 6)   # (heads*M, d_aug)
         assert history.local.data.shape == (2, 6)
         assert np.array_equal(history.pool_w.data, enc.pool_w.data[:6])  # the click half
 
     def test_concat_round_trip(self):
-        # Every shared term is built from the [news | engagement] rows.
+        # Every shared term is built from the [news | engagement] rows; column
+        # (row) h*M + j belongs to head h and click j.
         enc = make_encoder()
         vecs, ues = rand_items(3)
         history, _ = augment(enc, vecs, ues, vecs[0], ues[0])
         rows = rows_of(vecs, ues)
-        assert np.allclose(history.query.data, rows @ enc.q_hist.data, atol=1e-12)
-        assert np.allclose(history.keys.data, enc.rel_heads.data @ rows.T, atol=1e-12)
-        assert np.allclose(history.values.data, rows @ enc.out_w.data, atol=1e-12)
+        keys = np.concatenate([rel_w @ rows.T for rel_w in enc.rel_heads.data], axis=1)
+        att_w = np.split(enc.merge_att_w.data, enc.n_heads)
+        values = np.concatenate([rows @ out_w @ w for out_w, w in zip(enc.out_w.data, att_w)])
+        windows = ad.sliding_window_concat(ad.constant(rows), enc.cnn_window).data
+        assert np.allclose(history.keys.data, keys, atol=1e-12)
+        assert np.allclose(history.scores.data, rows @ enc.q_hist.data @ keys, atol=1e-12)
+        assert np.allclose(history.values.data, values, atol=1e-12)
+        assert np.allclose(history.local.data,
+                           windows @ enc.cnn_window_w.data + enc.cnn_b.data, atol=1e-12)
 
     def test_candidate_terms_are_row_wise_projections(self):
-        # (C, .) candidate terms: the query projection and the candidate
-        # block of the filter bank, row by row.
+        # (C, .) candidate terms: the candidate half of the scores and the
+        # candidate block of the filter bank, row by row.
         enc = make_encoder()
+        vecs, ues = rand_items(4)
         cv, cu = rand_items(3, seed=6)
-        cands = ad.concat([ad.concat(cv, axis=0), ad.concat(cu, axis=0)], axis=1)
-        queries, local = enc.candidate_terms(cands)
-        assert np.allclose(queries.data, cands.data @ enc.q_cand.data, atol=1e-12)
-        assert np.allclose(local.data, cands.data @ enc.cnn_w.data[-6:], atol=1e-12)
+        history, cands = augment(enc, vecs, ues, ad.concat(cv, axis=0), ad.concat(cu, axis=0))
+        scores, local = enc.candidate_terms(history, cands)
+        assert scores.data.shape == (3, 8)
+        assert np.allclose(scores.data, cand_scores(enc, history, cands).data, atol=1e-12)
+        assert np.allclose(local.data, cand_local(enc, cands).data, atol=1e-12)
 
     def test_truncates_to_most_recent(self):
         # The ranker keeps the last max_history clicks; older ones cannot matter.
@@ -96,25 +131,27 @@ class TestSelfAttention:
         enc = make_encoder()
         vecs, ues = rand_items(1)
         history, cand = augment(enc, vecs, ues, vecs[0], ues[0])
-        out = enc.candidate_aware_self_attention(history, cand_query(enc, cand))
+        out = enc.candidate_aware_self_attention(history, cand_scores(enc, history, cand))
         rows = rows_of(vecs, ues)
-        expected = np.concatenate([rows @ w for w in enc.out_w.data], axis=1)
-        assert np.allclose(out.data, expected, atol=1e-12)
+        heads = np.concatenate([rows @ w for w in enc.out_w.data], axis=1)
+        assert np.allclose(out.data, heads @ enc.merge_att_w.data, atol=1e-12)
 
     def test_two_item_scores_match_brute_force(self):
-        # Brute-force oracle over 3-dim augmented vectors, one identity head.
+        # Brute-force oracle over 3-dim augmented vectors, one identity head,
+        # and identity attention rows of the merge.
         enc = make_encoder(d_news=2, dim_ue=1, n_heads=1)
         eye = np.eye(3)
         enc.q_hist.data[:] = eye
         enc.q_cand.data[:] = eye
         enc.rel_heads.data[0] = eye
         enc.out_w.data[0] = eye
+        enc.merge_att_w.data[:] = eye
         h = np.array([[1.0, 0.5, -0.5], [0.2, -1.0, 0.3]])
         c = np.array([[0.7, 0.1, 0.4]])
         history = enc.augment_history(ad.constant(h[:, :2], dtype=np.float64),
                                       ad.constant(h[:, 2:], dtype=np.float64))
         out = enc.candidate_aware_self_attention(
-            history, cand_query(enc, ad.constant(c, dtype=np.float64)))
+            history, cand_scores(enc, history, ad.constant(c, dtype=np.float64)))
 
         scores = np.empty((2, 2))
         for i in range(2):
@@ -128,29 +165,22 @@ class TestSelfAttention:
         assert np.allclose(out.data, expected, atol=1e-12)
 
     def test_fused_heads_match_per_head_oracle(self):
-        # Per head h: softmax(q W_h H^T + q_c W_h H^T) H O_h, heads side by side.
+        # The per-head formula, heads side by side, then the attention rows
+        # of the unsplit merge matrix.
         enc = make_encoder(n_heads=3)
         vecs, ues = rand_items(4)
         cv, cu = rand_items(1, seed=8)
         history, cand = augment(enc, vecs, ues, cv[0], cu[0])
-        h, c = rows_of(vecs, ues), cand.data
-        q, q_c = h @ enc.q_hist.data, c @ enc.q_cand.data
-        expected = []
-        for rel_w, out_w in zip(enc.rel_heads.data, enc.out_w.data):
-            s = q @ rel_w @ h.T + q_c @ rel_w @ h.T
-            gamma = np.exp(s - s.max(axis=1, keepdims=True))
-            gamma /= gamma.sum(axis=1, keepdims=True)
-            expected.append(gamma @ h @ out_w)
-        out = enc.candidate_aware_self_attention(history, cand_query(enc, cand))
-        assert np.allclose(out.data, np.concatenate(expected, axis=1), atol=1e-12)
+        expected = per_head_attention(enc, rows_of(vecs, ues), cand.data)
+        out = enc.candidate_aware_self_attention(history, cand_scores(enc, history, cand))
+        assert np.allclose(out.data, expected @ unsplit(enc)[1][enc.d_aug:], atol=1e-12)
 
-    def test_attention_rows_sum_to_one_over_unmasked(self):
+    def test_attention_rows_sum_to_one_per_head(self):
         enc = make_encoder()
         vecs, ues = rand_items(3)
         history, cand = augment(enc, vecs, ues, vecs[0], ues[0])
-        queries = ad.add(history.query, cand_query(enc, cand))
-        gamma = ad.softmax(ad.matmul(queries, history.keys), axis=2).data
-        assert gamma.shape == (2, 3, 3)
+        scores = ad.add(history.scores, cand_scores(enc, history, cand))
+        gamma = ad.softmax(ad.reshape(scores, (3, 2, 3)), axis=2).data
         assert np.allclose(gamma.sum(axis=2), 1.0, atol=1e-12)
 
     def test_all_masked_history_rejected(self):
@@ -181,7 +211,7 @@ class TestLocalContext:
         rows = rows_of(vecs, ues)
         # left neighbor of position 0 is the zero vector
         window = np.concatenate([np.zeros(enc.d_aug), rows[0], rows[1], cand.data[0]])
-        expected = np.maximum(window @ enc.cnn_w.data + enc.cnn_b.data, 0)
+        expected = np.maximum(window @ unsplit(enc)[0] + enc.cnn_b.data, 0)
         local = enc.candidate_aware_cnn(history, cand_local(enc, cand))
         assert np.allclose(local.data[0], expected, atol=1e-12)
 
@@ -191,13 +221,12 @@ class TestLocalContext:
         enc = make_encoder()
         vecs, ues = rand_items(4)
         cv, cu = rand_items(3, seed=4)
-        history = enc.augment_history(ad.concat(vecs, axis=0), ad.concat(ues, axis=0))
-        cands = ad.concat([ad.concat(cv, axis=0), ad.concat(cu, axis=0)], axis=1)
-        _, local = enc.candidate_terms(cands)
+        history, cands = augment(enc, vecs, ues, ad.concat(cv, axis=0), ad.concat(cu, axis=0))
+        _, local = enc.candidate_terms(history, cands)
         windows = ad.sliding_window_concat(ad.constant(rows_of(vecs, ues)), enc.cnn_window).data
         for i in range(3):
             stacked = np.concatenate([windows, np.repeat(cands.data[i:i + 1], 4, axis=0)], axis=1)
-            expected = np.maximum(stacked @ enc.cnn_w.data + enc.cnn_b.data, 0)
+            expected = np.maximum(stacked @ unsplit(enc)[0] + enc.cnn_b.data, 0)
             got = enc.candidate_aware_cnn(history, ad.slice_(local, rows=slice(i, i + 1)))
             assert np.allclose(got.data, expected, atol=1e-12)
 
@@ -220,28 +249,47 @@ class TestLocalContext:
 
 class TestUserEmbeddingAndScore:
     def _full(self, enc, vecs, ues, cand_vec, cand_ue):
+        """The pooled user vector and the merged per-click vectors, from the oracle."""
         history, cand = augment(enc, vecs, ues, cand_vec, cand_ue)
-        att = enc.candidate_aware_self_attention(history, cand_query(enc, cand))
+        att = enc.candidate_aware_self_attention(history, cand_scores(enc, history, cand))
         loc = enc.candidate_aware_cnn(history, cand_local(enc, cand))
         u = enc.user_embedding(history, att, loc)
         assert np.allclose(enc.user_vectors(history, cand).data, u.data, atol=1e-12)
-        return u, cand, history, att, loc
+        return u, cand, history, merged_oracle(enc, rows_of(vecs, ues), cand.data, loc.data)
+
+    def test_folded_merge_matches_direct_concat(self):
+        # Every candidate's merged vectors, pooled, equal the unfolded model:
+        # relu([local | per-head attention] . merge_w + merge_b) with the
+        # unsplit matrices, then the softmax pooling over clicks.
+        enc = make_encoder(n_heads=3, d_news=7, dim_ue=2)
+        vecs, ues = rand_items(5, d_news=7)
+        cv, cu = rand_items(4, d_news=7, seed=21)
+        history, cands = augment(enc, vecs, ues, ad.concat(cv, axis=0), ad.concat(cu, axis=0))
+        users = enc.user_vectors(history, cands).data
+        rows = rows_of(vecs, ues)
+        windows = ad.sliding_window_concat(ad.constant(rows), enc.cnn_window).data
+        cnn_w, _ = unsplit(enc)
+        for i in range(4):
+            cand = cands.data[i:i + 1]
+            stacked = np.concatenate([windows, np.repeat(cand, 5, axis=0)], axis=1)
+            local = np.maximum(stacked @ cnn_w + enc.cnn_b.data, 0)
+            merged = merged_oracle(enc, rows, cand, local)
+            scores = merged @ enc.pool_w.data[:enc.d_aug]
+            alpha = np.exp(scores - scores.max())
+            alpha /= alpha.sum()
+            assert np.allclose(users[i], (alpha.T @ merged)[0], rtol=0, atol=1e-12)
 
     def test_single_item_user_is_its_merged_vector(self):
         enc = make_encoder()
         vecs, ues = rand_items(1)
-        u, cand, history, att, loc = self._full(enc, vecs, ues, vecs[0], ues[0])
-        merged = ad.relu(ad.affine(ad.concat([loc, att], axis=1),
-                                   enc.merge_w, enc.merge_b))
-        assert np.allclose(u.data, merged.data[0:1], atol=1e-12)
+        u, _, _, merged = self._full(enc, vecs, ues, vecs[0], ues[0])
+        assert np.allclose(u.data, merged[0:1], atol=1e-12)
 
     def test_pool_weights_sum_to_one(self):
         enc = make_encoder()
         vecs, ues = rand_items(3)
-        _, _, history, att, loc = self._full(enc, vecs, ues, vecs[0], ues[0])
-        merged = ad.relu(ad.affine(ad.concat([loc, att], axis=1),
-                                   enc.merge_w, enc.merge_b))
-        alpha = ad.softmax(ad.matmul(merged, history.pool_w), axis=0).data
+        _, _, history, merged = self._full(enc, vecs, ues, vecs[0], ues[0])
+        alpha = ad.softmax(ad.matmul(ad.constant(merged), history.pool_w), axis=0).data
         assert alpha.shape == (3, 1)
         assert alpha.sum() == pytest.approx(1.0, abs=1e-6)
 
@@ -254,10 +302,8 @@ class TestUserEmbeddingAndScore:
         vecs, ues = rand_items(2)
         dup_vecs = [vecs[0], vecs[1], vecs[1]]
         dup_ues = [ues[0], ues[1], ues[1]]
-        u, cand, _, att, loc = self._full(enc, dup_vecs, dup_ues, vecs[0], ues[0])
+        u, cand, _, merged = self._full(enc, dup_vecs, dup_ues, vecs[0], ues[0])
 
-        merged = ad.relu(ad.affine(ad.concat([loc, att], axis=1),
-                                   enc.merge_w, enc.merge_b)).data
         assert np.allclose(merged[1], merged[2], atol=1e-12)
         scores = (np.concatenate([merged, np.repeat(cand.data, 3, axis=0)], axis=1)
                   @ enc.pool_w.data + enc.pool_b.data).ravel()
@@ -279,14 +325,11 @@ class TestUserEmbeddingAndScore:
         before = enc.user_vectors(history, cands).data
         enc.pool_w.data[6:] += 5.0
         enc.pool_b.data[:] += 3.0
-        history, _ = augment(enc, vecs, ues, cv[0], cu[0])
-        queries, local = enc.candidate_terms(cands)
+        _, local = enc.candidate_terms(history, cands)
         for i in range(2):
             row = slice(i, i + 1)
-            merged = ad.relu(ad.affine(ad.concat([
-                enc.candidate_aware_cnn(history, ad.slice_(local, rows=row)),
-                enc.candidate_aware_self_attention(history, ad.slice_(queries, rows=row))],
-                axis=1), enc.merge_w, enc.merge_b)).data
+            merged = merged_oracle(enc, rows_of(vecs, ues), cands.data[row],
+                                   enc.candidate_aware_cnn(history, ad.slice_(local, rows=row)).data)
             scores = (np.concatenate([merged, np.repeat(cands.data[row], 4, axis=0)], axis=1)
                       @ enc.pool_w.data + enc.pool_b.data).ravel()
             weights = np.exp(scores - scores.max())
@@ -347,14 +390,51 @@ class TestUserEmbeddingAndScore:
         params = list(enc.parameters().values())
         assert ad.grad_check(fn, params, eps=1e-5, max_coords_per_param=10) < 1e-3
 
-    def test_stacked_heads_keep_per_head_init_order(self):
+    def test_stacked_heads_and_row_blocks_keep_init_order(self):
         # Stacked head tensors hold the same xavier draws, in the same
-        # order, as one parameter per head did.
+        # order, as one parameter per head did; the filter bank's and the
+        # merge's row blocks are cut from one draw each.
         enc = make_encoder(n_heads=2)
         rng = np.random.default_rng(0)
         for _ in range(2):  # q_hist, q_cand
             ad.xavier_uniform(rng, 6, 6, dtype=np.float64)
         rel = [ad.xavier_uniform(rng, 6, 6, dtype=np.float64) for _ in range(2)]
         out = [ad.xavier_uniform(rng, 6, 3, dtype=np.float64) for _ in range(2)]
+        cnn_w = ad.xavier_uniform(rng, 4 * 6, 6, dtype=np.float64)
+        merge_w = ad.xavier_uniform(rng, 2 * 6, 6, dtype=np.float64)
         assert np.array_equal(enc.rel_heads.data, np.stack(rel))
         assert np.array_equal(enc.out_w.data, np.stack(out))
+        assert np.array_equal(enc.cnn_window_w.data, cnn_w[:18])
+        assert np.array_equal(enc.cnn_cand_w.data, cnn_w[18:])
+        assert np.array_equal(enc.merge_local_w.data, merge_w[:6])
+        assert np.array_equal(enc.merge_att_w.data, merge_w[6:])
+
+
+def user_parameter_reads(n_candidates):
+    """(op, user-encoder parameters read) -> count over one recorded score_impression."""
+    model = AvoidanceAwareRanker(tiny_config(), VocabSizes(12, 3, 5), seed=4)
+    articles = make_articles(9)
+    ids = sorted(articles)
+    a = [articles[i] for i in ids]
+    user = {id(p): p for p in model.user.parameters().values()}
+    with ad.ComputationRecord() as rec:
+        model.score_impression(a[:3], a[3:3 + n_candidates], make_features(ids))
+    reads = Counter()
+    for entry in rec.entries:
+        names = tuple(sorted(user[id(t)].name for t in entry.inputs if id(t) in user))
+        if names:
+            reads[entry.op, names] += 1
+    return reads, model
+
+
+def test_candidate_loop_reads_only_merge_local_w():
+    # Each added candidate adds exactly one op that reads a user-encoder
+    # parameter, the local half of the merge, and no per-candidate op reads
+    # a weight wider than d_aug rows (the unsplit filter bank and merge were).
+    two, _ = user_parameter_reads(2)
+    six, model = user_parameter_reads(6)
+    assert sum(six.values()) - sum(two.values()) == 4
+    grown = six - two
+    assert grown == Counter({("affine", ("user.merge_b", "user.merge_local_w")): 4})
+    params = model.user.parameters()
+    assert all(params[name].shape[0] <= model.user.d_aug for _, names in grown for name in names)
