@@ -340,7 +340,11 @@ def softmax(a: Tensor, axis: int, mask: np.ndarray | None = None) -> Tensor:
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Gather rows of ``table``; gradient scatter-adds into the looked-up rows."""
+    """Gather rows of ``table``; gradient scatter-adds into the looked-up rows.
+
+    The backward sorts the ids (stably) and sums each id's run of gradient
+    rows with one ``np.add.reduceat``, then writes each touched row once.
+    """
     _need_2d("embedding_lookup", table)
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 1:
@@ -350,7 +354,11 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
     def backward_fn(g):
         gt = np.zeros_like(table.data)
-        np.add.at(gt, ids, g)
+        if ids.size:
+            order = np.argsort(ids, kind="stable")
+            sorted_ids = ids[order]
+            starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
+            gt[sorted_ids[starts]] = np.add.reduceat(g[order], starts, axis=0)
         return (gt,)
 
     return _record("embedding_lookup", (table,), table.data[ids], backward_fn)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .features import impression_features
+from .model import recent_history
 
 
 class NonFiniteScoreError(ValueError):
@@ -153,7 +154,7 @@ def score_log_impression(model, catalog, timeline, record, mode="full", news_cac
         return None
     history = [catalog.get(news_id) for news_id in record.history]
     # Only the known clicks the model keeps need features.
-    history = [a for a in history if a is not None][-model.config.max_history:]
+    history = recent_history([a for a in history if a is not None], model.config.max_history)
     feats = impression_features(
         timeline, record.time,
         [a.news_id for a in history] + candidate_ids,

@@ -51,6 +51,25 @@ class ModelConfig:
     max_history: int = 50
     dtype: str = "float32"
 
+    def __post_init__(self):
+        positive = ("d_word", "d_news", "n_heads", "d_att", "d_cat", "d_ent", "max_title_len",
+                    "dim_ue", "grid_d", "d_time", "user_heads")
+        for name in positive + ("cnn_window", "max_history"):
+            value, floor = getattr(self, name), 1 if name in positive else 0
+            if not isinstance(value, int) or isinstance(value, bool) or value < floor:
+                raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
+        for name in ("use_entities", "word_trainable"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        if self.d_news % self.n_heads:
+            raise ValueError(f"n_heads={self.n_heads} must divide d_news={self.d_news}")
+        if (self.d_news + self.dim_ue) % self.user_heads:
+            raise ValueError(f"user_heads={self.user_heads} must divide "
+                             f"d_news + dim_ue = {self.d_news + self.dim_ue}")
+        # Long double is for gradient checks only; checkpoints cannot hold it.
+        if self.dtype not in ("float32", "float64", "longdouble"):
+            raise ValueError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
+
     def numpy_dtype(self):
         return np.dtype(self.dtype)
 
@@ -64,6 +83,12 @@ class ModelConfig:
         if unknown:
             raise ValueError(f"unknown model config fields: {sorted(unknown)}")
         return cls(**d)
+
+
+def recent_history(items, max_history: int) -> list:
+    """The last ``max_history`` of ``items``, oldest first; none when it is 0."""
+    items = list(items)
+    return items[max(len(items) - max_history, 0):]
 
 
 @dataclass
@@ -134,6 +159,15 @@ class AvoidanceAwareRanker:
                 w = np.asarray(state.pop(old))
                 cut = top.shape[0]
                 state[top.name], state[bottom.name] = w[:cut], w[cut:]
+        # ... and the news encoder's query, key and value as three matrices.
+        qkv = [f"news.{w}" for w in ("wq", "wk", "wv")]
+        if self.news.wqkv.name not in state and all(name in state for name in qkv):
+            state[self.news.wqkv.name] = np.concatenate([state.pop(n) for n in qkv], axis=1)
+        # The pooling's candidate rows and bias cancelled in its softmax; they are dropped.
+        pool_w = state.get(self.user.pool_w.name)
+        if "user.pool_b" in state and pool_w is not None and len(pool_w) == 2 * self.user.d_aug:
+            state.pop("user.pool_b")
+            state[self.user.pool_w.name] = np.asarray(pool_w)[:self.user.d_aug]
         params = self.parameters()
         missing = set(params) - set(state)
         extra = set(state) - set(params)
@@ -169,7 +203,7 @@ class AvoidanceAwareRanker:
         """
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-        history = list(history_articles)[-self.config.max_history:]
+        history = recent_history(history_articles, self.config.max_history)
         candidates = list(candidate_articles)
         if not candidates:
             return []

@@ -70,8 +70,8 @@ class RelevancePredictor:
                                     self.gate_w, self.gate_b))
         r_content = ad.affine(news_vec, self.content_w, self.content_b)
         r_engage = ad.affine(ad.concat([ue, t_el], axis=1), self.engage_w, self.engage_b)
-        mixed = ad.add(ad.mul(gate, r_content),
-                       ad.mul(ad.add_scalar(ad.scale(gate, -1.0), 1.0), r_engage))
+        # gate.content + (1 - gate).engage, as engage + gate.(content - engage)
+        mixed = ad.add(r_engage, ad.mul(gate, ad.add(r_content, ad.scale(r_engage, -1.0))))
         clicks = ad.constant(np.reshape(clicks_norm, (-1, 1)), dtype=self.dtype)
         return ad.sigmoid(ad.add(ad.matmul(clicks, self.w_clicks),
                                  ad.matmul(mixed, self.w_mixed)))

@@ -6,6 +6,14 @@ positive plus K non-clicked candidates drawn from the same impression
 The instance's K+1 scores feed a softmax; the loss is the negative log
 probability of the positive.  Validation AUC drives early stopping and
 best-checkpoint retention.
+
+Instances are tagged with the index of their source impression.  Within
+a batch, the instances of one impression form a group that shares its
+history, its time and its candidates: the group's features are computed
+once, one ``score_impression`` call scores the union of its candidates,
+and each instance takes its K+1 scores from those rows.  The group's
+losses are summed and replayed by one backward pass, so only one group's
+graph is alive at a time.  The batch gradient is the mean over instances.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from .corpus import (ImpressionLog, ImpressionRecord, load_word_vectors,
                      parse_behaviors_file, parse_news_file, split_log_by_time)
 from .features import impression_features
 from .metrics import config_fingerprint, evaluate
-from .model import MODES, AvoidanceAwareRanker, ModelConfig, VocabSizes
+from .model import MODES, AvoidanceAwareRanker, ModelConfig, VocabSizes, recent_history
 from .stats import build_timeline
 
 
@@ -125,14 +133,16 @@ class TrainingInstance:
     negatives: list[str]
     time: int
     order: list[int]  # shuffled candidate positions; 0 marks the positive
+    impression: int | None = None  # index of the source impression; None: a group of its own
 
 
-def sample_negatives(impression: ImpressionRecord, k: int,
-                     rng: np.random.Generator) -> list[TrainingInstance]:
+def sample_negatives(impression: ImpressionRecord, k: int, rng: np.random.Generator,
+                     index: int | None = None) -> list[TrainingInstance]:
     """One instance per clicked candidate, sharing the impression's negative pool.
 
     Pools smaller than K are sampled with replacement; impressions with no
-    negatives yield no instances (the caller counts the skips).
+    negatives yield no instances (the caller counts the skips).  ``index``
+    tags each instance with its impression.
     """
     positives = [news_id for news_id, label in impression.shown if label == 1]
     pool = [news_id for news_id, label in impression.shown if label == 0]
@@ -147,7 +157,7 @@ def sample_negatives(impression: ImpressionRecord, k: int,
         order = [int(i) for i in rng.permutation(k + 1)]
         instances.append(TrainingInstance(
             history=list(impression.history), positive=pos, negatives=negs,
-            time=impression.time, order=order))
+            time=impression.time, order=order, impression=index))
     return instances
 
 
@@ -155,9 +165,9 @@ def build_training_instances(log: ImpressionLog, k: int, rng) -> tuple[list[Trai
     """All instances of a log plus the count of skipped zero-negative positives."""
     instances = []
     skipped = 0
-    for record in log:
+    for index, record in enumerate(log):
         n_pos = sum(label for _, label in record.shown)
-        got = sample_negatives(record, k, rng)
+        got = sample_negatives(record, k, rng, index)
         skipped += n_pos - len(got)
         instances.extend(got)
     return instances, skipped
@@ -243,20 +253,54 @@ def _has_unknown_candidate(instance, catalog):
     return any(cid not in catalog for cid in [instance.positive] + instance.negatives)
 
 
-def _instance_score_inputs(instance, catalog, timeline, model_config):
-    if _has_unknown_candidate(instance, catalog):
+def impression_groups(batch) -> list[list[TrainingInstance]]:
+    """The batch's instances grouped by impression, groups and members in batch order."""
+    groups = {}
+    for n, instance in enumerate(batch):
+        key = ("own", n) if instance.impression is None else ("impression", instance.impression)
+        groups.setdefault(key, []).append(instance)
+    return list(groups.values())
+
+
+def _group_score_inputs(group, catalog, timeline, model_config):
+    """What one ``score_impression`` call needs to score a group, or None.
+
+    Instances with a candidate missing from the catalog are left out.
+    Returns the kept history, the union of the instances' candidates (each
+    once, in order of first use), their features, and per instance the
+    union rows of its candidates in ``order`` and the positive's slot there.
+    """
+    group = [i for i in group if not _has_unknown_candidate(i, catalog)]
+    if not group:
         return None
-    candidate_ids = [instance.positive] + instance.negatives
-    history = [catalog.get(h) for h in instance.history]
+    ordered = [[([i.positive] + i.negatives)[j] for j in i.order] for i in group]
+    union = list(dict.fromkeys(cid for ids in ordered for cid in ids))
+    row = {cid: r for r, cid in enumerate(union)}
     # Only the known clicks the model keeps need features.
-    history = [a for a in history if a is not None][-model_config.max_history:]
-    feats = impression_features(
-        timeline, instance.time,
-        [a.news_id for a in history] + candidate_ids, model_config.grid_d, catalog)
-    ordered = [candidate_ids[i] for i in instance.order]
-    pos_slot = instance.order.index(0)
-    candidates = [catalog.get(cid) for cid in ordered]
-    return history, candidates, feats, pos_slot
+    history = recent_history([a for a in map(catalog.get, group[0].history) if a is not None],
+                             model_config.max_history)
+    feats = impression_features(timeline, group[0].time,
+                                [a.news_id for a in history] + union, model_config.grid_d,
+                                catalog)
+    slots = [([row[cid] for cid in ids], i.order.index(0)) for ids, i in zip(ordered, group)]
+    return history, [catalog.get(cid) for cid in union], feats, slots
+
+
+def group_loss(model, history, candidates, feats, slots, mode="full"):
+    """Summed (1, 1) loss of one group's instances, and each instance's loss value.
+
+    One ``score_impression`` call scores the group's candidates; each
+    instance's K+1 scores are its ``slots`` rows, in its candidate order.
+    """
+    scores = model.score_impression(history, candidates, feats, mode=mode)
+    losses = []
+    for rows, pos_slot in slots:
+        ranked = [scores[r] for r in rows]
+        losses.append(instance_loss(ranked[pos_slot], ranked[:pos_slot] + ranked[pos_slot + 1:]))
+    total = losses[0]
+    for loss in losses[1:]:
+        total = ad.add(total, loss)
+    return total, [float(loss.data.reshape(())) for loss in losses]
 
 
 def train(config: TrainConfig, corpus: Corpus, timeline) -> TrainResult:
@@ -295,26 +339,21 @@ def train(config: TrainConfig, corpus: Corpus, timeline) -> TrainResult:
             batch = [instances[i] for i in order[start:start + config.batch_size]]
             optimizer.zero_grads()
             batch_scored = 0
-            for instance in batch:
-                prepared = _instance_score_inputs(instance, corpus.catalog, timeline, config.model)
+            for group in impression_groups(batch):
+                prepared = _group_score_inputs(group, corpus.catalog, timeline, config.model)
                 if prepared is None:
                     continue
-                hist, candidates, feats, pos_slot = prepared
                 with ad.ComputationRecord() as record:
-                    scores = model.score_impression(hist, candidates, feats,
-                                                    mode=config.mode)
-                    pos = scores[pos_slot]
-                    negs = scores[:pos_slot] + scores[pos_slot + 1:]
-                    loss = instance_loss(pos, negs)
-                loss_value = float(loss.data.reshape(()))
-                if not math.isfinite(loss_value):
+                    loss, loss_values = group_loss(model, *prepared, mode=config.mode)
+                if not all(map(math.isfinite, loss_values)):
                     raise TrainingDiverged(
                         f"non-finite loss at step {step}, lr={config.learning_rate}, "
                         f"last op {record.last_op()!r}")
                 record.backward(loss)
-                loss_sum += loss_value
-                loss_count += 1
-                batch_scored += 1
+                del record  # one group's graph alive at a time
+                loss_sum = sum(loss_values, loss_sum)
+                loss_count += len(loss_values)
+                batch_scored += len(loss_values)
             if batch_scored == 0:
                 continue
             if batch_scored > 1:

@@ -23,11 +23,11 @@ per-candidate loop then reads only history-sized tensors and
 the folded values, the filter-bank relu, the local half of the merge and
 the pooling.
 
-The pooling is candidate-aware only through ``merged``: the candidate term
-and bias of a score ``[merged_j | cand] . pool_w + pool_b`` are the same
-for every click j and cancel in the softmax, so they are not computed
-(``pool_w`` and ``pool_b`` keep their shapes for checkpoints).  CAUM puts
-a tanh before the pooling query, which would make that term matter.
+The pooling is candidate-aware only through ``merged``: its score is
+``merged_j . pool_w``.  A candidate term or a bias would add the same
+amount to every click j and cancel in the softmax, so the model has
+neither.  CAUM puts a tanh before the pooling query, which would make a
+candidate term matter.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ class History(NamedTuple):
     scores: ad.Tensor   # (M, heads*M) click-query half of every head's scores
     values: ad.Tensor   # (heads*M, d_aug), row h*M + j is row j times out_w_h times merge_att_w_h
     local: ad.Tensor    # (M, d_aug) filter-bank pre-activation of the click windows
-    pool_w: ad.Tensor   # (d_aug, 1) click half of the pooling weights
 
 
 class UserEncoder:
@@ -82,15 +81,15 @@ class UserEncoder:
         self.merge_local_w, self.merge_att_w = row_blocks(
             xav(2 * d_aug, d_aug), d_aug, "user.merge_local_w", "user.merge_att_w")
         self.merge_b = ad.parameter(np.zeros(d_aug, dtype=self.dtype), name="user.merge_b")
-        self.pool_w = ad.parameter(xav(2 * d_aug, 1), name="user.pool_w")
-        self.pool_b = ad.parameter(np.zeros(1, dtype=self.dtype), name="user.pool_b")
+        # The top half of a [merged | cand] draw, so later draws stay the same.
+        self.pool_w = ad.parameter(xav(2 * d_aug, 1)[:d_aug].copy(), name="user.pool_w")
         self.gate_w = ad.parameter(xav(d_aug, 1), name="user.gate_w")
         self.gate_b = ad.parameter(np.zeros(1, dtype=self.dtype), name="user.gate_b")
 
     def parameters(self):
         return {p.name: p for p in (self.q_hist, self.q_cand, self.cnn_window_w, self.cnn_cand_w,
                                     self.cnn_b, self.merge_local_w, self.merge_att_w,
-                                    self.merge_b, self.pool_w, self.pool_b, self.gate_w,
+                                    self.merge_b, self.pool_w, self.gate_w,
                                     self.gate_b, self.rel_heads, self.out_w)}
 
     # -- representation assembly ------------------------------------------
@@ -108,8 +107,7 @@ class UserEncoder:
         return History(keys, ad.matmul(ad.matmul(rows, self.q_hist), keys),
                        ad.reshape(values, (heads * m, self.d_aug)),
                        ad.affine(ad.sliding_window_concat(rows, self.cnn_window),
-                                 self.cnn_window_w, self.cnn_b),
-                       ad.slice_(self.pool_w, rows=slice(0, self.d_aug)))
+                                 self.cnn_window_w, self.cnn_b))
 
     def candidate_terms(self, history: History,
                         cands: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
@@ -122,7 +120,7 @@ class UserEncoder:
         scores, local = self.candidate_terms(history, cands)
         rows = [slice(i, i + 1) for i in range(cands.shape[0])]
         return ad.concat([self.user_embedding(
-            history, self.candidate_aware_self_attention(history, ad.slice_(scores, rows=r)),
+            self.candidate_aware_self_attention(history, ad.slice_(scores, rows=r)),
             self.candidate_aware_cnn(history, ad.slice_(local, rows=r))) for r in rows], axis=0)
 
     # -- context paths ------------------------------------------------------
@@ -146,8 +144,7 @@ class UserEncoder:
 
     # -- pooling and scoring -------------------------------------------------
 
-    def user_embedding(self, history: History, attention_ctx: ad.Tensor,
-                       local_ctx: ad.Tensor) -> ad.Tensor:
+    def user_embedding(self, attention_ctx: ad.Tensor, local_ctx: ad.Tensor) -> ad.Tensor:
         """Attentive pooling of merged per-click vectors into (1, d_aug).
 
         ``attention_ctx`` has already passed the attention rows of the merge,
@@ -155,16 +152,19 @@ class UserEncoder:
         """
         merged = ad.relu(ad.add(ad.affine(local_ctx, self.merge_local_w, self.merge_b),
                                 attention_ctx))
-        alpha = ad.softmax(ad.matmul(merged, history.pool_w), axis=0)
+        alpha = ad.softmax(ad.matmul(merged, self.pool_w), axis=0)
         return ad.matmul(ad.transpose(alpha), merged)
 
     def interest_score(self, cands: ad.Tensor, users: ad.Tensor,
                        relevance_score: ad.Tensor) -> ad.Tensor:
-        """(C, 1) convex mix of each user-candidate dot product and its relevance score."""
+        """(C, 1) convex mix of each user-candidate dot product and its relevance score.
+
+        eta.raw + (1 - eta).rel is computed as rel + eta.(raw - rel).
+        """
         raw = self.preliminary_interest(cands, users)
         eta = ad.sigmoid(ad.affine(users, self.gate_w, self.gate_b))
-        return ad.add(ad.mul(eta, raw),
-                      ad.mul(ad.add_scalar(ad.scale(eta, -1.0), 1.0), relevance_score))
+        return ad.add(relevance_score,
+                      ad.mul(eta, ad.add(raw, ad.scale(relevance_score, -1.0))))
 
     def preliminary_interest(self, cands: ad.Tensor, users: ad.Tensor) -> ad.Tensor:
         """(C, 1) ungated dot products of candidate row i with user row i."""

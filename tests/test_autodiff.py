@@ -179,6 +179,20 @@ class TestBackward:
         expected[4] = 1.0
         assert np.array_equal(table.grad, expected)
 
+    @pytest.mark.parametrize("ids", [[3, 0, 3, 5, 0, 3], [5, 4, 2, 1], [2], []])
+    def test_embedding_grad_matches_one_hot_matmul(self, ids):
+        # Repeated, unsorted and empty ids: the sorted, segment-summed
+        # scatter equals the gradient of one_hot(ids) @ table.
+        rng = np.random.default_rng(1)
+        table = p64(rng.normal(size=(7, 4)))
+        weights = c64(rng.normal(size=(len(ids), 4)))
+        with ad.ComputationRecord() as rec:
+            loss = ad.sum_(ad.mul(ad.embedding_lookup(table, ids), weights))
+        rec.backward(loss)
+        one_hot = np.eye(7)[np.asarray(ids, dtype=np.int64)].reshape(len(ids), 7)
+        assert table.grad.shape == (7, 4)
+        assert np.allclose(table.grad, one_hot.T @ weights.data, rtol=0, atol=1e-12)
+
     def test_nested_record_rejected(self):
         with ad.ComputationRecord():
             with pytest.raises(RuntimeError):

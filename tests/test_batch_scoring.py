@@ -63,25 +63,6 @@ def test_no_candidates_no_scores(setup, mode):
         assert model.score_impression(hist, [], feats, mode=mode) == []
 
 
-def test_pooling_candidate_half_and_bias_cannot_change_scores(setup):
-    # The softmax over clicks cancels the pooling's candidate term and bias.
-    model, a, feats = setup
-    candidates = [a[6], a[7], a[8], a[1]]
-
-    def every_score():
-        return [_scores(model, hist, candidates, feats, mode)
-                for hist in _histories(a).values() for mode in MODES]
-
-    before = every_score()
-    pool_w, pool_b = model.user.pool_w.data.copy(), model.user.pool_b.data.copy()
-    try:
-        model.user.pool_w.data[model.user.d_aug:] += 5.0
-        model.user.pool_b.data[:] += 3.0
-        assert every_score() == before
-    finally:
-        model.user.pool_w.data, model.user.pool_b.data = pool_w, pool_b
-
-
 def test_batched_loss_grad_check():
     # Every parameter, the news encoder included.  Its gradients here are
     # 1e-10 to 1e-8, and float64 finite differences carry noise of about

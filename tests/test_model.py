@@ -1,0 +1,62 @@
+"""``ModelConfig`` refuses a bad field by name, before any encoder is built."""
+
+import numpy as np
+import pytest
+
+from avoidrec.model import ModelConfig, recent_history
+
+DIMENSIONS = ("d_word", "d_news", "n_heads", "d_att", "d_cat", "d_ent", "max_title_len",
+              "dim_ue", "grid_d", "d_time", "user_heads")
+
+
+def test_defaults_are_valid():
+    ModelConfig()
+    for dtype in ("float32", "float64"):
+        assert ModelConfig(dtype=dtype).numpy_dtype() == np.dtype(dtype)
+
+
+@pytest.mark.parametrize("name", DIMENSIONS)
+@pytest.mark.parametrize("value", [0, -2, 2.5, True, "8"])
+def test_dimensions_must_be_positive_integers(name, value):
+    with pytest.raises(ValueError, match=name):
+        ModelConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["cnn_window", "max_history"])
+def test_window_and_history_may_be_zero_but_not_negative(name):
+    ModelConfig(**{name: 0})
+    with pytest.raises(ValueError, match=name):
+        ModelConfig(**{name: -3})
+
+
+def test_heads_must_divide_their_widths():
+    with pytest.raises(ValueError, match="n_heads"):
+        ModelConfig(d_news=256, n_heads=7)
+    with pytest.raises(ValueError, match="user_heads"):
+        ModelConfig(d_news=256, dim_ue=32, user_heads=5)
+    ModelConfig(d_news=256, dim_ue=32, user_heads=9)  # 288 = 9 * 32
+
+
+@pytest.mark.parametrize("dtype", ["float16", "int32", "bogus", None])
+def test_dtype_must_be_a_float_width_the_model_runs_in(dtype):
+    with pytest.raises(ValueError, match="dtype"):
+        ModelConfig(dtype=dtype)
+
+
+@pytest.mark.parametrize("name", ["use_entities", "word_trainable"])
+def test_switches_must_be_bools(name):
+    with pytest.raises(ValueError, match=name):
+        ModelConfig(**{name: 1})
+
+
+def test_from_dict_validates():
+    with pytest.raises(ValueError, match="max_history"):
+        ModelConfig.from_dict({"max_history": -1})
+
+
+def test_recent_history_keeps_the_newest_items():
+    items = ["a", "b", "c", "d"]
+    assert recent_history(items, 2) == ["c", "d"]
+    assert recent_history(items, 9) == items
+    assert recent_history(items, 0) == []
+    assert recent_history([], 3) == []

@@ -131,3 +131,31 @@ class TestEncodeNews:
         assert batch.shape == (4, 8)
         for row, art in zip(batch, arts):
             assert np.allclose(row, enc.encode_news([art]).data[0], atol=1e-12)
+
+
+class TestFusedProjection:
+    def test_wqkv_holds_the_query_key_value_draws_in_order(self):
+        enc = make_encoder(seed=4)
+        rng = np.random.default_rng(4)
+        rng.uniform(-0.1, 0.1, size=(12, 8))  # word embeddings
+        draws = [ad.xavier_uniform(rng, 8, 8, dtype=np.float64) for _ in range(3)]
+        assert np.array_equal(enc.wqkv.data, np.concatenate(draws, axis=1))
+        assert np.array_equal(enc.att_w.data, ad.xavier_uniform(rng, 8, 6, dtype=np.float64))
+
+    def test_projecting_distinct_tokens_matches_per_position_attention(self):
+        # Tokens recur within and across titles; projecting each distinct
+        # token once and gathering must equal projecting every position.
+        enc = make_encoder(seed=2)
+        tokens = np.array([[5, 7, 5, 0], [7, 3, 0, 0], [9, 9, 9, 5]])
+        mask = tokens != 0
+        got = enc._contextualize(tokens, mask).data.reshape(3, 4, 8)
+        x = enc.word_emb.data[tokens]
+        q, k, v = (x @ w for w in np.split(enc.wqkv.data, 3, axis=1))
+        for t in range(3):
+            for h in range(enc.n_heads):
+                cols = slice(h * enc.d_head, (h + 1) * enc.d_head)
+                scores = q[t, :, cols] @ k[t, :, cols].T
+                scores = np.where(mask[t][None, :], scores, -np.inf)
+                weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+                weights /= weights.sum(axis=1, keepdims=True)
+                assert np.allclose(got[t, :, cols], weights @ v[t, :, cols], rtol=0, atol=1e-12)

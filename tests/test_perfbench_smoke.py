@@ -17,12 +17,19 @@ from pathlib import Path
 
 import pytest
 
+from avoidrec import autodiff, model, training
+
 ROOT = Path(__file__).resolve().parent.parent
 
 # autodiff ops recorded per training instance (K=4, so 5 candidates) on the
-# train smoke run; it was 310 while every candidate ran its own relevance,
-# gate and candidate projections.
-TRAIN_OPS_PER_INSTANCE = 171
+# train smoke run, where no batch holds two instances of one impression.
+# Running relevance, the gate or the candidate projections once per
+# candidate instead of once per impression would take it far above this.
+TRAIN_OPS_PER_INSTANCE = 170
+
+# The same count on train smoke slot 0, where each batch's two instances
+# come from one impression and share one graph (106.5 measured).
+SHARED_IMPRESSION_OPS_PER_INSTANCE = 107
 
 # Peak MB of build_timeline on the ingest smoke log (480 records, 1000
 # articles, 48 buckets): per-bucket dict copies of the counters took
@@ -73,3 +80,36 @@ def test_train_graph_size():
 
 def test_ingest_timeline_memory_grows_with_events():
     assert metric("ingest", "stats.build_timeline.peak_mb") <= TIMELINE_PEAK_MB
+
+
+def test_instances_of_one_impression_share_one_graph(tmp_path, monkeypatch):
+    # Ops recorded over instances scored, counted directly on train smoke
+    # slot 0: two steps of two instances, each step's pair from one impression.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    ops, scored, losses = [], [], []
+    backward = autodiff.ComputationRecord.backward
+    score_impression = model.AvoidanceAwareRanker.score_impression
+    instance_loss = training.instance_loss
+
+    def counted_backward(record, loss):
+        ops.append(len(record.entries))
+        return backward(record, loss)
+
+    def counted_score_impression(self, *args, **kwargs):
+        scored.append(len(args[1]))
+        return score_impression(self, *args, **kwargs)
+
+    def counted_instance_loss(*args):
+        losses.append(instance_loss(*args))
+        return losses[-1]
+
+    monkeypatch.setattr(autodiff.ComputationRecord, "backward", counted_backward)
+    monkeypatch.setattr(model.AvoidanceAwareRanker, "score_impression", counted_score_impression)
+    monkeypatch.setattr(training, "instance_loss", counted_instance_loss)
+    workload = workloads.Train(0, True, tmp_path, None)
+    workload._train(workload.setup())
+    assert len(losses) == workload.steps * workload.batch_size == 4
+    assert len(ops) == len(scored) == 2
+    assert sum(ops) / len(losses) <= SHARED_IMPRESSION_OPS_PER_INSTANCE

@@ -6,13 +6,13 @@ import pytest
 import avoidrec.autodiff as ad
 from avoidrec.corpus import ImpressionLog, ImpressionRecord, parse_news_file
 from avoidrec.metrics import evaluate
-from avoidrec.model import AvoidanceAwareRanker, ModelConfig, VocabSizes
+from avoidrec.model import MODES, AvoidanceAwareRanker, ModelConfig, VocabSizes
 from avoidrec.stats import build_timeline
 from avoidrec.synthetic import SyntheticSpec, generate, write_mind_files
 from avoidrec.training import (Adam, Corpus, TrainConfig, TrainingDiverged,
-                               TrainingInstance, _instance_score_inputs,
-                               build_training_instances, instance_loss,
-                               sample_negatives, train)
+                               TrainingInstance, _group_score_inputs,
+                               build_training_instances, group_loss, impression_groups,
+                               instance_loss, sample_negatives, train)
 from conftest import make_articles, tiny_config
 
 
@@ -279,9 +279,95 @@ def test_instance_features_cover_only_the_kept_history():
     instance = TrainingInstance(history=ids[:5] + ["GONE"], positive=ids[5],
                                 negatives=ids[6:], time=1000, order=[2, 0, 1, 3])
     timeline = build_timeline(ImpressionLog([]), 3600)
-    hist, candidates, feats, pos_slot = _instance_score_inputs(
-        instance, articles, timeline, tiny_config(max_history=3))
+    hist, candidates, feats, slots = _group_score_inputs(
+        [instance], articles, timeline, tiny_config(max_history=3))
     assert [a.news_id for a in hist] == ids[2:5]
     assert sorted(feats) == ids[2:5] + ids[5:]
     assert [a.news_id for a in candidates] == [ids[7], ids[5], ids[6], ids[8]]
-    assert pos_slot == 1
+    assert slots == [([0, 1, 2, 3], 1)]
+
+
+class TestImpressionGroups:
+    def setup_batch(self):
+        """A tiny float64 model, its catalog and a batch over two impressions.
+
+        Impression 0 has one negative for K=2, so both its instances hold
+        that negative twice (sampled with replacement).
+        """
+        articles = make_articles(12)
+        ids = sorted(articles)
+        model = AvoidanceAwareRanker(tiny_config(max_history=4), VocabSizes(12, 3, 5), seed=5)
+        log = ImpressionLog([
+            ImpressionRecord("a", "U1", 5000, ids[:5],
+                             [(ids[5], 1), (ids[6], 0), (ids[7], 1)]),
+            ImpressionRecord("b", "U2", 6000, ids[2:4],
+                             [(ids[8], 0), (ids[9], 1), (ids[10], 0), (ids[11], 0),
+                              (ids[6], 1)]),
+        ])
+        instances, skipped = build_training_instances(log, 2, np.random.default_rng(4))
+        assert skipped == 0 and [i.impression for i in instances] == [0, 0, 1, 1]
+        assert instances[0].negatives == instances[1].negatives == [ids[6], ids[6]]
+        batch = [instances[i] for i in (2, 0, 3, 1)]
+        timeline = build_timeline(log, 3600)
+        return model, articles, timeline, batch
+
+    def test_groups_follow_the_impression_tag(self):
+        _, _, _, batch = self.setup_batch()
+        assert [[i.impression for i in g] for g in impression_groups(batch)] == [[1, 1], [0, 0]]
+        untagged = [TrainingInstance(i.history, i.positive, i.negatives, i.time, i.order)
+                    for i in batch]
+        assert [len(g) for g in impression_groups(untagged)] == [1, 1, 1, 1]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_grouped_step_matches_per_instance_backwards(self, mode):
+        # One backward per group of the summed losses gives the batch loss
+        # and the gradients of one backward per instance.
+        model, articles, timeline, batch = self.setup_batch()
+        params = model.trainable_parameters()
+
+        def step(groups):
+            model.zero_grads()
+            total = 0.0
+            for group in groups:
+                prepared = _group_score_inputs(group, articles, timeline, model.config)
+                with ad.ComputationRecord() as rec:
+                    loss, values = group_loss(model, *prepared, mode=mode)
+                rec.backward(loss)
+                assert float(loss.data[0, 0]) == pytest.approx(sum(values), abs=1e-12)
+                total += sum(values)
+            return total, {name: p.grad.copy() for name, p in params.items()
+                           if p.grad is not None}
+
+        grouped_loss, grouped = step(impression_groups(batch))
+        single_loss, single = step([[i] for i in batch])
+        assert grouped_loss == pytest.approx(single_loss, rel=0, abs=1e-10)
+        assert grouped.keys() == single.keys()
+        for name, grad in single.items():
+            assert np.allclose(grouped[name], grad, rtol=0, atol=1e-10), name
+
+    def test_group_scores_each_distinct_candidate_once(self):
+        model, articles, timeline, batch = self.setup_batch()
+        group = impression_groups(batch)[1]  # impression 0: P1, P2 and one negative
+        _, candidates, _, slots = _group_score_inputs(group, articles, timeline, model.config)
+        assert len(candidates) == 3
+        for instance, (rows, pos_slot) in zip(group, slots):
+            ids = [candidates[r].news_id for r in rows]
+            assert ids[pos_slot] == instance.positive
+            assert sorted(ids[:pos_slot] + ids[pos_slot + 1:]) == sorted(instance.negatives)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_leaf_gradients_share_no_memory(self, mode):
+        # The step divides every gradient in place, so no two leaves may
+        # hold views of one array.
+        model, articles, timeline, batch = self.setup_batch()
+        model.zero_grads()
+        prepared = _group_score_inputs(impression_groups(batch)[0], articles, timeline,
+                                       model.config)
+        with ad.ComputationRecord() as rec:
+            loss, _ = group_loss(model, *prepared, mode=mode)
+        rec.backward(loss)
+        grads = [(n, p.grad) for n, p in model.parameters().items() if p.grad is not None]
+        assert len(grads) > 10
+        for i, (name, grad) in enumerate(grads):
+            for other, other_grad in grads[i + 1:]:
+                assert not np.shares_memory(grad, other_grad), (name, other)

@@ -82,7 +82,7 @@ class TestAugment:
         assert history.scores.data.shape == (2, 4)   # (M, heads*M)
         assert history.values.data.shape == (4, 6)   # (heads*M, d_aug)
         assert history.local.data.shape == (2, 6)
-        assert np.array_equal(history.pool_w.data, enc.pool_w.data[:6])  # the click half
+        assert enc.pool_w.data.shape == (6, 1)  # merged_j . pool_w; no candidate rows, no bias
 
     def test_concat_round_trip(self):
         # Every shared term is built from the [news | engagement] rows; column
@@ -124,6 +124,20 @@ class TestAugment:
         full = model.score_impression(history, candidates, feats)
         recent = model.score_impression(history[-2:], candidates, feats)
         assert [s.data[0, 0] for s in full] == [s.data[0, 0] for s in recent]
+
+    def test_zero_max_history_scores_as_a_cold_user(self):
+        # max_history=0 keeps no click: a 4-click history scores exactly as
+        # an empty one, by the relevance branch alone.
+        model = AvoidanceAwareRanker(tiny_config(max_history=0), VocabSizes(12, 3, 5), seed=1)
+        articles = make_articles(7)
+        ids = sorted(articles)
+        feats = make_features(ids)
+        history = [articles[i] for i in ids[:4]]
+        candidates = [articles[i] for i in ids[4:]]
+        for mode in ("full", "only_rel", "only_avoid"):
+            cold = model.score_impression([], candidates, feats, mode=mode)
+            got = model.score_impression(history, candidates, feats, mode=mode)
+            assert [s.data[0, 0] for s in got] == [s.data[0, 0] for s in cold], mode
 
 
 class TestSelfAttention:
@@ -253,7 +267,7 @@ class TestUserEmbeddingAndScore:
         history, cand = augment(enc, vecs, ues, cand_vec, cand_ue)
         att = enc.candidate_aware_self_attention(history, cand_scores(enc, history, cand))
         loc = enc.candidate_aware_cnn(history, cand_local(enc, cand))
-        u = enc.user_embedding(history, att, loc)
+        u = enc.user_embedding(att, loc)
         assert np.allclose(enc.user_vectors(history, cand).data, u.data, atol=1e-12)
         return u, cand, history, merged_oracle(enc, rows_of(vecs, ues), cand.data, loc.data)
 
@@ -274,7 +288,7 @@ class TestUserEmbeddingAndScore:
             stacked = np.concatenate([windows, np.repeat(cand, 5, axis=0)], axis=1)
             local = np.maximum(stacked @ cnn_w + enc.cnn_b.data, 0)
             merged = merged_oracle(enc, rows, cand, local)
-            scores = merged @ enc.pool_w.data[:enc.d_aug]
+            scores = merged @ enc.pool_w.data
             alpha = np.exp(scores - scores.max())
             alpha /= alpha.sum()
             assert np.allclose(users[i], (alpha.T @ merged)[0], rtol=0, atol=1e-12)
@@ -289,52 +303,27 @@ class TestUserEmbeddingAndScore:
         enc = make_encoder()
         vecs, ues = rand_items(3)
         _, _, history, merged = self._full(enc, vecs, ues, vecs[0], ues[0])
-        alpha = ad.softmax(ad.matmul(ad.constant(merged), history.pool_w), axis=0).data
+        alpha = ad.softmax(ad.matmul(ad.constant(merged), enc.pool_w), axis=0).data
         assert alpha.shape == (3, 1)
         assert alpha.sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_duplicated_rows_tie_and_match_brute_force(self):
         # Duplicated history rows produce identical merged vectors, so
         # their pooling scores tie and alpha splits evenly between them;
-        # the pooled sum must equal a direct numpy recomputation with the
-        # full [merged | cand] pooling input.
+        # the pooled sum must equal a direct numpy recomputation.
         enc = make_encoder(cnn_window=0)
         vecs, ues = rand_items(2)
         dup_vecs = [vecs[0], vecs[1], vecs[1]]
         dup_ues = [ues[0], ues[1], ues[1]]
-        u, cand, _, merged = self._full(enc, dup_vecs, dup_ues, vecs[0], ues[0])
+        u, _, _, merged = self._full(enc, dup_vecs, dup_ues, vecs[0], ues[0])
 
         assert np.allclose(merged[1], merged[2], atol=1e-12)
-        scores = (np.concatenate([merged, np.repeat(cand.data, 3, axis=0)], axis=1)
-                  @ enc.pool_w.data + enc.pool_b.data).ravel()
+        scores = (merged @ enc.pool_w.data).ravel()
         assert scores[1] == pytest.approx(scores[2], abs=1e-12)
         weights = np.exp(scores - scores.max())
         weights /= weights.sum()
         assert weights[1] == pytest.approx(weights[2], rel=1e-12)
         assert np.allclose(u.data, (weights[None, :] @ merged), atol=1e-12)
-
-    def test_pooling_ignores_candidate_half_and_bias(self):
-        # A pooling score [merged_j | cand] . pool_w + pool_b adds the same
-        # term to every click j and the softmax over clicks cancels it: the
-        # pooling is candidate-aware only through merged.  The full formula,
-        # with that half of pool_w and pool_b shifted, is the oracle.
-        enc = make_encoder()
-        vecs, ues = rand_items(4)
-        cv, cu = rand_items(2, seed=12)
-        history, cands = augment(enc, vecs, ues, ad.concat(cv, axis=0), ad.concat(cu, axis=0))
-        before = enc.user_vectors(history, cands).data
-        enc.pool_w.data[6:] += 5.0
-        enc.pool_b.data[:] += 3.0
-        _, local = enc.candidate_terms(history, cands)
-        for i in range(2):
-            row = slice(i, i + 1)
-            merged = merged_oracle(enc, rows_of(vecs, ues), cands.data[row],
-                                   enc.candidate_aware_cnn(history, ad.slice_(local, rows=row)).data)
-            scores = (np.concatenate([merged, np.repeat(cands.data[row], 4, axis=0)], axis=1)
-                      @ enc.pool_w.data + enc.pool_b.data).ravel()
-            weights = np.exp(scores - scores.max())
-            assert np.allclose(before[i], weights / weights.sum() @ merged, atol=1e-12)
-        assert np.array_equal(enc.user_vectors(history, cands).data, before)
 
     def test_history_window_cannot_change_scores(self):
         # A history shorter than max_history is never padded: the window
@@ -408,6 +397,9 @@ class TestUserEmbeddingAndScore:
         assert np.array_equal(enc.cnn_cand_w.data, cnn_w[18:])
         assert np.array_equal(enc.merge_local_w.data, merge_w[:6])
         assert np.array_equal(enc.merge_att_w.data, merge_w[6:])
+        # The pooling keeps the click half of its [merged | cand] draw.
+        assert np.array_equal(enc.pool_w.data, ad.xavier_uniform(rng, 12, 1, dtype=np.float64)[:6])
+        assert np.array_equal(enc.gate_w.data, ad.xavier_uniform(rng, 6, 1, dtype=np.float64))
 
 
 def user_parameter_reads(n_candidates):
@@ -428,13 +420,15 @@ def user_parameter_reads(n_candidates):
 
 
 def test_candidate_loop_reads_only_merge_local_w():
-    # Each added candidate adds exactly one op that reads a user-encoder
-    # parameter, the local half of the merge, and no per-candidate op reads
-    # a weight wider than d_aug rows (the unsplit filter bank and merge were).
+    # Each added candidate adds exactly two ops that read a user-encoder
+    # parameter: the local half of the merge and the (d_aug, 1) pooling
+    # column.  No per-candidate op reads a weight wider than d_aug rows (the
+    # unsplit filter bank and merge were).
     two, _ = user_parameter_reads(2)
     six, model = user_parameter_reads(6)
-    assert sum(six.values()) - sum(two.values()) == 4
+    assert sum(six.values()) - sum(two.values()) == 8
     grown = six - two
-    assert grown == Counter({("affine", ("user.merge_b", "user.merge_local_w")): 4})
+    assert grown == Counter({("affine", ("user.merge_b", "user.merge_local_w")): 4,
+                             ("matmul", ("user.pool_w",)): 4})
     params = model.user.parameters()
     assert all(params[name].shape[0] <= model.user.d_aug for _, names in grown for name in names)
