@@ -11,6 +11,11 @@ axes of ``matmul``; every other op requires exact shape agreement and
 raises ShapeError otherwise.  Each thread (or asyncio task) has its own
 active record, so concurrent callers record separate graphs.  Training
 runs in float32; float64 exists for gradient checking.
+
+Leaf gradients accumulate in place.  On a record made with
+``factored=True``, the gradient of a weight used only in 2-D products can
+stay as its factors (``Outer``) across several backward passes, so a
+batch of several graphs multiplies it out once (``densify``).
 """
 
 from __future__ import annotations
@@ -81,13 +86,64 @@ class _Entry:
 _ACTIVE_RECORD = contextvars.ContextVar("active_record", default=None)
 
 
-class ComputationRecord:
-    """Ordered log of executed ops; context manager activates it for this context."""
+class Outer:
+    """A 2-D gradient kept as factors: the sum over i of ``a[i].T @ b[i]``.
 
-    def __init__(self):
+    ``matmul`` and ``affine`` hand back their 2-D operands' gradients in
+    this form.  The uses of one leaf are merged, and ``dense`` multiplies
+    all their rows out in one product instead of one product and one add
+    per use.  Only leaves receive an ``Outer``: every other adjoint is made
+    dense before an op's backward reads it.
+    """
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: np.ndarray, b: np.ndarray):
+        self.a, self.b = [a], [b]
+
+    @property
+    def shape(self):
+        return (self.a[0].shape[1], self.b[0].shape[1])
+
+    def merge(self, other: "Outer") -> "Outer":
+        self.a += other.a
+        self.b += other.b
+        return self
+
+    def owned(self) -> "Outer":
+        """The same sum over copies of the factors, so later writes elsewhere cannot change it."""
+        return Outer(np.concatenate(self.a), np.concatenate(self.b))
+
+    def smaller_than_dense(self) -> bool:
+        m, n = self.shape
+        return sum(len(a) for a in self.a) * (m + n) < m * n
+
+    def dense(self) -> np.ndarray:
+        if len(self.a) == 1:
+            return self.a[0].T @ self.b[0]
+        return np.concatenate(self.a).T @ np.concatenate(self.b)
+
+
+def densify(tensors):
+    """Turn every factored ``grad`` among ``tensors`` into an array (see ``backward``)."""
+    for t in tensors:
+        if isinstance(t.grad, Outer):
+            t.grad = t.grad.dense()
+
+
+class ComputationRecord:
+    """Ordered log of executed ops; context manager activates it for this context.
+
+    A ``factored`` record's ``backward`` may leave 2-D weight gradients as
+    ``Outer`` factors (see ``backward``).
+    """
+
+    def __init__(self, factored: bool = False):
+        self.factored = factored
         self.entries: list[_Entry] = []
         self._produced: set[int] = set()
         self._leaves: dict[int, Tensor] = {}
+        self._first_use: dict[int, int] = {}  # leaf id -> index of its first entry
         self._token = None
 
     def __enter__(self):
@@ -106,8 +162,9 @@ class ComputationRecord:
 
     def _append(self, op, inputs, out, backward_fn):
         for t in inputs:
-            if t.requires_grad and id(t) not in self._produced:
+            if t.requires_grad and id(t) not in self._produced and id(t) not in self._leaves:
                 self._leaves[id(t)] = t
+                self._first_use[id(t)] = len(self.entries)
         self.entries.append(_Entry(op, inputs, out, backward_fn))
         self._produced.add(id(out))
 
@@ -117,32 +174,88 @@ class ComputationRecord:
     def backward(self, loss: Tensor):
         """Populate ``grad`` on every leaf reachable on this record.
 
-        Gradients accumulate into existing ``grad`` arrays (callers zero
-        them between batches); leaves recorded but not on any path to the
-        loss receive zeros.
+        Gradients accumulate in place into existing ``grad`` arrays (callers
+        zero them between batches); leaves recorded but not on any path to
+        the loss receive zeros.  A leaf's adjoint is complete once its first
+        entry has been replayed, and it is added to ``grad`` right then, so
+        the leaf adjoints of the whole graph are never alive together.  A
+        ``grad`` this sets owns its memory and shares it with no other leaf.
+
+        On a ``factored`` record, a leaf whose gradient so far comes only
+        from 2-D products keeps it as an ``Outer`` while its factors are
+        smaller than the dense array, merged across backward passes;
+        ``densify`` turns it into an array.  A batch of several graphs then
+        multiplies each such weight gradient out once.
         """
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
+        complete = {}
+        for key, n in self._first_use.items():
+            complete.setdefault(n, []).append(self._leaves[key])
         adjoint = {id(loss): np.ones_like(loss.data)}
-        for entry in reversed(self.entries):
+        summed = set()  # adjoints that are sums made here, so no one else holds them
+        assigned = set()
+        for n in range(len(self.entries) - 1, -1, -1):
+            entry = self.entries[n]
             g = adjoint.pop(id(entry.out), None)
-            if g is None:
-                continue
-            for t, gt in zip(entry.inputs, entry.backward_fn(g)):
-                if gt is None:
-                    continue
-                if not (t.requires_grad or id(t) in self._produced):
-                    continue
-                key = id(t)
-                if key in adjoint:
-                    adjoint[key] = adjoint[key] + gt
-                else:
-                    adjoint[key] = gt
-        for key, leaf in self._leaves.items():
-            g = adjoint.get(key)
-            if g is None:
-                g = np.zeros_like(leaf.data)
-            leaf.grad = g if leaf.grad is None else leaf.grad + g
+            if g is not None:
+                for t, gt in zip(entry.inputs, entry.backward_fn(g)):
+                    if gt is None:
+                        continue
+                    if not (t.requires_grad or id(t) in self._produced):
+                        continue
+                    key = id(t)
+                    if isinstance(gt, Outer) and key not in self._leaves:
+                        gt = gt.dense()
+                    prev = adjoint.get(key)
+                    if prev is None:
+                        adjoint[key] = gt
+                    elif isinstance(prev, Outer) and isinstance(gt, Outer):
+                        prev.merge(gt)
+                    else:
+                        if isinstance(prev, Outer):
+                            prev = adjoint[key] = prev.dense()
+                            summed.add(key)
+                        if isinstance(gt, Outer):
+                            gt = gt.dense()
+                        if key in summed:
+                            prev += gt
+                        else:
+                            adjoint[key] = prev + gt
+                            summed.add(key)
+            for leaf in complete.get(n, ()):
+                _accumulate(leaf, adjoint.pop(id(leaf), None), assigned, self.factored)
+
+
+def _accumulate(leaf: Tensor, g, assigned: set, factored: bool):
+    """Add the adjoint ``g`` (None: zeros) into ``leaf.grad`` in place.
+
+    A first gradient that is a view, or an array already given to another
+    leaf (``assigned`` holds their ids), is copied so that later in-place
+    adds touch this leaf alone.  With ``factored``, an ``Outer`` joins a
+    factored ``grad`` (or starts one) while that stays smaller than dense.
+    """
+    fresh = False
+    if isinstance(g, Outer):
+        if factored and (leaf.grad is None or isinstance(leaf.grad, Outer)):
+            kept = g.owned() if leaf.grad is None else leaf.grad.merge(g.owned())
+            if kept.smaller_than_dense():
+                leaf.grad = kept
+                return
+            leaf.grad, g = None, kept
+        g, fresh = g.dense(), True
+    if leaf.grad is not None:
+        if g is not None:
+            if isinstance(leaf.grad, Outer):
+                leaf.grad = leaf.grad.dense()
+            leaf.grad += g
+        return
+    if g is None:
+        g = np.zeros_like(leaf.data)
+    elif not fresh and (g.base is not None or id(g) in assigned):
+        g = g.copy()
+    assigned.add(id(g))
+    leaf.grad = g
 
 
 def _record(op, inputs, out_data, backward_fn):
@@ -212,6 +325,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: incompatible shapes {x.shape} and {y.shape}") from None
 
     def backward_fn(g):
+        if x.ndim == 2 and y.ndim == 2:
+            return (Outer(g.T, y.T), Outer(x, g))
         return (_unbroadcast(g @ np.swapaxes(y, -1, -2), x.shape),
                 _unbroadcast(np.swapaxes(x, -1, -2) @ g, y.shape))
 
@@ -339,29 +454,153 @@ def softmax(a: Tensor, axis: int, mask: np.ndarray | None = None) -> Tensor:
     return _record("softmax", (a,), y, backward_fn)
 
 
-def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Gather rows of ``table``; gradient scatter-adds into the looked-up rows.
+# Largest (repeated rows x their positions) one-hot matrix a gather's backward builds.
+ONE_HOT_MAX_ELEMENTS = 1 << 20
 
-    The backward sorts the ids (stably) and sums each id's run of gradient
-    rows with one ``np.add.reduceat``, then writes each touched row once.
+
+class _RowScatter:
+    """Sums gradient rows gathered by ``ids`` back into the rows they came from.
+
+    Distinct ids write their rows straight into place, and so do the ids
+    met once among repeated ones.  Repeated ids are summed by one product
+    with a (repeated rows, their positions) one-hot matrix, or, when that
+    matrix would be large, by a stable sort and ``np.add.reduceat`` over
+    each id's run.
     """
+
+    def __init__(self, ids: np.ndarray, dtype):
+        self.ids = ids
+        touched, run, counts = np.unique(ids, return_inverse=True, return_counts=True)
+        self.distinct = len(touched) == len(ids)
+        if self.distinct:
+            return
+        once = counts[run] == 1
+        self.single = np.flatnonzero(once)
+        self.repeated = np.flatnonzero(~once)
+        shared = counts > 1
+        self.rows = touched[shared]
+        rep_run = (np.cumsum(shared) - 1)[run[self.repeated]]
+        self.one_hot = self.starts = None
+        if len(self.rows) * len(self.repeated) <= ONE_HOT_MAX_ELEMENTS:
+            self.one_hot = np.zeros((len(self.rows), len(self.repeated)), dtype=dtype)
+            self.one_hot[rep_run, np.arange(len(self.repeated))] = 1
+        else:
+            order = np.argsort(rep_run, kind="stable")
+            self.repeated = self.repeated[order]
+            self.starts = np.flatnonzero(np.diff(rep_run[order], prepend=-1))
+
+    def write(self, out: np.ndarray, g: np.ndarray):
+        """Set ``out`` (R, B, w) rows from ``g`` (B, n, w), summed over positions.
+
+        Rows no id names are left as they are.
+        """
+        if self.distinct:
+            out[self.ids] = g.transpose(1, 0, 2)
+            return
+        if len(self.single):
+            out[self.ids[self.single]] = g[:, self.single].transpose(1, 0, 2)
+            g = g[:, self.repeated]
+        elif self.starts is not None:
+            g = g[:, self.repeated]
+        sums = (self.one_hot @ g if self.one_hot is not None
+                else np.add.reduceat(g, self.starts, axis=1))
+        out[self.rows] = sums.transpose(1, 0, 2)
+
+
+def _check_ids(op, ids: np.ndarray, n_rows: int):
+    if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
+        raise IndexError(f"{op}: id outside [0, {n_rows})")
+
+
+def embedding_lookup(table: Tensor, ids) -> Tensor:
+    """Gather rows of ``table``; gradient scatter-adds into the looked-up rows."""
     _need_2d("embedding_lookup", table)
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 1:
         raise ShapeError(f"embedding_lookup: ids must be 1-D, got shape {ids.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
-        raise IndexError(f"embedding_lookup: id outside [0, {table.data.shape[0]})")
+    _check_ids("embedding_lookup", ids, table.data.shape[0])
 
     def backward_fn(g):
         gt = np.zeros_like(table.data)
-        if ids.size:
-            order = np.argsort(ids, kind="stable")
-            sorted_ids = ids[order]
-            starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
-            gt[sorted_ids[starts]] = np.add.reduceat(g[order], starts, axis=0)
+        _RowScatter(ids, g.dtype).write(gt[:, None], g[None])
         return (gt,)
 
     return _record("embedding_lookup", (table,), table.data[ids], backward_fn)
+
+
+def _fold_last(ufunc, x: np.ndarray) -> np.ndarray:
+    """``ufunc`` reduced over the last axis (kept, as length 1), one slice at a time.
+
+    Much faster than ``ufunc.reduce`` along a short last axis, which pays
+    a fixed cost per row.
+    """
+    out = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        ufunc(out, x[..., j], out=out)
+    return out[..., None]
+
+
+def multi_head_attention(table: Tensor, ids, mask, n_heads: int) -> Tensor:
+    """Masked multi-head self-attention within each of N sequences of L positions.
+
+    Row r of ``table`` (R, 3 d) holds a query, a key and a value side by
+    side, each split into ``n_heads`` heads of d / n_heads columns; position
+    (i, j) reads row ``ids[i, j]``.  ``mask`` (N, L) marks the real
+    positions, and a position attends to the real positions of its own
+    sequence by softmax(q . k) over them.  Returns the (N*L, d) per-position
+    outputs, heads side by side.  Per-position queries, keys and values are
+    kept for the backward only while a record tracks ``table``; otherwise
+    each is dropped once used.
+    """
+    _need_2d("multi_head_attention", table)
+    ids = np.asarray(ids, dtype=np.int64)
+    mask = np.asarray(mask, dtype=bool)
+    if ids.ndim != 2 or mask.shape != ids.shape or table.data.shape[1] % (3 * n_heads):
+        raise ShapeError(f"multi_head_attention: ids {ids.shape} and mask {mask.shape} do not "
+                         f"index a table {table.data.shape} of 3 x {n_heads} heads")
+    _check_ids("multi_head_attention", ids, table.data.shape[0])
+    if not mask.any(axis=1).all():
+        raise ShapeError("multi_head_attention: a sequence has no unmasked position")
+    n, length = ids.shape
+    d = table.data.shape[1] // 3
+    d_head = d // n_heads
+    # (3, heads, R, d_head): part i (query, key, value) of every row, per head.
+    parts = table.data.reshape(-1, 3, n_heads, d_head).transpose(1, 2, 0, 3)
+    rec = _ACTIVE_RECORD.get()
+    keep = rec is not None and rec._tracks(table)
+
+    # Everything per position is laid out (heads, N, L, .).
+    q, k = parts[0][:, ids], parts[1][:, ids]
+    attn = q @ k.swapaxes(2, 3)
+    saved = (q, k) if keep else ()
+    del q, k
+    np.copyto(attn, table.data.dtype.type(-np.inf), where=~mask[None, :, None, :])
+    attn -= _fold_last(np.maximum, attn)
+    np.exp(attn, out=attn)
+    attn /= _fold_last(np.add, attn)
+    v = parts[2][:, ids]
+    out = (attn @ v).transpose(1, 2, 0, 3).reshape(n * length, d)
+    saved += (v,) if keep else ()
+    del v
+
+    def backward_fn(g):
+        q, k, v = saved
+        g = g.reshape(n, length, n_heads, d_head).transpose(2, 0, 1, 3)
+        d_scores = g @ v.swapaxes(2, 3)  # d attn, then d scores in place
+        d_scores -= _fold_last(np.add, d_scores * attn)
+        d_scores *= attn
+        # Per position its query, key and value gradients side by side, as
+        # the table lays them out, so one scatter sums every part.
+        per_position = np.empty((n, length, 3, n_heads, d_head), dtype=g.dtype)
+        for i, (x, y) in enumerate(((d_scores, k), (d_scores.swapaxes(2, 3), q),
+                                    (attn.swapaxes(2, 3), g))):
+            np.matmul(x, y, out=per_position[:, :, i].transpose(2, 0, 1, 3))
+        gt = np.zeros_like(table.data)
+        _RowScatter(ids.reshape(-1), g.dtype).write(
+            gt[:, None], per_position.reshape(1, n * length, 3 * d))
+        return (gt,)
+
+    return _record("multi_head_attention", (table,), out, backward_fn)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -373,7 +612,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out = x.data @ w.data + b.data
 
     def backward_fn(g):
-        return (g @ w.data.T, x.data.T @ g, g.sum(axis=0))
+        return (g @ w.data.T, Outer(x.data, g), g.sum(axis=0))
 
     return _record("affine", (x, w, b), out, backward_fn)
 

@@ -12,9 +12,10 @@ by a final dense layer into the news vector.
 The query, key and value projections are one matrix ``wqkv`` of shape
 (d_word, 3 d_news).  A token's projection does not depend on its position,
 so each distinct token of the batch (pad included) is embedded and
-projected once, and the query, key and value rows are gathered per
-position from that small table: a batch of 53 titles holds about 80
-distinct ids across its 424 positions.
+projected once: a batch of 53 titles holds about 80 distinct ids across
+its 424 positions.  One ``autodiff.multi_head_attention`` op runs every
+head's masked attention, reading each position's query, key and value
+row from that small table.
 """
 
 from __future__ import annotations
@@ -81,20 +82,9 @@ class NewsEncoder:
 
     def _contextualize(self, tokens, mask):
         """Self-attention of all heads over each title's positions, as (N*L, d_news)."""
-        n, length = tokens.shape
         distinct, position = np.unique(tokens, return_inverse=True)
         qkv = ad.matmul(ad.embedding_lookup(self.word_emb, distinct), self.wqkv)
-
-        def heads(i, axes):  # part i of q|k|v per position, heads split out, permuted by axes
-            part = ad.slice_(qkv, cols=slice(i * self.d_news, (i + 1) * self.d_news))
-            return ad.reshape(ad.embedding_lookup(part, position.reshape(-1)),
-                              (n, length, self.n_heads, self.d_head), axes)
-
-        attn = ad.softmax(ad.matmul(heads(0, (0, 2, 1, 3)), heads(1, (0, 2, 3, 1))),
-                          axis=3, mask=mask[:, None, None, :])
-        v = heads(2, (0, 2, 1, 3))
-        per_position = ad.reshape(ad.matmul(attn, v), v.shape, (0, 2, 1, 3))
-        return ad.reshape(per_position, (n * length, self.d_news))
+        return ad.multi_head_attention(qkv, position.reshape(tokens.shape), mask, self.n_heads)
 
     def _pool(self, contextual, mask):
         """Additive attention pooling of each title over its unmasked positions."""

@@ -13,7 +13,12 @@ history, its time and its candidates: the group's features are computed
 once, one ``score_impression`` call scores the union of its candidates,
 and each instance takes its K+1 scores from those rows.  The group's
 losses are summed and replayed by one backward pass, so only one group's
-graph is alive at a time.  The batch gradient is the mean over instances.
+graph is alive at a time.  Across a batch's groups, gradients accumulate
+in place, and a weight used only in 2-D products keeps its gradient as
+factors (``autodiff.Outer``) that are multiplied out once per batch.  The
+batch gradient is the mean over instances.  An impression's features are
+kept while the next batch still holds one of its instances, so a later
+group of it computes only its new candidates.
 """
 
 from __future__ import annotations
@@ -262,13 +267,16 @@ def impression_groups(batch) -> list[list[TrainingInstance]]:
     return list(groups.values())
 
 
-def _group_score_inputs(group, catalog, timeline, model_config):
+def _group_score_inputs(group, catalog, timeline, model_config, feature_cache=None):
     """What one ``score_impression`` call needs to score a group, or None.
 
     Instances with a candidate missing from the catalog are left out.
     Returns the kept history, the union of the instances' candidates (each
     once, in order of first use), their features, and per instance the
     union rows of its candidates in ``order`` and the positive's slot there.
+    ``feature_cache`` (impression index -> features) is read and filled, so
+    an impression met again in the next batch only computes the features
+    of its new candidates.
     """
     group = [i for i in group if not _has_unknown_candidate(i, catalog)]
     if not group:
@@ -279,9 +287,14 @@ def _group_score_inputs(group, catalog, timeline, model_config):
     # Only the known clicks the model keeps need features.
     history = recent_history([a for a in map(catalog.get, group[0].history) if a is not None],
                              model_config.max_history)
-    feats = impression_features(timeline, group[0].time,
-                                [a.news_id for a in history] + union, model_config.grid_d,
-                                catalog)
+    wanted = [a.news_id for a in history] + union
+    feats = {}
+    if feature_cache is not None and group[0].impression is not None:
+        feats = feature_cache.setdefault(group[0].impression, feats)
+    missing = [news_id for news_id in wanted if news_id not in feats]
+    if missing:
+        feats.update(impression_features(timeline, group[0].time, missing, model_config.grid_d,
+                                         catalog))
     slots = [([row[cid] for cid in ids], i.order.index(0)) for ids, i in zip(ordered, group)]
     return history, [catalog.get(cid) for cid in union], feats, slots
 
@@ -323,6 +336,7 @@ def train(config: TrainConfig, corpus: Corpus, timeline) -> TrainResult:
     n_missing_history = sum(h not in corpus.catalog for i in scorable for h in i.history)
 
     optimizer = Adam(model.trainable_parameters(), lr=config.learning_rate)
+    features = {}  # impression -> features, kept for the impressions of the last batch
     best_val = -math.inf
     best_state = model.state_dict()
     epochs_since_best = 0
@@ -337,13 +351,16 @@ def train(config: TrainConfig, corpus: Corpus, timeline) -> TrainResult:
         loss_count = 0
         for start in range(0, len(order), config.batch_size):
             batch = [instances[i] for i in order[start:start + config.batch_size]]
+            features = {i.impression: features[i.impression] for i in batch
+                        if i.impression in features}
             optimizer.zero_grads()
             batch_scored = 0
             for group in impression_groups(batch):
-                prepared = _group_score_inputs(group, corpus.catalog, timeline, config.model)
+                prepared = _group_score_inputs(group, corpus.catalog, timeline, config.model,
+                                               features)
                 if prepared is None:
                     continue
-                with ad.ComputationRecord() as record:
+                with ad.ComputationRecord(factored=True) as record:
                     loss, loss_values = group_loss(model, *prepared, mode=config.mode)
                 if not all(map(math.isfinite, loss_values)):
                     raise TrainingDiverged(
@@ -356,6 +373,7 @@ def train(config: TrainConfig, corpus: Corpus, timeline) -> TrainResult:
                 batch_scored += len(loss_values)
             if batch_scored == 0:
                 continue
+            ad.densify(optimizer.params.values())
             if batch_scored > 1:
                 for p in optimizer.params.values():
                     if p.grad is not None:

@@ -100,8 +100,10 @@ class UserEncoder:
             raise ValueError("empty history; apply the cold-user fallback instead")
         rows = ad.concat([news_vecs, ues], axis=1)
         m, heads = rows.shape[0], self.n_heads
-        keys = ad.matmul(self.rel_heads, ad.transpose(rows))             # (heads, d_q, M)
-        keys = ad.reshape(ad.reshape(keys, keys.shape, (1, 0, 2)), (self.d_aug, heads * m))
+        # The heads stacked along rows make one (heads*d_q, M) product.
+        rel = ad.reshape(self.rel_heads, (heads * self.d_aug, self.d_aug))
+        keys = ad.reshape(ad.matmul(rel, ad.transpose(rows)), (heads, self.d_aug, m), (1, 0, 2))
+        keys = ad.reshape(keys, (self.d_aug, heads * m))
         att_w = ad.reshape(self.merge_att_w, (heads, self.d_head, self.d_aug))
         values = ad.matmul(ad.matmul(rows, self.out_w), att_w)           # (heads, M, d_aug)
         return History(keys, ad.matmul(ad.matmul(rows, self.q_hist), keys),

@@ -87,6 +87,51 @@ class TestForward:
         assert np.array_equal(ad.slice_(joined, cols=slice(0, 2)).data, a)
         assert np.array_equal(ad.slice_(joined, cols=slice(2, 6)).data, b)
 
+    @pytest.mark.parametrize("one_hot_max", [ad.ONE_HOT_MAX_ELEMENTS, 0])
+    def test_multi_head_attention_matches_composed_ops(self, one_hot_max, monkeypatch):
+        # Forward and table gradient against gathers, slices, matmuls and a
+        # masked softmax, with repeated ids summed both ways.
+        monkeypatch.setattr(ad, "ONE_HOT_MAX_ELEMENTS", one_hot_max)
+        rng = np.random.default_rng(2)
+        n, length, heads, d_head = 3, 5, 2, 4
+        d = heads * d_head
+        ids = rng.integers(0, 6, size=(n, length))
+        mask = rng.random((n, length)) < 0.6
+        mask[:, 0] = True
+        weights = c64(rng.normal(size=(n * length, d)))
+        fused_table, composed_table = (p64(rng.normal(size=(6, 3 * d))) for _ in range(2))
+        composed_table.data = fused_table.data.copy()
+
+        with ad.ComputationRecord() as rec:
+            fused = ad.multi_head_attention(fused_table, ids, mask, heads)
+            loss = ad.sum_(ad.mul(fused, weights))
+        rec.backward(loss)
+        with ad.ComputationRecord() as rec:
+            rows = ad.embedding_lookup(composed_table, ids.reshape(-1))
+            q, k, v = (ad.reshape(ad.slice_(rows, cols=slice(i * d, (i + 1) * d)),
+                                  (n, length, heads, d_head), (0, 2, 1, 3)) for i in range(3))
+            attn = ad.softmax(ad.matmul(q, ad.reshape(k, k.shape, (0, 1, 3, 2))), axis=3,
+                              mask=mask[:, None, None, :])
+            heads_out = ad.matmul(attn, v)
+            composed = ad.reshape(ad.reshape(heads_out, heads_out.shape, (0, 2, 1, 3)),
+                                  (n * length, d))
+            loss = ad.sum_(ad.mul(composed, weights))
+        rec.backward(loss)
+        assert np.allclose(fused.data, composed.data, rtol=0, atol=1e-12)
+        assert np.allclose(fused_table.grad, composed_table.grad, rtol=0, atol=1e-12)
+
+    def test_multi_head_attention_rejects_bad_inputs(self):
+        table = c64(np.ones((3, 6)))
+        ids = np.zeros((2, 2), dtype=np.int64)
+        with pytest.raises(ad.ShapeError):  # a sequence with no real position
+            ad.multi_head_attention(table, ids, np.array([[1, 1], [0, 0]], dtype=bool), 1)
+        with pytest.raises(ad.ShapeError):  # mask and ids disagree
+            ad.multi_head_attention(table, ids, np.ones((3, 2), dtype=bool), 1)
+        with pytest.raises(ad.ShapeError):  # 6 columns do not split into 3 x 4 heads
+            ad.multi_head_attention(table, ids, np.ones((2, 2), dtype=bool), 4)
+        with pytest.raises(IndexError):
+            ad.multi_head_attention(table, ids + 3, np.ones((2, 2), dtype=bool), 1)
+
     def test_embedding_lookup_bounds(self):
         table = p64(np.zeros((4, 2)))
         with pytest.raises(IndexError):
@@ -169,6 +214,85 @@ class TestBackward:
             rec.backward(loss)
         assert np.allclose(x.grad, 6.0)
 
+    @pytest.mark.parametrize("shared", ["same array", "view"])
+    def test_leaves_given_one_adjoint_accumulate_separately(self, shared):
+        # add hands both operands the same adjoint, and a reshape hands its
+        # operand a view of it; in-place accumulation must not leak between them.
+        a = p64(np.ones((2, 3)))
+        b = p64(np.ones((2, 3)) if shared == "same array" else np.ones(6))
+        for _ in range(2):
+            with ad.ComputationRecord() as rec:
+                b_rows = b if shared == "same array" else ad.reshape(b, (2, 3))
+                loss = ad.sum_(ad.add(a, b_rows))
+            rec.backward(loss)
+        assert np.array_equal(a.grad, np.full((2, 3), 2.0))
+        assert np.array_equal(b.grad, np.full(b.shape, 2.0))
+        assert not np.shares_memory(a.grad, b.grad)
+
+    def _two_graph_grads(self, factored):
+        # Two backward passes of graphs that use w in two 2-D products (as
+        # an affine weight and as a matmul's right operand), b as a bias,
+        # u in two products and an elementwise op, and a constant left
+        # operand c.
+        rng = np.random.default_rng(4)
+        w, b = p64(rng.normal(size=(16, 12))), p64(rng.normal(size=12))
+        u = p64(rng.normal(size=(12, 12)))
+        for seed in (5, 6):
+            data = np.random.default_rng(seed)
+            x, c = c64(data.normal(size=(2, 16))), c64(data.normal(size=(1, 16)))
+            with ad.ComputationRecord(factored=factored) as rec:
+                h = ad.tanh(ad.affine(x, w, b))               # (2, 12)
+                y = ad.matmul(ad.matmul(c, w), u)             # (1, 12)
+                z = ad.mul(ad.matmul(h, u), h)                # (2, 12)
+                loss = ad.add(ad.add(ad.sum_(ad.mul(y, y)), ad.sum_(z)),
+                              ad.sum_(ad.mul(u, u)))
+            rec.backward(loss)
+        return w, b, u
+
+    def test_factored_grads_densify_to_the_plain_grads(self):
+        plain = self._two_graph_grads(factored=False)
+        factored = self._two_graph_grads(factored=True)
+        assert isinstance(factored[0].grad, ad.Outer)  # kept over both passes
+        ad.densify(factored)
+        for p, f in zip(plain, factored):
+            assert isinstance(f.grad, np.ndarray)
+            assert np.allclose(f.grad, p.grad, rtol=0, atol=1e-12)
+
+    def test_factored_grad_ignores_later_writes_to_shared_adjoints(self):
+        # add hands the product and the full-shape leaf b the same adjoint;
+        # b's grad is then added to in place by the second pass, which must
+        # not reach the factors w keeps of that adjoint.
+        grads = []
+        for factored in (False, True):
+            w = p64(np.random.default_rng(7).normal(size=(12, 10)))
+            b = p64(np.zeros((2, 10)))
+            for seed in (1, 2):
+                x = c64(np.random.default_rng(seed).normal(size=(2, 12)))
+                with ad.ComputationRecord(factored=factored) as rec:
+                    loss = ad.sum_(ad.exp(ad.add(ad.matmul(x, w), b)))
+                rec.backward(loss)
+            assert isinstance(w.grad, ad.Outer) == factored
+            ad.densify([w, b])
+            grads.append((w.grad, b.grad))
+        for plain, factored in zip(*grads):
+            assert np.allclose(factored, plain, rtol=0, atol=1e-12)
+
+    def test_factored_grad_turns_dense_once_factors_outgrow_it(self):
+        w = p64(np.ones((2, 2)))
+        with ad.ComputationRecord(factored=True) as rec:
+            loss = ad.sum_(ad.matmul(c64(np.ones((5, 2))), w))  # 5 rows x (2 + 2) > 2 x 2
+        rec.backward(loss)
+        assert isinstance(w.grad, np.ndarray)
+        assert np.array_equal(w.grad, np.full((2, 2), 5.0))
+
+    def test_multi_use_adjoint_sums_every_use(self):
+        x = p64([[1.0, 2.0]])
+        with ad.ComputationRecord() as rec:
+            y = ad.scale(x, 1.0)
+            loss = ad.sum_(ad.add(ad.add(y, y), ad.mul(y, y)))  # 2y + y^2
+        rec.backward(loss)
+        assert np.allclose(x.grad, 2.0 + 2.0 * x.data, rtol=0, atol=1e-15)
+
     def test_embedding_grad_is_row_sparse(self):
         table = p64(np.random.default_rng(0).normal(size=(6, 3)))
         with ad.ComputationRecord() as rec:
@@ -179,10 +303,13 @@ class TestBackward:
         expected[4] = 1.0
         assert np.array_equal(table.grad, expected)
 
+    @pytest.mark.parametrize("one_hot_max", [ad.ONE_HOT_MAX_ELEMENTS, 0])
     @pytest.mark.parametrize("ids", [[3, 0, 3, 5, 0, 3], [5, 4, 2, 1], [2], []])
-    def test_embedding_grad_matches_one_hot_matmul(self, ids):
-        # Repeated, unsorted and empty ids: the sorted, segment-summed
-        # scatter equals the gradient of one_hot(ids) @ table.
+    def test_embedding_grad_matches_one_hot_matmul(self, ids, one_hot_max, monkeypatch):
+        # Repeated, unsorted and empty ids, summed by the one-hot product and
+        # (with no one-hot budget) by the sorted segment sums: the scatter
+        # equals the gradient of one_hot(ids) @ table.
+        monkeypatch.setattr(ad, "ONE_HOT_MAX_ELEMENTS", one_hot_max)
         rng = np.random.default_rng(1)
         table = p64(rng.normal(size=(7, 4)))
         weights = c64(rng.normal(size=(len(ids), 4)))
@@ -312,6 +439,18 @@ class TestGradCheck:
             return ad.sum_(ad.reshape(ad.matmul(y, weights), (2, 4)))
 
         assert ad.grad_check(fn, [a, shared, stretched, left], eps=1e-5) < 1e-6
+
+    def test_multi_head_attention(self):
+        rng = np.random.default_rng(8)
+        table = p64(rng.normal(size=(5, 3 * 6)))  # 2 heads of 3
+        ids = np.array([[1, 4, 1, 0], [2, 0, 0, 0], [3, 3, 4, 2]])  # 3 sequences of 4
+        mask = np.array([[1, 1, 1, 0], [1, 0, 0, 0], [1, 1, 1, 1]], dtype=bool)
+        weights = c64(rng.normal(size=(12, 6)))
+
+        def fn():
+            return ad.sum_(ad.mul(ad.multi_head_attention(table, ids, mask, 2), weights))
+
+        assert ad.grad_check(fn, [table], eps=1e-6) < 1e-7
 
     def test_reshape_split_and_merge_heads(self):
         rng = np.random.default_rng(7)

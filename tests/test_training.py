@@ -262,6 +262,28 @@ class TestAdam:
         assert np.array_equal(p.data[0], [1.0, 1.0])
         assert not np.array_equal(p.data[1], [1.0, 1.0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_steps_match_the_textbook_update_bitwise(self, dtype):
+        rng = np.random.default_rng(3)
+        shapes = {"a": (4, 3), "b": (5,), "c": (2, 2, 2)}
+        params = {k: ad.parameter(rng.normal(size=s), dtype=dtype) for k, s in shapes.items()}
+        ref = {k: p.data.copy() for k, p in params.items()}
+        m = {k: np.zeros_like(v) for k, v in ref.items()}
+        v = {k: np.zeros_like(x) for k, x in ref.items()}
+        opt = Adam(params, lr=0.01)
+        for t in range(1, 4):
+            grads = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+            for k, p in params.items():
+                p.grad = grads[k]
+            opt.step()
+            b1t, b2t = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+            for k in ref:
+                m[k] = m[k] * 0.9 + (1.0 - 0.9) * grads[k]
+                v[k] = v[k] * 0.999 + (1.0 - 0.999) * (grads[k] * grads[k])
+                update = (m[k] / b1t) / (np.sqrt(v[k] / b2t) + 1e-8)
+                ref[k] = ref[k] - dtype(0.01) * update
+                assert np.array_equal(params[k].data, ref[k]), (t, k)
+
     def test_step_direction_is_negative_gradient(self):
         p = ad.parameter(np.zeros((1, 3)), dtype=np.float64)
         opt = Adam({"p": p}, lr=0.01)
