@@ -163,9 +163,13 @@ def tokenize_title(text: str, vocab: Vocabulary, max_title_len: int) -> list[int
     Out-of-vocabulary tokens map to the unknown index; the result is
     truncated or right-padded with the padding index to ``max_title_len``.
     """
-    ids = [vocab.index(tok) for tok in normalize_tokens(text)]
+    return _fit_title([vocab.index(tok) for tok in normalize_tokens(text)], max_title_len)
+
+
+def _fit_title(ids: list[int], max_title_len: int) -> list[int]:
+    """Truncate or right-pad a title's index list to ``max_title_len``."""
     ids = ids[:max_title_len]
-    ids.extend([vocab.pad_index] * (max_title_len - len(ids)))
+    ids.extend([Vocabulary.pad_index] * (max_title_len - len(ids)))
     return ids
 
 
@@ -224,22 +228,73 @@ def parse_news_file(path, max_title_len: int = 30,
             if news_id in catalog.articles:
                 raise CorpusError(f"duplicate news id {news_id!r} at line {line_no}")
             if grow_vocab:
-                for tok in normalize_tokens(cols[3]):
-                    vocab.add(tok)
+                # Every token enters the vocabulary, also those past the cut.
+                title_tokens = _fit_title([vocab.add(tok) for tok in normalize_tokens(cols[3])],
+                                          max_title_len)
+            else:
+                title_tokens = tokenize_title(cols[3], vocab, max_title_len)
             catalog.articles[news_id] = NewsArticle(
                 news_id=news_id,
                 category_id=catalog.categories.intern(cols[1]),
                 subcategory_id=catalog.subcategories.intern(cols[2]),
-                title_tokens=tokenize_title(cols[3], vocab, max_title_len),
+                title_tokens=title_tokens,
                 entity_ids=[catalog.entities.intern(k) for k in _extract_entity_keys(cols[5:])],
             )
     return catalog, vocab
 
 
+# The strings each field of _TIME_FORMAT's ``strptime`` pattern matches,
+# when they are ASCII: month and 12-hour clock ``1[0-2]|0[1-9]|[1-9]``,
+# day ``3[0-1]|[1-2]\d|0[1-9]|[1-9]| [1-9]`` (a space-padded day too),
+# minute ``[0-5]\d|\d`` and second ``6[0-1]|[0-5]\d|\d`` (60 and 61 then
+# fail in ``datetime``).
+_ONE_TO_TWELVE = frozenset([str(v) for v in range(1, 10)] + [f"{v:02d}" for v in range(1, 13)])
+_DAYS = frozenset([str(v) for v in range(1, 10)] + [f" {v}" for v in range(1, 10)]
+                  + [f"{v:02d}" for v in range(1, 32)])
+_MINUTES = frozenset([str(v) for v in range(10)] + [f"{v:02d}" for v in range(60)])
+
+
+def _unicode_digit_field(text: str, leads: str, single: bool) -> bool:
+    r"""Whether ``text`` is ``[leads]\d`` (or ``\d`` when ``single``), ``\d`` any decimal digit.
+
+    ``strptime``'s pattern reads ``\d`` as Unicode, so the year and some
+    places of the day, minute and second take non-ASCII digits too.
+    """
+    if len(text) == 1:
+        return single and text.isdecimal()
+    return len(text) == 2 and text[0] in leads and text[1].isdecimal()
+
+
 def parse_time(text: str) -> int:
-    """Epoch seconds for a log timestamp (fixed UTC convention)."""
-    dt = datetime.strptime(text.strip(), _TIME_FORMAT)
-    return int(dt.replace(tzinfo=timezone.utc).timestamp())
+    """Epoch seconds for a log timestamp (fixed UTC convention).
+
+    Takes the MIND form ``M/D/YYYY h:MM:SS AM|PM``, and accepts and
+    rejects exactly what ``datetime.strptime(text.strip(), _TIME_FORMAT)``
+    does, in the C locale: whitespace runs between date, clock and
+    AM/PM, AM/PM in any case, a four-digit year, hour 1-12, and no
+    sign, underscore or extra field.  Bad input raises ``ValueError``;
+    ``datetime`` itself rejects impossible dates such as 2/30.
+    """
+    parts = text.strip().split("/")
+    if len(parts) == 3:
+        month, day, rest = parts
+        year = rest[:4]
+        tail = rest[4:].split()
+        if len(tail) == 2 and rest[4:5].isspace():
+            clock = tail[0].split(":")
+            half = tail[1].lower()
+            if len(clock) == 3 and (half == "am" or half == "pm"):
+                hour, minute, second = clock
+                if (month in _ONE_TO_TWELVE and hour in _ONE_TO_TWELVE
+                        and len(year) == 4 and year.isdecimal()
+                        and (day in _DAYS or _unicode_digit_field(day, "12", False))
+                        and (minute in _MINUTES or _unicode_digit_field(minute, "012345", True))
+                        and (second in _MINUTES or _unicode_digit_field(second, "012345", True))):
+                    h = int(hour) % 12 + (12 if half == "pm" else 0)
+                    dt = datetime(int(year), int(month), int(day), h, int(minute),
+                                  int(second), tzinfo=timezone.utc)
+                    return int(dt.timestamp())
+    raise ValueError(f"time data {text!r} does not match format {_TIME_FORMAT!r}")
 
 
 def format_time(epoch_seconds: int) -> str:

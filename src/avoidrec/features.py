@@ -5,19 +5,27 @@ after the impression time, so nothing recorded at or after the impression
 itself can reach its features.  Click counts are log-scaled by the
 snapshot's maximum so they land in [0, 1]; article age falls back to the
 first observed exposure when no publish time is known.
+
+``impression_features`` takes the snapshot once per call and then makes
+one pass per distinct article: one ``bisect_left`` into the article's
+exposure times, and one into its click times only when it was exposed.
+Avoidance, EPI, click scaling and age are computed inline from those two
+counts; the grid cell comes from ``grid.cell_index``, the grid's one
+quantisation formula.  ``ArticleFeatures`` is a ``NamedTuple``, so it
+also compares equal to a plain ``(cell, clicks_norm, age_hours)`` tuple.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
+from typing import NamedTuple
 
-from .grid import snapshot_cell
+from .grid import cell_index
 from .stats import BucketTimeline, snapshot_at
 
 
-@dataclass(frozen=True)
-class ArticleFeatures:
+class ArticleFeatures(NamedTuple):
     cell: int           # flat engagement-grid index
     clicks_norm: float  # log-scaled clicks in [0, 1]
     age_hours: float    # elapsed time since publication (or first exposure)
@@ -25,25 +33,45 @@ class ArticleFeatures:
 
 def impression_features(timeline: BucketTimeline, impression_time: int,
                         news_ids, grid_d: int, catalog=None) -> dict[str, ArticleFeatures]:
-    """Features for every article involved in one impression."""
+    """Features for every article involved in one impression.
+
+    ``catalog`` is anything with a ``get(news_id)`` returning an article
+    or ``None`` (a ``NewsCatalog`` or a plain dict); an article's
+    ``publish_time`` there takes precedence over its first exposure.
+    """
     snap = snapshot_at(timeline, impression_time)
+    t = snap.t
+    n_impressions = snap.n_impressions
+    exposure_times = snap.timeline.exposure_times
+    click_times = snap.timeline.click_times
     max_clicks = snap.max_clicks()
     log_den = math.log1p(max_clicks) if max_clicks > 0 else 0.0
+    catalog_get = catalog.get if catalog is not None else None
+    unseen_cell = cell_index(1.0, 0.0, grid_d)  # no exposure: avoidance 1, EPI 0
+    log1p = math.log1p
+    make = ArticleFeatures
     feats = {}
     for news_id in news_ids:
         if news_id in feats:
             continue
-        cell = snapshot_cell(snap, news_id, grid_d)
-        clicks = snap.clicks(news_id)
-        clicks_norm = math.log1p(clicks) / log_den if log_den else 0.0
-        published = None
-        if catalog is not None:
-            article = catalog.get(news_id)
+        times = exposure_times.get(news_id)
+        n_exp = bisect_left(times, t) if times else 0
+        if n_exp:
+            clicks = bisect_left(click_times.get(news_id, ()), t)
+            cell = cell_index(1.0 - clicks / n_exp, n_exp / n_impressions, grid_d)
+            clicks_norm = log1p(clicks) / log_den if log_den else 0.0
+            published = times[0]
+        else:
+            cell, clicks_norm, published = unseen_cell, 0.0, None
+        if catalog_get is not None:
+            article = catalog_get(news_id)
             if article is not None and article.publish_time is not None:
                 published = article.publish_time
         if published is None:
-            published = snap.first_seen(news_id)
-        age_hours = max(0.0, (impression_time - published) / 3600.0) if published is not None else 0.0
-        feats[news_id] = ArticleFeatures(cell=cell.i_ue, clicks_norm=clicks_norm,
-                                         age_hours=age_hours)
+            age_hours = 0.0
+        else:
+            age_hours = (impression_time - published) / 3600.0
+            if not age_hours > 0.0:
+                age_hours = 0.0
+        feats[news_id] = make(cell, clicks_norm, age_hours)
     return feats

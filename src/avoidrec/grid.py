@@ -27,21 +27,38 @@ class EngagementIndex:
     i_ue: int
 
 
+def cell_index(av: float, epi_value: float, d: int) -> int:
+    """Flat cell ``D * epi_idx + av_idx`` of one (avoidance, EPI) pair.
+
+    Each ratio is clamped into [0, 1] (NaN counts as 0) and binned by
+    floor(value * D); 1.0 maps to the last bin.  This is the grid's one
+    quantisation formula: ``quantize``, ``engagement_index`` and
+    ``features.impression_features`` all call it.
+    """
+    if d <= 0:
+        raise ValueError("grid resolution must be positive")
+    top = d - 1
+    # Comparisons rather than min/max: this runs once per article and
+    # impression, and builtin min/max calls cost several times as much.
+    av = 0.0 if not av > 0.0 else (1.0 if av > 1.0 else av)
+    epi_value = 0.0 if not epi_value > 0.0 else (1.0 if epi_value > 1.0 else epi_value)
+    av_idx = math.floor(av * d)
+    epi_idx = math.floor(epi_value * d)
+    return d * (epi_idx if epi_idx < top else top) + (av_idx if av_idx < top else top)
+
+
 def quantize(value: float, d: int) -> int:
     """Equal-width bin of ``value`` over [0, 1]: floor(value * D).
 
     Values are clamped into [0, 1] first and 1.0 maps to the last bin.
+    It is the avoidance axis of ``cell_index`` with EPI 0.
     """
-    if d <= 0:
-        raise ValueError("grid resolution must be positive")
-    value = min(1.0, max(0.0, value))
-    return min(d - 1, int(math.floor(value * d)))
+    return cell_index(value, 0.0, d)
 
 
 def engagement_index(av: float, epi_value: float, d: int) -> EngagementIndex:
-    av_idx = quantize(av, d)
-    epi_idx = quantize(epi_value, d)
-    return EngagementIndex(av_idx=av_idx, epi_idx=epi_idx, i_ue=d * epi_idx + av_idx)
+    i_ue = cell_index(av, epi_value, d)
+    return EngagementIndex(av_idx=i_ue % d, epi_idx=i_ue // d, i_ue=i_ue)
 
 
 def unflatten_index(i_ue: int, d: int) -> tuple[int, int]:

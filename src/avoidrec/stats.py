@@ -78,31 +78,35 @@ class BucketTimeline:
 
 
 class StatsSnapshot:
-    """Read-only view of a timeline's counters over records with ``time < t``."""
+    """Read-only view of a timeline's counters over records with ``time < t``.
 
-    __slots__ = ("t", "n_impressions", "_timeline")
+    ``timeline`` is the index it reads; readers that batch many articles
+    (``features.impression_features``) bisect its lists directly.
+    """
+
+    __slots__ = ("t", "n_impressions", "timeline")
 
     def __init__(self, timeline: BucketTimeline, t: int):
-        self._timeline = timeline
+        self.timeline = timeline
         self.t = t
         self.n_impressions = bisect_left(timeline.times, t)
 
     def exposures(self, news_id: str) -> int:
-        return bisect_left(self._timeline.exposure_times.get(news_id, ()), self.t)
+        return bisect_left(self.timeline.exposure_times.get(news_id, ()), self.t)
 
     def clicks(self, news_id: str) -> int:
-        return bisect_left(self._timeline.click_times.get(news_id, ()), self.t)
+        return bisect_left(self.timeline.click_times.get(news_id, ()), self.t)
 
     def first_seen(self, news_id: str) -> int | None:
-        times = self._timeline.exposure_times.get(news_id)
+        times = self.timeline.exposure_times.get(news_id)
         return times[0] if times and times[0] < self.t else None
 
     def max_clicks(self) -> int:
-        return bisect_left(self._timeline.max_click_rises, self.t)
+        return bisect_left(self.timeline.max_click_rises, self.t)
 
     def news_ids(self) -> list[str]:
         """Articles exposed before ``t``, in order of first exposure."""
-        return [news_id for news_id, times in self._timeline.exposure_times.items()
+        return [news_id for news_id, times in self.timeline.exposure_times.items()
                 if times[0] < self.t]
 
 

@@ -1,11 +1,12 @@
 import json
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avoidrec.corpus import (CorpusError, ImpressionRecord, Vocabulary,
+from avoidrec.corpus import (_TIME_FORMAT, CorpusError, ImpressionRecord, Vocabulary,
                              format_behaviors_line, format_time,
                              load_word_vectors, normalize_tokens,
                              parse_behaviors_file, parse_news_file,
@@ -74,6 +75,63 @@ class TestParseNewsFile:
         assert out_vocab is vocab
         assert catalog.get("N1").title_tokens == [vocab.index("team"),
                                                   vocab.unk_index, vocab.unk_index]
+
+
+class TestSinglePassTokenizer:
+    """``parse_news_file`` tokenizes each title once while growing the vocabulary."""
+
+    ROWS = [
+        "N1\tsports\tsoccer\tOne two three four five six seven\tabs",
+        "N2\tnews\tworld\tSeven eight, two NINE ten eleven\tabs",
+        "N3\tnews\tworld\t\tempty title",
+        "N4\tnews\tworld\tzeta\tabs",
+    ]
+
+    @staticmethod
+    def two_pass(rows, max_title_len):
+        """The former parser: grow the vocabulary, then tokenize the title again."""
+        vocab = Vocabulary()
+        titles = {}
+        for row in rows:
+            cols = row.split("\t")
+            for tok in normalize_tokens(cols[3]):
+                vocab.add(tok)
+            titles[cols[0]] = tokenize_title(cols[3], vocab, max_title_len)
+        return vocab, titles
+
+    def test_tokens_past_the_cut_enter_the_vocabulary_in_order(self, tmp_path):
+        catalog, vocab = parse_news_file(write(tmp_path, "news.tsv", self.ROWS), max_title_len=3)
+        assert vocab.index_to_token[2:] == ["one", "two", "three", "four", "five", "six",
+                                            "seven", "eight", "nine", "ten", "eleven", "zeta"]
+        assert catalog.get("N1").title_tokens == [2, 3, 4]
+        assert catalog.get("N2").title_tokens == [8, 9, 3]
+        assert catalog.get("N4").title_tokens == [13, 0, 0]
+
+    @pytest.mark.parametrize("max_title_len", [1, 3, 7, 10])
+    def test_matches_the_two_pass_result(self, tmp_path, max_title_len):
+        catalog, vocab = parse_news_file(write(tmp_path, "news.tsv", self.ROWS),
+                                         max_title_len=max_title_len)
+        ref_vocab, ref_titles = self.two_pass(self.ROWS, max_title_len)
+        assert len(vocab) == len(ref_vocab)
+        assert vocab.index_to_token == ref_vocab.index_to_token
+        assert vocab.token_to_index == ref_vocab.token_to_index
+        assert {n: a.title_tokens for n, a in catalog.articles.items()} == ref_titles
+
+    def test_given_vocab_gains_nothing_and_maps_oov_to_unk(self, tmp_path):
+        vocab = Vocabulary()
+        for tok in ["two", "seven", "zeta"]:
+            vocab.add(tok)
+        before = list(vocab.index_to_token)
+        catalog, out_vocab = parse_news_file(write(tmp_path, "news.tsv", self.ROWS),
+                                             max_title_len=4, vocab=vocab)
+        assert out_vocab is vocab
+        assert vocab.index_to_token == before
+        unk, pad = vocab.unk_index, vocab.pad_index
+        assert catalog.get("N1").title_tokens == [unk, vocab.index("two"), unk, unk]
+        assert catalog.get("N2").title_tokens == [vocab.index("seven"), unk,
+                                                  vocab.index("two"), unk]
+        assert catalog.get("N3").title_tokens == [pad] * 4
+        assert catalog.get("N4").title_tokens == [vocab.index("zeta"), pad, pad, pad]
 
 
 class TestTokenize:
@@ -152,6 +210,110 @@ class TestParseBehaviors:
     def test_time_format_round_trip(self, times):
         for t in times:
             assert parse_time(format_time(t)) == t
+
+
+def strptime_time(text):
+    """The former ``parse_time``: the oracle the hand-written parser must match."""
+    dt = datetime.strptime(text.strip(), _TIME_FORMAT)
+    return int(dt.replace(tzinfo=timezone.utc).timestamp())
+
+
+def outcome(parser, text):
+    try:
+        return parser(text)
+    except ValueError:
+        return ValueError
+
+
+END_2100 = int(datetime(2100, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp())
+MUTATION_CHARS = "0123456789 /:+_-.aAmMpPx\t\u3000\u0663\uff12"
+
+
+class TestParseTimeAgainstStrptime:
+    @given(st.integers(0, END_2100))
+    @settings(max_examples=300, deadline=None)
+    def test_format_time_round_trips(self, t):
+        text = format_time(t)
+        assert parse_time(text) == t == strptime_time(text)
+
+    @given(st.datetimes(datetime(1970, 1, 1), datetime(2100, 12, 31)),
+           st.booleans(), st.booleans(), st.booleans(),
+           st.sampled_from(["AM", "am", "Am", "aM"]), st.sampled_from(["PM", "pm", "pM"]),
+           st.sampled_from([" ", "  ", "\t", " \t "]), st.sampled_from(["", " ", "\t\n"]))
+    @settings(max_examples=300, deadline=None)
+    def test_padding_case_and_spacing_variants(self, dt, pad_month, pad_day, pad_hour,
+                                               am, pm, sep, edge):
+        hour = dt.hour % 12 or 12
+        text = (f"{edge}{dt.month:0{1 + pad_month}d}/{dt.day:0{1 + pad_day}d}/{dt.year}"
+                f"{sep}{hour:0{1 + pad_hour}d}:{dt.minute:02d}:{dt.second:02d}"
+                f"{sep}{am if dt.hour < 12 else pm}{edge}")
+        expected = int(dt.replace(microsecond=0, tzinfo=timezone.utc).timestamp())
+        assert parse_time(text) == strptime_time(text) == expected
+
+    @given(st.integers(0, END_2100), st.lists(
+        st.tuples(st.sampled_from(["replace", "insert", "delete"]), st.integers(0, 40),
+                  st.sampled_from(MUTATION_CHARS)), min_size=1, max_size=3))
+    @settings(max_examples=500, deadline=None)
+    def test_edited_timestamps_agree_with_strptime(self, t, edits):
+        text = format_time(t)
+        for kind, pos, char in edits:
+            pos %= len(text) + 1
+            if kind == "insert":
+                text = text[:pos] + char + text[pos:]
+            elif text:
+                text = text[:pos] + (char if kind == "replace" else "") + text[pos + 1:]
+        assert outcome(parse_time, text) == outcome(strptime_time, text)
+
+    @pytest.mark.parametrize("text", [
+        "11/11/2019 0:05:58 AM",       # hour 0
+        "11/11/2019 13:05:58 PM",      # hour 13
+        "11/11/2019 9:60:58 AM",       # minute 60
+        "11/11/2019 9:05:60 AM",       # second 60: strptime's pattern takes it, datetime not
+        "02/30/2019 9:05:58 AM",       # no such date
+        "2/29/2019 9:05:58 AM",
+        "11/11/19 9:05:58 AM",         # two-digit year
+        "11/11/02019 9:05:58 AM",
+        "11/11/2019 +9:05:58 AM",      # int() would take these
+        "11/11/2019 1_0:05:58 AM",
+        "11/11/2019 -9:05:58 AM",
+        "11/11/2019 9:05:58",          # missing AM/PM
+        "11/11/2019 9:05:58 XM",
+        "11/11/2019 9:05:58 AM extra",  # extra fields
+        "11/11/2019 9:05:58:00 AM",
+        "11/11/2019/1 9:05:58 AM",
+        "11/11/20199:05:58 AM",
+        "11/  1/2019 9:05:58 AM",      # one space pads a day, two do not
+        "\u0661\u0661/11/2019 9:05:58 AM",  # the month takes ASCII digits only
+        "11/11/2019 \u0669:05:58 AM",     # and so does the hour
+        "11/\u0663/2019 9:05:58 AM",      # and a one-digit day
+        "",
+        "not a time",
+    ])
+    def test_rejected_by_both(self, text):
+        with pytest.raises(ValueError):
+            strptime_time(text)
+        with pytest.raises(ValueError):
+            parse_time(text)
+
+    @pytest.mark.parametrize("text", [
+        "11/ 1/2019 9:05:58 AM",           # space-padded day
+        "11/1\u0663/2019 9:05:58 AM",      # strptime reads \d as any decimal digit
+        "11/11/\uff12\uff10\uff11\uff19 9:05:58 AM",
+        "11/11/2019 9:0\u0665:5\u0668 PM",
+        "11/11/2019 9:\u0665:\u0668 PM",
+        "11/11/2019\t\u30009:05:58\u3000am",
+        "12/31/2100 12:00:00 AM",
+        "1/1/1970 12:00:00 pm",
+    ])
+    def test_accepted_by_both(self, text):
+        assert parse_time(text) == strptime_time(text)
+
+    def test_bad_timestamp_row_is_a_counted_issue(self, tmp_path):
+        rows = [BEHAVIOR_ROWS[0], "7\tU3\t11/11/2019 13:05:58 PM\tN1\tN2-0", BEHAVIOR_ROWS[1]]
+        log = parse_behaviors_file(write(tmp_path, "b.tsv", rows))
+        assert [r.impression_id for r in log] == ["2", "1"]
+        assert [issue.line_no for issue in log.issues] == [2]
+        assert "13:05:58 PM" in log.issues[0].message
 
 
 class TestWordVectors:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avoidrec.corpus import ImpressionLog, ImpressionRecord
+from avoidrec.corpus import ImpressionLog, ImpressionRecord, Interner, NewsArticle, NewsCatalog
 from avoidrec.features import impression_features
 from avoidrec.grid import engagement_index
 from avoidrec.stats import (GLOBAL_ROW_ID, BucketTimeline, StatsSnapshot,
@@ -70,8 +70,12 @@ def oracle_boundary(records, width, t):
     return below[-1] if below else None
 
 
-def oracle_features(records, width, t, news_ids, grid_d):
-    """impression_features recomputed from the dict oracle (no catalog)."""
+def oracle_features(records, width, t, news_ids, grid_d, catalog=None):
+    """impression_features recomputed from the dict oracle.
+
+    A catalog article's ``publish_time``, when set, replaces the first
+    exposure as the start of the article's age.
+    """
     boundary = oracle_boundary(records, width, t)
     n_imp, exposures, clicks, first_seen = (
         brute_force_snapshot(records, boundary) if boundary is not None else (0, {}, {}, {}))
@@ -82,7 +86,9 @@ def oracle_features(records, width, t, news_ids, grid_d):
         n_exp, n_clk = exposures.get(news_id, 0), clicks.get(news_id, 0)
         av = 1.0 if n_exp == 0 else 1.0 - n_clk / n_exp
         epi_value = 0.0 if n_imp == 0 else n_exp / n_imp
-        published = first_seen.get(news_id)
+        article = catalog.get(news_id) if catalog is not None else None
+        published = (article.publish_time if article is not None
+                     and article.publish_time is not None else first_seen.get(news_id))
         feats[news_id] = (
             engagement_index(av, epi_value, grid_d).i_ue,
             math.log1p(n_clk) / log_den if log_den else 0.0,
@@ -287,6 +293,27 @@ class TestAgainstDictOracle:
             ids = r.history + [news_id for news_id, _ in r.shown] + ["UNSEEN"]
             feats = impression_features(timeline, r.time, ids, 4)
             assert as_tuples(feats) == oracle_features(records, width, r.time, ids, 4)
+
+    @given(st.integers(0, 30), steps, st.sampled_from([1, 3, 7, 1000]),
+           st.dictionaries(st.sampled_from(ARTICLES + ["UNSEEN"]),
+                           st.one_of(st.none(), st.integers(-20, 200))),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_features_with_a_catalog_equal_oracle(self, start, step_list, width,
+                                                  publish, as_news_catalog):
+        # Publish times fall before, between and after the impressions (which
+        # start at ``start`` <= 30 and step by at most 9); None means unknown.
+        records = log_from_steps(start, step_list)
+        timeline = build_timeline(ImpressionLog(records), width)
+        articles = {news_id: NewsArticle(news_id, 0, 0, [], publish_time=t)
+                    for news_id, t in publish.items()}
+        catalog = (NewsCatalog(articles, Interner(), Interner(), Interner())
+                   if as_news_catalog else articles)
+        for r in records:
+            ids = r.history + [news_id for news_id, _ in r.shown] + ["UNSEEN"]
+            feats = impression_features(timeline, r.time, ids, 4, catalog)
+            # ArticleFeatures is a NamedTuple: equal to the oracle's plain tuples.
+            assert feats == oracle_features(records, width, r.time, ids, 4, catalog)
 
     @given(st.integers(0, 30), steps, steps, st.sampled_from([1, 3, 7, 1000]))
     @settings(max_examples=200, deadline=None)
