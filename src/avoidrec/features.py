@@ -48,8 +48,6 @@ def impression_features(timeline: BucketTimeline, impression_time: int,
     log_den = math.log1p(max_clicks) if max_clicks > 0 else 0.0
     catalog_get = catalog.get if catalog is not None else None
     unseen_cell = cell_index(1.0, 0.0, grid_d)  # no exposure: avoidance 1, EPI 0
-    log1p = math.log1p
-    make = ArticleFeatures
     feats = {}
     for news_id in news_ids:
         if news_id in feats:
@@ -59,7 +57,7 @@ def impression_features(timeline: BucketTimeline, impression_time: int,
         if n_exp:
             clicks = bisect_left(click_times.get(news_id, ()), t)
             cell = cell_index(1.0 - clicks / n_exp, n_exp / n_impressions, grid_d)
-            clicks_norm = log1p(clicks) / log_den if log_den else 0.0
+            clicks_norm = math.log1p(clicks) / log_den if log_den else 0.0
             published = times[0]
         else:
             cell, clicks_norm, published = unseen_cell, 0.0, None
@@ -73,5 +71,5 @@ def impression_features(timeline: BucketTimeline, impression_time: int,
             age_hours = (impression_time - published) / 3600.0
             if not age_hours > 0.0:
                 age_hours = 0.0
-        feats[news_id] = make(cell, clicks_norm, age_hours)
+        feats[news_id] = ArticleFeatures(cell, clicks_norm, age_hours)
     return feats
