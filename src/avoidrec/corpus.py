@@ -275,26 +275,24 @@ def parse_time(text: str) -> int:
     sign, underscore or extra field.  Bad input raises ``ValueError``;
     ``datetime`` itself rejects impossible dates such as 2/30.
     """
-    parts = text.strip().split("/")
-    if len(parts) == 3:
-        month, day, rest = parts
-        year = rest[:4]
-        tail = rest[4:].split()
-        if len(tail) == 2 and rest[4:5].isspace():
-            clock = tail[0].split(":")
-            half = tail[1].lower()
-            if len(clock) == 3 and (half == "am" or half == "pm"):
-                hour, minute, second = clock
-                if (month in _ONE_TO_TWELVE and hour in _ONE_TO_TWELVE
-                        and len(year) == 4 and year.isdecimal()
-                        and (day in _DAYS or _unicode_digit_field(day, "12", False))
-                        and (minute in _MINUTES or _unicode_digit_field(minute, "012345", True))
-                        and (second in _MINUTES or _unicode_digit_field(second, "012345", True))):
-                    h = int(hour) % 12 + (12 if half == "pm" else 0)
-                    dt = datetime(int(year), int(month), int(day), h, int(minute),
-                                  int(second), tzinfo=timezone.utc)
-                    return int(dt.timestamp())
-    raise ValueError(f"time data {text!r} does not match format {_TIME_FORMAT!r}")
+    try:
+        month, day, rest = text.strip().split("/")
+        clock, half = rest[4:].split()
+        hour, minute, second = clock.split(":")
+        year, half = rest[:4], half.lower()
+        if not (rest[4:5].isspace() and (half == "am" or half == "pm")
+                and month in _ONE_TO_TWELVE and hour in _ONE_TO_TWELVE
+                and len(year) == 4 and year.isdecimal()
+                and (day in _DAYS or _unicode_digit_field(day, "12", False))
+                and (minute in _MINUTES or _unicode_digit_field(minute, "012345", True))
+                and (second in _MINUTES or _unicode_digit_field(second, "012345", True))):
+            raise ValueError
+    except ValueError:  # also a wrong number of fields when unpacking
+        raise ValueError(f"time data {text!r} does not match format {_TIME_FORMAT!r}") from None
+    hour_24 = int(hour) % 12 + (12 if half == "pm" else 0)
+    dt = datetime(int(year), int(month), int(day), hour_24, int(minute), int(second),
+                  tzinfo=timezone.utc)
+    return int(dt.timestamp())
 
 
 def format_time(epoch_seconds: int) -> str:
