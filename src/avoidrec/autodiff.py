@@ -12,10 +12,9 @@ raises ShapeError otherwise.  Each thread (or asyncio task) has its own
 active record, so concurrent callers record separate graphs.  Training
 runs in float32; float64 exists for gradient checking.
 
-Leaf gradients accumulate in place.  On a record made with
-``factored=True``, the gradient of a weight used only in 2-D products can
-stay as its factors (``Outer``) across several backward passes, so a
-batch of several graphs multiplies it out once (``densify``).
+Every adjoint and every leaf ``grad`` is a plain array of its tensor's
+shape.  Leaf gradients accumulate in place, so the backward passes of
+several graphs sum into one gradient per leaf.
 """
 
 from __future__ import annotations
@@ -86,60 +85,10 @@ class _Entry:
 _ACTIVE_RECORD = contextvars.ContextVar("active_record", default=None)
 
 
-class Outer:
-    """A 2-D gradient kept as factors: the sum over i of ``a[i].T @ b[i]``.
-
-    ``matmul`` and ``affine`` hand back their 2-D operands' gradients in
-    this form.  The uses of one leaf are merged, and ``dense`` multiplies
-    all their rows out in one product instead of one product and one add
-    per use.  Only leaves receive an ``Outer``: every other adjoint is made
-    dense before an op's backward reads it.
-    """
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: np.ndarray, b: np.ndarray):
-        self.a, self.b = [a], [b]
-
-    @property
-    def shape(self):
-        return (self.a[0].shape[1], self.b[0].shape[1])
-
-    def merge(self, other: "Outer") -> "Outer":
-        self.a += other.a
-        self.b += other.b
-        return self
-
-    def owned(self) -> "Outer":
-        """The same sum over copies of the factors, so later writes elsewhere cannot change it."""
-        return Outer(np.concatenate(self.a), np.concatenate(self.b))
-
-    def smaller_than_dense(self) -> bool:
-        m, n = self.shape
-        return sum(len(a) for a in self.a) * (m + n) < m * n
-
-    def dense(self) -> np.ndarray:
-        if len(self.a) == 1:
-            return self.a[0].T @ self.b[0]
-        return np.concatenate(self.a).T @ np.concatenate(self.b)
-
-
-def densify(tensors):
-    """Turn every factored ``grad`` among ``tensors`` into an array (see ``backward``)."""
-    for t in tensors:
-        if isinstance(t.grad, Outer):
-            t.grad = t.grad.dense()
-
-
 class ComputationRecord:
-    """Ordered log of executed ops; context manager activates it for this context.
+    """Ordered log of executed ops; context manager activates it for this context."""
 
-    A ``factored`` record's ``backward`` may leave 2-D weight gradients as
-    ``Outer`` factors (see ``backward``).
-    """
-
-    def __init__(self, factored: bool = False):
-        self.factored = factored
+    def __init__(self):
         self.entries: list[_Entry] = []
         self._produced: set[int] = set()
         self._leaves: dict[int, Tensor] = {}
@@ -179,13 +128,9 @@ class ComputationRecord:
         the loss receive zeros.  A leaf's adjoint is complete once its first
         entry has been replayed, and it is added to ``grad`` right then, so
         the leaf adjoints of the whole graph are never alive together.  A
-        ``grad`` this sets owns its memory and shares it with no other leaf.
-
-        On a ``factored`` record, a leaf whose gradient so far comes only
-        from 2-D products keeps it as an ``Outer`` while its factors are
-        smaller than the dense array, merged across backward passes;
-        ``densify`` turns it into an array.  A batch of several graphs then
-        multiplies each such weight gradient out once.
+        ``grad`` this sets is an array of the leaf's shape that owns its
+        memory and shares it with no other leaf, so several backward passes
+        (one per graph of a batch) sum into it.
         """
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -205,54 +150,32 @@ class ComputationRecord:
                     if not (t.requires_grad or id(t) in self._produced):
                         continue
                     key = id(t)
-                    if isinstance(gt, Outer) and key not in self._leaves:
-                        gt = gt.dense()
                     prev = adjoint.get(key)
                     if prev is None:
                         adjoint[key] = gt
-                    elif isinstance(prev, Outer) and isinstance(gt, Outer):
-                        prev.merge(gt)
+                    elif key in summed:
+                        prev += gt
                     else:
-                        if isinstance(prev, Outer):
-                            prev = adjoint[key] = prev.dense()
-                            summed.add(key)
-                        if isinstance(gt, Outer):
-                            gt = gt.dense()
-                        if key in summed:
-                            prev += gt
-                        else:
-                            adjoint[key] = prev + gt
-                            summed.add(key)
+                        adjoint[key] = prev + gt
+                        summed.add(key)
             for leaf in complete.get(n, ()):
-                _accumulate(leaf, adjoint.pop(id(leaf), None), assigned, self.factored)
+                _accumulate(leaf, adjoint.pop(id(leaf), None), assigned)
 
 
-def _accumulate(leaf: Tensor, g, assigned: set, factored: bool):
+def _accumulate(leaf: Tensor, g, assigned: set):
     """Add the adjoint ``g`` (None: zeros) into ``leaf.grad`` in place.
 
     A first gradient that is a view, or an array already given to another
     leaf (``assigned`` holds their ids), is copied so that later in-place
-    adds touch this leaf alone.  With ``factored``, an ``Outer`` joins a
-    factored ``grad`` (or starts one) while that stays smaller than dense.
+    adds touch this leaf alone.
     """
-    fresh = False
-    if isinstance(g, Outer):
-        if factored and (leaf.grad is None or isinstance(leaf.grad, Outer)):
-            kept = g.owned() if leaf.grad is None else leaf.grad.merge(g.owned())
-            if kept.smaller_than_dense():
-                leaf.grad = kept
-                return
-            leaf.grad, g = None, kept
-        g, fresh = g.dense(), True
     if leaf.grad is not None:
         if g is not None:
-            if isinstance(leaf.grad, Outer):
-                leaf.grad = leaf.grad.dense()
             leaf.grad += g
         return
     if g is None:
         g = np.zeros_like(leaf.data)
-    elif not fresh and (g.base is not None or id(g) in assigned):
+    elif g.base is not None or id(g) in assigned:
         g = g.copy()
     assigned.add(id(g))
     leaf.grad = g
@@ -326,7 +249,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward_fn(g):
         if x.ndim == 2 and y.ndim == 2:
-            return (Outer(g.T, y.T), Outer(x, g))
+            return (g @ y.T, x.T @ g)
         return (_unbroadcast(g @ np.swapaxes(y, -1, -2), x.shape),
                 _unbroadcast(np.swapaxes(x, -1, -2) @ g, y.shape))
 
@@ -612,7 +535,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out = x.data @ w.data + b.data
 
     def backward_fn(g):
-        return (g @ w.data.T, Outer(x.data, g), g.sum(axis=0))
+        return (g @ w.data.T, x.data.T @ g, g.sum(axis=0))
 
     return _record("affine", (x, w, b), out, backward_fn)
 

@@ -76,16 +76,14 @@ def cmd_synth(args) -> int:
 
 
 def _load_config(args) -> TrainConfig:
-    config = TrainConfig.from_json_file(args.config)
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-    if getattr(args, "mode", None):
-        config.mode = args.mode
-    if getattr(args, "bucket_width", None):
-        config.bucket_width = args.bucket_width
-    if getattr(args, "grid_d", None):
-        config.model.grid_d = args.grid_d
-    return config
+    """The config file with the given command-line overrides, validated again."""
+    d = TrainConfig.from_json_file(args.config).to_dict()
+    for name in ("seed", "mode", "bucket_width"):
+        if getattr(args, name, None) is not None:
+            d[name] = getattr(args, name)
+    if getattr(args, "grid_d", None) is not None:
+        d["model"]["grid_d"] = args.grid_d
+    return TrainConfig.from_dict(d)
 
 
 def _prepare(config: TrainConfig):
@@ -162,9 +160,7 @@ def cmd_ablate(args) -> int:
     for mode in modes:
         per_seed = []
         for seed in seeds:
-            run_config = TrainConfig.from_dict(config.to_dict())
-            run_config.mode = mode
-            run_config.seed = seed
+            run_config = TrainConfig.from_dict({**config.to_dict(), "mode": mode, "seed": seed})
             result = train(run_config, corpus, timeline)
             report = evaluate(result.model, corpus.test, timeline, corpus.catalog,
                               mode=mode, config_dict=run_config.to_dict())

@@ -13,12 +13,11 @@ history, its time and its candidates: the group's features are computed
 once, one ``score_impression`` call scores the union of its candidates,
 and each instance takes its K+1 scores from those rows.  The group's
 losses are summed and replayed by one backward pass, so only one group's
-graph is alive at a time.  Across a batch's groups, gradients accumulate
-in place, and a weight used only in 2-D products keeps its gradient as
-factors (``autodiff.Outer``) that are multiplied out once per batch.  The
-batch gradient is the mean over instances.  An impression's features are
-kept while the next batch still holds one of its instances, so a later
-group of it computes only its new candidates.
+graph is alive at a time.  Across a batch's groups, each parameter's
+dense gradient accumulates in place; the batch gradient is the mean over
+instances.  An impression's features are kept while the next batch still
+holds one of its instances, so a later group of it computes only its new
+candidates.
 """
 
 from __future__ import annotations
@@ -65,12 +64,18 @@ class TrainConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def __post_init__(self):
-        if self.negatives < 1:
-            raise ValueError("negatives must be at least 1")
-        if self.patience < 1:
-            raise ValueError("patience must be at least 1")
+        positive = ("bucket_width", "negatives", "max_epochs", "patience", "batch_size")
+        positive += () if self.max_steps is None else ("max_steps",)
+        for name in positive + ("seed",):
+            value, floor = getattr(self, name), 1 if name in positive else 0
+            if not isinstance(value, int) or isinstance(value, bool) or value < floor:
+                raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
+        rate = self.learning_rate
+        if (not isinstance(rate, (int, float)) or isinstance(rate, bool)
+                or not math.isfinite(rate) or rate < 0):
+            raise ValueError(f"learning_rate must be a finite number >= 0, got {rate!r}")
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
     def to_dict(self):
         d = dict(self.__dict__)
@@ -321,8 +326,9 @@ def train(config: TrainConfig, corpus: Corpus, timeline) -> TrainResult:
 
     Returns the model loaded with its best-validation parameters along
     with the per-epoch log.  Aborts with TrainingDiverged on a non-finite
-    loss.  With ``config.max_steps`` set, exactly that many optimizer
-    steps run and early stopping is skipped (small-scale experiments).
+    loss.  With ``config.max_steps`` set, training stops after that many
+    optimizer steps (or earlier, after ``max_epochs``) and early stopping
+    is skipped (small-scale experiments).
     """
     rng = np.random.default_rng(config.seed)
     sizes = VocabSizes.from_corpus(corpus.catalog, corpus.vocab)
@@ -360,7 +366,7 @@ def train(config: TrainConfig, corpus: Corpus, timeline) -> TrainResult:
                                                features)
                 if prepared is None:
                     continue
-                with ad.ComputationRecord(factored=True) as record:
+                with ad.ComputationRecord() as record:
                     loss, loss_values = group_loss(model, *prepared, mode=config.mode)
                 if not all(map(math.isfinite, loss_values)):
                     raise TrainingDiverged(
@@ -373,7 +379,6 @@ def train(config: TrainConfig, corpus: Corpus, timeline) -> TrainResult:
                 batch_scored += len(loss_values)
             if batch_scored == 0:
                 continue
-            ad.densify(optimizer.params.values())
             if batch_scored > 1:
                 for p in optimizer.params.values():
                     if p.grad is not None:

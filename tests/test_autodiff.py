@@ -229,62 +229,6 @@ class TestBackward:
         assert np.array_equal(b.grad, np.full(b.shape, 2.0))
         assert not np.shares_memory(a.grad, b.grad)
 
-    def _two_graph_grads(self, factored):
-        # Two backward passes of graphs that use w in two 2-D products (as
-        # an affine weight and as a matmul's right operand), b as a bias,
-        # u in two products and an elementwise op, and a constant left
-        # operand c.
-        rng = np.random.default_rng(4)
-        w, b = p64(rng.normal(size=(16, 12))), p64(rng.normal(size=12))
-        u = p64(rng.normal(size=(12, 12)))
-        for seed in (5, 6):
-            data = np.random.default_rng(seed)
-            x, c = c64(data.normal(size=(2, 16))), c64(data.normal(size=(1, 16)))
-            with ad.ComputationRecord(factored=factored) as rec:
-                h = ad.tanh(ad.affine(x, w, b))               # (2, 12)
-                y = ad.matmul(ad.matmul(c, w), u)             # (1, 12)
-                z = ad.mul(ad.matmul(h, u), h)                # (2, 12)
-                loss = ad.add(ad.add(ad.sum_(ad.mul(y, y)), ad.sum_(z)),
-                              ad.sum_(ad.mul(u, u)))
-            rec.backward(loss)
-        return w, b, u
-
-    def test_factored_grads_densify_to_the_plain_grads(self):
-        plain = self._two_graph_grads(factored=False)
-        factored = self._two_graph_grads(factored=True)
-        assert isinstance(factored[0].grad, ad.Outer)  # kept over both passes
-        ad.densify(factored)
-        for p, f in zip(plain, factored):
-            assert isinstance(f.grad, np.ndarray)
-            assert np.allclose(f.grad, p.grad, rtol=0, atol=1e-12)
-
-    def test_factored_grad_ignores_later_writes_to_shared_adjoints(self):
-        # add hands the product and the full-shape leaf b the same adjoint;
-        # b's grad is then added to in place by the second pass, which must
-        # not reach the factors w keeps of that adjoint.
-        grads = []
-        for factored in (False, True):
-            w = p64(np.random.default_rng(7).normal(size=(12, 10)))
-            b = p64(np.zeros((2, 10)))
-            for seed in (1, 2):
-                x = c64(np.random.default_rng(seed).normal(size=(2, 12)))
-                with ad.ComputationRecord(factored=factored) as rec:
-                    loss = ad.sum_(ad.exp(ad.add(ad.matmul(x, w), b)))
-                rec.backward(loss)
-            assert isinstance(w.grad, ad.Outer) == factored
-            ad.densify([w, b])
-            grads.append((w.grad, b.grad))
-        for plain, factored in zip(*grads):
-            assert np.allclose(factored, plain, rtol=0, atol=1e-12)
-
-    def test_factored_grad_turns_dense_once_factors_outgrow_it(self):
-        w = p64(np.ones((2, 2)))
-        with ad.ComputationRecord(factored=True) as rec:
-            loss = ad.sum_(ad.matmul(c64(np.ones((5, 2))), w))  # 5 rows x (2 + 2) > 2 x 2
-        rec.backward(loss)
-        assert isinstance(w.grad, np.ndarray)
-        assert np.array_equal(w.grad, np.full((2, 2), 5.0))
-
     def test_multi_use_adjoint_sums_every_use(self):
         x = p64([[1.0, 2.0]])
         with ad.ComputationRecord() as rec:

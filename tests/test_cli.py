@@ -186,6 +186,28 @@ class TestTrainEvalAblate:
         assert "bucketed every 1800 s" in capsys.readouterr().err
         assert not (tmp_path / "eval2").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("flags, field", [
+        (["--grid-d", "0"], "grid_d"), (["--grid-d", "-2"], "grid_d"),
+        (["--bucket-width", "0"], "bucket_width")])
+    def test_bad_override_fails_naming_the_field(self, config_path, tmp_path, capsys,
+                                                 command, flags, field):
+        extra = ["--checkpoint", str(tmp_path / "none.ntck")] if command == "eval" else []
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config_path), *extra, *flags,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not out.exists()
+
+    def test_train_with_zero_epochs_fails_naming_the_field(self, config_path, tmp_path, capsys):
+        cfg = json.loads(config_path.read_text())
+        cfg["max_epochs"] = 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["train", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: max_epochs")
+
     def test_missing_config_fails(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 1

@@ -198,6 +198,46 @@ class TestTrainLoop:
         with pytest.raises(TrainingDiverged, match="step"):
             train(config, corpus, timeline)
 
+    def test_one_step_matches_a_hand_written_step(self, tmp_path):
+        # The one batch holds every instance, over several impressions, some
+        # with more than one instance.  train()'s step must be the mean of
+        # one backward per instance, fed to Adam.
+        _, news, behaviors = make_tiny_corpus(tmp_path)
+        config = make_train_config(news, behaviors, model=tiny_config(max_title_len=10),
+                                   max_steps=1, max_epochs=1, batch_size=32, val_fraction=0.0)
+        corpus, timeline = prepare(config)
+        result = train(config, corpus, timeline)
+
+        rng = np.random.default_rng(config.seed)
+        instances, _ = build_training_instances(corpus.train, config.negatives, rng)
+        batch = [instances[i] for i in rng.permutation(len(instances))[:config.batch_size]]
+        sizes = [len(g) for g in impression_groups(batch)]
+        assert len(sizes) >= 2 and max(sizes) >= 2
+        model = AvoidanceAwareRanker(config.model, VocabSizes.from_corpus(
+            corpus.catalog, corpus.vocab), seed=config.seed)
+        initial = {name: p.data.copy() for name, p in model.parameters().items()}
+        params = model.trainable_parameters()
+        total = {}
+        for instance in batch:
+            model.zero_grads()
+            prepared = _group_score_inputs([instance], corpus.catalog, timeline, model.config)
+            with ad.ComputationRecord() as rec:
+                loss, _ = group_loss(model, *prepared, mode=config.mode)
+            rec.backward(loss)
+            for name, p in params.items():
+                if p.grad is not None:
+                    total[name] = total.get(name, 0.0) + p.grad
+        for name, p in params.items():
+            p.grad = total[name] / len(batch) if name in total else None
+        Adam(params, lr=config.learning_rate).step()
+
+        trained = result.model.parameters()
+        assert trained.keys() == initial.keys()
+        for name, p in model.parameters().items():
+            assert trained[name].dtype == np.float64
+            assert np.allclose(trained[name].data, p.data, rtol=0, atol=1e-10), name
+        assert all(not np.array_equal(p.data, initial[n]) for n, p in params.items())
+
     def test_early_stopping_respects_patience(self, tmp_path):
         _, news, behaviors = make_tiny_corpus(tmp_path)
         config = make_train_config(news, behaviors, max_epochs=10, patience=2,
@@ -206,6 +246,24 @@ class TestTrainLoop:
         result = train(config, corpus, timeline)
         # frozen parameters: validation never improves after epoch 1
         assert len(result.history) == 3
+
+
+class TestTrainConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 0), ("batch_size", 2.0), ("max_epochs", 0), ("bucket_width", 0),
+        ("bucket_width", True), ("max_steps", 0), ("negatives", 0), ("patience", 0),
+        ("learning_rate", -1e-3), ("learning_rate", math.nan), ("learning_rate", math.inf),
+        ("learning_rate", "0.1"), ("seed", -1), ("mode", "bogus"),
+    ])
+    def test_bad_field_is_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 1), ("max_epochs", 1), ("bucket_width", 1), ("max_steps", None),
+        ("max_steps", 1), ("learning_rate", 0.0), ("learning_rate", 0), ("seed", 0)])
+    def test_boundary_values_accepted(self, field, value):
+        assert getattr(TrainConfig(**{field: value}), field) == value
 
 
 class TestModes:
@@ -388,8 +446,10 @@ class TestImpressionGroups:
         with ad.ComputationRecord() as rec:
             loss, _ = group_loss(model, *prepared, mode=mode)
         rec.backward(loss)
-        grads = [(n, p.grad) for n, p in model.parameters().items() if p.grad is not None]
+        params = model.parameters()
+        grads = [(n, p.grad) for n, p in params.items() if p.grad is not None]
         assert len(grads) > 10
         for i, (name, grad) in enumerate(grads):
+            assert type(grad) is np.ndarray and grad.shape == params[name].shape, name
             for other, other_grad in grads[i + 1:]:
                 assert not np.shares_memory(grad, other_grad), (name, other)
