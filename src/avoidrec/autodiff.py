@@ -14,7 +14,10 @@ runs in float32; float64 exists for gradient checking.
 
 Every adjoint and every leaf ``grad`` is a plain array of its tensor's
 shape.  Leaf gradients accumulate in place, so the backward passes of
-several graphs sum into one gradient per leaf.
+several graphs sum into one gradient per leaf.  A leaf's first adjoint is
+copied into the leaf's ``grad_buffer`` when it has one (``training.Adam``
+gives each parameter its view into one flat gradient store), else into a
+fresh array; no adjoint array is ever adopted as a ``grad``.
 """
 
 from __future__ import annotations
@@ -33,9 +36,13 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    """A numpy array plus an optional gradient accumulator."""
+    """A numpy array plus an optional gradient accumulator.
 
-    __slots__ = ("data", "grad", "requires_grad", "name")
+    ``grad_buffer`` (None, or an array of the tensor's shape) is where a
+    backward pass writes the tensor's gradient when ``grad`` is None.
+    """
+
+    __slots__ = ("data", "grad", "grad_buffer", "requires_grad", "name")
 
     def __init__(self, data, requires_grad=False, name=None, dtype=None):
         arr = np.asarray(data)
@@ -45,6 +52,7 @@ class Tensor:
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.grad = None
+        self.grad_buffer = None
         self.requires_grad = requires_grad
         self.name = name
 
@@ -128,9 +136,9 @@ class ComputationRecord:
         the loss receive zeros.  A leaf's adjoint is complete once its first
         entry has been replayed, and it is added to ``grad`` right then, so
         the leaf adjoints of the whole graph are never alive together.  A
-        ``grad`` this sets is an array of the leaf's shape that owns its
-        memory and shares it with no other leaf, so several backward passes
-        (one per graph of a batch) sum into it.
+        ``grad`` this sets is the leaf's ``grad_buffer`` or a fresh array,
+        never an adjoint, so it shares memory with no other leaf and
+        several backward passes (one per graph of a batch) sum into it.
         """
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -139,7 +147,6 @@ class ComputationRecord:
             complete.setdefault(n, []).append(self._leaves[key])
         adjoint = {id(loss): np.ones_like(loss.data)}
         summed = set()  # adjoints that are sums made here, so no one else holds them
-        assigned = set()
         for n in range(len(self.entries) - 1, -1, -1):
             entry = self.entries[n]
             g = adjoint.pop(id(entry.out), None)
@@ -159,26 +166,26 @@ class ComputationRecord:
                         adjoint[key] = prev + gt
                         summed.add(key)
             for leaf in complete.get(n, ()):
-                _accumulate(leaf, adjoint.pop(id(leaf), None), assigned)
+                _accumulate(leaf, adjoint.pop(id(leaf), None))
 
 
-def _accumulate(leaf: Tensor, g, assigned: set):
+def _accumulate(leaf: Tensor, g):
     """Add the adjoint ``g`` (None: zeros) into ``leaf.grad`` in place.
 
-    A first gradient that is a view, or an array already given to another
-    leaf (``assigned`` holds their ids), is copied so that later in-place
-    adds touch this leaf alone.
+    A leaf with no ``grad`` yet gets a copy of ``g`` in its ``grad_buffer``
+    (a fresh array when it has none), so later in-place adds touch this
+    leaf alone.
     """
     if leaf.grad is not None:
         if g is not None:
             leaf.grad += g
         return
+    grad = leaf.grad_buffer if leaf.grad_buffer is not None else np.empty_like(leaf.data)
     if g is None:
-        g = np.zeros_like(leaf.data)
-    elif g.base is not None or id(g) in assigned:
-        g = g.copy()
-    assigned.add(id(g))
-    leaf.grad = g
+        grad.fill(0)
+    else:
+        np.copyto(grad, g)
+    leaf.grad = grad
 
 
 def _record(op, inputs, out_data, backward_fn):

@@ -22,6 +22,7 @@ exactly when it reports an error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -66,7 +67,7 @@ def cmd_stats(args) -> int:
 def cmd_synth(args) -> int:
     spec = SyntheticSpec.from_json_file(args.spec)
     if args.seed is not None:
-        spec.seed = args.seed
+        spec = dataclasses.replace(spec, seed=args.seed)
     dataset = generate(spec)
     news_path, behaviors_path = write_mind_files(dataset, args.out)
     n_clicks = sum(label for rec in dataset.records for _, label in rec.shown)

@@ -302,13 +302,20 @@ def format_time(epoch_seconds: int) -> str:
     return f"{dt.month:02d}/{dt.day:02d}/{dt.year} {hour}:{dt.minute:02d}:{dt.second:02d} {half}"
 
 
-def _parse_candidate(token: str) -> tuple[str, int]:
-    news_id, sep, label = token.rpartition("-")
-    if not sep or not news_id:
-        raise ValueError(f"candidate {token!r} is not of the form <news_id>-<label>")
-    if label not in ("0", "1"):
-        raise ValueError(f"candidate {token!r} has label {label!r}, expected 0 or 1")
-    return news_id, int(label)
+_LABELS = {"0": 0, "1": 1}
+
+
+def _parse_candidates(tokens: list[str]) -> list[tuple[str, int]]:
+    """(news_id, label) per ``<news_id>-<label>`` token; the first bad one raises."""
+    shown = []
+    for token in tokens:
+        news_id, _, label = token.rpartition("-")
+        if not news_id:
+            raise ValueError(f"candidate {token!r} is not of the form <news_id>-<label>")
+        if label not in _LABELS:
+            raise ValueError(f"candidate {token!r} has label {label!r}, expected 0 or 1")
+        shown.append((news_id, _LABELS[label]))
+    return shown
 
 
 def _record_from_json(obj) -> ImpressionRecord:
@@ -340,7 +347,7 @@ def _record_from_tsv(line: str) -> ImpressionRecord:
         user_id=user_id,
         time=parse_time(time_text),
         history=history_text.split(),
-        shown=[_parse_candidate(tok) for tok in shown_tokens],
+        shown=_parse_candidates(shown_tokens),
     )
 
 

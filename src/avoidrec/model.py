@@ -173,11 +173,15 @@ class AvoidanceAwareRanker:
         extra = set(state) - set(params)
         if missing or extra:
             raise ValueError(f"state mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
+        arrays = {}
         for name, t in params.items():
-            arr = np.asarray(state[name], dtype=t.data.dtype)
-            if arr.shape != t.data.shape:
-                raise ValueError(f"{name}: shape {arr.shape} != {t.data.shape}")
-            t.data = arr.copy()
+            arrays[name] = np.asarray(state[name], dtype=t.data.dtype)
+            if arrays[name].shape != t.data.shape:
+                raise ValueError(f"{name}: shape {arrays[name].shape} != {t.data.shape}")
+        # Nothing is written before every entry has passed, and then in place,
+        # so an optimizer's store that holds the parameters keeps holding them.
+        for name, t in params.items():
+            t.data[...] = arrays[name]
 
     # -- scoring ---------------------------------------------------------------
 

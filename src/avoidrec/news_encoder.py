@@ -48,8 +48,9 @@ class NewsEncoder:
             word_init[Vocabulary.pad_index] = 0.0
         elif word_init.shape != (n_words, d_word):
             raise ValueError(f"word_init shape {word_init.shape} != {(n_words, d_word)}")
-        self.word_emb = ad.Tensor(word_init, requires_grad=word_trainable,
-                                  name="news.word_emb", dtype=self.dtype)
+        # A copy: loading a state writes the table in place, never into word_init.
+        self.word_emb = ad.Tensor(np.array(word_init, dtype=self.dtype),
+                                  requires_grad=word_trainable, name="news.word_emb")
         # The query, key and value draws, in that order, side by side.
         self.wqkv = ad.parameter(np.concatenate([xav(d_word, d_news) for _ in range(3)], axis=1),
                                  name="news.wqkv")

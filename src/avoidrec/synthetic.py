@@ -68,6 +68,12 @@ class SyntheticSpec:
     origin: int = DEFAULT_ORIGIN
 
     def __post_init__(self):
+        positive = ("n_users", "n_articles", "n_buckets", "grid_d", "bucket_width",
+                    "impressions_per_bucket", "n_shown")
+        for name in positive + ("seed",):
+            value, floor = getattr(self, name), 1 if name in positive else 0
+            if not isinstance(value, int) or isinstance(value, bool) or value < floor:
+                raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
         if not self.affinity:
             self.affinity = [[1.0] * self.grid_d for _ in range(self.grid_d)]
         matrix = np.asarray(self.affinity, dtype=np.float64)

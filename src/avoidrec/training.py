@@ -17,7 +17,9 @@ graph is alive at a time.  Across a batch's groups, each parameter's
 dense gradient accumulates in place; the batch gradient is the mean over
 instances.  An impression's features are kept while the next batch still
 holds one of its instances, so a later group of it computes only its new
-candidates.
+candidates.  ``Adam`` holds the only copy of the parameters, their
+gradients and its moments, each in one flat store that it steps in place;
+``train`` copies the parameters out only for the state it returns.
 """
 
 from __future__ import annotations
@@ -198,34 +200,94 @@ def instance_loss(pos_score: ad.Tensor, neg_scores) -> ad.Tensor:
 
 
 class Adam:
-    """Adaptive-moment optimizer with bias correction."""
+    """Adaptive-moment optimizer with bias correction, stepping in place.
+
+    The parameters are packed into one contiguous store: each ``p.data``
+    becomes a view into ``values``, and ``p.grad_buffer`` a view into the
+    matching gradient store ``grads``, which backward passes write into.
+    ``m`` and ``v`` are flat stores in the same layout, and ``slices``
+    names each parameter's span.  A step covers each run of adjacent
+    parameters that have a gradient in one pass, ``CHUNK`` elements at a
+    time through two chunk-sized scratch arrays, with the same float ops
+    per element as the textbook update.  A parameter whose ``grad`` is None
+    keeps its data, ``m`` and ``v`` unchanged; a ``grad`` set from outside
+    is copied into the store first.
+    """
+
+    CHUNK = 1 << 15
 
     def __init__(self, params: dict[str, ad.Tensor], lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = dict(params)
+        tensors = list(self.params.values())
+        if len({id(p) for p in tensors}) != len(tensors):
+            raise ValueError("Adam was given one tensor under two names")
+        dtypes = {p.data.dtype for p in tensors}
+        if len(dtypes) > 1:
+            raise ValueError(f"Adam needs parameters of one dtype, got {sorted(map(str, dtypes))}")
+        dtype = dtypes.pop() if dtypes else np.dtype(ad.DEFAULT_DTYPE)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        self.slices = {}
+        start = 0
+        for name, p in self.params.items():
+            self.slices[name] = slice(start, start + p.data.size)
+            start += p.data.size
+        # One block holds all four stores, so the allocator can hand it whole
+        # to the next optimizer instead of giving its pages back to the system.
+        self.values, self.grads, self.m, self.v = np.zeros((4, start), dtype)
+        for name, p in self.params.items():
+            span = self.slices[name]
+            self.values[span] = p.data.reshape(-1)
+            p.data = self.values[span].reshape(p.data.shape)
+            p.grad_buffer = self.grads[span].reshape(p.data.shape)
+        self._scratch = np.empty((2, min(start, self.CHUNK)), dtype)
+
+    def _runs(self):
+        """(start, stop) of each run of adjacent parameters that have a gradient.
+
+        A gradient set from outside is copied into the store on the way.
+        """
+        runs = []
+        for name, p in self.params.items():
+            if p.grad is None:
+                continue
+            if p.grad is not p.grad_buffer:
+                np.copyto(p.grad_buffer, p.grad)
+                p.grad = p.grad_buffer
+            span = self.slices[name]
+            if runs and runs[-1][1] == span.start:
+                runs[-1][1] = span.stop
+            else:
+                runs.append([span.start, span.stop])
+        return runs
 
     def step(self):
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for name, p in self.params.items():
-            if p.grad is None:
-                continue
-            g = p.grad.astype(p.data.dtype, copy=False)
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (m / b1t) / (np.sqrt(v / b2t) + self.eps)
-            p.data = p.data - p.data.dtype.type(self.lr) * update.astype(p.data.dtype)
+        lr = self.values.dtype.type(self.lr)
+        for start, stop in self._runs():
+            for lo in range(start, stop, self.CHUNK):
+                hi = min(lo + self.CHUNK, stop)
+                g, m, v = self.grads[lo:hi], self.m[lo:hi], self.v[lo:hi]
+                a, b = self._scratch[:, :hi - lo]
+                m *= self.beta1
+                np.multiply(g, 1.0 - self.beta1, out=a)
+                m += a
+                v *= self.beta2
+                np.multiply(g, g, out=a)
+                a *= 1.0 - self.beta2
+                v += a
+                np.divide(v, b2t, out=a)  # a: the denominator
+                np.sqrt(a, out=a)
+                a += self.eps
+                np.divide(m, b1t, out=b)  # b: the update
+                b /= a
+                b *= lr
+                self.values[lo:hi] -= b
 
     def zero_grads(self):
         for p in self.params.values():
@@ -344,7 +406,7 @@ def train(config: TrainConfig, corpus: Corpus, timeline) -> TrainResult:
     optimizer = Adam(model.trainable_parameters(), lr=config.learning_rate)
     features = {}  # impression -> features, kept for the impressions of the last batch
     best_val = -math.inf
-    best_state = model.state_dict()
+    best_state, best_epoch = None, 0  # None: the model as it stands is the best
     epochs_since_best = 0
     history = []
     step = 0
@@ -400,7 +462,8 @@ def train(config: TrainConfig, corpus: Corpus, timeline) -> TrainResult:
 
         if config.max_steps is None and not math.isnan(val_auc):
             if val_auc > best_val:
-                best_val = val_auc
+                best_val, best_epoch = val_auc, epoch
+                best_state = None  # the old copy goes before the new one is taken
                 best_state = model.state_dict()
                 epochs_since_best = 0
             else:
@@ -408,12 +471,14 @@ def train(config: TrainConfig, corpus: Corpus, timeline) -> TrainResult:
                 if epochs_since_best >= config.patience:
                     break
         else:
-            best_state = model.state_dict()
-            best_val = val_auc
+            best_val, best_epoch, best_state = val_auc, epoch, None
         if done:
             break
 
-    model.load_state_dict(best_state)
+    if best_state is None:
+        best_state = model.state_dict()
+    elif best_epoch < len(history):
+        model.load_state_dict(best_state)
     return TrainResult(model=model, best_state=best_state,
                        best_val_auc=best_val, history=history,
                        n_instances=len(instances), n_skipped_instances=skipped,

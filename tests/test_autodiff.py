@@ -229,6 +229,21 @@ class TestBackward:
         assert np.array_equal(b.grad, np.full(b.shape, 2.0))
         assert not np.shares_memory(a.grad, b.grad)
 
+    def test_first_adjoint_is_copied_into_the_grad_buffer(self):
+        # Both leaves' buffers are filled in place, the unreached one with
+        # zeros; a second backward adds into the same arrays.
+        used, unused = p64(np.ones((2, 3))), p64([[2.0]])
+        buffers = [np.full((2, 3), np.nan), np.full((1, 1), np.nan)]
+        used.grad_buffer, unused.grad_buffer = buffers
+        for _ in range(2):
+            with ad.ComputationRecord() as rec:
+                ad.scale(unused, 2.0)
+                loss = ad.sum_(ad.scale(used, 3.0))
+            rec.backward(loss)
+        assert used.grad is buffers[0] and unused.grad is buffers[1]
+        assert np.array_equal(buffers[0], np.full((2, 3), 6.0))
+        assert np.array_equal(buffers[1], [[0.0]])
+
     def test_multi_use_adjoint_sums_every_use(self):
         x = p64([[1.0, 2.0]])
         with ad.ComputationRecord() as rec:

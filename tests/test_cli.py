@@ -105,6 +105,18 @@ class TestSynthCommand:
         b = (tmp_path / "b" / "behaviors.tsv").read_bytes()
         assert a != b
 
+    @pytest.mark.parametrize("spec, args, field", [
+        ({"seed": 1}, ["--seed", "-1"], "seed"),
+        ({"n_shown": 0}, [], "n_shown")])
+    def test_bad_integer_fails_naming_the_field(self, tmp_path, capsys, spec, args, field):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        out = tmp_path / "x"
+        assert main(["synth", str(spec_path), "--out", str(out)] + args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert not out.exists()
+
     def test_infeasible_spec_fails(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({

@@ -176,6 +176,19 @@ class TestParseBehaviors:
         assert len(log.issues) == 1
         assert "N5-2" in log.issues[0].message
 
+    def test_candidate_tokens_accepted_and_refused(self, tmp_path):
+        # The id is everything before the last '-', the label one of 0 or 1;
+        # a row's first bad token names it.
+        row = "1\tU1\t11/11/2019 1:00:00 PM\tN1\tN1-0 N-1-1 {}"
+        refused = {"N1": "is not of the form", "-1": "is not of the form",
+                   "N1-2": "has label '2'", "N1-": "has label ''"}
+        rows = [row.format("N2-0")] + [row.format(f"{bad} N3-5") for bad in refused]
+        log = parse_behaviors_file(write(tmp_path, "b.tsv", rows))
+        assert [r.shown for r in log] == [[("N1", 0), ("N-1", 1), ("N2", 0)]]
+        assert len(log.issues) == len(refused)
+        for problem, (bad, reason) in zip(log.issues, refused.items()):
+            assert problem.message.startswith(f"candidate {bad!r} {reason}"), problem.message
+
     def test_unparseable_time_skips_row(self, tmp_path):
         rows = ["1\tU1\tnot a time\tN1\tN2-0"] + BEHAVIOR_ROWS[:1]
         log = parse_behaviors_file(write(tmp_path, "b.tsv", rows))

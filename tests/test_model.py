@@ -1,9 +1,13 @@
-"""``ModelConfig`` refuses a bad field by name, before any encoder is built."""
+"""``ModelConfig`` refuses a bad field by name, before any encoder is built;
+``load_state_dict`` refuses a bad state before it writes anything."""
 
 import numpy as np
 import pytest
 
-from avoidrec.model import ModelConfig, recent_history
+import avoidrec.autodiff as ad
+from avoidrec.model import AvoidanceAwareRanker, ModelConfig, VocabSizes, recent_history
+from avoidrec.training import Adam
+from conftest import tiny_config
 
 DIMENSIONS = ("d_word", "d_news", "n_heads", "d_att", "d_cat", "d_ent", "max_title_len",
               "dim_ue", "grid_d", "d_time", "user_heads")
@@ -60,3 +64,30 @@ def test_recent_history_keeps_the_newest_items():
     assert recent_history(items, 9) == items
     assert recent_history(items, 0) == []
     assert recent_history([], 3) == []
+
+
+def test_a_bad_state_changes_no_parameter():
+    model = AvoidanceAwareRanker(tiny_config(), VocabSizes(12, 3, 5), seed=1)
+    before = model.state_dict()
+    state = {name: arr + 1.0 for name, arr in before.items()}
+    last = list(state)[-1]
+    state[last] = state[last][..., :-1]
+    with pytest.raises(ValueError, match=last):
+        model.load_state_dict(state)
+    for name, p in model.parameters().items():
+        assert np.array_equal(p.data, before[name]), name
+
+
+def test_adam_still_moves_the_parameters_after_a_load():
+    model = AvoidanceAwareRanker(tiny_config(), VocabSizes(12, 3, 5), seed=1)
+    params = model.trainable_parameters()
+    opt = Adam(params, lr=0.1)
+    loaded = AvoidanceAwareRanker(tiny_config(), VocabSizes(12, 3, 5), seed=2).state_dict()
+    model.load_state_dict(loaded)
+    for name, p in params.items():
+        assert np.array_equal(p.data, loaded[name]), name
+        assert np.shares_memory(p.data, opt.values), name
+        p.grad = np.ones_like(p.data)
+    opt.step()
+    for name, p in params.items():
+        assert np.allclose(p.data, loaded[name] - 0.1, rtol=0, atol=1e-8), name  # a step of lr

@@ -29,6 +29,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="5x5"):
             SyntheticSpec(affinity=[[1.0] * 4 for _ in range(4)], grid_d=5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("seed", 1.5), ("n_users", 0), ("n_articles", 0), ("n_buckets", 0),
+        ("grid_d", 0), ("bucket_width", 0), ("impressions_per_bucket", 0), ("n_shown", 0),
+        ("n_shown", True), ("n_users", "8")])
+    def test_bad_integer_field_is_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SyntheticSpec(**{field: value})
+
     def test_default_affinity_is_uniform(self):
         spec = SyntheticSpec(grid_d=3)
         assert spec.affinity == [[1.0] * 3 for _ in range(3)]

@@ -238,6 +238,31 @@ class TestTrainLoop:
             assert np.allclose(trained[name].data, p.data, rtol=0, atol=1e-10), name
         assert all(not np.array_equal(p.data, initial[n]) for n, p in params.items())
 
+    @pytest.mark.parametrize("kw", [dict(max_steps=3, max_epochs=2),
+                                    dict(max_epochs=6, patience=2, learning_rate=0.05)])
+    def test_best_state_is_a_copy_of_the_returned_model(self, tmp_path, kw):
+        _, news, behaviors = make_tiny_corpus(tmp_path)
+        config = make_train_config(news, behaviors, **kw)
+        corpus, timeline = prepare(config)
+        result = train(config, corpus, timeline)
+        params = result.model.parameters()
+        assert result.best_state.keys() == params.keys()
+        for name, p in params.items():
+            assert np.array_equal(result.best_state[name], p.data), name
+            assert not np.shares_memory(result.best_state[name], p.data), name
+
+    def test_early_stopping_restores_the_best_epoch(self, tmp_path):
+        _, news, behaviors = make_tiny_corpus(tmp_path)
+        config = make_train_config(news, behaviors, max_epochs=6, patience=2,
+                                   learning_rate=0.05)
+        corpus, timeline = prepare(config)
+        result = train(config, corpus, timeline)
+        aucs = [h.val_auc for h in result.history]
+        assert aucs.index(result.best_val_auc) < len(aucs) - 1  # a later epoch was worse
+        restored = evaluate(result.model, corpus.validation, timeline, corpus.catalog,
+                            mode=config.mode).metrics["auc"]
+        assert restored == result.best_val_auc
+
     def test_early_stopping_respects_patience(self, tmp_path):
         _, news, behaviors = make_tiny_corpus(tmp_path)
         config = make_train_config(news, behaviors, max_epochs=10, patience=2,
@@ -348,6 +373,87 @@ class TestAdam:
         p.grad = np.array([[1.0, -2.0, 0.5]])
         opt.step()
         assert (np.sign(p.data) == [[-1.0, 1.0, -1.0]]).all()
+
+
+    @staticmethod
+    def textbook(x, m, v, g, t, lr=0.01):
+        """One textbook Adam update of copies of ``x``, ``m`` and ``v``."""
+        m = m * 0.9 + (1.0 - 0.9) * g
+        v = v * 0.999 + (1.0 - 0.999) * (g * g)
+        update = (m / (1.0 - 0.9 ** t)) / (np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
+        return x - x.dtype.type(lr) * update, m, v
+
+    def test_parameters_live_in_one_store(self):
+        rng = np.random.default_rng(0)
+        params = {k: ad.parameter(rng.normal(size=s), dtype=np.float32)
+                  for k, s in {"a": (3, 4), "b": (5,)}.items()}
+        before = {k: p.data.copy() for k, p in params.items()}
+        opt = Adam(params, lr=0.01)
+        for name, p in params.items():
+            assert np.array_equal(p.data, before[name])
+            assert np.shares_memory(p.data, opt.values)
+            assert np.shares_memory(p.grad_buffer, opt.grads)
+        with ad.ComputationRecord() as rec:
+            loss = ad.sum_(ad.matmul(params["a"], ad.constant(np.ones((4, 1)))))
+        rec.backward(loss)
+        assert params["a"].grad is params["a"].grad_buffer and params["b"].grad is None
+        assert np.array_equal(opt.grads[opt.slices["a"]], np.ones(12))
+
+    def test_parameter_without_gradient_keeps_data_and_moments(self):
+        # "b" sits between two parameters that span several chunks; it skips
+        # step 2 bit for bit while they step, and steps normally at step 3.
+        rng = np.random.default_rng(1)
+        shapes = {"a": (Adam.CHUNK + 7,), "b": (3, 5), "c": (2, Adam.CHUNK + 1)}
+        params = {k: ad.parameter(rng.normal(size=s), dtype=np.float32)
+                  for k, s in shapes.items()}
+        ref = {k: (p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data))
+               for k, p in params.items()}
+        opt = Adam(params, lr=0.01)
+        for t, with_grad in ((1, "abc"), (2, "ac"), (3, "abc")):
+            opt.zero_grads()
+            kept = {k: (p.data.copy(), opt.m[opt.slices[k]].copy(), opt.v[opt.slices[k]].copy())
+                    for k, p in params.items()}
+            for k in with_grad:
+                g = rng.normal(size=shapes[k]).astype(np.float32)
+                params[k].grad = g
+                ref[k] = self.textbook(*ref[k], g, t)
+            opt.step()
+            for k, p in params.items():
+                m, v = opt.m[opt.slices[k]], opt.v[opt.slices[k]]
+                x_ref, m_ref, v_ref = ref[k] if k in with_grad else kept[k]
+                assert np.array_equal(p.data, x_ref), (t, k)
+                assert np.array_equal(m, m_ref.reshape(-1)), (t, k)
+                assert np.array_equal(v, v_ref.reshape(-1)), (t, k)
+
+    def test_one_tensor_under_two_names_is_refused(self):
+        p = ad.parameter(np.zeros(3))
+        with pytest.raises(ValueError, match="two names"):
+            Adam({"p": p, "q": p}, lr=0.1)
+
+    def test_mixed_dtypes_are_refused(self):
+        with pytest.raises(ValueError, match="dtype"):
+            Adam({"a": ad.parameter(np.zeros(3), dtype=np.float32),
+                  "b": ad.parameter(np.zeros(3), dtype=np.float64)}, lr=0.1)
+
+    def test_step_allocates_no_more_than_its_chunk_scratch(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(2)
+        params = {k: ad.parameter(rng.normal(size=(4, Adam.CHUNK)), dtype=np.float32)
+                  for k in "abc"}
+        opt = Adam(params, lr=0.01)
+        for p in params.values():
+            p.grad_buffer[...] = rng.normal(size=p.shape)
+            p.grad = p.grad_buffer
+        opt.step()  # numpy's first calls may cache small objects of their own
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            opt.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < Adam.CHUNK * 4  # one chunk of float32; the store is 12 chunks
 
 
 def test_instance_features_cover_only_the_kept_history():
