@@ -9,7 +9,14 @@ format for impression records is accepted by the behaviors parser so
 other log formats can be converted externally.
 
 Parsed catalogs and logs are plain immutable-by-convention containers and
-are safe to share across threads once built.
+are safe to share across threads once built.  They hold each distinct
+value once: news ids and user ids are interned (``sys.intern``), so a
+catalog key, every history and candidate id naming that article, and the
+statistics keyed by them are one string object; within one behaviors
+file each distinct ``(news_id, label)`` candidate pair is one shared
+tuple (tuples are immutable, so sharing them is safe); and
+``NewsArticle`` and ``ImpressionRecord`` are slotted, with no per-record
+``__dict__``.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import string
+import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -98,7 +106,7 @@ class Interner:
         return self.key_to_index.get(key)
 
 
-@dataclass
+@dataclass(slots=True)
 class NewsArticle:
     news_id: str
     category_id: int
@@ -108,7 +116,7 @@ class NewsArticle:
     publish_time: int | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ImpressionRecord:
     impression_id: str
     user_id: str
@@ -224,7 +232,7 @@ def parse_news_file(path, max_title_len: int = 30,
             if len(cols) < 5:
                 catalog.issues.append(ParseIssue(line_no, f"expected >=5 columns, got {len(cols)}"))
                 continue
-            news_id = cols[0]
+            news_id = sys.intern(cols[0])
             if news_id in catalog.articles:
                 raise CorpusError(f"duplicate news id {news_id!r} at line {line_no}")
             if grow_vocab:
@@ -305,36 +313,57 @@ def format_time(epoch_seconds: int) -> str:
 _LABELS = {"0": 0, "1": 1}
 
 
-def _parse_candidates(tokens: list[str]) -> list[tuple[str, int]]:
-    """(news_id, label) per ``<news_id>-<label>`` token; the first bad one raises."""
+def _candidate_pair(token: str) -> tuple[str, int]:
+    """The (news_id, label) of one ``<news_id>-<label>`` token; a bad token raises."""
+    news_id, _, label = token.rpartition("-")
+    if not news_id:
+        raise ValueError(f"candidate {token!r} is not of the form <news_id>-<label>")
+    if label not in _LABELS:
+        raise ValueError(f"candidate {token!r} has label {label!r}, expected 0 or 1")
+    return sys.intern(news_id), _LABELS[label]
+
+
+def _parse_candidates(tokens: list[str], pairs: dict) -> list[tuple[str, int]]:
+    """(news_id, label) per ``<news_id>-<label>`` token; the first bad one raises.
+
+    ``pairs`` memoises each valid token's pair, so a token seen before is
+    neither split nor checked again; a bad token raises before it is stored.
+    """
     shown = []
     for token in tokens:
-        news_id, _, label = token.rpartition("-")
-        if not news_id:
-            raise ValueError(f"candidate {token!r} is not of the form <news_id>-<label>")
-        if label not in _LABELS:
-            raise ValueError(f"candidate {token!r} has label {label!r}, expected 0 or 1")
-        shown.append((news_id, _LABELS[label]))
+        pair = pairs.get(token)
+        if pair is None:
+            pair = pairs[token] = _candidate_pair(token)
+        shown.append(pair)
     return shown
 
 
-def _record_from_json(obj) -> ImpressionRecord:
-    shown = [(str(n), int(lab)) for n, lab in obj["shown"]]
-    for news_id, label in shown:
-        if label not in (0, 1):
-            raise ValueError(f"candidate {news_id!r} has label {label!r}, expected 0 or 1")
+def _record_from_json(obj, pairs: dict) -> ImpressionRecord:
+    # Labels and the time must be JSON integers, not whatever int() takes
+    # (0.7, "1"); bool is a subclass of int, hence ``type``.
+    shown = []
+    for n, lab in obj["shown"]:
+        news_id = sys.intern(str(n))
+        if type(lab) is not int or lab not in (0, 1):
+            raise ValueError(f"candidate {news_id!r} has label {lab!r}, expected 0 or 1")
+        pair = (news_id, lab)
+        # Keyed by the pair itself: a tuple never equals a TSV token key.
+        shown.append(pairs.setdefault(pair, pair))
     if not shown:
         raise ValueError("record has an empty shown list")
+    time = obj["time"]
+    if type(time) is not int:
+        raise ValueError(f"time {time!r} is not an integer")
     return ImpressionRecord(
         impression_id=str(obj["impression_id"]),
-        user_id=str(obj["user_id"]),
-        time=int(obj["time"]),
-        history=[str(h) for h in obj["history"]],
+        user_id=sys.intern(str(obj["user_id"])),
+        time=time,
+        history=[sys.intern(str(h)) for h in obj["history"]],
         shown=shown,
     )
 
 
-def _record_from_tsv(line: str) -> ImpressionRecord:
+def _record_from_tsv(line: str, pairs: dict) -> ImpressionRecord:
     cols = line.split("\t")
     if len(cols) != 5:
         raise ValueError(f"expected 5 columns, got {len(cols)}")
@@ -344,10 +373,10 @@ def _record_from_tsv(line: str) -> ImpressionRecord:
         raise ValueError("record has an empty shown list")
     return ImpressionRecord(
         impression_id=impression_id,
-        user_id=user_id,
+        user_id=sys.intern(user_id),
         time=parse_time(time_text),
-        history=history_text.split(),
-        shown=_parse_candidates(shown_tokens),
+        history=list(map(sys.intern, history_text.split())),
+        shown=_parse_candidates(shown_tokens, pairs),
     )
 
 
@@ -356,9 +385,16 @@ def parse_behaviors_file(path) -> ImpressionLog:
 
     Rows with an unparseable timestamp, label, or column layout are
     skipped and recorded as issues rather than aborting the whole file.
+
+    User, history and candidate ids are interned, so they are the very
+    string objects that key a catalog parsed in the same process.  Each
+    distinct candidate pair is built once per call and its immutable
+    ``(news_id, label)`` tuple shared by every record that shows it; the
+    memo lives only for this call.  Records are slotted dataclasses.
     """
     records = []
     issues = []
+    pairs = {}  # candidate token (TSV) or pair (JSONL) -> its one shared tuple
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\r\n")
@@ -366,9 +402,9 @@ def parse_behaviors_file(path) -> ImpressionLog:
                 continue
             try:
                 if line.lstrip().startswith("{"):
-                    rec = _record_from_json(json.loads(line))
+                    rec = _record_from_json(json.loads(line), pairs)
                 else:
-                    rec = _record_from_tsv(line)
+                    rec = _record_from_tsv(line, pairs)
             except (ValueError, KeyError, TypeError) as exc:
                 issues.append(ParseIssue(line_no, str(exc)))
                 continue

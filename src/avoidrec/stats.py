@@ -17,10 +17,13 @@ per article how often it was shown (``exposures``) and clicked
 
 Counters are cumulative from the start of the log, never windowed.
 Nothing is copied per bucket, so memory grows with the number of events,
-not with buckets x articles.  Appending records at or after ``b`` never
-changes a view at ``b``.  Views only read the index, so any number of
-threads may read views of one timeline at once; appending needs
-exclusive access.
+not with buckets x articles.  The per-article dicts are keyed by the
+records' news ids; for a log from ``corpus.parse_behaviors_file`` these
+are the interned strings that also key the catalog, so the timeline
+holds no id string of its own and catalog-id lookups hit on identity.
+Appending records at or after ``b`` never changes a view at ``b``.
+Views only read the index, so any number of threads may read views of
+one timeline at once; appending needs exclusive access.
 """
 
 from __future__ import annotations

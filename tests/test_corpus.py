@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from datetime import datetime, timezone
 
 import numpy as np
@@ -12,6 +13,7 @@ from avoidrec.corpus import (_TIME_FORMAT, CorpusError, ImpressionRecord, Vocabu
                              parse_behaviors_file, parse_news_file,
                              parse_time, record_to_json, split_log_by_time,
                              tokenize_title)
+from avoidrec.synthetic import SyntheticSpec, generate, write_mind_files
 
 NEWS_ROWS = [
     "N1\tsports\tsoccer\tTeam wins final\tSome abstract",
@@ -223,6 +225,116 @@ class TestParseBehaviors:
     def test_time_format_round_trip(self, times):
         for t in times:
             assert parse_time(format_time(t)) == t
+
+
+class TestJsonRecords:
+    """JSONL labels and times are JSON integers; anything else is a counted issue."""
+
+    GOOD = {"impression_id": "9", "user_id": "U1", "time": 1000,
+            "history": ["N1"], "shown": [["N2", 1], ["N3", 0]]}
+
+    def parse(self, tmp_path, bad):
+        lines = [json.dumps(self.GOOD), json.dumps(dict(self.GOOD, **bad))]
+        return parse_behaviors_file(write(tmp_path, "b.jsonl", lines))
+
+    def test_integer_fields_accepted(self, tmp_path):
+        log = self.parse(tmp_path, {"impression_id": "10", "time": 999})
+        assert [(r.impression_id, r.time, r.shown) for r in log] == [
+            ("10", 999, [("N2", 1), ("N3", 0)]), ("9", 1000, [("N2", 1), ("N3", 0)])]
+        assert log.issues == []
+
+    @pytest.mark.parametrize("label", [0.7, 1.9, 1.0, "1", True, False, 2, None])
+    def test_label_must_be_the_integer_0_or_1(self, tmp_path, label):
+        log = self.parse(tmp_path, {"shown": [["N3", 0], ["N2", label]]})
+        assert [r.impression_id for r in log] == ["9"]
+        assert [issue.line_no for issue in log.issues] == [2]
+        assert log.issues[0].message == f"candidate 'N2' has label {label!r}, expected 0 or 1"
+
+    @pytest.mark.parametrize("time", [1000.5, 1000.0, True, "1000", None])
+    def test_time_must_be_an_integer(self, tmp_path, time):
+        log = self.parse(tmp_path, {"time": time})
+        assert [r.impression_id for r in log] == ["9"]
+        assert [issue.line_no for issue in log.issues] == [2]
+        assert log.issues[0].message == f"time {time!r} is not an integer"
+
+
+def synthetic_files(tmp_path, **spec):
+    """news.tsv and behaviors.tsv of a small seeded synthetic corpus."""
+    return write_mind_files(generate(SyntheticSpec(**spec)), tmp_path)
+
+
+class TestSharedValues:
+    """Parsed ids are the catalog's key objects; candidate pairs are shared; records are slotted."""
+
+    def test_tsv_and_jsonl_give_equal_records_on_the_catalog_ids(self, tmp_path):
+        news_path, behaviors_path = synthetic_files(tmp_path, seed=2)
+        catalog, _ = parse_news_file(news_path)
+        tsv = parse_behaviors_file(behaviors_path)
+        jsonl = parse_behaviors_file(write(tmp_path, "b.jsonl", [record_to_json(r) for r in tsv]))
+        assert len(tsv) > 0 and tsv.issues == [] and jsonl.issues == []
+        assert jsonl.records == tsv.records
+        keys = {news_id: news_id for news_id in catalog.articles}
+        for log in (tsv, jsonl):
+            for record in log:
+                for news_id in record.history + [n for n, _ in record.shown]:
+                    assert keys[news_id] is news_id
+        assert all(article.news_id is key for key, article in catalog.articles.items())
+
+    def test_repeated_candidate_token_is_one_tuple(self, tmp_path):
+        tsv = parse_behaviors_file(write(tmp_path, "b.tsv", BEHAVIOR_ROWS + BEHAVIOR_ROWS))
+        jsonl = parse_behaviors_file(write(tmp_path, "b.jsonl", [record_to_json(r) for r in tsv]))
+        for log in (tsv, jsonl):
+            first, again = [r.shown for r in log if r.impression_id == "1"]
+            assert first == again and all(a is b for a, b in zip(first, again))
+
+    def test_records_have_no_instance_dict(self, tmp_path):
+        catalog, _ = parse_news_file(write(tmp_path, "news.tsv", NEWS_ROWS), max_title_len=4)
+        log = parse_behaviors_file(write(tmp_path, "b.tsv", BEHAVIOR_ROWS))
+        for obj in [catalog.get("N1"), log.records[0]]:
+            assert not hasattr(obj, "__dict__")
+            with pytest.raises(AttributeError):
+                obj.extra = 1
+
+    def test_parsed_log_bytes_per_id_token(self, tmp_path):
+        # Each history id and candidate slot is one pointer into shared
+        # strings and tuples; per-record containers add the rest.  A fresh
+        # string per id and a tuple per slot read about 122 B/token here.
+        news_path, behaviors_path = synthetic_files(tmp_path, n_users=60, n_articles=120, seed=3)
+        catalog, _ = parse_news_file(news_path)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            log = parse_behaviors_file(behaviors_path)
+            used = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        tokens = sum(len(r.history) + len(r.shown) for r in log)
+        assert len(log) == 480 and len(catalog) == 120
+        assert used / tokens < 60, f"{used / tokens:.1f} bytes per id token"
+
+
+class TestCandidateMemo:
+    """A memoised token changes no accepted record and no issue."""
+
+    ROWS = ["1\tU1\t11/11/2019 1:00:00 PM\tN1\tN1-1 N2-0",
+            "2\tU1\t11/11/2019 2:00:00 PM\tN1\tN1-0 N1-2",
+            "3\tU2\t11/11/2019 3:00:00 PM\t\tN1-",
+            "4\tU2\t11/11/2019 4:00:00 PM\tN2\tN1-1 N1-2 N2-1",
+            "5\tU3\t11/11/2019 5:00:00 PM\tN1\tN1- N1-1",
+            "6\tU3\t11/11/2019 6:00:00 PM\tN1\tN2-0 N1-1"]
+
+    def test_bad_tokens_after_good_ones_still_raise_every_time(self, tmp_path):
+        log = parse_behaviors_file(write(tmp_path, "b.tsv", self.ROWS))
+        assert [(issue.line_no, issue.message) for issue in log.issues] == [
+            (2, "candidate 'N1-2' has label '2', expected 0 or 1"),
+            (3, "candidate 'N1-' has label '', expected 0 or 1"),
+            (4, "candidate 'N1-2' has label '2', expected 0 or 1"),
+            (5, "candidate 'N1-' has label '', expected 0 or 1"),
+        ]
+        assert [r.shown for r in log] == [[("N1", 1), ("N2", 0)], [("N2", 0), ("N1", 1)]]
 
 
 def strptime_time(text):
