@@ -17,6 +17,13 @@ file each distinct ``(news_id, label)`` candidate pair is one shared
 tuple (tuples are immutable, so sharing them is safe); and
 ``NewsArticle`` and ``ImpressionRecord`` are slotted, with no per-record
 ``__dict__``.
+
+An article holds no mutable container: its title is an unpadded tuple of
+at most ``max_title_len`` token ids (the news encoder pads each batch
+itself), and its entity ids a tuple, so every article without entities
+shares the one empty tuple.  A record's candidates are a tuple of the
+shared pairs.  Its history stays a list, because callers extend it with
+``record.history + [...]``, which a tuple would refuse.
 """
 
 from __future__ import annotations
@@ -108,21 +115,35 @@ class Interner:
 
 @dataclass(slots=True)
 class NewsArticle:
+    """One catalog article.
+
+    ``title_tokens`` holds the title's token ids, at most ``max_title_len``
+    of them and unpadded; ``entity_ids`` is a tuple too, so articles
+    without entities all share the empty tuple.
+    """
+
     news_id: str
     category_id: int
     subcategory_id: int
-    title_tokens: list[int]
-    entity_ids: list[int] = field(default_factory=list)
+    title_tokens: tuple[int, ...]
+    entity_ids: tuple[int, ...] = ()
     publish_time: int | None = None
 
 
 @dataclass(slots=True)
 class ImpressionRecord:
+    """One impression: the user's click history and the candidates shown.
+
+    ``shown`` is a tuple of ``(news_id, label)`` pairs, which the parsers
+    share between records.  ``history`` stays a list, because callers
+    build id lists with ``record.history + [...]``.
+    """
+
     impression_id: str
     user_id: str
     time: int
     history: list[str]
-    shown: list[tuple[str, int]]
+    shown: tuple[tuple[str, int], ...]
 
 
 @dataclass
@@ -165,20 +186,13 @@ def normalize_tokens(text: str) -> list[str]:
     return cleaned.split()
 
 
-def tokenize_title(text: str, vocab: Vocabulary, max_title_len: int) -> list[int]:
-    """Map a raw title to a fixed-length index sequence.
+def tokenize_title(text: str, vocab: Vocabulary, max_title_len: int) -> tuple[int, ...]:
+    """Map a raw title to its first ``max_title_len`` token indices.
 
-    Out-of-vocabulary tokens map to the unknown index; the result is
-    truncated or right-padded with the padding index to ``max_title_len``.
+    Out-of-vocabulary tokens map to the unknown index.  The tuple is not
+    padded: the news encoder pads each batch to its longest title.
     """
-    return _fit_title([vocab.index(tok) for tok in normalize_tokens(text)], max_title_len)
-
-
-def _fit_title(ids: list[int], max_title_len: int) -> list[int]:
-    """Truncate or right-pad a title's index list to ``max_title_len``."""
-    ids = ids[:max_title_len]
-    ids.extend([Vocabulary.pad_index] * (max_title_len - len(ids)))
-    return ids
+    return tuple([vocab.index(tok) for tok in normalize_tokens(text)][:max_title_len])
 
 
 def _extract_entity_keys(extra_columns):
@@ -237,8 +251,8 @@ def parse_news_file(path, max_title_len: int = 30,
                 raise CorpusError(f"duplicate news id {news_id!r} at line {line_no}")
             if grow_vocab:
                 # Every token enters the vocabulary, also those past the cut.
-                title_tokens = _fit_title([vocab.add(tok) for tok in normalize_tokens(cols[3])],
-                                          max_title_len)
+                title_tokens = tuple([vocab.add(tok) for tok in normalize_tokens(cols[3])]
+                                     [:max_title_len])
             else:
                 title_tokens = tokenize_title(cols[3], vocab, max_title_len)
             catalog.articles[news_id] = NewsArticle(
@@ -246,7 +260,7 @@ def parse_news_file(path, max_title_len: int = 30,
                 category_id=catalog.categories.intern(cols[1]),
                 subcategory_id=catalog.subcategories.intern(cols[2]),
                 title_tokens=title_tokens,
-                entity_ids=[catalog.entities.intern(k) for k in _extract_entity_keys(cols[5:])],
+                entity_ids=tuple(map(catalog.entities.intern, _extract_entity_keys(cols[5:]))),
             )
     return catalog, vocab
 
@@ -323,7 +337,7 @@ def _candidate_pair(token: str) -> tuple[str, int]:
     return sys.intern(news_id), _LABELS[label]
 
 
-def _parse_candidates(tokens: list[str], pairs: dict) -> list[tuple[str, int]]:
+def _parse_candidates(tokens: list[str], pairs: dict) -> tuple[tuple[str, int], ...]:
     """(news_id, label) per ``<news_id>-<label>`` token; the first bad one raises.
 
     ``pairs`` memoises each valid token's pair, so a token seen before is
@@ -335,15 +349,23 @@ def _parse_candidates(tokens: list[str], pairs: dict) -> list[tuple[str, int]]:
         if pair is None:
             pair = pairs[token] = _candidate_pair(token)
         shown.append(pair)
-    return shown
+    return tuple(shown)
+
+
+def _json_str(value, what: str) -> str:
+    """``value`` if it is a JSON string; any other JSON value raises."""
+    if type(value) is not str:
+        raise ValueError(f"{what} {value!r} is not a string")
+    return value
 
 
 def _record_from_json(obj, pairs: dict) -> ImpressionRecord:
-    # Labels and the time must be JSON integers, not whatever int() takes
+    # Ids must be JSON strings, not whatever str() takes (null, 12, a list);
+    # labels and the time must be JSON integers, not whatever int() takes
     # (0.7, "1"); bool is a subclass of int, hence ``type``.
     shown = []
     for n, lab in obj["shown"]:
-        news_id = sys.intern(str(n))
+        news_id = sys.intern(_json_str(n, "candidate id"))
         if type(lab) is not int or lab not in (0, 1):
             raise ValueError(f"candidate {news_id!r} has label {lab!r}, expected 0 or 1")
         pair = (news_id, lab)
@@ -354,12 +376,15 @@ def _record_from_json(obj, pairs: dict) -> ImpressionRecord:
     time = obj["time"]
     if type(time) is not int:
         raise ValueError(f"time {time!r} is not an integer")
+    history = obj["history"]
+    if type(history) is not list:  # a string would iterate as one-letter ids
+        raise ValueError(f"history {history!r} is not a list")
     return ImpressionRecord(
-        impression_id=str(obj["impression_id"]),
-        user_id=sys.intern(str(obj["user_id"])),
+        impression_id=_json_str(obj["impression_id"], "impression_id"),
+        user_id=sys.intern(_json_str(obj["user_id"], "user_id")),
         time=time,
-        history=[sys.intern(str(h)) for h in obj["history"]],
-        shown=shown,
+        history=[sys.intern(_json_str(h, "history id")) for h in history],
+        shown=tuple(shown),
     )
 
 
@@ -385,6 +410,9 @@ def parse_behaviors_file(path) -> ImpressionLog:
 
     Rows with an unparseable timestamp, label, or column layout are
     skipped and recorded as issues rather than aborting the whole file.
+
+    A JSONL record's ids must be JSON strings and its ``history`` a JSON
+    array; any other value is an issue, not a record.
 
     User, history and candidate ids are interned, so they are the very
     string objects that key a catalog parsed in the same process.  Each

@@ -1,13 +1,15 @@
 """Title/category/entity news encoder.
 
-A list of articles is encoded as one batch: its titles form a masked
-(N, L) token matrix cut to the longest real title, and all heads run in
-one pass.  Title tokens are embedded, contextualized with multi-head
-self-attention over token positions, and pooled with additive attention;
-padding positions are masked out of both attention stages.  The pooled
-title vector is concatenated with a category embedding and a mean of
-entity embeddings (zeros when entities are disabled or absent) and mixed
-by a final dense layer into the news vector.
+A list of articles is encoded as one batch.  Titles arrive unpadded (a
+parsed article holds at most ``max_title_len`` token ids); the batch pads
+them here into a masked (N, L) token matrix, L the longest title of the
+batch, and all heads run in one pass.  Title tokens are embedded,
+contextualized with multi-head self-attention over token positions, and
+pooled with additive attention; padding positions are masked out of both
+attention stages.  The pooled title vector is concatenated with a
+category embedding and a mean of entity embeddings (zeros when entities
+are disabled or absent) and mixed by a final dense layer into the news
+vector.
 
 The query, key and value projections are one matrix ``wqkv`` of shape
 (d_word, 3 d_news).  A token's projection does not depend on its position,
@@ -97,7 +99,11 @@ class NewsEncoder:
         return ad.reshape(pooled, (n, self.d_news))
 
     def encode_titles(self, titles) -> ad.Tensor:
-        """Title vectors (N, d_news), cut to the longest real title; empty titles yield zeros."""
+        """Title vectors (N, d_news) of unpadded token sequences; empty titles yield zeros.
+
+        Trailing padding ids in a title change nothing: the batch is cut
+        to its longest real title.
+        """
         pad = Vocabulary.pad_index
         tokens = np.full((len(titles), max(map(len, titles), default=0)), pad, dtype=np.int64)
         for row, title in zip(tokens, titles):

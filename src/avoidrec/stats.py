@@ -64,10 +64,16 @@ class BucketTimeline:
         if self.times and t < self.times[-1]:
             raise ValueError("impression log is not sorted by time")
         self.times.append(t)
+        # ``get`` first: ``setdefault(news_id, [])`` would build a list per candidate.
         for news_id, label in record.shown:
-            self.exposure_times.setdefault(news_id, []).append(t)
+            times = self.exposure_times.get(news_id)
+            if times is None:
+                times = self.exposure_times[news_id] = []
+            times.append(t)
             if label:
-                clicks = self.click_times.setdefault(news_id, [])
+                clicks = self.click_times.get(news_id)
+                if clicks is None:
+                    clicks = self.click_times[news_id] = []
                 clicks.append(t)
                 if len(clicks) > len(self.max_click_rises):
                     self.max_click_rises.append(t)

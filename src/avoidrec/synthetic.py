@@ -199,7 +199,7 @@ def generate(spec: SyntheticSpec) -> SyntheticDataset:
                 user_id=user,
                 time=bucket_start + int(offset),
                 history=list(user_history[user]),
-                shown=shown,
+                shown=tuple(shown),
             ))
             timeline.append(records[-1])
             shown_probs.append(slot_probs)

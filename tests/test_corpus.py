@@ -38,8 +38,7 @@ class TestParseNewsFile:
         catalog, vocab = parse_news_file(write(tmp_path, "news.tsv", NEWS_ROWS),
                                          max_title_len=5)
         art = catalog.get("N1")
-        expected = [vocab.index("team"), vocab.index("wins"), vocab.index("final"),
-                    vocab.pad_index, vocab.pad_index]
+        expected = (vocab.index("team"), vocab.index("wins"), vocab.index("final"))
         assert art.title_tokens == expected
         assert catalog.categories.index_to_key[art.category_id] == "sports"
         assert catalog.subcategories.index_to_key[art.subcategory_id] == "soccer"
@@ -47,7 +46,7 @@ class TestParseNewsFile:
     def test_empty_title_is_all_padding(self, tmp_path):
         catalog, vocab = parse_news_file(write(tmp_path, "news.tsv", NEWS_ROWS),
                                          max_title_len=4)
-        assert catalog.get("N3").title_tokens == [vocab.pad_index] * 4
+        assert catalog.get("N3").title_tokens == ()
 
     def test_duplicate_news_id_is_hard_error(self, tmp_path):
         rows = NEWS_ROWS + ["N1\tnews\tus\tDup title\tabs"]
@@ -75,8 +74,8 @@ class TestParseNewsFile:
         catalog, out_vocab = parse_news_file(write(tmp_path, "news.tsv", NEWS_ROWS),
                                              max_title_len=3, vocab=vocab)
         assert out_vocab is vocab
-        assert catalog.get("N1").title_tokens == [vocab.index("team"),
-                                                  vocab.unk_index, vocab.unk_index]
+        assert catalog.get("N1").title_tokens == (vocab.index("team"),
+                                                  vocab.unk_index, vocab.unk_index)
 
 
 class TestSinglePassTokenizer:
@@ -105,9 +104,9 @@ class TestSinglePassTokenizer:
         catalog, vocab = parse_news_file(write(tmp_path, "news.tsv", self.ROWS), max_title_len=3)
         assert vocab.index_to_token[2:] == ["one", "two", "three", "four", "five", "six",
                                             "seven", "eight", "nine", "ten", "eleven", "zeta"]
-        assert catalog.get("N1").title_tokens == [2, 3, 4]
-        assert catalog.get("N2").title_tokens == [8, 9, 3]
-        assert catalog.get("N4").title_tokens == [13, 0, 0]
+        assert catalog.get("N1").title_tokens == (2, 3, 4)
+        assert catalog.get("N2").title_tokens == (8, 9, 3)
+        assert catalog.get("N4").title_tokens == (13,)
 
     @pytest.mark.parametrize("max_title_len", [1, 3, 7, 10])
     def test_matches_the_two_pass_result(self, tmp_path, max_title_len):
@@ -129,11 +128,11 @@ class TestSinglePassTokenizer:
         assert out_vocab is vocab
         assert vocab.index_to_token == before
         unk, pad = vocab.unk_index, vocab.pad_index
-        assert catalog.get("N1").title_tokens == [unk, vocab.index("two"), unk, unk]
-        assert catalog.get("N2").title_tokens == [vocab.index("seven"), unk,
-                                                  vocab.index("two"), unk]
-        assert catalog.get("N3").title_tokens == [pad] * 4
-        assert catalog.get("N4").title_tokens == [vocab.index("zeta"), pad, pad, pad]
+        assert catalog.get("N1").title_tokens == (unk, vocab.index("two"), unk, unk)
+        assert catalog.get("N2").title_tokens == (vocab.index("seven"), unk,
+                                                  vocab.index("two"), unk)
+        assert catalog.get("N3").title_tokens == ()
+        assert catalog.get("N4").title_tokens == (vocab.index("zeta"),)
 
 
 class TestTokenize:
@@ -141,18 +140,18 @@ class TestTokenize:
         vocab = Vocabulary()
         vocab.add("hello")
         vocab.add("world")
-        assert tokenize_title("Hello, WORLD", vocab, 4) == [
-            vocab.index("hello"), vocab.index("world"), 0, 0]
+        assert tokenize_title("Hello, WORLD", vocab, 4) == (
+            vocab.index("hello"), vocab.index("world"))
 
     def test_all_oov_maps_to_unk(self):
         vocab = Vocabulary()
-        assert tokenize_title("never seen", vocab, 3) == [1, 1, 0]
+        assert tokenize_title("never seen", vocab, 3) == (1, 1)
 
     def test_truncation(self):
         vocab = Vocabulary()
         for w in "a b c d".split():
             vocab.add(w)
-        assert tokenize_title("a b c d", vocab, 2) == [vocab.index("a"), vocab.index("b")]
+        assert tokenize_title("a b c d", vocab, 2) == (vocab.index("a"), vocab.index("b"))
 
     @given(st.text(max_size=60))
     @settings(max_examples=100, deadline=None)
@@ -168,7 +167,7 @@ class TestParseBehaviors:
         assert rec.impression_id == "1"
         assert rec.user_id == "U10"
         assert rec.history == ["N1", "N2"]
-        assert rec.shown == [("N3", 1), ("N4", 0)]
+        assert rec.shown == (("N3", 1), ("N4", 0))
         assert rec.time == parse_time("11/11/2019 9:05:58 AM")
 
     def test_invalid_label_skips_row(self, tmp_path):
@@ -186,7 +185,7 @@ class TestParseBehaviors:
                    "N1-2": "has label '2'", "N1-": "has label ''"}
         rows = [row.format("N2-0")] + [row.format(f"{bad} N3-5") for bad in refused]
         log = parse_behaviors_file(write(tmp_path, "b.tsv", rows))
-        assert [r.shown for r in log] == [[("N1", 0), ("N-1", 1), ("N2", 0)]]
+        assert [r.shown for r in log] == [(("N1", 0), ("N-1", 1), ("N2", 0))]
         assert len(log.issues) == len(refused)
         for problem, (bad, reason) in zip(log.issues, refused.items()):
             assert problem.message.startswith(f"candidate {bad!r} {reason}"), problem.message
@@ -228,7 +227,7 @@ class TestParseBehaviors:
 
 
 class TestJsonRecords:
-    """JSONL labels and times are JSON integers; anything else is a counted issue."""
+    """JSONL ids are JSON strings, labels and times JSON integers; anything else is an issue."""
 
     GOOD = {"impression_id": "9", "user_id": "U1", "time": 1000,
             "history": ["N1"], "shown": [["N2", 1], ["N3", 0]]}
@@ -240,7 +239,7 @@ class TestJsonRecords:
     def test_integer_fields_accepted(self, tmp_path):
         log = self.parse(tmp_path, {"impression_id": "10", "time": 999})
         assert [(r.impression_id, r.time, r.shown) for r in log] == [
-            ("10", 999, [("N2", 1), ("N3", 0)]), ("9", 1000, [("N2", 1), ("N3", 0)])]
+            ("10", 999, (("N2", 1), ("N3", 0))), ("9", 1000, (("N2", 1), ("N3", 0)))]
         assert log.issues == []
 
     @pytest.mark.parametrize("label", [0.7, 1.9, 1.0, "1", True, False, 2, None])
@@ -256,6 +255,26 @@ class TestJsonRecords:
         assert [r.impression_id for r in log] == ["9"]
         assert [issue.line_no for issue in log.issues] == [2]
         assert log.issues[0].message == f"time {time!r} is not an integer"
+
+    def test_null_int_and_list_ids_give_an_issue_and_no_record(self, tmp_path):
+        log = self.parse(tmp_path, {"user_id": None, "history": [None, 12, ["N1"]],
+                                    "shown": [[None, 1], [3, 0]]})
+        assert [r.impression_id for r in log] == ["9"]
+        assert [issue.line_no for issue in log.issues] == [2]
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"impression_id": 10}, "impression_id 10 is not a string"),
+        ({"user_id": None}, "user_id None is not a string"),
+        ({"history": ["N1", 12]}, "history id 12 is not a string"),
+        ({"history": [["N1"]]}, "history id ['N1'] is not a string"),
+        ({"history": "N1 N2"}, "history 'N1 N2' is not a list"),
+        ({"shown": [["N2", 1], [3, 0]]}, "candidate id 3 is not a string"),
+        ({"shown": [[None, 1]]}, "candidate id None is not a string"),
+    ])
+    def test_ids_must_be_strings_in_lists(self, tmp_path, bad, message):
+        log = self.parse(tmp_path, bad)
+        assert [r.impression_id for r in log] == ["9"]
+        assert [(issue.line_no, issue.message) for issue in log.issues] == [(2, message)]
 
 
 def synthetic_files(tmp_path, **spec):
@@ -315,6 +334,34 @@ class TestSharedValues:
         assert len(log) == 480 and len(catalog) == 120
         assert used / tokens < 60, f"{used / tokens:.1f} bytes per id token"
 
+    def test_parsed_catalog_bytes_per_article(self, tmp_path):
+        # Seven-token titles, each with one word of its own, as in a large
+        # catalog.  Unpadded title tuples and the shared empty entity tuple
+        # read about 376 B/article here, vocabulary included; titles padded
+        # to 30 as lists read about 646, and a list per article for its
+        # entities would add 56.
+        words = ["market", "season", "report", "update", "record", "study", "launch",
+                 "review", "guide", "deal", "rally", "crisis", "debate", "award"]
+        rows = []
+        for i in range(2000):
+            category = ["sports", "finance", "tech", "health", "travel", "food"][i % 6]
+            title = " ".join([category] + [words[(7 * i + 3 * k) % len(words)]
+                                           for k in range(5)] + [f"t{i:05d}"])
+            rows.append(f"N{i:06d}\t{category}\t{category}-{i % 7}\t{title}\tabout {title}")
+        news_path = write(tmp_path, "news.tsv", rows)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            catalog, vocab = parse_news_file(news_path, max_title_len=30)
+            used = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert len(catalog) == 2000 and len(vocab) == 2018
+        assert used / len(catalog) < 410, f"{used / len(catalog):.1f} bytes per article"
+
 
 class TestCandidateMemo:
     """A memoised token changes no accepted record and no issue."""
@@ -334,7 +381,7 @@ class TestCandidateMemo:
             (4, "candidate 'N1-2' has label '2', expected 0 or 1"),
             (5, "candidate 'N1-' has label '', expected 0 or 1"),
         ]
-        assert [r.shown for r in log] == [[("N1", 1), ("N2", 0)], [("N2", 0), ("N1", 1)]]
+        assert [r.shown for r in log] == [(("N1", 1), ("N2", 0)), (("N2", 0), ("N1", 1))]
 
 
 def strptime_time(text):

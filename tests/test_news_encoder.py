@@ -1,16 +1,19 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 import avoidrec.autodiff as ad
-from avoidrec.corpus import NewsArticle
+from avoidrec.corpus import NewsArticle, Vocabulary, parse_news_file
 from avoidrec.news_encoder import NewsEncoder
 
 
-def make_encoder(seed=0, **kw):
+def make_encoder(seed=0, n_words=12, **kw):
     defaults = dict(d_word=8, d_news=8, n_heads=2, d_att=6, d_cat=4, d_ent=4,
                     dtype=np.float64)
     defaults.update(kw)
-    return NewsEncoder(12, 3, 5, np.random.default_rng(seed), **defaults)
+    return NewsEncoder(n_words, 3, 5, np.random.default_rng(seed), **defaults)
 
 
 class TestEncodeTitle:
@@ -119,6 +122,30 @@ class TestEncodeNews:
         params = list(enc.parameters().values())
         assert ad.grad_check(fn, params, eps=1e-5, max_coords_per_param=8) < 1e-3
 
+    def test_parsed_titles_match_titles_padded_to_max_title_len(self, tmp_path):
+        # Parsed titles are unpadded tuples; the same ids right-padded to
+        # max_title_len as lists must give bit-identical news vectors.
+        ents = json.dumps([{"WikidataId": "Q1"}, {"WikidataId": "Q2"}])
+        rows = ["N1\tsports\tsoccer\tTeam wins the final\tabs",
+                "N2\tnews\tworld\tHello, WORLD\tabs\thttp://u\t" + ents,
+                "N3\tnews\tworld\t\tempty title",
+                "N4\tsports\ttennis\tOne two three four five six seven eight\tabs",
+                "N5\tsports\ttennis\t\tanother empty title"]
+        news_path = tmp_path / "news.tsv"
+        news_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        max_title_len = 6
+        catalog, vocab = parse_news_file(news_path, max_title_len)
+        parsed = catalog.articles
+        padded = {n: dataclasses.replace(
+            a, title_tokens=list(a.title_tokens)
+            + [Vocabulary.pad_index] * (max_title_len - len(a.title_tokens)),
+            entity_ids=list(a.entity_ids)) for n, a in parsed.items()}
+        assert parsed["N3"].title_tokens == () and len(parsed["N4"].title_tokens) == 6
+        enc = make_encoder(n_words=len(vocab))
+        for batch in (["N1", "N2", "N3", "N4", "N5"], ["N3"], ["N3", "N5"], ["N5", "N4"]):
+            out = enc.encode_news([parsed[n] for n in batch]).data
+            assert np.array_equal(out, enc.encode_news([padded[n] for n in batch]).data), batch
+
     def test_batch_rows_equal_single_encodings(self):
         # Titles of different lengths share one batch cut to the longest;
         # each row must equal the article encoded on its own.
@@ -159,3 +186,4 @@ class TestFusedProjection:
                 weights = np.exp(scores - scores.max(axis=1, keepdims=True))
                 weights /= weights.sum(axis=1, keepdims=True)
                 assert np.allclose(got[t, :, cols], weights @ v[t, :, cols], rtol=0, atol=1e-12)
+
