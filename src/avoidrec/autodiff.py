@@ -12,6 +12,15 @@ raises ShapeError otherwise.  Each thread (or asyncio task) has its own
 active record, so concurrent callers record separate graphs.  Training
 runs in float32; float64 exists for gradient checking.
 
+The record keeps only what backward reads.  An op's output is marked
+with its node number (``Tensor.node``), and an entry names each input by
+that number, by the leaf itself for a ``requires_grad`` input, or by None
+for a constant; it holds no other tensor.  Each gradient formula closes
+over just the arrays it reads (``mul`` its two operands, ``relu`` its
+output) and otherwise only shapes and dtypes, so an ``add``'s operands or
+a ``reshape``'s input die with their last forward use.  ``backward``
+releases each entry as it replays it.
+
 Every adjoint and every leaf ``grad`` is a plain array of its tensor's
 shape.  Leaf gradients accumulate in place, so the backward passes of
 several graphs sum into one gradient per leaf.  A leaf's first adjoint is
@@ -35,14 +44,20 @@ class ShapeError(ValueError):
     pass
 
 
+class NotRecordedError(ValueError):
+    """``backward`` was given a loss its record did not produce, or replays a record twice."""
+
+
 class Tensor:
     """A numpy array plus an optional gradient accumulator.
 
     ``grad_buffer`` (None, or an array of the tensor's shape) is where a
     backward pass writes the tensor's gradient when ``grad`` is None.
+    ``node`` is None, or (record marker, entry index) for the output of a
+    recorded op.
     """
 
-    __slots__ = ("data", "grad", "grad_buffer", "requires_grad", "name")
+    __slots__ = ("data", "grad", "grad_buffer", "requires_grad", "name", "node")
 
     def __init__(self, data, requires_grad=False, name=None, dtype=None):
         arr = np.asarray(data)
@@ -55,6 +70,7 @@ class Tensor:
         self.grad_buffer = None
         self.requires_grad = requires_grad
         self.name = name
+        self.node = None
 
     @property
     def shape(self):
@@ -81,12 +97,19 @@ def constant(data, dtype=None) -> Tensor:
 
 
 class _Entry:
-    __slots__ = ("op", "inputs", "out", "backward_fn")
+    """One recorded op: its name, a key per input and its gradient formula.
 
-    def __init__(self, op, inputs, out, backward_fn):
+    An input's key is the index of the entry that produced it on this
+    record, the input itself when it is a leaf (``requires_grad``), or None
+    for a constant.  So no entry holds a non-leaf tensor, and an op's
+    output lives on only in what a later formula reads.
+    """
+
+    __slots__ = ("op", "inputs", "backward_fn")
+
+    def __init__(self, op, inputs, backward_fn):
         self.op = op
         self.inputs = inputs
-        self.out = out
         self.backward_fn = backward_fn
 
 
@@ -97,10 +120,9 @@ class ComputationRecord:
     """Ordered log of executed ops; context manager activates it for this context."""
 
     def __init__(self):
-        self.entries: list[_Entry] = []
-        self._produced: set[int] = set()
-        self._leaves: dict[int, Tensor] = {}
-        self._first_use: dict[int, int] = {}  # leaf id -> index of its first entry
+        self.entries: list[_Entry | None] = []  # None once replayed
+        self._marker = object()  # first half of the ``node`` of every output recorded here
+        self._first_use: dict[Tensor, int] = {}  # leaf -> index of its first entry
         self._token = None
 
     def __enter__(self):
@@ -115,21 +137,40 @@ class ComputationRecord:
         return False
 
     def last_op(self):
-        return self.entries[-1].op if self.entries else None
+        """The op of the last entry, or None (no entry, or replayed)."""
+        entry = self.entries[-1] if self.entries else None
+        return entry.op if entry is not None else None
+
+    def _key(self, t: Tensor):
+        """``t``'s entry index on this record, ``t`` itself for a leaf, else None."""
+        node = t.node
+        if node is not None and node[0] is self._marker:
+            return node[1]
+        return t if t.requires_grad else None
 
     def _append(self, op, inputs, out, backward_fn):
-        for t in inputs:
-            if t.requires_grad and id(t) not in self._produced and id(t) not in self._leaves:
-                self._leaves[id(t)] = t
-                self._first_use[id(t)] = len(self.entries)
-        self.entries.append(_Entry(op, inputs, out, backward_fn))
-        self._produced.add(id(out))
+        keys = tuple(map(self._key, inputs))
+        if all(key is None for key in keys):
+            return
+        for key in keys:
+            if isinstance(key, Tensor):
+                self._first_use.setdefault(key, len(self.entries))
+        out.node = (self._marker, len(self.entries))
+        self.entries.append(_Entry(op, keys, backward_fn))
 
     def _tracks(self, *tensors):
-        return any(t.requires_grad or id(t) in self._produced for t in tensors)
+        return any(self._key(t) is not None for t in tensors)
 
     def backward(self, loss: Tensor):
         """Populate ``grad`` on every leaf reachable on this record.
+
+        ``loss`` must be a scalar output of an op recorded here, and a
+        record replays once: anything else raises NotRecordedError.
+        Adjoints are keyed by the index of the entry that produced their
+        tensor (a leaf's by the leaf), so a tensor that died during the
+        forward pass takes nothing with it.  Each entry is set to None as
+        it is replayed, which frees what its formula kept, so the graph
+        shrinks as the pass goes.
 
         Gradients accumulate in place into existing ``grad`` arrays (callers
         zero them between batches); leaves recorded but not on any path to
@@ -142,21 +183,22 @@ class ComputationRecord:
         """
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
+        if loss.node is None or loss.node[0] is not self._marker:
+            raise NotRecordedError("backward: the loss was not recorded on this record")
+        if self.entries[loss.node[1]] is None:
+            raise NotRecordedError("backward: this record was already replayed")
         complete = {}
-        for key, n in self._first_use.items():
-            complete.setdefault(n, []).append(self._leaves[key])
-        adjoint = {id(loss): np.ones_like(loss.data)}
+        for leaf, n in self._first_use.items():
+            complete.setdefault(n, []).append(leaf)
+        adjoint = {loss.node[1]: np.ones_like(loss.data)}
         summed = set()  # adjoints that are sums made here, so no one else holds them
         for n in range(len(self.entries) - 1, -1, -1):
-            entry = self.entries[n]
-            g = adjoint.pop(id(entry.out), None)
+            entry, self.entries[n] = self.entries[n], None
+            g = adjoint.pop(n, None)
             if g is not None:
-                for t, gt in zip(entry.inputs, entry.backward_fn(g)):
-                    if gt is None:
+                for key, gt in zip(entry.inputs, entry.backward_fn(g)):
+                    if key is None or gt is None:
                         continue
-                    if not (t.requires_grad or id(t) in self._produced):
-                        continue
-                    key = id(t)
                     prev = adjoint.get(key)
                     if prev is None:
                         adjoint[key] = gt
@@ -166,7 +208,7 @@ class ComputationRecord:
                         adjoint[key] = prev + gt
                         summed.add(key)
             for leaf in complete.get(n, ()):
-                _accumulate(leaf, adjoint.pop(id(leaf), None))
+                _accumulate(leaf, adjoint.pop(leaf, None))
 
 
 def _accumulate(leaf: Tensor, g):
@@ -191,8 +233,8 @@ def _accumulate(leaf: Tensor, g):
 def _record(op, inputs, out_data, backward_fn):
     out = Tensor(out_data)
     rec = _ACTIVE_RECORD.get()
-    if rec is not None and rec._tracks(*inputs):
-        rec._append(op, tuple(inputs), out, backward_fn)
+    if rec is not None:
+        rec._append(op, inputs, out, backward_fn)
     return out
 
 
@@ -226,8 +268,8 @@ def add_scalar(a: Tensor, c: float) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"mul: incompatible shapes {a.data.shape} and {b.data.shape}")
-    return _record("mul", (a, b), a.data * b.data,
-                   lambda g: (g * b.data, g * a.data))
+    x, y = a.data, b.data
+    return _record("mul", (a, b), x * y, lambda g: (g * y, g * x))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -273,13 +315,14 @@ def reshape(a: Tensor, shape, axes=None) -> Tensor:
         out = a.data.reshape(shape)
     except ValueError as exc:
         raise ShapeError(f"reshape: {exc}") from None
+    shape_in = a.data.shape
     if axes is None:
-        return _record("reshape", (a,), out, lambda g: (g.reshape(a.data.shape),))
+        return _record("reshape", (a,), out, lambda g: (g.reshape(shape_in),))
     if sorted(axes) != list(range(out.ndim)):
         raise ShapeError(f"reshape: {axes} is not a permutation of {out.ndim} axes")
     inverse = tuple(int(i) for i in np.argsort(axes))
     return _record("reshape", (a,), out.transpose(axes),
-                   lambda g: (g.transpose(inverse).reshape(a.data.shape),))
+                   lambda g: (g.transpose(inverse).reshape(shape_in),))
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -296,11 +339,12 @@ def concat(parts, axis: int) -> Tensor:
     if axis not in (0, 1):
         raise ShapeError(f"concat: axis must be 0 or 1, got {axis}")
 
+    offsets = list(itertools.accumulate((p.data.shape[axis] for p in parts), initial=0))
+
     def backward_fn(g):
-        offsets = list(itertools.accumulate((p.data.shape[axis] for p in parts), initial=0))
         return tuple(
             g[offsets[i]:offsets[i + 1]] if axis == 0 else g[:, offsets[i]:offsets[i + 1]]
-            for i in range(len(parts)))
+            for i in range(len(offsets) - 1))
 
     try:
         out = np.concatenate([p.data for p in parts], axis=axis)
@@ -313,9 +357,10 @@ def slice_(a: Tensor, rows=slice(None), cols=slice(None)) -> Tensor:
     """Basic rectangular slicing of a 2-D tensor."""
     _need_2d("slice", a)
     key = (rows, cols)
+    shape, dtype = a.data.shape, a.data.dtype
 
     def backward_fn(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(shape, dtype)
         ga[key] = g
         return (ga,)
 
@@ -340,7 +385,7 @@ def tanh(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     y = np.maximum(a.data, 0)
-    return _unary("relu", a, y, lambda g: g * (a.data > 0))
+    return _unary("relu", a, y, lambda g: g * (y > 0))
 
 
 def exp(a: Tensor) -> Tensor:
@@ -349,11 +394,13 @@ def exp(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    return _unary("log", a, np.log(a.data), lambda g: g / a.data)
+    x = a.data
+    return _unary("log", a, np.log(x), lambda g: g / x)
 
 
 def sin(a: Tensor) -> Tensor:
-    return _unary("sin", a, np.sin(a.data), lambda g: g * np.cos(a.data))
+    x = a.data
+    return _unary("sin", a, np.sin(x), lambda g: g * np.cos(x))
 
 
 def softmax(a: Tensor, axis: int, mask: np.ndarray | None = None) -> Tensor:
@@ -449,9 +496,10 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     if ids.ndim != 1:
         raise ShapeError(f"embedding_lookup: ids must be 1-D, got shape {ids.shape}")
     _check_ids("embedding_lookup", ids, table.data.shape[0])
+    shape, dtype = table.data.shape, table.data.dtype
 
     def backward_fn(g):
-        gt = np.zeros_like(table.data)
+        gt = np.zeros(shape, dtype)
         _RowScatter(ids, g.dtype).write(gt[:, None], g[None])
         return (gt,)
 
@@ -494,6 +542,7 @@ def multi_head_attention(table: Tensor, ids, mask, n_heads: int) -> Tensor:
     n, length = ids.shape
     d = table.data.shape[1] // 3
     d_head = d // n_heads
+    table_shape, table_dtype = table.data.shape, table.data.dtype
     # (3, heads, R, d_head): part i (query, key, value) of every row, per head.
     parts = table.data.reshape(-1, 3, n_heads, d_head).transpose(1, 2, 0, 3)
     rec = _ACTIVE_RECORD.get()
@@ -525,7 +574,7 @@ def multi_head_attention(table: Tensor, ids, mask, n_heads: int) -> Tensor:
         for i, (x, y) in enumerate(((d_scores, k), (d_scores.swapaxes(2, 3), q),
                                     (attn.swapaxes(2, 3), g))):
             np.matmul(x, y, out=per_position[:, :, i].transpose(2, 0, 1, 3))
-        gt = np.zeros_like(table.data)
+        gt = np.zeros(table_shape, table_dtype)
         _RowScatter(ids.reshape(-1), g.dtype).write(
             gt[:, None], per_position.reshape(1, n * length, 3 * d))
         return (gt,)
@@ -539,10 +588,11 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if b.data.ndim != 1 or x.data.shape[1] != w.data.shape[0] or b.data.shape[0] != w.data.shape[1]:
         raise ShapeError(
             f"affine: incompatible shapes x{x.data.shape} w{w.data.shape} b{b.data.shape}")
-    out = x.data @ w.data + b.data
+    xd, wd = x.data, w.data
+    out = xd @ wd + b.data
 
     def backward_fn(g):
-        return (g @ w.data.T, x.data.T @ g, g.sum(axis=0))
+        return (g @ wd.T, xd.T @ g, g.sum(axis=0))
 
     return _record("affine", (x, w, b), out, backward_fn)
 
@@ -556,12 +606,13 @@ def sliding_window_concat(a: Tensor, h: int) -> Tensor:
     if h < 0:
         raise ShapeError(f"sliding_window_concat: window half-width {h} < 0")
     m, d = a.data.shape
-    padded = np.zeros((m + 2 * h, d), dtype=a.data.dtype)
+    dtype = a.data.dtype
+    padded = np.zeros((m + 2 * h, d), dtype=dtype)
     padded[h:h + m] = a.data
     out = np.concatenate([padded[k:k + m] for k in range(2 * h + 1)], axis=1)
 
     def backward_fn(g):
-        gp = np.zeros_like(padded)
+        gp = np.zeros((m + 2 * h, d), dtype)
         for k in range(2 * h + 1):
             gp[k:k + m] += g[:, k * d:(k + 1) * d]
         return (gp[h:h + m],)
@@ -571,8 +622,9 @@ def sliding_window_concat(a: Tensor, h: int) -> Tensor:
 
 def sum_(a: Tensor) -> Tensor:
     """Total of all entries as a (1, 1) scalar."""
-    out = a.data.sum(dtype=a.data.dtype).reshape(1, 1)
-    return _record("sum", (a,), out, lambda g: (np.full_like(a.data, g[0, 0]),))
+    shape, dtype = a.data.shape, a.data.dtype
+    out = a.data.sum(dtype=dtype).reshape(1, 1)
+    return _record("sum", (a,), out, lambda g: (np.full(shape, g[0, 0], dtype),))
 
 
 # ---------------------------------------------------------------------------

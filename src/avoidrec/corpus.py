@@ -359,7 +359,14 @@ def _json_str(value, what: str) -> str:
     return value
 
 
+_JSON_FIELDS = ("impression_id", "user_id", "time", "history", "shown")
+
+
 def _record_from_json(obj, pairs: dict) -> ImpressionRecord:
+    missing = [name for name in _JSON_FIELDS if name not in obj]
+    if missing:
+        fields = "field" if len(missing) == 1 else "fields"
+        raise ValueError(f"record is missing {fields} {', '.join(map(repr, missing))}")
     # Ids must be JSON strings, not whatever str() takes (null, 12, a list);
     # labels and the time must be JSON integers, not whatever int() takes
     # (0.7, "1"); bool is a subclass of int, hence ``type``.
@@ -411,8 +418,10 @@ def parse_behaviors_file(path) -> ImpressionLog:
     Rows with an unparseable timestamp, label, or column layout are
     skipped and recorded as issues rather than aborting the whole file.
 
-    A JSONL record's ids must be JSON strings and its ``history`` a JSON
-    array; any other value is an issue, not a record.
+    A JSONL record must have all of ``impression_id``, ``user_id``,
+    ``time``, ``history`` and ``shown`` (a missing one is an issue naming
+    it), its ids must be JSON strings and its ``history`` a JSON array; any
+    other value is an issue, not a record.
 
     User, history and candidate ids are interned, so they are the very
     string objects that key a catalog parsed in the same process.  Each

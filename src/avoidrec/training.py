@@ -17,9 +17,13 @@ graph is alive at a time.  Across a batch's groups, each parameter's
 dense gradient accumulates in place; the batch gradient is the mean over
 instances.  An impression's features are kept while the next batch still
 holds one of its instances, so a later group of it computes only its new
-candidates.  ``Adam`` holds the only copy of the parameters, their
-gradients and its moments, each in one flat store that it steps in place;
-``train`` copies the parameters out only for the state it returns.
+candidates.  ``Adam`` holds the only copy of the parameters, in one flat
+``values`` array, and their gradients and its moments, as the rows of one
+``(3, n)`` block; it steps both in place.  Once the last step is taken,
+``train`` releases the block, leaving every parameter's ``grad`` and
+``grad_buffer`` None, and only then copies the parameters out for the
+state it returns: the returned model's parameters are views into
+``values``, and nothing else of the optimizer stays alive.
 """
 
 from __future__ import annotations
@@ -202,16 +206,18 @@ def instance_loss(pos_score: ad.Tensor, neg_scores) -> ad.Tensor:
 class Adam:
     """Adaptive-moment optimizer with bias correction, stepping in place.
 
-    The parameters are packed into one contiguous store: each ``p.data``
-    becomes a view into ``values``, and ``p.grad_buffer`` a view into the
-    matching gradient store ``grads``, which backward passes write into.
-    ``m`` and ``v`` are flat stores in the same layout, and ``slices``
-    names each parameter's span.  A step covers each run of adjacent
-    parameters that have a gradient in one pass, ``CHUNK`` elements at a
-    time through two chunk-sized scratch arrays, with the same float ops
-    per element as the textbook update.  A parameter whose ``grad`` is None
-    keeps its data, ``m`` and ``v`` unchanged; a ``grad`` set from outside
-    is copied into the store first.
+    The parameters are packed into one contiguous array: each ``p.data``
+    becomes a view into ``values``, which is filled parameter by parameter,
+    so each old array can go as soon as it is copied.  ``grads``, ``m`` and
+    ``v`` are the rows of one ``(3, n)`` block in the same layout, and
+    ``p.grad_buffer`` is a view into ``grads``, which backward passes write
+    into; ``slices`` names each parameter's span.  ``release`` frees the
+    block and leaves ``values`` to the parameters.  A step covers each run
+    of adjacent parameters that have a gradient in one pass, ``CHUNK``
+    elements at a time through two chunk-sized scratch arrays, with the
+    same float ops per element as the textbook update.  A parameter whose
+    ``grad`` is None keeps its data, ``m`` and ``v`` unchanged; a ``grad``
+    set from outside is copied into the store first.
     """
 
     CHUNK = 1 << 15
@@ -235,14 +241,17 @@ class Adam:
         for name, p in self.params.items():
             self.slices[name] = slice(start, start + p.data.size)
             start += p.data.size
-        # One block holds all four stores, so the allocator can hand it whole
-        # to the next optimizer instead of giving its pages back to the system.
-        self.values, self.grads, self.m, self.v = np.zeros((4, start), dtype)
+        # Each parameter's old array goes as soon as it is copied, and the
+        # gradient and moment block comes only after the last one went, so
+        # neither the copy nor the block ever sits beside the whole model.
+        self.values = np.empty(start, dtype)
         for name, p in self.params.items():
             span = self.slices[name]
             self.values[span] = p.data.reshape(-1)
             p.data = self.values[span].reshape(p.data.shape)
-            p.grad_buffer = self.grads[span].reshape(p.data.shape)
+        self.grads, self.m, self.v = np.zeros((3, start), dtype)
+        for name, p in self.params.items():
+            p.grad_buffer = self.grads[self.slices[name]].reshape(p.data.shape)
         self._scratch = np.empty((2, min(start, self.CHUNK)), dtype)
 
     def _runs(self):
@@ -292,6 +301,16 @@ class Adam:
     def zero_grads(self):
         for p in self.params.values():
             p.grad = None
+
+    def release(self):
+        """Free the gradient and moment stores; the parameters keep ``values``.
+
+        Every parameter's ``grad`` and ``grad_buffer`` become None, and the
+        optimizer cannot step again.
+        """
+        for p in self.params.values():
+            p.grad = p.grad_buffer = None
+        self.grads = self.m = self.v = self._scratch = None
 
 
 @dataclass
@@ -387,10 +406,11 @@ def train(config: TrainConfig, corpus: Corpus, timeline) -> TrainResult:
     """Optimize a fresh model on the corpus' training split.
 
     Returns the model loaded with its best-validation parameters along
-    with the per-epoch log.  Aborts with TrainingDiverged on a non-finite
-    loss.  With ``config.max_steps`` set, training stops after that many
-    optimizer steps (or earlier, after ``max_epochs``) and early stopping
-    is skipped (small-scale experiments).
+    with the per-epoch log; its parameters' ``grad`` and ``grad_buffer``
+    are None.  Aborts with TrainingDiverged on a non-finite loss.  With
+    ``config.max_steps`` set, training stops after that many optimizer
+    steps (or earlier, after ``max_epochs``) and early stopping is skipped
+    (small-scale experiments).
     """
     rng = np.random.default_rng(config.seed)
     sizes = VocabSizes.from_corpus(corpus.catalog, corpus.vocab)
@@ -475,6 +495,9 @@ def train(config: TrainConfig, corpus: Corpus, timeline) -> TrainResult:
         if done:
             break
 
+    # The copy below is taken with no gradient or moment store alive.
+    optimizer.release()
+    del optimizer
     if best_state is None:
         best_state = model.state_dict()
     elif best_epoch < len(history):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -50,3 +52,22 @@ def tiny_instance(tiny_model):
     history = [articles[ids[0]], articles[ids[1]]]
     candidates = [articles[ids[2]], articles[ids[3]], articles[ids[4]]]
     return tiny_model, history, candidates, feats
+
+
+class Traced:
+    """tracemalloc over a block; ``kept()`` is the bytes allocated since entry and still alive."""
+
+    def __enter__(self):
+        self.started = not tracemalloc.is_tracing()
+        if self.started:
+            tracemalloc.start()
+        self.base = tracemalloc.get_traced_memory()[0]
+        return self
+
+    def kept(self):
+        return tracemalloc.get_traced_memory()[0] - self.base
+
+    def __exit__(self, *exc):
+        if self.started:
+            tracemalloc.stop()
+        return False

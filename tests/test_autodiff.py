@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import avoidrec.autodiff as ad
+from conftest import Traced
 
 F64 = np.float64
 
@@ -279,6 +280,36 @@ class TestBackward:
         assert table.grad.shape == (7, 4)
         assert np.allclose(table.grad, one_hot.T @ weights.data, rtol=0, atol=1e-12)
 
+    def test_loss_of_another_record_rejected(self):
+        w = p64([[1.0]])
+        with ad.ComputationRecord() as r1:
+            l1 = ad.sum_(ad.scale(w, 2.0))
+        with ad.ComputationRecord() as r2:
+            ad.sum_(ad.scale(w, 3.0))
+        with pytest.raises(ad.NotRecordedError):
+            r2.backward(l1)
+        assert w.grad is None
+        r1.backward(l1)
+        assert np.array_equal(w.grad, [[2.0]])
+
+    def test_unrecorded_loss_rejected(self):
+        # No input is tracked, so the sum is plain forward evaluation.
+        with ad.ComputationRecord() as rec:
+            loss = ad.sum_(c64([[1.0, 2.0]]))
+        assert rec.entries == []
+        with pytest.raises(ad.NotRecordedError):
+            rec.backward(loss)
+
+    def test_record_replays_once(self):
+        w = p64([[1.0]])
+        with ad.ComputationRecord() as rec:
+            loss = ad.sum_(ad.scale(w, 2.0))
+        rec.backward(loss)
+        with pytest.raises(ad.NotRecordedError):
+            rec.backward(loss)
+        assert np.array_equal(w.grad, [[2.0]])
+        assert rec.entries == [None, None]  # the op count stays readable
+
     def test_nested_record_rejected(self):
         with ad.ComputationRecord():
             with pytest.raises(RuntimeError):
@@ -314,6 +345,43 @@ class TestBackward:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
+
+
+class TestGraphMemory:
+    """The record keeps what the gradient formulas read, and backward frees it."""
+
+    SHAPE = (128, 1024)  # 1 MiB of float64
+
+    def test_chain_of_adds_keeps_no_intermediate(self):
+        # add's formula reads neither operand nor its output, so each
+        # intermediate dies as soon as the chain moves past it.
+        x, c = p64(np.zeros(self.SHAPE)), c64(np.ones(self.SHAPE))
+        nbytes = x.data.nbytes
+        with Traced() as mem:
+            with ad.ComputationRecord() as rec:
+                y = x
+                for _ in range(10):
+                    y = ad.add(y, c)
+            kept = mem.kept()
+        assert len(rec.entries) == 10
+        assert kept < 2 * nbytes, f"{kept / nbytes:.2f} arrays kept"
+
+    def test_backward_frees_the_graph_while_the_record_lives(self):
+        x = p64(np.full(self.SHAPE, 0.5))
+        nbytes = x.data.nbytes
+        with Traced() as mem:
+            with ad.ComputationRecord() as rec:
+                y = x
+                for _ in range(10):
+                    y = ad.sigmoid(y)  # each formula keeps its output
+                loss = ad.sum_(y)
+            del y
+            recorded = mem.kept()
+            rec.backward(loss)
+            kept = mem.kept()
+        assert recorded > 10 * nbytes
+        assert kept < 2 * nbytes, f"{kept / nbytes:.2f} arrays kept"  # x.grad
+        assert len(rec.entries) == 11
 
 
 class TestGradCheck:

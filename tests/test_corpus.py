@@ -277,6 +277,21 @@ class TestJsonRecords:
         assert [(issue.line_no, issue.message) for issue in log.issues] == [(2, message)]
 
 
+    @pytest.mark.parametrize("name", ["impression_id", "user_id", "time", "history", "shown"])
+    def test_missing_field_is_named(self, tmp_path, name):
+        bad = {key: value for key, value in self.GOOD.items() if key != name}
+        lines = [json.dumps(self.GOOD), json.dumps(bad)]
+        log = parse_behaviors_file(write(tmp_path, "b.jsonl", lines))
+        assert [r.impression_id for r in log] == ["9"]
+        assert [str(issue) for issue in log.issues] == [
+            f"line 2: record is missing field {name!r}"]
+
+    def test_every_missing_field_is_named(self, tmp_path):
+        log = parse_behaviors_file(write(tmp_path, "b.jsonl", ['{"time": 5}']))
+        assert [str(issue) for issue in log.issues] == [
+            "line 1: record is missing fields 'impression_id', 'user_id', 'history', 'shown'"]
+
+
 def synthetic_files(tmp_path, **spec):
     """news.tsv and behaviors.tsv of a small seeded synthetic corpus."""
     return write_mind_files(generate(SyntheticSpec(**spec)), tmp_path)

@@ -13,7 +13,7 @@ from avoidrec.training import (Adam, Corpus, TrainConfig, TrainingDiverged,
                                TrainingInstance, _group_score_inputs,
                                build_training_instances, group_loss, impression_groups,
                                instance_loss, sample_negatives, train)
-from conftest import make_articles, tiny_config
+from conftest import Traced, make_articles, tiny_config
 
 
 def record(i=1, shown=(("P", 1), ("A", 0), ("B", 0), ("C", 0), ("D", 0))):
@@ -188,6 +188,23 @@ class TestTrainLoop:
         assert result.n_instances == base.n_instances + 2
         assert result.n_unknown_candidate_instances == 1
         assert result.n_missing_history == 2
+
+    def test_result_keeps_two_copies_of_the_parameters(self, tmp_path):
+        # The returned model's parameters and best_state; the optimizer's
+        # gradient and moment stores are freed before best_state is copied.
+        _, news, behaviors = make_tiny_corpus(tmp_path)
+        # Paper-size widths, so the parameters dwarf what numpy caches.
+        config = make_train_config(news, behaviors, model=ModelConfig(dtype="float32"),
+                                   max_steps=2, max_epochs=1, val_fraction=0.0)
+        corpus, timeline = prepare(config)
+        train(config, corpus, timeline)  # first calls may cache small objects
+        with Traced() as mem:
+            result = train(config, corpus, timeline)
+            kept = mem.kept()
+        params = result.model.parameters().values()
+        nbytes = sum(p.data.nbytes for p in params)
+        assert kept < 2.1 * nbytes, f"{kept / nbytes:.2f} copies of the parameters kept"
+        assert all(p.grad is None and p.grad_buffer is None for p in params)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_loss_aborts_with_diagnostics(self, tmp_path):
