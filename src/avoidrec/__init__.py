@@ -3,11 +3,11 @@
 from .corpus import (ImpressionLog, ImpressionRecord, NewsArticle, NewsCatalog,
                      Vocabulary, load_word_vectors, parse_behaviors_file,
                      parse_news_file, split_log_by_time, tokenize_title)
-from .grid import EngagementEmbeddingTable, EngagementIndex, engagement_index, quantize
+from .grid import EngagementEmbeddingTable, cell_index
 from .metrics import RankedImpression, auc, evaluate, mrr, ndcg_at_k
 from .model import AvoidanceAwareRanker, ModelConfig, VocabSizes
-from .stats import (BucketTimeline, StatsSnapshot, avoidance, build_timeline,
-                    epi, snapshot_at)
+from .stats import (BucketTimeline, StatsSnapshot, build_timeline, engagement_ratios,
+                    snapshot_at)
 from .synthetic import SyntheticSpec, generate
 from .training import (Corpus, TrainConfig, instance_loss, load_corpus,
                        sample_negatives, train)
@@ -16,12 +16,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AvoidanceAwareRanker", "BucketTimeline", "Corpus", "EngagementEmbeddingTable",
-    "EngagementIndex", "ImpressionLog", "ImpressionRecord", "ModelConfig",
-    "NewsArticle", "NewsCatalog", "RankedImpression", "StatsSnapshot",
-    "SyntheticSpec", "TrainConfig", "Vocabulary", "VocabSizes", "auc",
-    "avoidance", "build_timeline", "engagement_index", "epi", "evaluate",
+    "ImpressionLog", "ImpressionRecord", "ModelConfig", "NewsArticle", "NewsCatalog",
+    "RankedImpression", "StatsSnapshot", "SyntheticSpec", "TrainConfig", "Vocabulary",
+    "VocabSizes", "auc", "build_timeline", "cell_index", "engagement_ratios", "evaluate",
     "generate", "instance_loss", "load_corpus", "load_word_vectors", "mrr",
-    "ndcg_at_k", "parse_behaviors_file", "parse_news_file", "quantize",
-    "sample_negatives", "snapshot_at", "split_log_by_time", "tokenize_title",
-    "train",
+    "ndcg_at_k", "parse_behaviors_file", "parse_news_file", "sample_negatives",
+    "snapshot_at", "split_log_by_time", "tokenize_title", "train",
 ]

@@ -3,28 +3,22 @@
 Both ratios live in [0, 1]; the unit square is cut into D equal-width
 bins per axis and each cell indexes one row of a trainable embedding
 table.  The flat cell index is ``D * epi_idx + av_idx``, so walking one
-full exposure bin up moves the flat index by exactly D.
+full exposure bin up moves the flat index by exactly D, and
+``divmod(cell, D)`` splits a cell back into ``(epi_idx, av_idx)``.
+``snapshot_cell`` places one article by ``stats.engagement_ratios``.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .stats import StatsSnapshot, avoidance, epi
+from .stats import StatsSnapshot, engagement_ratios
 
 GRID_SCHEMA_VERSION = "grid-v1"
-
-
-@dataclass(frozen=True)
-class EngagementIndex:
-    av_idx: int
-    epi_idx: int
-    i_ue: int
 
 
 def cell_index(av: float, epi_value: float, d: int) -> int:
@@ -32,8 +26,8 @@ def cell_index(av: float, epi_value: float, d: int) -> int:
 
     Each ratio is clamped into [0, 1] (NaN counts as 0) and binned by
     floor(value * D); 1.0 maps to the last bin.  This is the grid's one
-    quantisation formula: ``quantize``, ``engagement_index`` and
-    ``features.impression_features`` all call it.
+    quantisation formula: ``snapshot_cell`` and
+    ``features.impression_features`` both call it.
     """
     if d <= 0:
         raise ValueError("grid resolution must be positive")
@@ -45,27 +39,6 @@ def cell_index(av: float, epi_value: float, d: int) -> int:
     av_idx = math.floor(av * d)
     epi_idx = math.floor(epi_value * d)
     return d * (epi_idx if epi_idx < top else top) + (av_idx if av_idx < top else top)
-
-
-def quantize(value: float, d: int) -> int:
-    """Equal-width bin of ``value`` over [0, 1]: floor(value * D).
-
-    Values are clamped into [0, 1] first and 1.0 maps to the last bin.
-    It is the avoidance axis of ``cell_index`` with EPI 0.
-    """
-    return cell_index(value, 0.0, d)
-
-
-def engagement_index(av: float, epi_value: float, d: int) -> EngagementIndex:
-    i_ue = cell_index(av, epi_value, d)
-    return EngagementIndex(av_idx=i_ue % d, epi_idx=i_ue // d, i_ue=i_ue)
-
-
-def unflatten_index(i_ue: int, d: int) -> tuple[int, int]:
-    """Inverse of the flattening: (av_idx, epi_idx) for a flat cell index."""
-    if not 0 <= i_ue < d * d:
-        raise IndexError(f"flat cell index {i_ue} outside [0, {d * d})")
-    return i_ue % d, i_ue // d
 
 
 class EngagementEmbeddingTable:
@@ -87,9 +60,10 @@ class EngagementEmbeddingTable:
         return ad.embedding_lookup(self.table, ids)
 
 
-def snapshot_cell(snapshot: StatsSnapshot, news_id: str, d: int) -> EngagementIndex:
-    """Grid cell of one article under a snapshot's statistics."""
-    return engagement_index(avoidance(snapshot, news_id), epi(snapshot, news_id), d)
+def snapshot_cell(snapshot: StatsSnapshot, news_id: str, d: int) -> int:
+    """Flat grid cell of one article under a snapshot's statistics."""
+    return cell_index(*engagement_ratios(snapshot.clicks(news_id), snapshot.exposures(news_id),
+                                         snapshot.n_impressions), d)
 
 
 def grid_cell_counts(snapshot: StatsSnapshot, d: int) -> dict[int, int]:
@@ -97,7 +71,7 @@ def grid_cell_counts(snapshot: StatsSnapshot, d: int) -> dict[int, int]:
     counts: dict[int, int] = {}
     for news_id in snapshot.news_ids():
         cell = snapshot_cell(snapshot, news_id, d)
-        counts[cell.i_ue] = counts.get(cell.i_ue, 0) + 1
+        counts[cell] = counts.get(cell, 0) + 1
     return counts
 
 
@@ -109,5 +83,5 @@ def write_grid_csv(snapshot: StatsSnapshot, d: int, path):
         writer = csv.writer(fh)
         writer.writerow(["i_ue", "av_idx", "epi_idx", "article_count"])
         for i_ue in range(d * d):
-            av_idx, epi_idx = unflatten_index(i_ue, d)
+            epi_idx, av_idx = divmod(i_ue, d)
             writer.writerow([i_ue, av_idx, epi_idx, counts.get(i_ue, 0)])

@@ -146,28 +146,6 @@ class AvoidanceAwareRanker:
         return {name: t.data.copy() for name, t in self.parameters().items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]):
-        state = dict(state)  # older checkpoints hold one tensor per user-attention head
-        for old, new in (("user.rel_head", "user.rel_heads"), ("user.out_head", "user.out_w")):
-            names = [f"{old}{i}" for i in range(self.config.user_heads)]
-            if new not in state and all(name in state for name in names):
-                state[new] = np.stack([state.pop(name) for name in names])
-        # ... and the filter bank and the merge as one matrix each, not as row blocks.
-        for old, top, bottom in (("user.cnn_w", self.user.cnn_window_w, self.user.cnn_cand_w),
-                                 ("user.merge_w", self.user.merge_local_w,
-                                  self.user.merge_att_w)):
-            if old in state and top.name not in state and bottom.name not in state:
-                w = np.asarray(state.pop(old))
-                cut = top.shape[0]
-                state[top.name], state[bottom.name] = w[:cut], w[cut:]
-        # ... and the news encoder's query, key and value as three matrices.
-        qkv = [f"news.{w}" for w in ("wq", "wk", "wv")]
-        if self.news.wqkv.name not in state and all(name in state for name in qkv):
-            state[self.news.wqkv.name] = np.concatenate([state.pop(n) for n in qkv], axis=1)
-        # The pooling's candidate rows and bias cancelled in its softmax; they are dropped.
-        pool_w = state.get(self.user.pool_w.name)
-        if "user.pool_b" in state and pool_w is not None and len(pool_w) == 2 * self.user.d_aug:
-            state.pop("user.pool_b")
-            state[self.user.pool_w.name] = np.asarray(pool_w)[:self.user.d_aug]
         params = self.parameters()
         missing = set(params) - set(state)
         extra = set(state) - set(params)

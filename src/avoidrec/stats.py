@@ -8,7 +8,9 @@ light view of that index at one boundary ``b``: it counts only records
 with ``time < b``, each count being one ``bisect_left`` in a sorted time
 list -- the number of impression records seen (``n_impressions``), and
 per article how often it was shown (``exposures``) and clicked
-(``clicks``).  From those counters two ratios are derived per article:
+(``clicks``).  From those counters ``engagement_ratios`` derives two
+ratios per article; it is the one copy of that formula, shared by the
+features, the generator and the CSV export:
 
 * exposure per impression: ``exposures / n_impressions`` -- how broadly
   the article has been shown so far;
@@ -130,24 +132,17 @@ def build_timeline(log, bucket_width: int) -> BucketTimeline:
     return timeline
 
 
-def epi(snapshot: StatsSnapshot, news_id: str) -> float:
-    """Exposure-per-impression ratio in [0, 1]; 0 when nothing was recorded."""
-    if snapshot.n_impressions == 0:
-        return 0.0
-    return snapshot.exposures(news_id) / snapshot.n_impressions
+def engagement_ratios(clicks: int, exposures: int, n_impressions: int) -> tuple[float, float]:
+    """(avoidance, EPI) of one article from its counts in one snapshot.
 
-
-def avoidance(snapshot: StatsSnapshot, news_id: str) -> float:
-    """Share of exposures that did not convert, in [0, 1].
-
-    An article with no exposures yet counts as totally avoided (1.0),
-    which places cold articles in the low-exposure / high-avoidance
-    corner of the engagement grid.
+    Avoidance is ``1 - clicks / exposures`` and EPI is ``exposures /
+    n_impressions``.  An article with no exposures yet counts as totally
+    avoided with EPI 0, which places cold articles in the low-exposure /
+    high-avoidance corner of the engagement grid.
     """
-    n_exp = snapshot.exposures(news_id)
-    if n_exp == 0:
-        return 1.0
-    return 1.0 - snapshot.clicks(news_id) / n_exp
+    if not exposures:
+        return 1.0, 0.0
+    return 1.0 - clicks / exposures, exposures / n_impressions
 
 
 def snapshot_at(timeline: BucketTimeline, t: int) -> StatsSnapshot:
@@ -181,15 +176,9 @@ def export_snapshot_rows(snapshot: StatsSnapshot, normalized_clicks: bool = Fals
     yield global_row
     max_clk = snapshot.max_clicks()
     for news_id in sorted(snapshot.news_ids()):
-        clicks = snapshot.clicks(news_id)
-        row = [
-            snapshot.t,
-            news_id,
-            snapshot.exposures(news_id),
-            clicks,
-            repr(epi(snapshot, news_id)),
-            repr(avoidance(snapshot, news_id)),
-        ]
+        clicks, exposures = snapshot.clicks(news_id), snapshot.exposures(news_id)
+        av, epi = engagement_ratios(clicks, exposures, snapshot.n_impressions)
+        row = [snapshot.t, news_id, exposures, clicks, repr(epi), repr(av)]
         if normalized_clicks:
             row.append(repr(clicks / max_clk) if max_clk else "0.0")
         yield row

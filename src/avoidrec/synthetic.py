@@ -16,11 +16,13 @@ so they wander across grid cells as buckets pass.  Optional knobs:
   age in buckets.
 
 Every emitted record is appended to a ``stats.BucketTimeline``, and the
-cell comes from ``grid.snapshot_cell`` on that timeline's view at the
-bucket start -- the same code the model's features use, with no frozen
-copies of the counters.  Cell and freshness are computed once per
-(article, bucket), and only for articles that are shown.  All state is
-local to one ``generate`` call, so concurrent calls are independent.
+flat cell comes from ``grid.snapshot_cell`` on that timeline's view at
+the bucket start -- the same ``stats.engagement_ratios`` and
+``grid.cell_index`` that the model's features use, with no frozen copies
+of the counters; ``divmod(cell, grid_d)`` gives its (epi, avoidance)
+bins.  Cell and freshness are computed once per (article, bucket), and
+only for articles that are shown.  All state is local to one
+``generate`` call, so concurrent calls are independent.
 
 The first impression lands exactly on the first bucket boundary, so a
 timeline built from the emitted log with the same bucket width freezes
@@ -30,6 +32,7 @@ statistics at exactly the boundaries this generator used.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -48,6 +51,11 @@ _FILLER_WORDS = [
     "review", "guide", "deal", "rally", "crisis", "debate", "award",
     "match", "plan", "price", "storm", "vote", "trial",
 ]
+
+
+def _is_finite_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass
@@ -80,14 +88,25 @@ class SyntheticSpec:
         if matrix.shape != (self.grid_d, self.grid_d):
             raise ValueError(
                 f"affinity must be {self.grid_d}x{self.grid_d}, got {matrix.shape}")
+        if not np.isfinite(matrix).all():
+            raise ValueError("affinity propensities must be finite")
         if (matrix < 0).any():
             raise ValueError("affinity propensities must be nonnegative")
         if matrix.max() <= 0:
             raise ValueError("infeasible spec: all cell propensities are zero")
-        if not 0 <= self.affinity_user_fraction <= 1:
-            raise ValueError("affinity_user_fraction must lie in [0, 1]")
-        if not 0 < self.base_click_rate < 1:
-            raise ValueError("base_click_rate must lie in (0, 1)")
+        fraction, rate = self.affinity_user_fraction, self.base_click_rate
+        if not _is_finite_number(fraction) or not 0 <= fraction <= 1:
+            raise ValueError(f"affinity_user_fraction must lie in [0, 1], got {fraction!r}")
+        if not _is_finite_number(rate) or not 0 < rate < 1:
+            raise ValueError(f"base_click_rate must lie in (0, 1), got {rate!r}")
+        # A half-life of 0 divides by zero in generate(); a NaN boost or
+        # propensity pins every click probability at its 0.95 cap.
+        boost, halflife = self.freshness_boost, self.freshness_halflife_buckets
+        if not _is_finite_number(boost) or boost < 0:
+            raise ValueError(f"freshness_boost must be a finite number >= 0, got {boost!r}")
+        if not _is_finite_number(halflife) or halflife <= 0:
+            raise ValueError(
+                f"freshness_halflife_buckets must be a finite number > 0, got {halflife!r}")
 
     @classmethod
     def from_json_file(cls, path):
@@ -188,11 +207,12 @@ def generate(spec: SyntheticSpec) -> SyntheticDataset:
                         age / spec.freshness_halflife_buckets)
                     slot_terms[news_id] = (snapshot_cell(frozen, news_id, spec.grid_d), fresh)
                 cell, fresh = slot_terms[news_id]
-                mult = cell_mult[cell.av_idx][cell.epi_idx] if user in affinity_users else 1.0
+                epi_idx, av_idx = divmod(cell, spec.grid_d)
+                mult = cell_mult[av_idx][epi_idx] if user in affinity_users else 1.0
                 p = min(0.95, spec.base_click_rate * mult * fresh)
                 label = int(rng.random() < p)
                 shown.append((news_id, label))
-                slot_probs.append((cell.i_ue, float(p)))
+                slot_probs.append((cell, float(p)))
 
             records.append(ImpressionRecord(
                 impression_id=str(len(records) + 1),

@@ -76,10 +76,14 @@ class TrainConfig:
             value, floor = getattr(self, name), 1 if name in positive else 0
             if not isinstance(value, int) or isinstance(value, bool) or value < floor:
                 raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
-        rate = self.learning_rate
-        if (not isinstance(rate, (int, float)) or isinstance(rate, bool)
-                or not math.isfinite(rate) or rate < 0):
-            raise ValueError(f"learning_rate must be a finite number >= 0, got {rate!r}")
+        for name in ("learning_rate", "val_fraction", "test_fraction"):
+            value = getattr(self, name)
+            if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                    or not math.isfinite(value) or value < 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+        if self.val_fraction + self.test_fraction >= 1:
+            raise ValueError(f"val_fraction + test_fraction must be < 1, got "
+                             f"{self.val_fraction} + {self.test_fraction}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 

@@ -120,100 +120,3 @@ def test_bit_flips_load_or_raise_checkpoint_error(tmp_path, spec, data):
         return
     assert isinstance(meta, dict)
     assert all(isinstance(arr, np.ndarray) for arr in tensors.values())
-
-
-def test_legacy_per_head_names_load_into_stacked_heads(tmp_path):
-    from avoidrec.model import AvoidanceAwareRanker, VocabSizes
-    from conftest import tiny_config
-
-    model = AvoidanceAwareRanker(tiny_config(), VocabSizes(12, 3, 5), seed=1)
-    state = model.state_dict()
-    heads = model.config.user_heads
-    legacy = {k: v for k, v in state.items() if k not in ("user.rel_heads", "user.out_w")}
-    legacy.update({f"user.rel_head{i}": state["user.rel_heads"][i] for i in range(heads)})
-    legacy.update({f"user.out_head{i}": state["user.out_w"][i] for i in range(heads)})
-    path = tmp_path / "legacy.ntck"
-    save_checkpoint(path, legacy)
-    other = AvoidanceAwareRanker(tiny_config(), VocabSizes(12, 3, 5), seed=2)
-    other.load_state_dict(load_checkpoint(path)[0])
-    for name, arr in state.items():
-        assert np.array_equal(other.parameters()[name].data, arr), name
-
-
-def test_legacy_unsplit_filter_bank_and_merge_load_and_score_identically(tmp_path):
-    # Checkpoints from before the row-block split hold user.cnn_w and
-    # user.merge_w (and, older still, one tensor per head).
-    from avoidrec.model import AvoidanceAwareRanker, VocabSizes
-    from conftest import make_articles, make_features, tiny_config
-
-    model = AvoidanceAwareRanker(tiny_config(), VocabSizes(12, 3, 5), seed=1)
-    state = model.state_dict()
-    split = ("user.cnn_window_w", "user.cnn_cand_w", "user.merge_local_w", "user.merge_att_w",
-             "user.rel_heads", "user.out_w")
-    legacy = {k: v for k, v in state.items() if k not in split}
-    legacy["user.cnn_w"] = np.concatenate([state["user.cnn_window_w"], state["user.cnn_cand_w"]])
-    legacy["user.merge_w"] = np.concatenate([state["user.merge_local_w"],
-                                             state["user.merge_att_w"]])
-    heads = model.config.user_heads
-    legacy.update({f"user.rel_head{i}": state["user.rel_heads"][i] for i in range(heads)})
-    legacy.update({f"user.out_head{i}": state["user.out_w"][i] for i in range(heads)})
-    path = tmp_path / "legacy.ntck"
-    save_checkpoint(path, legacy)
-    other = AvoidanceAwareRanker(tiny_config(), VocabSizes(12, 3, 5), seed=2)
-    other.load_state_dict(load_checkpoint(path)[0])
-    for name, arr in state.items():
-        assert np.array_equal(other.parameters()[name].data, arr), name
-
-    articles = make_articles(8)
-    ids = sorted(articles)
-    feats = make_features(ids)
-    a = [articles[i] for i in ids]
-    for mode in ("full", "only_rel", "only_avoid"):
-        expected = model.score_impression(a[:4], a[4:], feats, mode=mode)
-        got = other.score_impression(a[:4], a[4:], feats, mode=mode)
-        assert [s.data[0, 0] for s in got] == [s.data[0, 0] for s in expected], mode
-
-
-def test_legacy_filter_bank_of_another_width_is_refused():
-    from avoidrec.model import AvoidanceAwareRanker, VocabSizes
-    from conftest import tiny_config
-
-    model = AvoidanceAwareRanker(tiny_config(), VocabSizes(12, 3, 5), seed=1)
-    state = model.state_dict()
-    legacy = {k: v for k, v in state.items() if k not in ("user.cnn_window_w", "user.cnn_cand_w")}
-    legacy["user.cnn_w"] = np.concatenate([state["user.cnn_window_w"],
-                                           state["user.cnn_cand_w"]])[:-1]
-    with pytest.raises(ValueError, match="user.cnn_cand_w"):
-        model.load_state_dict(legacy)
-
-
-def test_legacy_qkv_and_pooling_rows_load_and_score_identically(tmp_path):
-    # Checkpoints from before the fused projection hold news.wq/wk/wv, and
-    # the pooling's (2 d_aug, 1) weights plus a bias whose candidate rows and
-    # bias cancelled in its softmax; those rows are dropped on load.
-    from avoidrec.model import AvoidanceAwareRanker, VocabSizes
-    from conftest import make_articles, make_features, tiny_config
-
-    model = AvoidanceAwareRanker(tiny_config(), VocabSizes(12, 3, 5), seed=1)
-    state = model.state_dict()
-    legacy = {k: v for k, v in state.items() if k not in ("news.wqkv", "user.pool_w")}
-    legacy.update(zip(("news.wq", "news.wk", "news.wv"), np.split(state["news.wqkv"], 3, axis=1)))
-    pool_w = state["user.pool_w"]
-    legacy["user.pool_w"] = np.concatenate([pool_w, np.full_like(pool_w, 5.0)])
-    legacy["user.pool_b"] = np.array([3.0])
-    path = tmp_path / "legacy.ntck"
-    save_checkpoint(path, legacy)
-    other = AvoidanceAwareRanker(tiny_config(), VocabSizes(12, 3, 5), seed=2)
-    other.load_state_dict(load_checkpoint(path)[0])
-    assert set(other.parameters()) == set(state)
-    for name, arr in state.items():
-        assert np.array_equal(other.parameters()[name].data, arr), name
-
-    articles = make_articles(8)
-    ids = sorted(articles)
-    feats = make_features(ids)
-    a = [articles[i] for i in ids]
-    for mode in ("full", "only_rel", "only_avoid"):
-        expected = model.score_impression(a[:4], a[4:], feats, mode=mode)
-        got = other.score_impression(a[:4], a[4:], feats, mode=mode)
-        assert [s.data[0, 0] for s in got] == [s.data[0, 0] for s in expected], mode

@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from avoidrec.checkpoint import load_checkpoint, save_checkpoint
 from avoidrec.cli import main
 from avoidrec.corpus import parse_behaviors_file
-from avoidrec.stats import StatsSnapshot, avoidance, build_timeline, epi
+from avoidrec.stats import StatsSnapshot, build_timeline, engagement_ratios
 from avoidrec.synthetic import SyntheticSpec, generate, write_mind_files
 
 
@@ -68,8 +69,9 @@ class TestStatsCommand:
             if row["news_id"] == "":
                 assert int(row["n_E"]) == snap.n_impressions
                 continue
-            assert float(row["epi"]) == epi(snap, row["news_id"])
-            assert float(row["avoidance"]) == avoidance(snap, row["news_id"])
+            nid = row["news_id"]
+            av, epi = engagement_ratios(snap.clicks(nid), snap.exposures(nid), snap.n_impressions)
+            assert (float(row["avoidance"]), float(row["epi"])) == (av, epi)
             assert 0.0 <= float(row["clicks_norm"]) <= 1.0
         grid_rows = read_csv(out / f"grid_{snap.t}.csv")
         assert len(grid_rows) == 25
@@ -160,6 +162,22 @@ class TestTrainEvalAblate:
         assert main(["eval", "--config", str(config_path), "--checkpoint", str(ckpt),
                      "--out", str(tmp_path / "eval")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_eval_refuses_a_checkpoint_with_old_parameter_names(self, config_path, tmp_path,
+                                                               capsys):
+        # Older layouts held the filter bank as one matrix, user.cnn_w.
+        train_out = tmp_path / "train"
+        assert main(["train", "--config", str(config_path), "--out", str(train_out)]) == 0
+        state, meta = load_checkpoint(train_out / "checkpoint.ntck")
+        state["user.cnn_w"] = np.concatenate([state.pop("user.cnn_window_w"),
+                                              state.pop("user.cnn_cand_w")])
+        old = tmp_path / "old.ntck"
+        save_checkpoint(old, state, meta=meta)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config_path), "--checkpoint", str(old),
+                     "--out", str(tmp_path / "eval")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: state mismatch") and "user.cnn_w" in err
 
     def test_eval_refuses_checkpoint_of_another_model_config(self, config_path, tmp_path,
                                                               capsys):

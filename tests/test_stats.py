@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from avoidrec.corpus import ImpressionLog, ImpressionRecord, Interner, NewsArticle, NewsCatalog
 from avoidrec.features import impression_features
-from avoidrec.grid import engagement_index
-from avoidrec.stats import (GLOBAL_ROW_ID, BucketTimeline, StatsSnapshot,
-                            avoidance, build_timeline, epi, snapshot_at,
-                            write_snapshot_csv)
+from avoidrec.grid import cell_index
+from avoidrec.stats import (GLOBAL_ROW_ID, BucketTimeline, StatsSnapshot, build_timeline,
+                            engagement_ratios, snapshot_at, write_snapshot_csv)
 
 
 def rec(i, t, shown, history=()):
@@ -90,7 +89,7 @@ def oracle_features(records, width, t, news_ids, grid_d, catalog=None):
         published = (article.publish_time if article is not None
                      and article.publish_time is not None else first_seen.get(news_id))
         feats[news_id] = (
-            engagement_index(av, epi_value, grid_d).i_ue,
+            cell_index(av, epi_value, grid_d),
             math.log1p(n_clk) / log_den if log_den else 0.0,
             max(0.0, (t - published) / 3600.0) if published is not None else 0.0)
     return feats
@@ -169,6 +168,19 @@ class TestBuildTimeline:
                 assert cur.clicks(news_id) >= prev.clicks(news_id)
 
 
+def ratios(snap, news_id):
+    """``engagement_ratios`` of one article's counts in ``snap``."""
+    return engagement_ratios(snap.clicks(news_id), snap.exposures(news_id), snap.n_impressions)
+
+
+def epi(snap, news_id):
+    return ratios(snap, news_id)[1]
+
+
+def avoidance(snap, news_id):
+    return ratios(snap, news_id)[0]
+
+
 class TestRatios:
     def test_epi_worked_example(self):
         snap = snapshot_of(100, {"n174": 50})
@@ -188,6 +200,7 @@ class TestRatios:
 
     def test_zero_impressions_epi_zero(self):
         assert epi(snapshot_of(0, {}), "A") == 0.0
+        assert engagement_ratios(0, 0, 0) == (1.0, 0.0)
 
     def test_full_engagement_avoidance_zero(self):
         snap = snapshot_of(5, {"A": 5}, {"A": 5})
@@ -373,7 +386,7 @@ class TestExport:
         global_rows = [r for r in rows if r["news_id"] == GLOBAL_ROW_ID]
         assert len(global_rows) == 1
         assert int(global_rows[0]["n_E"]) == snap.n_impressions
-        _, exposures, _, _ = brute_force_snapshot(log.records, snap.t)
+        n_imp, exposures, clicks, _ = brute_force_snapshot(log.records, snap.t)
         assert sorted(r["news_id"] for r in rows if r["news_id"] != GLOBAL_ROW_ID) == \
             sorted(exposures)
         max_clk = snap.max_clicks()
@@ -381,8 +394,8 @@ class TestExport:
             if row["news_id"] == GLOBAL_ROW_ID:
                 continue
             nid = row["news_id"]
-            assert float(row["epi"]) == epi(snap, nid)
-            assert float(row["avoidance"]) == avoidance(snap, nid)
+            assert float(row["epi"]) == exposures[nid] / n_imp
+            assert float(row["avoidance"]) == 1.0 - clicks[nid] / exposures[nid]
             assert int(row["n_E"]) == snap.exposures(nid)
             expected_norm = snap.clicks(nid) / max_clk if max_clk else 0.0
             assert float(row["clicks_norm"]) == expected_norm

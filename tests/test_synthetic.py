@@ -37,6 +37,29 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=field):
             SyntheticSpec(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("freshness_halflife_buckets", 0), ("freshness_halflife_buckets", -1.0),
+        ("freshness_halflife_buckets", float("nan")), ("freshness_halflife_buckets", "2"),
+        ("freshness_boost", -0.5), ("freshness_boost", float("nan")),
+        ("freshness_boost", float("inf")), ("freshness_boost", None),
+        ("base_click_rate", "0.1"), ("base_click_rate", 1.0),
+        ("affinity_user_fraction", "0.5"), ("affinity_user_fraction", float("nan"))])
+    def test_bad_real_field_is_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SyntheticSpec(**{field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_propensity_rejected(self, value):
+        bad = [[1.0] * 5 for _ in range(5)]
+        bad[1][4] = value
+        with pytest.raises(ValueError, match="affinity"):
+            SyntheticSpec(affinity=bad)
+
+    def test_freshness_boundaries_accepted(self):
+        spec = SyntheticSpec(n_users=4, n_articles=5, n_buckets=2, impressions_per_bucket=3,
+                             freshness_boost=0, freshness_halflife_buckets=1e-3)
+        assert generate(spec).records
+
     def test_default_affinity_is_uniform(self):
         spec = SyntheticSpec(grid_d=3)
         assert spec.affinity == [[1.0] * 3 for _ in range(3)]
@@ -150,10 +173,10 @@ class TestGenerate:
         from avoidrec.corpus import ImpressionLog
         timeline = build_timeline(ImpressionLog(dataset.records), spec.bucket_width)
         # at least one article's exposure-per-impression rises then falls
-        from avoidrec.stats import epi
         drifted = 0
+        snaps = [StatsSnapshot(timeline, b) for b in timeline.boundaries()]
         for article in dataset.articles:
-            series = [epi(StatsSnapshot(timeline, b), article.news_id) for b in timeline.boundaries()]
+            series = [s.exposures(article.news_id) / s.n_impressions for s in snaps]
             peak = max(range(len(series)), key=lambda i: series[i])
             if 0 < peak < len(series) - 1 and series[-1] < series[peak] * 0.9:
                 drifted += 1

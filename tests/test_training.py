@@ -296,6 +296,9 @@ class TestTrainConfigValidation:
         ("bucket_width", True), ("max_steps", 0), ("negatives", 0), ("patience", 0),
         ("learning_rate", -1e-3), ("learning_rate", math.nan), ("learning_rate", math.inf),
         ("learning_rate", "0.1"), ("seed", -1), ("mode", "bogus"),
+        ("val_fraction", "0.1"), ("val_fraction", math.nan), ("val_fraction", -0.1),
+        ("val_fraction", True), ("val_fraction", 1.0), ("test_fraction", math.inf),
+        ("test_fraction", None), ("test_fraction", -1), ("test_fraction", 0.95),
     ])
     def test_bad_field_is_named(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -303,7 +306,8 @@ class TestTrainConfigValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("batch_size", 1), ("max_epochs", 1), ("bucket_width", 1), ("max_steps", None),
-        ("max_steps", 1), ("learning_rate", 0.0), ("learning_rate", 0), ("seed", 0)])
+        ("max_steps", 1), ("learning_rate", 0.0), ("learning_rate", 0), ("seed", 0),
+        ("val_fraction", 0.0), ("val_fraction", 0.89), ("test_fraction", 0)])
     def test_boundary_values_accepted(self, field, value):
         assert getattr(TrainConfig(**{field: value}), field) == value
 
