@@ -78,7 +78,7 @@ class SyntheticSpec:
     def __post_init__(self):
         positive = ("n_users", "n_articles", "n_buckets", "grid_d", "bucket_width",
                     "impressions_per_bucket", "n_shown")
-        for name in positive + ("seed",):
+        for name in positive + ("seed", "origin"):
             value, floor = getattr(self, name), 1 if name in positive else 0
             if not isinstance(value, int) or isinstance(value, bool) or value < floor:
                 raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")

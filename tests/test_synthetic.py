@@ -32,7 +32,7 @@ class TestSpecValidation:
     @pytest.mark.parametrize("field, value", [
         ("seed", -1), ("seed", 1.5), ("n_users", 0), ("n_articles", 0), ("n_buckets", 0),
         ("grid_d", 0), ("bucket_width", 0), ("impressions_per_bucket", 0), ("n_shown", 0),
-        ("n_shown", True), ("n_users", "8")])
+        ("n_shown", True), ("n_users", "8"), ("origin", "2019"), ("origin", -1)])
     def test_bad_integer_field_is_named(self, field, value):
         with pytest.raises(ValueError, match=field):
             SyntheticSpec(**{field: value})
