@@ -57,7 +57,7 @@ def cmd_stats(args) -> int:
     out = _out_dir(args.out)
     for boundary in timeline.boundaries():
         snap = StatsSnapshot(timeline, boundary)
-        write_snapshot_csv(snap, out / f"bucket_{boundary}.csv", normalized_clicks=True)
+        write_snapshot_csv(snap, out / f"bucket_{boundary}.csv")
         write_grid_csv(snap, args.grid_d, out / f"grid_{boundary}.csv")
     print(f"wrote {timeline.n_buckets} bucket snapshots to {out} "
           f"({len(log)} records, {len(log.issues)} skipped)")

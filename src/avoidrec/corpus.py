@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import string
 import sys
 from dataclasses import dataclass, field
@@ -265,26 +266,13 @@ def parse_news_file(path, max_title_len: int = 30,
     return catalog, vocab
 
 
-# The strings each field of _TIME_FORMAT's ``strptime`` pattern matches,
-# when they are ASCII: month and 12-hour clock ``1[0-2]|0[1-9]|[1-9]``,
-# day ``3[0-1]|[1-2]\d|0[1-9]|[1-9]| [1-9]`` (a space-padded day too),
-# minute ``[0-5]\d|\d`` and second ``6[0-1]|[0-5]\d|\d`` (60 and 61 then
-# fail in ``datetime``).
-_ONE_TO_TWELVE = frozenset([str(v) for v in range(1, 10)] + [f"{v:02d}" for v in range(1, 13)])
-_DAYS = frozenset([str(v) for v in range(1, 10)] + [f" {v}" for v in range(1, 10)]
-                  + [f"{v:02d}" for v in range(1, 32)])
-_MINUTES = frozenset([str(v) for v in range(10)] + [f"{v:02d}" for v in range(60)])
-
-
-def _unicode_digit_field(text: str, leads: str, single: bool) -> bool:
-    r"""Whether ``text`` is ``[leads]\d`` (or ``\d`` when ``single``), ``\d`` any decimal digit.
-
-    ``strptime``'s pattern reads ``\d`` as Unicode, so the year and some
-    places of the day, minute and second take non-ASCII digits too.
-    """
-    if len(text) == 1:
-        return single and text.isdecimal()
-    return len(text) == 2 and text[0] in leads and text[1].isdecimal()
+# The pattern ``strptime`` compiles for _TIME_FORMAT in the C locale.  Its
+# ``\d`` is Unicode, as ``int`` reads it; seconds 60 and 61 match and then
+# fail in ``datetime``.
+_TIME_RE = re.compile(
+    r"(?P<m>1[0-2]|0[1-9]|[1-9])/(?P<d>3[0-1]|[1-2]\d|0[1-9]|[1-9]| [1-9])/(?P<Y>\d\d\d\d)"
+    r"\s+(?P<I>1[0-2]|0[1-9]|[1-9]):(?P<M>[0-5]\d|\d):(?P<S>6[0-1]|[0-5]\d|\d)\s+(?P<p>am|pm)",
+    re.IGNORECASE)
 
 
 def parse_time(text: str) -> int:
@@ -297,21 +285,11 @@ def parse_time(text: str) -> int:
     sign, underscore or extra field.  Bad input raises ``ValueError``;
     ``datetime`` itself rejects impossible dates such as 2/30.
     """
-    try:
-        month, day, rest = text.strip().split("/")
-        clock, half = rest[4:].split()
-        hour, minute, second = clock.split(":")
-        year, half = rest[:4], half.lower()
-        if not (rest[4:5].isspace() and (half == "am" or half == "pm")
-                and month in _ONE_TO_TWELVE and hour in _ONE_TO_TWELVE
-                and len(year) == 4 and year.isdecimal()
-                and (day in _DAYS or _unicode_digit_field(day, "12", False))
-                and (minute in _MINUTES or _unicode_digit_field(minute, "012345", True))
-                and (second in _MINUTES or _unicode_digit_field(second, "012345", True))):
-            raise ValueError
-    except ValueError:  # also a wrong number of fields when unpacking
-        raise ValueError(f"time data {text!r} does not match format {_TIME_FORMAT!r}") from None
-    hour_24 = int(hour) % 12 + (12 if half == "pm" else 0)
+    found = _TIME_RE.fullmatch(text.strip())
+    if found is None:
+        raise ValueError(f"time data {text!r} does not match format {_TIME_FORMAT!r}")
+    month, day, year, hour, minute, second, half = found.groups()
+    hour_24 = int(hour) % 12 + (12 if half.lower() == "pm" else 0)
     dt = datetime(int(year), int(month), int(day), hour_24, int(minute), int(second),
                   tzinfo=timezone.utc)
     return int(dt.timestamp())
@@ -472,17 +450,16 @@ def record_to_json(record: ImpressionRecord) -> str:
     }, separators=(",", ":"))
 
 
-def load_word_vectors(path, vocab: Vocabulary, dim: int,
-                      init_range: float = 0.1, seed: int = 0) -> np.ndarray:
+def load_word_vectors(path, vocab: Vocabulary, dim: int, seed: int = 0) -> np.ndarray:
     """Build a ``len(vocab) x dim`` embedding matrix from a text vector file.
 
     Each line is a token followed by ``dim`` floats.  Vocabulary tokens
     found in the file get their vectors verbatim; the rest are drawn
-    uniformly from ``[-init_range, init_range]`` (seeded).  The padding
+    uniformly from ``[-0.1, 0.1]`` (seeded).  The padding
     row is forced to zeros.
     """
     rng = np.random.default_rng(seed)
-    matrix = rng.uniform(-init_range, init_range, size=(len(vocab), dim))
+    matrix = rng.uniform(-0.1, 0.1, size=(len(vocab), dim))
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             parts = line.rstrip().split()

@@ -44,12 +44,11 @@ def cell_index(av: float, epi_value: float, d: int) -> int:
 class EngagementEmbeddingTable:
     """Trainable D^2 x dim embedding table over grid cells."""
 
-    def __init__(self, d: int, dim: int, rng: np.random.Generator,
-                 init_range: float = 0.1, dtype=None, name: str = "engagement_table"):
+    def __init__(self, d: int, dim: int, rng: np.random.Generator, dtype=None):
         self.d = d
         self.dim = dim
-        data = rng.uniform(-init_range, init_range, size=(d * d, dim))
-        self.table = ad.parameter(data, name=name, dtype=dtype)
+        data = rng.uniform(-0.1, 0.1, size=(d * d, dim))
+        self.table = ad.parameter(data, name="engagement_table", dtype=dtype)
 
     def lookup(self, i_ue) -> ad.Tensor:
         """Rows (n, dim) for one flat cell index or a sequence of n; they receive gradients."""

@@ -175,11 +175,8 @@ def evaluate(model, test_log, timeline, catalog, mode="full",
     cannot change inside it), so each article is encoded once.
     """
     news_cache = {}
-    metric_sums = {"auc": 0.0, "mrr": 0.0, "ndcg5": 0.0, "ndcg10": 0.0}
-    metric_counts = {name: 0 for name in metric_sums}
     per_impression = []
     n_skipped = 0
-    n_scored = 0
     n_missing_history = 0
     for record in test_log:
         ranked = score_log_impression(model, catalog, timeline, record, mode=mode,
@@ -187,26 +184,28 @@ def evaluate(model, test_log, timeline, catalog, mode="full",
         if ranked is None:
             n_skipped += 1
             continue
-        n_scored += 1
         n_missing_history += sum(news_id not in catalog for news_id in record.history)
-        values = {
+        per_impression.append({
+            "impression_id": record.impression_id,
             "auc": auc(ranked),
             "mrr": mrr(ranked),
             "ndcg5": ndcg_at_k(ranked, 5),
             "ndcg10": ndcg_at_k(ranked, 10),
-        }
-        for name, value in values.items():
-            if value is not None:
-                metric_sums[name] += value
-                metric_counts[name] += 1
-        per_impression.append({"impression_id": record.impression_id, **values})
-    means = {name: (metric_sums[name] / metric_counts[name] if metric_counts[name] else math.nan)
-             for name in metric_sums}
-    excluded = {name: n_scored - metric_counts[name] for name in metric_sums}
+        })
+    means, excluded = {}, {}
+    for name in ("auc", "mrr", "ndcg5", "ndcg10"):
+        values = [row[name] for row in per_impression if row[name] is not None]
+        # Plain float addition in impression order, not fsum or sum (compensated
+        # from Python 3.12): the means are pinned bit for bit.
+        total = 0.0
+        for value in values:
+            total += value
+        means[name] = total / len(values) if values else math.nan
+        excluded[name] = len(per_impression) - len(values)
     return EvalReport(
         metrics=means,
         n_impressions=len(test_log),
-        n_scored=n_scored,
+        n_scored=len(per_impression),
         n_skipped_missing=n_skipped,
         n_missing_history=n_missing_history,
         excluded=excluded,

@@ -78,6 +78,8 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ValueError(f"model must be a JSON object, got {type(d).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(d) - known
         if unknown:

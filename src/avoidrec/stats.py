@@ -158,35 +158,27 @@ def snapshot_at(timeline: BucketTimeline, t: int) -> StatsSnapshot:
     return StatsSnapshot(timeline, timeline.origin + k * timeline.bucket_width)
 
 
-def export_snapshot_rows(snapshot: StatsSnapshot, normalized_clicks: bool = False):
+def export_snapshot_rows(snapshot: StatsSnapshot):
     """Rows for the CSV export schema.
 
     The first row per bucket is a global one (empty news id) whose
-    exposures column holds the bucket's impression total.  With
-    ``normalized_clicks`` an extra column scales click counts to [0, 1]
-    by the bucket's maximum.
+    exposures column holds the bucket's impression total.  The last
+    column, ``clicks_norm``, scales click counts to [0, 1] by the
+    bucket's maximum.
     """
-    header = ["t", "news_id", "n_E", "n_clk", "epi", "avoidance"]
-    if normalized_clicks:
-        header = header + ["clicks_norm"]
-    yield header
-    global_row = [snapshot.t, GLOBAL_ROW_ID, snapshot.n_impressions, "", "", ""]
-    if normalized_clicks:
-        global_row.append("")
-    yield global_row
+    yield ["t", "news_id", "n_E", "n_clk", "epi", "avoidance", "clicks_norm"]
+    yield [snapshot.t, GLOBAL_ROW_ID, snapshot.n_impressions, "", "", "", ""]
     max_clk = snapshot.max_clicks()
     for news_id in sorted(snapshot.news_ids()):
         clicks, exposures = snapshot.clicks(news_id), snapshot.exposures(news_id)
         av, epi = engagement_ratios(clicks, exposures, snapshot.n_impressions)
-        row = [snapshot.t, news_id, exposures, clicks, repr(epi), repr(av)]
-        if normalized_clicks:
-            row.append(repr(clicks / max_clk) if max_clk else "0.0")
-        yield row
+        yield [snapshot.t, news_id, exposures, clicks, repr(epi), repr(av),
+               repr(clicks / max_clk) if max_clk else "0.0"]
 
 
-def write_snapshot_csv(snapshot: StatsSnapshot, path, normalized_clicks: bool = False):
+def write_snapshot_csv(snapshot: StatsSnapshot, path):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# schema: {STATS_SCHEMA_VERSION}\n")
         writer = csv.writer(fh)
-        for row in export_snapshot_rows(snapshot, normalized_clicks=normalized_clicks):
+        for row in export_snapshot_rows(snapshot):
             writer.writerow(row)

@@ -84,12 +84,15 @@ class SyntheticSpec:
                 raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
         if not self.affinity:
             self.affinity = [[1.0] * self.grid_d for _ in range(self.grid_d)]
-        matrix = np.asarray(self.affinity, dtype=np.float64)
-        if matrix.shape != (self.grid_d, self.grid_d):
-            raise ValueError(
-                f"affinity must be {self.grid_d}x{self.grid_d}, got {matrix.shape}")
-        if not np.isfinite(matrix).all():
-            raise ValueError("affinity propensities must be finite")
+        try:
+            matrix = np.asarray(self.affinity, dtype=np.float64)
+        except (TypeError, ValueError):  # ragged, or an entry that is no number
+            matrix = None
+        if matrix is None or matrix.shape != (self.grid_d, self.grid_d):
+            raise ValueError(f"affinity must be a {self.grid_d}x{self.grid_d} matrix of "
+                             f"numbers, got {self.affinity!r}")
+        if not all(_is_finite_number(v) for row in self.affinity for v in row):
+            raise ValueError("affinity propensities must be finite numbers")
         if (matrix < 0).any():
             raise ValueError("affinity propensities must be nonnegative")
         if matrix.max() <= 0:
@@ -111,7 +114,13 @@ class SyntheticSpec:
     @classmethod
     def from_json_file(cls, path):
         with open(path, encoding="utf-8") as fh:
-            return cls(**json.load(fh))
+            d = json.load(fh)
+        if not isinstance(d, dict):
+            raise ValueError(f"a synthetic spec must be a JSON object, got {type(d).__name__}")
+        unknown = set(d) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ValueError(f"unknown spec fields: {sorted(unknown)}")
+        return cls(**d)
 
     def to_dict(self):
         return dict(self.__dict__)

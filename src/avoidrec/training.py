@@ -7,17 +7,16 @@ The instance's K+1 scores feed a softmax; the loss is the negative log
 probability of the positive.  Validation AUC drives early stopping and
 best-checkpoint retention.
 
-Instances are tagged with the index of their source impression.  Within
-a batch, the instances of one impression form a group that shares its
+An instance holds the index of its source impression in the training
+log, which alone holds the impression's history and time.  Within a
+batch, the instances of one impression form a group that shares its
 history, its time and its candidates: the group's features are computed
 once, one ``score_impression`` call scores the union of its candidates,
 and each instance takes its K+1 scores from those rows.  The group's
 losses are summed and replayed by one backward pass, so only one group's
 graph is alive at a time.  Across a batch's groups, each parameter's
 dense gradient accumulates in place; the batch gradient is the mean over
-instances.  An impression's features are kept while the next batch still
-holds one of its instances, so a later group of it computes only its new
-candidates.  ``Adam`` holds the only copy of the parameters, in one flat
+instances.  ``Adam`` holds the only copy of the parameters, in one flat
 ``values`` array, and their gradients and its moments, as the rows of one
 ``(3, n)`` block; it steps both in place.  Once the last step is taken,
 ``train`` releases the block, leaving every parameter's ``grad`` and
@@ -94,13 +93,15 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ValueError(f"a train config must be a JSON object, got {type(d).__name__}")
         d = dict(d)
         model = d.pop("model", {})
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        if isinstance(model, dict):
+        if not isinstance(model, ModelConfig):
             model = ModelConfig.from_dict(model)
         return cls(model=model, **d)
 
@@ -148,21 +149,19 @@ def load_corpus(config: TrainConfig) -> Corpus:
 
 @dataclass
 class TrainingInstance:
-    history: list[str]
+    impression: int  # index of the source impression in the training log
     positive: str
     negatives: list[str]
-    time: int
     order: list[int]  # shuffled candidate positions; 0 marks the positive
-    impression: int | None = None  # index of the source impression; None: a group of its own
 
 
 def sample_negatives(impression: ImpressionRecord, k: int, rng: np.random.Generator,
-                     index: int | None = None) -> list[TrainingInstance]:
+                     index: int) -> list[TrainingInstance]:
     """One instance per clicked candidate, sharing the impression's negative pool.
 
     Pools smaller than K are sampled with replacement; impressions with no
     negatives yield no instances (the caller counts the skips).  ``index``
-    tags each instance with its impression.
+    is the impression's position in its log.
     """
     positives = [news_id for news_id, label in impression.shown if label == 1]
     pool = [news_id for news_id, label in impression.shown if label == 0]
@@ -175,9 +174,8 @@ def sample_negatives(impression: ImpressionRecord, k: int, rng: np.random.Genera
         else:
             negs = [pool[i] for i in rng.integers(0, len(pool), size=k)]
         order = [int(i) for i in rng.permutation(k + 1)]
-        instances.append(TrainingInstance(
-            history=list(impression.history), positive=pos, negatives=negs,
-            time=impression.time, order=order, impression=index))
+        instances.append(TrainingInstance(impression=index, positive=pos, negatives=negs,
+                                          order=order))
     return instances
 
 
@@ -351,22 +349,19 @@ def _has_unknown_candidate(instance, catalog):
 def impression_groups(batch) -> list[list[TrainingInstance]]:
     """The batch's instances grouped by impression, groups and members in batch order."""
     groups = {}
-    for n, instance in enumerate(batch):
-        key = ("own", n) if instance.impression is None else ("impression", instance.impression)
-        groups.setdefault(key, []).append(instance)
+    for instance in batch:
+        groups.setdefault(instance.impression, []).append(instance)
     return list(groups.values())
 
 
-def _group_score_inputs(group, catalog, timeline, model_config, feature_cache=None):
+def _group_score_inputs(record, group, catalog, timeline, model_config):
     """What one ``score_impression`` call needs to score a group, or None.
 
-    Instances with a candidate missing from the catalog are left out.
-    Returns the kept history, the union of the instances' candidates (each
-    once, in order of first use), their features, and per instance the
-    union rows of its candidates in ``order`` and the positive's slot there.
-    ``feature_cache`` (impression index -> features) is read and filled, so
-    an impression met again in the next batch only computes the features
-    of its new candidates.
+    ``record`` is the group's impression.  Instances with a candidate
+    missing from the catalog are left out.  Returns the kept history, the
+    union of the instances' candidates (each once, in order of first use),
+    their features, and per instance the union rows of its candidates in
+    ``order`` and the positive's slot there.
     """
     group = [i for i in group if not _has_unknown_candidate(i, catalog)]
     if not group:
@@ -375,16 +370,10 @@ def _group_score_inputs(group, catalog, timeline, model_config, feature_cache=No
     union = list(dict.fromkeys(cid for ids in ordered for cid in ids))
     row = {cid: r for r, cid in enumerate(union)}
     # Only the known clicks the model keeps need features.
-    history = recent_history([a for a in map(catalog.get, group[0].history) if a is not None],
+    history = recent_history([a for a in map(catalog.get, record.history) if a is not None],
                              model_config.max_history)
-    wanted = [a.news_id for a in history] + union
-    feats = {}
-    if feature_cache is not None and group[0].impression is not None:
-        feats = feature_cache.setdefault(group[0].impression, feats)
-    missing = [news_id for news_id in wanted if news_id not in feats]
-    if missing:
-        feats.update(impression_features(timeline, group[0].time, missing, model_config.grid_d,
-                                         catalog))
+    feats = impression_features(timeline, record.time, [a.news_id for a in history] + union,
+                                model_config.grid_d, catalog)
     slots = [([row[cid] for cid in ids], i.order.index(0)) for ids, i in zip(ordered, group)]
     return history, [catalog.get(cid) for cid in union], feats, slots
 
@@ -424,11 +413,12 @@ def train(config: TrainConfig, corpus: Corpus, timeline) -> TrainResult:
     if not instances:
         raise ValueError("no training instances; is the training split empty?")
     # Drops are counted once per instance, however many epochs skip them.
+    records = corpus.train.records
     scorable = [i for i in instances if not _has_unknown_candidate(i, corpus.catalog)]
-    n_missing_history = sum(h not in corpus.catalog for i in scorable for h in i.history)
+    n_missing_history = sum(h not in corpus.catalog
+                            for i in scorable for h in records[i.impression].history)
 
     optimizer = Adam(model.trainable_parameters(), lr=config.learning_rate)
-    features = {}  # impression -> features, kept for the impressions of the last batch
     best_val = -math.inf
     best_state, best_epoch = None, 0  # None: the model as it stands is the best
     epochs_since_best = 0
@@ -443,13 +433,11 @@ def train(config: TrainConfig, corpus: Corpus, timeline) -> TrainResult:
         loss_count = 0
         for start in range(0, len(order), config.batch_size):
             batch = [instances[i] for i in order[start:start + config.batch_size]]
-            features = {i.impression: features[i.impression] for i in batch
-                        if i.impression in features}
             optimizer.zero_grads()
             batch_scored = 0
             for group in impression_groups(batch):
-                prepared = _group_score_inputs(group, corpus.catalog, timeline, config.model,
-                                               features)
+                prepared = _group_score_inputs(records[group[0].impression], group,
+                                               corpus.catalog, timeline, config.model)
                 if prepared is None:
                     continue
                 with ad.ComputationRecord() as record:

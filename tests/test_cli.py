@@ -119,6 +119,25 @@ class TestSynthCommand:
         assert err.startswith("error:") and field in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, content, field", [
+        ("synth", {"bogus": 1}, "bogus"),
+        ("synth", [1, 2], "JSON object"),
+        ("synth", {"affinity": [[1, "x"]], "grid_d": 1}, "affinity"),
+        ("synth", {"affinity": [[1, "2"], [1, 1]], "grid_d": 2}, "affinity"),
+        ("synth", {"affinity": [[1, 1], [1]], "grid_d": 2}, "affinity"),
+        ("train", [1, 2], "JSON object"),
+        ("train", {"model": [1, 2]}, "model")])
+    def test_bad_config_file_fails_naming_the_field(self, tmp_path, capsys, command, content,
+                                                    field):
+        path = tmp_path / "file.json"
+        path.write_text(json.dumps(content), encoding="utf-8")
+        out = tmp_path / "x"
+        args = [str(path)] if command == "synth" else ["--config", str(path)]
+        assert main([command, *args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert not out.exists()
+
     def test_infeasible_spec_fails(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({

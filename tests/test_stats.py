@@ -379,7 +379,7 @@ class TestExport:
         timeline = build_timeline(log, 8000)
         snap = StatsSnapshot(timeline, timeline.boundaries()[-1])
         path = tmp_path / "snap.csv"
-        write_snapshot_csv(snap, path, normalized_clicks=True)
+        write_snapshot_csv(snap, path)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("# schema:")
         rows = list(csv.DictReader(lines[1:]))

@@ -22,7 +22,7 @@ def record(i=1, shown=(("P", 1), ("A", 0), ("B", 0), ("C", 0), ("D", 0))):
 
 class TestSampleNegatives:
     def test_exact_pool_when_k_matches(self):
-        instances = sample_negatives(record(), 4, np.random.default_rng(0))
+        instances = sample_negatives(record(), 4, np.random.default_rng(0), 0)
         assert len(instances) == 1
         assert sorted(instances[0].negatives) == ["A", "B", "C", "D"]
         assert instances[0].positive == "P"
@@ -30,27 +30,27 @@ class TestSampleNegatives:
 
     def test_two_positives_share_the_pool(self):
         rec = record(shown=(("P1", 1), ("P2", 1), ("A", 0), ("B", 0)))
-        instances = sample_negatives(rec, 2, np.random.default_rng(0))
+        instances = sample_negatives(rec, 2, np.random.default_rng(0), 0)
         assert [i.positive for i in instances] == ["P1", "P2"]
         for inst in instances:
             assert set(inst.negatives) <= {"A", "B"}
 
     def test_small_pool_sampled_with_replacement(self):
         rec = record(shown=(("P", 1), ("A", 0)))
-        instances = sample_negatives(rec, 3, np.random.default_rng(0))
+        instances = sample_negatives(rec, 3, np.random.default_rng(0), 0)
         assert instances[0].negatives == ["A", "A", "A"]
 
     def test_zero_negatives_skipped_and_counted(self):
         rec = record(shown=(("P", 1),))
-        assert sample_negatives(rec, 2, np.random.default_rng(0)) == []
+        assert sample_negatives(rec, 2, np.random.default_rng(0), 0) == []
         log = ImpressionLog([rec])
         instances, skipped = build_training_instances(log, 2, np.random.default_rng(0))
         assert instances == [] and skipped == 1
 
     def test_fixed_seed_reproducible(self):
         rec = record(shown=tuple((f"N{i}", int(i % 3 == 0)) for i in range(10)))
-        a = sample_negatives(rec, 4, np.random.default_rng(42))
-        b = sample_negatives(rec, 4, np.random.default_rng(42))
+        a = sample_negatives(rec, 4, np.random.default_rng(42), 0)
+        b = sample_negatives(rec, 4, np.random.default_rng(42), 0)
         assert a == b
 
 
@@ -237,7 +237,8 @@ class TestTrainLoop:
         total = {}
         for instance in batch:
             model.zero_grads()
-            prepared = _group_score_inputs([instance], corpus.catalog, timeline, model.config)
+            prepared = _group_score_inputs(corpus.train.records[instance.impression], [instance],
+                                           corpus.catalog, timeline, model.config)
             with ad.ComputationRecord() as rec:
                 loss, _ = group_loss(model, *prepared, mode=config.mode)
             rec.backward(loss)
@@ -479,15 +480,16 @@ class TestAdam:
 
 def test_instance_features_cover_only_the_kept_history():
     # The model keeps the last max_history known clicks; the others get no
-    # features (unknown ones are counted by train, from the instance).
+    # features (unknown ones are counted by train, from the record).
     articles = make_articles(9)
     ids = sorted(articles)
 
-    instance = TrainingInstance(history=ids[:5] + ["GONE"], positive=ids[5],
-                                negatives=ids[6:], time=1000, order=[2, 0, 1, 3])
+    rec = ImpressionRecord("i", "U1", 1000, ids[:5] + ["GONE"], [])
+    instance = TrainingInstance(impression=0, positive=ids[5], negatives=ids[6:],
+                                order=[2, 0, 1, 3])
     timeline = build_timeline(ImpressionLog([]), 3600)
     hist, candidates, feats, slots = _group_score_inputs(
-        [instance], articles, timeline, tiny_config(max_history=3))
+        rec, [instance], articles, timeline, tiny_config(max_history=3))
     assert [a.news_id for a in hist] == ids[2:5]
     assert sorted(feats) == ids[2:5] + ids[5:]
     assert [a.news_id for a in candidates] == [ids[7], ids[5], ids[6], ids[8]]
@@ -496,7 +498,7 @@ def test_instance_features_cover_only_the_kept_history():
 
 class TestImpressionGroups:
     def setup_batch(self):
-        """A tiny float64 model, its catalog and a batch over two impressions.
+        """A tiny float64 model, its catalog, log and a batch over two impressions.
 
         Impression 0 has one negative for K=2, so both its instances hold
         that negative twice (sampled with replacement).
@@ -516,27 +518,25 @@ class TestImpressionGroups:
         assert instances[0].negatives == instances[1].negatives == [ids[6], ids[6]]
         batch = [instances[i] for i in (2, 0, 3, 1)]
         timeline = build_timeline(log, 3600)
-        return model, articles, timeline, batch
+        return model, articles, log, timeline, batch
 
     def test_groups_follow_the_impression_tag(self):
-        _, _, _, batch = self.setup_batch()
+        _, _, _, _, batch = self.setup_batch()
         assert [[i.impression for i in g] for g in impression_groups(batch)] == [[1, 1], [0, 0]]
-        untagged = [TrainingInstance(i.history, i.positive, i.negatives, i.time, i.order)
-                    for i in batch]
-        assert [len(g) for g in impression_groups(untagged)] == [1, 1, 1, 1]
 
     @pytest.mark.parametrize("mode", MODES)
     def test_grouped_step_matches_per_instance_backwards(self, mode):
         # One backward per group of the summed losses gives the batch loss
         # and the gradients of one backward per instance.
-        model, articles, timeline, batch = self.setup_batch()
+        model, articles, log, timeline, batch = self.setup_batch()
         params = model.trainable_parameters()
 
         def step(groups):
             model.zero_grads()
             total = 0.0
             for group in groups:
-                prepared = _group_score_inputs(group, articles, timeline, model.config)
+                prepared = _group_score_inputs(log.records[group[0].impression], group,
+                                               articles, timeline, model.config)
                 with ad.ComputationRecord() as rec:
                     loss, values = group_loss(model, *prepared, mode=mode)
                 rec.backward(loss)
@@ -553,9 +553,10 @@ class TestImpressionGroups:
             assert np.allclose(grouped[name], grad, rtol=0, atol=1e-10), name
 
     def test_group_scores_each_distinct_candidate_once(self):
-        model, articles, timeline, batch = self.setup_batch()
+        model, articles, log, timeline, batch = self.setup_batch()
         group = impression_groups(batch)[1]  # impression 0: P1, P2 and one negative
-        _, candidates, _, slots = _group_score_inputs(group, articles, timeline, model.config)
+        _, candidates, _, slots = _group_score_inputs(log.records[0], group, articles,
+                                                      timeline, model.config)
         assert len(candidates) == 3
         for instance, (rows, pos_slot) in zip(group, slots):
             ids = [candidates[r].news_id for r in rows]
@@ -566,10 +567,11 @@ class TestImpressionGroups:
     def test_leaf_gradients_share_no_memory(self, mode):
         # The step divides every gradient in place, so no two leaves may
         # hold views of one array.
-        model, articles, timeline, batch = self.setup_batch()
+        model, articles, log, timeline, batch = self.setup_batch()
         model.zero_grads()
-        prepared = _group_score_inputs(impression_groups(batch)[0], articles, timeline,
-                                       model.config)
+        group = impression_groups(batch)[0]
+        prepared = _group_score_inputs(log.records[group[0].impression], group, articles,
+                                       timeline, model.config)
         with ad.ComputationRecord() as rec:
             loss, _ = group_loss(model, *prepared, mode=mode)
         rec.backward(loss)
