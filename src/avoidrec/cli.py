@@ -47,6 +47,8 @@ def _out_dir(path) -> Path:
 
 
 def cmd_stats(args) -> int:
+    if args.grid_d < 1:
+        raise ValueError(f"--grid-d must be an integer >= 1, got {args.grid_d}")
     log = parse_behaviors_file(args.behaviors)
     if not len(log):
         print("error: no parseable impression records", file=sys.stderr)
@@ -153,15 +155,23 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = _load_config(args)
-    corpus, timeline = _prepare(config)
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [config.seed]
+    except ValueError:
+        raise ValueError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
     modes = [args.mode] if args.mode else ["only_rel", "only_avoid", "full"]
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [config.seed]
+    # Every run's config is checked before the first one trains.
+    runs = [(mode, [TrainConfig.from_dict({**config.to_dict(), "mode": mode, "seed": seed})
+                    for seed in seeds]) for mode in modes]
+    corpus, timeline = _prepare(config)
+    if not len(corpus.test):
+        print("error: test split is empty", file=sys.stderr)
+        return 1
     out = _out_dir(args.out)
     rows = []
-    for mode in modes:
+    for mode, run_configs in runs:
         per_seed = []
-        for seed in seeds:
-            run_config = TrainConfig.from_dict({**config.to_dict(), "mode": mode, "seed": seed})
+        for run_config in run_configs:
             result = train(run_config, corpus, timeline)
             report = evaluate(result.model, corpus.test, timeline, corpus.catalog,
                               mode=mode, config_dict=run_config.to_dict())

@@ -24,6 +24,22 @@ bins.  Cell and freshness are computed once per (article, bucket), and
 only for articles that are shown.  All state is local to one
 ``generate`` call, so concurrent calls are independent.
 
+Sampling is one CDF per bucket.  The pool and its exposure weights change
+only at a bucket boundary, so the normalised weights and their CDF are
+built once per bucket, and each impression picks its articles with
+``_choice_without_replacement``.  That sampler is an exact replica of
+numpy's ``Generator.choice(pool, size, replace=False, p=probs)``
+(checked against numpy 2.4.6): the same uniforms inverted through the
+same CDF, the same first-occurrence rule, the same zero-and-redraw loop
+on a repeat, so the picks and the stream that follows them are draw for
+draw the same.  A click label is ``u < p`` for one uniform per shown
+slot; the labels of an impression come from one ``rng.random(n_shown)``
+call, which reads the stream just as one scalar draw per slot would.
+The ``GOLDEN`` sha256 pins in ``tests/test_synthetic.py`` hold the output
+byte for byte, and a property test there holds the sampler to
+``Generator.choice``; a numpy release that changes its algorithm fails
+both.
+
 The first impression lands exactly on the first bucket boundary, so a
 timeline built from the emitted log with the same bucket width freezes
 statistics at exactly the boundaries this generator used.
@@ -159,12 +175,41 @@ def _make_articles(spec: SyntheticSpec, rng) -> list[SyntheticArticle]:
     return articles
 
 
+def _choice_without_replacement(rng, probs, cdf, size) -> list[int]:
+    """``size`` distinct indices into ``probs``, drawn exactly as
+    ``rng.choice(len(probs), size, replace=False, p=probs)`` draws them.
+
+    ``cdf`` is ``np.cumsum(probs) / its last entry``, computed once by the
+    caller for as many calls as ``probs`` stays the same.  The algorithm is
+    numpy's own (``Generator.choice`` with ``p`` and no replacement): draw
+    ``size`` uniforms and invert the CDF with ``searchsorted(side="right")``;
+    keep the first occurrence of each index, in draw order; while picks are
+    missing, zero the found entries of a copy of ``probs``, rebuild the CDF
+    and draw only the remainder.  So the picks and the stream position after
+    the call are the same as numpy's.
+    """
+    picks = cdf.searchsorted(rng.random(size), side="right").tolist()
+    if len(set(picks)) == size:
+        return picks
+    picks = list(dict.fromkeys(picks))
+    probs = probs.copy()
+    while len(picks) < size:
+        draws = rng.random(size - len(picks))
+        probs[picks] = 0
+        cdf = np.cumsum(probs)
+        cdf /= cdf[-1]
+        # A zeroed entry has an empty CDF step, so no found index comes back.
+        picks.extend(dict.fromkeys(cdf.searchsorted(draws, side="right").tolist()))
+    return picks
+
+
 def generate(spec: SyntheticSpec) -> SyntheticDataset:
     """Simulate the impression log described by ``spec`` (fully seeded)."""
     rng = np.random.default_rng(spec.seed)
     articles = _make_articles(spec, rng)
+    news_ids = [article.news_id for article in articles]
     matrix = np.asarray(spec.affinity, dtype=np.float64)
-    cell_mult = matrix / matrix.mean() if matrix.mean() > 0 else matrix
+    cell_mult = (matrix / matrix.mean() if matrix.mean() > 0 else matrix).tolist()
 
     # Staggered entries with decaying exposure weight per article.
     entry_bucket = rng.integers(0, max(1, int(spec.n_buckets * 0.75)), size=spec.n_articles)
@@ -189,6 +234,11 @@ def generate(spec: SyntheticSpec) -> SyntheticDataset:
         available = np.flatnonzero(entry_bucket <= bucket)
         weights = np.exp(-(bucket - entry_bucket[available]) / decay[available])
         weights = np.maximum(weights, 1e-6)
+        probs = weights / weights.sum()
+        cdf = np.cumsum(probs)
+        cdf /= cdf[-1]
+        pool = available.tolist()
+        n_show = min(spec.n_shown, len(pool))
 
         offsets = np.sort(rng.integers(0, spec.bucket_width, size=spec.impressions_per_bucket))
         if bucket == 0:
@@ -199,16 +249,17 @@ def generate(spec: SyntheticSpec) -> SyntheticDataset:
                                       replace=False)
         else:
             bucket_users = rng.integers(0, spec.n_users, size=spec.impressions_per_bucket)
-        for offset, user_idx in zip(offsets, bucket_users):
-            user = users[int(user_idx)]
-            n_show = min(spec.n_shown, len(available))
-            probs = weights / weights.sum()
-            chosen = rng.choice(available, size=n_show, replace=False, p=probs)
+        for offset, user_idx in zip(offsets.tolist(), bucket_users.tolist()):
+            user = users[user_idx]
+            follows_cells = user in affinity_users
+            picks = _choice_without_replacement(rng, probs, cdf, n_show)
+            # Nothing else draws between the picks and the labels.
+            label_draws = rng.random(n_show).tolist()
 
             shown = []
             slot_probs = []
-            for a in chosen:
-                news_id = articles[a].news_id
+            for pick, draw in zip(picks, label_draws):
+                news_id = news_ids[pool[pick]]
                 if news_id not in slot_terms:
                     seen = frozen.first_seen(news_id)
                     age = 0.0 if seen is None else (bucket_start - seen) / spec.bucket_width
@@ -217,16 +268,15 @@ def generate(spec: SyntheticSpec) -> SyntheticDataset:
                     slot_terms[news_id] = (snapshot_cell(frozen, news_id, spec.grid_d), fresh)
                 cell, fresh = slot_terms[news_id]
                 epi_idx, av_idx = divmod(cell, spec.grid_d)
-                mult = cell_mult[av_idx][epi_idx] if user in affinity_users else 1.0
+                mult = cell_mult[av_idx][epi_idx] if follows_cells else 1.0
                 p = min(0.95, spec.base_click_rate * mult * fresh)
-                label = int(rng.random() < p)
-                shown.append((news_id, label))
+                shown.append((news_id, int(draw < p)))
                 slot_probs.append((cell, float(p)))
 
             records.append(ImpressionRecord(
                 impression_id=str(len(records) + 1),
                 user_id=user,
-                time=bucket_start + int(offset),
+                time=bucket_start + offset,
                 history=list(user_history[user]),
                 shown=tuple(shown),
             ))

@@ -79,6 +79,15 @@ class TestStatsCommand:
     def test_missing_file_fails(self, tmp_path):
         assert main(["stats", str(tmp_path / "nope.tsv"), "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("grid_d", ["0", "-3"])
+    def test_bad_grid_d_fails_before_writing(self, synth_dir, tmp_path, capsys, grid_d):
+        out = tmp_path / "stats"
+        out.mkdir()
+        assert main(["stats", str(synth_dir / "behaviors.tsv"), "--grid-d", grid_d,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --grid-d must be an integer >= 1, got {grid_d}\n"
+        assert list(out.iterdir()) == []
+
     def test_plot_data_alias(self, synth_dir, tmp_path):
         rc = main(["plot-data", str(synth_dir / "behaviors.tsv"),
                    "--out", str(tmp_path / "pd")])
@@ -276,3 +285,31 @@ class TestTrainEvalAblate:
                      "--mode", "full", "--out", str(out)]) == 0
         rows = read_csv(out / "ablation.csv")
         assert [r["mode"] for r in rows] == ["full"]
+
+    def test_ablate_refuses_an_empty_test_split_before_training(self, config_path, tmp_path,
+                                                                capsys, monkeypatch):
+        cfg = json.loads(config_path.read_text())
+        cfg["test_fraction"] = 0
+        no_test = tmp_path / "no_test.json"
+        no_test.write_text(json.dumps(cfg), encoding="utf-8")
+        monkeypatch.setattr("avoidrec.cli.train", lambda *a, **k: pytest.fail("trained"))
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--config", str(no_test), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: test split is empty\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seeds", ["1,,2", "1,x"])
+    def test_ablate_bad_seeds_fail_naming_the_flag(self, config_path, tmp_path, capsys, seeds):
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--config", str(config_path), "--seeds", seeds,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --seeds must be comma-separated integers, got {seeds!r}\n")
+        assert not out.exists()
+
+    def test_ablate_checks_every_seed_before_training(self, config_path, tmp_path, capsys,
+                                                      monkeypatch):
+        monkeypatch.setattr("avoidrec.cli.train", lambda *a, **k: pytest.fail("trained"))
+        assert main(["ablate", "--config", str(config_path), "--seeds", "1,-1",
+                     "--out", str(tmp_path / "ablate")]) == 1
+        assert capsys.readouterr().err.startswith("error: seed must be")

@@ -2,11 +2,14 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avoidrec.corpus import parse_behaviors_file, parse_news_file
 from avoidrec.features import impression_features
 from avoidrec.stats import StatsSnapshot, build_timeline
-from avoidrec.synthetic import SyntheticSpec, generate, write_mind_files
+from avoidrec.synthetic import (SyntheticSpec, _choice_without_replacement, generate,
+                                write_mind_files)
 
 
 def high_avoidance_affinity(d=5, high=4.0, low=0.25):
@@ -199,6 +202,10 @@ GOLDEN = [
           base_click_rate=0.12),
      "704568301a42e6e7305ddec6501b74428751b1ed12a2436fda7bffe2fbf2827d",
      "46b8785874d3111efbcd7f98af60e71acc8d161be8fd81d27065476761ac0dda"),
+    # A wide pool: most impressions draw 10 distinct articles in the first round.
+    (dict(n_articles=400, n_buckets=12, impressions_per_bucket=20, n_shown=10, seed=5),
+     "1314c45aea3b132b9527ae9cd685ab42e7c76aa058e21ae0fceb2529f3dcb593",
+     "1ed0aeca5f4ee06e7f8e852eda45306f9df7807b22c5cdecac29536984bf5232"),
 ]
 
 
@@ -208,3 +215,39 @@ def test_generator_output_is_pinned(spec_kwargs, behaviors_sha, probs_sha, tmp_p
     _, behaviors_path = write_mind_files(dataset, tmp_path)
     assert hashlib.sha256(behaviors_path.read_bytes()).hexdigest() == behaviors_sha
     assert hashlib.sha256(repr(dataset.shown_probs).encode()).hexdigest() == probs_sha
+
+
+def _assert_draws_like_generator_choice(seed, probs, size):
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    picks = _choice_without_replacement(ours, probs, cdf, size)
+    assert picks == numpys.choice(len(probs), size=size, replace=False, p=probs).tolist()
+    assert ours.random() == numpys.random()  # the stream is still in step
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), skew=st.floats(0.0, 6.0),
+       data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_sampler_matches_generator_choice_on_small_skewed_pools(seed, n, skew, data):
+    # Lognormal weights: at a large skew a few entries hold most of the mass,
+    # so the first round repeats and the zero-and-redraw loop runs.
+    size = data.draw(st.integers(1, n))
+    weights = np.exp(skew * np.random.default_rng(seed + 1).standard_normal(n))
+    _assert_draws_like_generator_choice(seed, weights / weights.sum(), size)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_sampler_matches_generator_choice_on_a_wide_pool(seed):
+    rng = np.random.default_rng(seed + 1)
+    weights = np.maximum(np.exp(-rng.uniform(0, 10, size=2000) / rng.uniform(1.5, 4.0)), 1e-6)
+    _assert_draws_like_generator_choice(seed, weights / weights.sum(), 10)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sampler_matches_generator_choice_when_the_first_round_repeats(seed):
+    probs = np.array([0.9, 0.04, 0.03, 0.02, 0.01])
+    first = np.cumsum(probs).searchsorted(np.random.default_rng(seed).random(5), side="right")
+    assert len(set(first.tolist())) < 5
+    _assert_draws_like_generator_choice(seed, probs, 5)
