@@ -155,9 +155,6 @@ class ComputationRecord:
         out.node = (self._marker, len(self.entries))
         self.entries.append(_Entry(op, keys, backward_fn))
 
-    def _tracks(self, *tensors):
-        return any(self._key(t) is not None for t in tensors)
-
     def backward(self, loss: Tensor):
         """Populate ``grad`` on every leaf reachable on this record.
 
@@ -523,9 +520,11 @@ def multi_head_attention(table: Tensor, ids, mask, n_heads: int) -> Tensor:
     (i, j) reads row ``ids[i, j]``.  ``mask`` (N, L) marks the real
     positions, and a position attends to the real positions of its own
     sequence by softmax(q . k) over them.  Returns the (N*L, d) per-position
-    outputs, heads side by side.  Per-position queries, keys and values are
-    kept for the backward only while a record tracks ``table``; otherwise
-    each is dropped once used.
+    outputs, heads side by side.  While a record tracks ``table``, the
+    backward keeps the attention weights and ``table``'s own (R, 3 d)
+    array, and gathers each position's query, key or value from it again
+    when it needs one: a title's tokens are few, its positions many.
+    Per-position queries, keys and values are dropped once used.
     """
     _need_2d("multi_head_attention", table)
     ids = np.asarray(ids, dtype=np.int64)
@@ -542,38 +541,32 @@ def multi_head_attention(table: Tensor, ids, mask, n_heads: int) -> Tensor:
     table_shape, table_dtype = table.data.shape, table.data.dtype
     # (3, heads, R, d_head): part i (query, key, value) of every row, per head.
     parts = table.data.reshape(-1, 3, n_heads, d_head).transpose(1, 2, 0, 3)
-    rec = _ACTIVE_RECORD.get()
-    keep = rec is not None and rec._tracks(table)
 
     # Everything per position is laid out (heads, N, L, .).
-    q, k = parts[0][:, ids], parts[1][:, ids]
-    attn = q @ k.swapaxes(2, 3)
-    saved = (q, k) if keep else ()
-    del q, k
+    attn = parts[0][:, ids] @ parts[1][:, ids].swapaxes(2, 3)
     np.copyto(attn, table.data.dtype.type(-np.inf), where=~mask[None, :, None, :])
     attn -= _fold_last(np.maximum, attn)
     np.exp(attn, out=attn)
     attn /= _fold_last(np.add, attn)
-    v = parts[2][:, ids]
-    out = (attn @ v).transpose(1, 2, 0, 3).reshape(n * length, d)
-    saved += (v,) if keep else ()
-    del v
+    out = (attn @ parts[2][:, ids]).transpose(1, 2, 0, 3).reshape(n * length, d)
 
     def backward_fn(g):
-        q, k, v = saved
         g = g.reshape(n, length, n_heads, d_head).transpose(2, 0, 1, 3)
-        d_scores = g @ v.swapaxes(2, 3)  # d attn, then d scores in place
+        d_scores = g @ parts[2][:, ids].swapaxes(2, 3)  # d attn, then d scores in place
         d_scores -= _fold_last(np.add, d_scores * attn)
         d_scores *= attn
-        # Per position its query, key and value gradients side by side, as
-        # the table lays them out, so one scatter sums every part.
-        per_position = np.empty((n, length, 3, n_heads, d_head), dtype=g.dtype)
-        for i, (x, y) in enumerate(((d_scores, k), (d_scores.swapaxes(2, 3), q),
-                                    (attn.swapaxes(2, 3), g))):
-            np.matmul(x, y, out=per_position[:, :, i].transpose(2, 0, 1, 3))
+        # One part at a time: the per-position query, key or value
+        # gradients, scattered into that part's columns of every row.
+        scatter = _RowScatter(ids.reshape(-1), g.dtype)
         gt = np.zeros(table_shape, table_dtype)
-        _RowScatter(ids.reshape(-1), g.dtype).write(
-            gt[:, None], per_position.reshape(1, n * length, 3 * d))
+        per_position = np.empty((n, length, n_heads, d_head), dtype=g.dtype)
+        for i, (x, source) in enumerate(((d_scores, 1), (d_scores.swapaxes(2, 3), 0),
+                                         (attn.swapaxes(2, 3), None))):
+            y = g if source is None else parts[source][:, ids]
+            np.matmul(x, y, out=per_position.transpose(2, 0, 1, 3))
+            del y
+            scatter.write(gt.reshape(-1, 3, d)[:, i:i + 1],
+                          per_position.reshape(1, n * length, d))
         return (gt,)
 
     return _record("multi_head_attention", (table,), out, backward_fn)

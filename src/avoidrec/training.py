@@ -205,6 +205,10 @@ def instance_loss(pos_score: ad.Tensor, neg_scores) -> ad.Tensor:
     return ad.add(logsumexp, ad.scale(pos_score, -1.0))
 
 
+class OptimizerReleased(RuntimeError):
+    """``Adam.step`` was called after ``Adam.release``."""
+
+
 class Adam:
     """Adaptive-moment optimizer with bias correction, stepping in place.
 
@@ -214,12 +218,13 @@ class Adam:
     ``v`` are the rows of one ``(3, n)`` block in the same layout, and
     ``p.grad_buffer`` is a view into ``grads``, which backward passes write
     into; ``slices`` names each parameter's span.  ``release`` frees the
-    block and leaves ``values`` to the parameters.  A step covers each run
-    of adjacent parameters that have a gradient in one pass, ``CHUNK``
-    elements at a time through two chunk-sized scratch arrays, with the
-    same float ops per element as the textbook update.  A parameter whose
-    ``grad`` is None keeps its data, ``m`` and ``v`` unchanged; a ``grad``
-    set from outside is copied into the store first.
+    block and leaves ``values`` to the parameters; ``step`` then raises
+    OptimizerReleased.  A step covers each run of adjacent parameters that
+    have a gradient in one pass, ``CHUNK`` elements at a time through two
+    chunk-sized scratch arrays, with the same float ops per element as the
+    textbook update.  A parameter whose ``grad`` is None keeps its data,
+    ``m`` and ``v`` unchanged; a ``grad`` set from outside is copied into
+    the store first.
     """
 
     CHUNK = 1 << 15
@@ -276,6 +281,9 @@ class Adam:
         return runs
 
     def step(self):
+        if self.grads is None:
+            raise OptimizerReleased("Adam.step after Adam.release(): the gradient and "
+                                    "moment stores are gone")
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t

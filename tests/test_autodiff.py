@@ -383,6 +383,24 @@ class TestGraphMemory:
         assert kept < 2 * nbytes, f"{kept / nbytes:.2f} arrays kept"  # x.grad
         assert len(rec.entries) == 11
 
+    def test_attention_keeps_no_per_position_queries_keys_or_values(self):
+        # Many positions read few table rows, so the per-position queries,
+        # keys and values (6 MiB here) dwarf the table (24 KiB) and the
+        # attention weights (1 MiB), which is what the backward may keep.
+        rng = np.random.default_rng(0)
+        n, length, heads, d = 64, 32, 2, 128
+        table = p64(rng.normal(size=(8, 3 * d)))
+        ids = rng.integers(0, 8, size=(n, length))
+        mask = np.ones((n, length), dtype=bool)
+        attn_bytes = heads * n * length * length * 8
+        with Traced() as mem:
+            with ad.ComputationRecord() as rec:
+                out = ad.multi_head_attention(table, ids, mask, heads)
+            del out
+            kept = mem.kept()
+        assert len(rec.entries) == 1
+        assert kept < table.data.nbytes + attn_bytes, f"{kept / attn_bytes:.2f} attention sizes"
+
 
 class TestGradCheck:
     def test_quadratic(self):

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from avoidrec.metrics import evaluate
 from avoidrec.model import MODES, AvoidanceAwareRanker, ModelConfig, VocabSizes
 from avoidrec.stats import build_timeline
 from avoidrec.synthetic import SyntheticSpec, generate, write_mind_files
-from avoidrec.training import (Adam, Corpus, TrainConfig, TrainingDiverged,
+from avoidrec.training import (Adam, Corpus, OptimizerReleased, TrainConfig, TrainingDiverged,
                                TrainingInstance, _group_score_inputs,
                                build_training_instances, group_loss, impression_groups,
                                instance_loss, sample_negatives, train)
@@ -447,6 +449,18 @@ class TestAdam:
                 assert np.array_equal(m, m_ref.reshape(-1)), (t, k)
                 assert np.array_equal(v, v_ref.reshape(-1)), (t, k)
 
+    @pytest.mark.parametrize("with_grad", [False, True])
+    def test_step_after_release_is_refused(self, with_grad):
+        p = ad.parameter(np.ones((2, 2)), dtype=np.float32)
+        opt = Adam({"p": p}, lr=0.1)
+        opt.release()
+        if with_grad:
+            p.grad = np.ones((2, 2), dtype=np.float32)
+        with pytest.raises(OptimizerReleased, match="release"):
+            opt.step()
+        assert opt.t == 0
+        assert np.array_equal(p.data, np.ones((2, 2)))
+
     def test_one_tensor_under_two_names_is_refused(self):
         p = ad.parameter(np.zeros(3))
         with pytest.raises(ValueError, match="two names"):
@@ -476,6 +490,48 @@ class TestAdam:
         finally:
             tracemalloc.stop()
         assert peak - base < Adam.CHUNK * 4  # one chunk of float32; the store is 12 chunks
+
+
+def test_threaded_evaluate_matches_the_serial_run_bitwise(tmp_path):
+    # Four threads evaluate one model at once; each must read exactly the
+    # serial report.
+    _, news, behaviors = make_tiny_corpus(tmp_path)
+    config = make_train_config(news, behaviors)
+    corpus, timeline = prepare(config)
+    sizes = VocabSizes.from_corpus(corpus.catalog, corpus.vocab)
+    model = AvoidanceAwareRanker(config.model, sizes, seed=0)
+    log = ImpressionLog(corpus.all_records())
+
+    def run():
+        return evaluate(model, log, timeline, corpus.catalog, mode=config.mode)
+
+    serial = run()
+    assert serial.n_scored > 0 and not math.isnan(serial.metrics["auc"])
+    barrier = threading.Barrier(4)
+    reports, errors = [None] * 4, []
+
+    def work(i):
+        try:
+            barrier.wait(timeout=60)
+            reports[i] = run()
+        except Exception as exc:  # surfaced in the main thread below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for report in reports:
+        assert report.to_json() == serial.to_json()
+        assert report.per_impression == serial.per_impression
 
 
 def test_instance_features_cover_only_the_kept_history():
