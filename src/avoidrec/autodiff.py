@@ -22,11 +22,13 @@ a ``reshape``'s input die with their last forward use.  ``backward``
 releases each entry as it replays it.
 
 Every adjoint and every leaf ``grad`` is a plain array of its tensor's
-shape.  Leaf gradients accumulate in place, so the backward passes of
-several graphs sum into one gradient per leaf.  A leaf's first adjoint is
-copied into the leaf's ``grad_buffer`` when it has one (``training.Adam``
-gives each parameter its view into one flat gradient store), else into a
-fresh array; no adjoint array is ever adopted as a ``grad``.
+shape.  A leaf's adjoints are added into its ``grad`` in place, each as
+it arrives, so no leaf adjoint outlives the formula that made it, and the
+backward passes of several graphs sum into one gradient per leaf.  A
+leaf's first adjoint is copied into the leaf's ``grad_buffer`` when it
+has one (``training.Adam`` gives each parameter its view into one flat
+gradient store), else into a fresh array; no adjoint array is ever
+adopted as a ``grad``.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ class ComputationRecord:
     def __init__(self):
         self.entries: list[_Entry | None] = []  # None once replayed
         self._marker = object()  # first half of the ``node`` of every output recorded here
-        self._first_use: dict[Tensor, int] = {}  # leaf -> index of its first entry
+        self._leaves: dict[Tensor, None] = {}  # every leaf an entry reads, in order
         self._token = None
 
     def __enter__(self):
@@ -149,31 +151,28 @@ class ComputationRecord:
         keys = tuple(map(self._key, inputs))
         if all(key is None for key in keys):
             return
-        for key in keys:
-            if isinstance(key, Tensor):
-                self._first_use.setdefault(key, len(self.entries))
+        self._leaves.update((key, None) for key in keys if isinstance(key, Tensor))
         out.node = (self._marker, len(self.entries))
         self.entries.append(_Entry(op, keys, backward_fn))
 
     def backward(self, loss: Tensor):
-        """Populate ``grad`` on every leaf reachable on this record.
+        """Populate ``grad`` on every leaf recorded here.
 
         ``loss`` must be a scalar output of an op recorded here, and a
         record replays once: anything else raises NotRecordedError.
         Adjoints are keyed by the index of the entry that produced their
-        tensor (a leaf's by the leaf), so a tensor that died during the
-        forward pass takes nothing with it.  Each entry is set to None as
-        it is replayed, which frees what its formula kept, so the graph
-        shrinks as the pass goes.
+        tensor, so a tensor that died during the forward pass takes nothing
+        with it.  Each entry is set to None as it is replayed, which frees
+        what its formula kept, so the graph shrinks as the pass goes.
 
-        Gradients accumulate in place into existing ``grad`` arrays (callers
-        zero them between batches); leaves recorded but not on any path to
-        the loss receive zeros.  A leaf's adjoint is complete once its first
-        entry has been replayed, and it is added to ``grad`` right then, so
-        the leaf adjoints of the whole graph are never alive together.  A
-        ``grad`` this sets is the leaf's ``grad_buffer`` or a fresh array,
-        never an adjoint, so it shares memory with no other leaf and
-        several backward passes (one per graph of a batch) sum into it.
+        A leaf's adjoint is added into its ``grad`` in place as soon as a
+        formula returns it, so no leaf adjoint is held or summed apart.
+        Gradients accumulate into existing ``grad`` arrays (callers zero
+        them between batches); leaves recorded but not on any path to the
+        loss receive zeros.  A ``grad`` this sets is the leaf's
+        ``grad_buffer`` or a fresh array, never an adjoint, so it shares
+        memory with no other leaf and several backward passes (one per
+        graph of a batch) sum into it.
         """
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -181,46 +180,42 @@ class ComputationRecord:
             raise NotRecordedError("backward: the loss was not recorded on this record")
         if self.entries[loss.node[1]] is None:
             raise NotRecordedError("backward: this record was already replayed")
-        complete = {}
-        for leaf, n in self._first_use.items():
-            complete.setdefault(n, []).append(leaf)
         adjoint = {loss.node[1]: np.ones_like(loss.data)}
         summed = set()  # adjoints that are sums made here, so no one else holds them
         for n in range(len(self.entries) - 1, -1, -1):
             entry, self.entries[n] = self.entries[n], None
             g = adjoint.pop(n, None)
-            if g is not None:
-                for key, gt in zip(entry.inputs, entry.backward_fn(g)):
-                    if key is None or gt is None:
-                        continue
-                    prev = adjoint.get(key)
-                    if prev is None:
-                        adjoint[key] = gt
-                    elif key in summed:
-                        prev += gt
-                    else:
-                        adjoint[key] = prev + gt
-                        summed.add(key)
-            for leaf in complete.get(n, ()):
-                _accumulate(leaf, adjoint.pop(leaf, None))
+            if g is None:
+                continue
+            for key, gt in zip(entry.inputs, entry.backward_fn(g)):
+                if key is None or gt is None:
+                    continue
+                if isinstance(key, Tensor):
+                    _accumulate(key, gt)
+                elif (prev := adjoint.get(key)) is None:
+                    adjoint[key] = gt
+                elif key in summed:
+                    prev += gt
+                else:
+                    adjoint[key] = prev + gt
+                    summed.add(key)
+        for leaf in self._leaves:
+            if leaf.grad is None:
+                _accumulate(leaf, 0)
 
 
 def _accumulate(leaf: Tensor, g):
-    """Add the adjoint ``g`` (None: zeros) into ``leaf.grad`` in place.
+    """Add the adjoint ``g`` (an array, or 0) into ``leaf.grad`` in place.
 
     A leaf with no ``grad`` yet gets a copy of ``g`` in its ``grad_buffer``
     (a fresh array when it has none), so later in-place adds touch this
     leaf alone.
     """
     if leaf.grad is not None:
-        if g is not None:
-            leaf.grad += g
+        leaf.grad += g
         return
     grad = leaf.grad_buffer if leaf.grad_buffer is not None else np.empty_like(leaf.data)
-    if g is None:
-        grad.fill(0)
-    else:
-        np.copyto(grad, g)
+    np.copyto(grad, g)
     leaf.grad = grad
 
 
@@ -290,13 +285,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError:
         raise ShapeError(f"matmul: incompatible shapes {x.shape} and {y.shape}") from None
 
-    def backward_fn(g):
-        if x.ndim == 2 and y.ndim == 2:
-            return (g @ y.T, x.T @ g)
-        return (_unbroadcast(g @ np.swapaxes(y, -1, -2), x.shape),
-                _unbroadcast(np.swapaxes(x, -1, -2) @ g, y.shape))
-
-    return _record("matmul", (a, b), out, backward_fn)
+    return _record("matmul", (a, b), out,
+                   lambda g: (_unbroadcast(g @ np.swapaxes(y, -1, -2), x.shape),
+                              _unbroadcast(np.swapaxes(x, -1, -2) @ g, y.shape)))
 
 
 def reshape(a: Tensor, shape, axes=None) -> Tensor:
@@ -425,57 +416,26 @@ def softmax(a: Tensor, axis: int, mask: np.ndarray | None = None) -> Tensor:
     return _record("softmax", (a,), y, backward_fn)
 
 
-# Largest (repeated rows x their positions) one-hot matrix a gather's backward builds.
-ONE_HOT_MAX_ELEMENTS = 1 << 20
-
-
 class _RowScatter:
     """Sums gradient rows gathered by ``ids`` back into the rows they came from.
 
-    Distinct ids write their rows straight into place, and so do the ids
-    met once among repeated ones.  Repeated ids are summed by one product
-    with a (repeated rows, their positions) one-hot matrix, or, when that
-    matrix would be large, by a stable sort and ``np.add.reduceat`` over
-    each id's run.
+    A stable sort lines each id's positions up in their original order and
+    ``np.add.reduceat`` sums each run.  Built once per ids array, so every
+    ``write`` over the same ids shares the sort.
     """
 
-    def __init__(self, ids: np.ndarray, dtype):
-        self.ids = ids
-        touched, run, counts = np.unique(ids, return_inverse=True, return_counts=True)
-        self.distinct = len(touched) == len(ids)
-        if self.distinct:
-            return
-        once = counts[run] == 1
-        self.single = np.flatnonzero(once)
-        self.repeated = np.flatnonzero(~once)
-        shared = counts > 1
-        self.rows = touched[shared]
-        rep_run = (np.cumsum(shared) - 1)[run[self.repeated]]
-        self.one_hot = self.starts = None
-        if len(self.rows) * len(self.repeated) <= ONE_HOT_MAX_ELEMENTS:
-            self.one_hot = np.zeros((len(self.rows), len(self.repeated)), dtype=dtype)
-            self.one_hot[rep_run, np.arange(len(self.repeated))] = 1
-        else:
-            order = np.argsort(rep_run, kind="stable")
-            self.repeated = self.repeated[order]
-            self.starts = np.flatnonzero(np.diff(rep_run[order], prepend=-1))
+    def __init__(self, ids: np.ndarray):
+        self.order = np.argsort(ids, kind="stable")
+        sorted_ids = ids[self.order]
+        self.starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
+        self.rows = sorted_ids[self.starts]
 
     def write(self, out: np.ndarray, g: np.ndarray):
-        """Set ``out`` (R, B, w) rows from ``g`` (B, n, w), summed over positions.
+        """Set the rows of ``out`` (R, w) that ids name to their summed ``g`` (n, w) rows.
 
         Rows no id names are left as they are.
         """
-        if self.distinct:
-            out[self.ids] = g.transpose(1, 0, 2)
-            return
-        if len(self.single):
-            out[self.ids[self.single]] = g[:, self.single].transpose(1, 0, 2)
-            g = g[:, self.repeated]
-        elif self.starts is not None:
-            g = g[:, self.repeated]
-        sums = (self.one_hot @ g if self.one_hot is not None
-                else np.add.reduceat(g, self.starts, axis=1))
-        out[self.rows] = sums.transpose(1, 0, 2)
+        out[self.rows] = np.add.reduceat(g[self.order], self.starts, axis=0)
 
 
 def _check_ids(op, ids: np.ndarray, n_rows: int):
@@ -494,7 +454,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
     def backward_fn(g):
         gt = np.zeros(shape, dtype)
-        _RowScatter(ids, g.dtype).write(gt[:, None], g[None])
+        _RowScatter(ids).write(gt, g)
         return (gt,)
 
     return _record("embedding_lookup", (table,), table.data[ids], backward_fn)
@@ -557,7 +517,7 @@ def multi_head_attention(table: Tensor, ids, mask, n_heads: int) -> Tensor:
         d_scores *= attn
         # One part at a time: the per-position query, key or value
         # gradients, scattered into that part's columns of every row.
-        scatter = _RowScatter(ids.reshape(-1), g.dtype)
+        scatter = _RowScatter(ids.reshape(-1))
         gt = np.zeros(table_shape, table_dtype)
         per_position = np.empty((n, length, n_heads, d_head), dtype=g.dtype)
         for i, (x, source) in enumerate(((d_scores, 1), (d_scores.swapaxes(2, 3), 0),
@@ -565,8 +525,7 @@ def multi_head_attention(table: Tensor, ids, mask, n_heads: int) -> Tensor:
             y = g if source is None else parts[source][:, ids]
             np.matmul(x, y, out=per_position.transpose(2, 0, 1, 3))
             del y
-            scatter.write(gt.reshape(-1, 3, d)[:, i:i + 1],
-                          per_position.reshape(1, n * length, d))
+            scatter.write(gt[:, i * d:(i + 1) * d], per_position.reshape(n * length, d))
         return (gt,)
 
     return _record("multi_head_attention", (table,), out, backward_fn)

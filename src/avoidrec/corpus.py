@@ -456,7 +456,9 @@ def load_word_vectors(path, vocab: Vocabulary, dim: int, seed: int = 0) -> np.nd
     Each line is a token followed by ``dim`` floats.  Vocabulary tokens
     found in the file get their vectors verbatim; the rest are drawn
     uniformly from ``[-0.1, 0.1]`` (seeded).  The padding
-    row is forced to zeros.
+    row is forced to zeros.  A line of the wrong width, or a vocabulary
+    token's component that is not a finite number, raises CorpusError
+    naming the line; other tokens' components are not read.
     """
     rng = np.random.default_rng(seed)
     matrix = rng.uniform(-0.1, 0.1, size=(len(vocab), dim))
@@ -470,7 +472,13 @@ def load_word_vectors(path, vocab: Vocabulary, dim: int, seed: int = 0) -> np.nd
                 raise CorpusError(
                     f"line {line_no}: expected {dim} vector components, got {len(values)}")
             if token in vocab:
-                matrix[vocab.token_to_index[token]] = [float(v) for v in values]
+                try:
+                    row = [float(v) for v in values]
+                except ValueError as exc:
+                    raise CorpusError(f"line {line_no}: {exc}") from None
+                if not all(map(math.isfinite, row)):
+                    raise CorpusError(f"line {line_no}: vector components must be finite")
+                matrix[vocab.token_to_index[token]] = row
     matrix[vocab.pad_index] = 0.0
     return matrix
 

@@ -66,9 +66,10 @@ class ModelConfig:
         if (self.d_news + self.dim_ue) % self.user_heads:
             raise ValueError(f"user_heads={self.user_heads} must divide "
                              f"d_news + dim_ue = {self.d_news + self.dim_ue}")
-        # Long double is for gradient checks only; checkpoints cannot hold it.
+        # Checkpoints cannot hold long double.
         if self.dtype not in ("float32", "float64", "longdouble"):
-            raise ValueError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
+            raise ValueError("dtype must be 'float32', 'float64' or 'longdouble' (for "
+                             f"gradient checks only), got {self.dtype!r}")
 
     def numpy_dtype(self):
         return np.dtype(self.dtype)
@@ -109,7 +110,6 @@ class AvoidanceAwareRanker:
     def __init__(self, config: ModelConfig, sizes: VocabSizes, seed: int = 0,
                  word_init: np.ndarray | None = None):
         self.config = config
-        self.sizes = sizes
         dtype = config.numpy_dtype()
         rng = np.random.default_rng(seed)
         self.news = NewsEncoder(
@@ -139,10 +139,6 @@ class AvoidanceAwareRanker:
 
     def trainable_parameters(self) -> dict[str, ad.Tensor]:
         return {k: v for k, v in self.parameters().items() if v.requires_grad}
-
-    def zero_grads(self):
-        for p in self.parameters().values():
-            p.grad = None
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.parameters().items()}

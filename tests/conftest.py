@@ -38,6 +38,11 @@ def make_features(article_ids, seed=5, grid_d=5):
             for nid in article_ids}
 
 
+def clear_grads(model):
+    for p in model.parameters().values():
+        p.grad = None
+
+
 @pytest.fixture
 def tiny_model():
     config = tiny_config()
@@ -55,17 +60,24 @@ def tiny_instance(tiny_model):
 
 
 class Traced:
-    """tracemalloc over a block; ``kept()`` is the bytes allocated since entry and still alive."""
+    """tracemalloc over a block, in bytes allocated since entry.
+
+    ``kept()`` counts those still alive; ``peak()`` the most alive at once.
+    """
 
     def __enter__(self):
         self.started = not tracemalloc.is_tracing()
         if self.started:
             tracemalloc.start()
+        tracemalloc.reset_peak()
         self.base = tracemalloc.get_traced_memory()[0]
         return self
 
     def kept(self):
         return tracemalloc.get_traced_memory()[0] - self.base
+
+    def peak(self):
+        return tracemalloc.get_traced_memory()[1] - self.base
 
     def __exit__(self, *exc):
         if self.started:

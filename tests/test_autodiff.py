@@ -3,7 +3,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import avoidrec.autodiff as ad
@@ -88,11 +88,9 @@ class TestForward:
         assert np.array_equal(ad.slice_(joined, cols=slice(0, 2)).data, a)
         assert np.array_equal(ad.slice_(joined, cols=slice(2, 6)).data, b)
 
-    @pytest.mark.parametrize("one_hot_max", [ad.ONE_HOT_MAX_ELEMENTS, 0])
-    def test_multi_head_attention_matches_composed_ops(self, one_hot_max, monkeypatch):
+    def test_multi_head_attention_matches_composed_ops(self):
         # Forward and table gradient against gathers, slices, matmuls and a
-        # masked softmax, with repeated ids summed both ways.
-        monkeypatch.setattr(ad, "ONE_HOT_MAX_ELEMENTS", one_hot_max)
+        # masked softmax, with repeated ids.
         rng = np.random.default_rng(2)
         n, length, heads, d_head = 3, 5, 2, 4
         d = heads * d_head
@@ -263,13 +261,10 @@ class TestBackward:
         expected[4] = 1.0
         assert np.array_equal(table.grad, expected)
 
-    @pytest.mark.parametrize("one_hot_max", [ad.ONE_HOT_MAX_ELEMENTS, 0])
     @pytest.mark.parametrize("ids", [[3, 0, 3, 5, 0, 3], [5, 4, 2, 1], [2], []])
-    def test_embedding_grad_matches_one_hot_matmul(self, ids, one_hot_max, monkeypatch):
-        # Repeated, unsorted and empty ids, summed by the one-hot product and
-        # (with no one-hot budget) by the sorted segment sums: the scatter
-        # equals the gradient of one_hot(ids) @ table.
-        monkeypatch.setattr(ad, "ONE_HOT_MAX_ELEMENTS", one_hot_max)
+    def test_embedding_grad_matches_one_hot_matmul(self, ids):
+        # Repeated, unsorted and empty ids: the scatter equals the gradient
+        # of one_hot(ids) @ table.
         rng = np.random.default_rng(1)
         table = p64(rng.normal(size=(7, 4)))
         weights = c64(rng.normal(size=(len(ids), 4)))
@@ -400,6 +395,25 @@ class TestGraphMemory:
             kept = mem.kept()
         assert len(rec.entries) == 1
         assert kept < table.data.nbytes + attn_bytes, f"{kept / attn_bytes:.2f} attention sizes"
+
+
+    def test_leaf_adjoints_go_straight_into_the_grad_buffer(self):
+        # Eight affine ops read one weight; each of its adjoints is added
+        # into the preset buffer as it arrives, so the backward holds about
+        # one weight-sized array at a time, never a running sum beside it.
+        rng = np.random.default_rng(0)
+        w = p64(rng.normal(size=(256, 256)))
+        w.grad_buffer = np.empty_like(w.data)
+        b = c64(np.zeros(256))
+        with ad.ComputationRecord() as rec:
+            outs = [ad.affine(c64(rng.normal(size=(2, 256))), w, b) for _ in range(8)]
+            loss = ad.sum_(ad.concat(outs, axis=0))
+        del outs
+        with Traced() as mem:
+            rec.backward(loss)
+            peak = mem.peak()
+        assert w.grad is w.grad_buffer
+        assert peak <= 1.5 * w.data.nbytes, f"{peak / w.data.nbytes:.2f} weights at peak"
 
 
 class TestGradCheck:
@@ -571,3 +585,25 @@ def test_softmax_distributions_always_normalized(rows, cols, seed):
     for axis in (0, 1):
         out = ad.softmax(x, axis=axis).data
         assert np.allclose(out.sum(axis=axis), 1.0, atol=1e-6)
+
+
+@given(st.lists(st.integers(0, 5), max_size=12), st.integers(0, 2), st.integers(0, 2**31 - 1))
+@example(ids=[], part=0, seed=0)
+@example(ids=[4], part=1, seed=0)
+@example(ids=[3, 0, 3, 5, 0, 3], part=2, seed=0)
+@settings(max_examples=60, deadline=None)
+def test_row_scatter_matches_add_at(ids, part, seed):
+    # The gather's backward against np.add.at, written into one column block
+    # of a wider table as attention writes a part; rows and columns that no
+    # id names keep their values.
+    rng = np.random.default_rng(seed)
+    ids = np.asarray(ids, dtype=np.int64)
+    w = 3
+    g = rng.normal(size=(len(ids), w))
+    table = rng.normal(size=(6, 3 * w))
+    expected = table.copy()
+    block = expected[:, part * w:(part + 1) * w]
+    block[ids] = 0
+    np.add.at(block, ids, g)
+    ad._RowScatter(ids).write(table[:, part * w:(part + 1) * w], g)
+    assert np.allclose(table, expected, rtol=0, atol=1e-12)

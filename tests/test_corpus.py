@@ -524,6 +524,15 @@ class TestWordVectors:
         with pytest.raises(CorpusError, match="line 2"):
             load_word_vectors(path, vocab, dim=2)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "x"])
+    def test_bad_component_is_hard_error_with_line(self, tmp_path, bad):
+        vocab = Vocabulary()
+        vocab.add("b")
+        path = write(tmp_path, "vec.txt", ["a 0.1 0.2", f"b {bad} 3", "c 0.3 0.4"])
+        with pytest.raises(CorpusError, match="line 2: ") as err:
+            load_word_vectors(path, vocab, dim=2)
+        assert ("finite" if bad != "x" else "'x'") in str(err.value)
+
     def test_oov_rows_sampled_within_range(self, tmp_path):
         # Oracle: direct uniform sampling stays within +-0.1 and is
         # essentially never exactly zero; check the loader over many seeds.

@@ -47,6 +47,15 @@ def test_dtype_must_be_a_float_width_the_model_runs_in(dtype):
         ModelConfig(dtype=dtype)
 
 
+def test_dtype_error_names_every_accepted_value():
+    assert ModelConfig(dtype="longdouble").numpy_dtype() == np.dtype(np.longdouble)
+    with pytest.raises(ValueError) as err:
+        ModelConfig(dtype="float16")
+    message = str(err.value)
+    assert all(f"'{name}'" in message for name in ("float32", "float64", "longdouble"))
+    assert "gradient checks only" in message
+
+
 @pytest.mark.parametrize("name", ["use_entities", "word_trainable"])
 def test_switches_must_be_bools(name):
     with pytest.raises(ValueError, match=name):

@@ -14,7 +14,7 @@ import pytest
 import avoidrec.autodiff as ad
 from avoidrec.model import AvoidanceAwareRanker, VocabSizes
 from avoidrec.training import instance_loss
-from conftest import make_articles, make_features, tiny_config
+from conftest import clear_grads, make_articles, make_features, tiny_config
 
 TOL = 1e-6
 
@@ -75,7 +75,7 @@ def test_scores_match_pinned_values(setup, mode, history):
 
 def test_instance_loss_and_gradient_norms_match_pinned_values(setup):
     model, a, feats = setup
-    model.zero_grads()
+    clear_grads(model)
     with ad.ComputationRecord() as rec:
         scores = model.score_impression(a[:6], [a[6], a[7], a[8], a[2], a[3]], feats)
         loss = instance_loss(scores[0], scores[1:])
@@ -86,4 +86,4 @@ def test_instance_loss_and_gradient_norms_match_pinned_values(setup):
                              for name, p in model.parameters().items()
                              if p.grad is not None and name.startswith(prefix)))
         assert norm == pytest.approx(expected, abs=TOL), prefix
-    model.zero_grads()
+    clear_grads(model)

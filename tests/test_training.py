@@ -15,7 +15,7 @@ from avoidrec.training import (Adam, Corpus, OptimizerReleased, TrainConfig, Tra
                                TrainingInstance, _group_score_inputs,
                                build_training_instances, group_loss, impression_groups,
                                instance_loss, sample_negatives, train)
-from conftest import Traced, make_articles, tiny_config
+from conftest import Traced, clear_grads, make_articles, tiny_config
 
 
 def record(i=1, shown=(("P", 1), ("A", 0), ("B", 0), ("C", 0), ("D", 0))):
@@ -238,7 +238,7 @@ class TestTrainLoop:
         params = model.trainable_parameters()
         total = {}
         for instance in batch:
-            model.zero_grads()
+            clear_grads(model)
             prepared = _group_score_inputs(corpus.train.records[instance.impression], [instance],
                                            corpus.catalog, timeline, model.config)
             with ad.ComputationRecord() as rec:
@@ -588,7 +588,7 @@ class TestImpressionGroups:
         params = model.trainable_parameters()
 
         def step(groups):
-            model.zero_grads()
+            clear_grads(model)
             total = 0.0
             for group in groups:
                 prepared = _group_score_inputs(log.records[group[0].impression], group,
@@ -624,7 +624,7 @@ class TestImpressionGroups:
         # The step divides every gradient in place, so no two leaves may
         # hold views of one array.
         model, articles, log, timeline, batch = self.setup_batch()
-        model.zero_grads()
+        clear_grads(model)
         group = impression_groups(batch)[0]
         prepared = _group_score_inputs(log.records[group[0].impression], group, articles,
                                        timeline, model.config)
