@@ -88,10 +88,11 @@ class TestForward:
         assert np.array_equal(ad.slice_(joined, cols=slice(0, 2)).data, a)
         assert np.array_equal(ad.slice_(joined, cols=slice(2, 6)).data, b)
 
-    def test_multi_head_attention_matches_composed_ops(self):
+    @pytest.mark.parametrize("seed", [0, 2**20])
+    def test_multi_head_attention_matches_composed_ops(self, seed):
         # Forward and table gradient against gathers, slices, matmuls and a
-        # masked softmax, with repeated ids.
-        rng = np.random.default_rng(2)
+        # masked softmax, with repeated ids, on two independent draws.
+        rng = np.random.default_rng(seed)
         n, length, heads, d_head = 3, 5, 2, 4
         d = heads * d_head
         ids = rng.integers(0, 6, size=(n, length))
@@ -261,11 +262,12 @@ class TestBackward:
         expected[4] = 1.0
         assert np.array_equal(table.grad, expected)
 
+    @pytest.mark.parametrize("seed", [0, 2**20])
     @pytest.mark.parametrize("ids", [[3, 0, 3, 5, 0, 3], [5, 4, 2, 1], [2], []])
-    def test_embedding_grad_matches_one_hot_matmul(self, ids):
-        # Repeated, unsorted and empty ids: the scatter equals the gradient
-        # of one_hot(ids) @ table.
-        rng = np.random.default_rng(1)
+    def test_embedding_grad_matches_one_hot_matmul(self, ids, seed):
+        # Repeated, unsorted and empty ids, on two independent draws of table
+        # and weights: the scatter equals the gradient of one_hot(ids) @ table.
+        rng = np.random.default_rng(seed)
         table = p64(rng.normal(size=(7, 4)))
         weights = c64(rng.normal(size=(len(ids), 4)))
         with ad.ComputationRecord() as rec:
