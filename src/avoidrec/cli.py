@@ -16,7 +16,9 @@ Subcommands:
   comparison table.
 
 Every command is deterministic under a fixed seed and exits nonzero
-exactly when it reports an error.
+exactly when it reports an error.  A file that cannot be read or written
+(missing, a directory, an ``--out`` that is a file) is reported as
+``error: ...`` with exit status 1, not a traceback.
 """
 
 from __future__ import annotations
@@ -70,8 +72,9 @@ def cmd_synth(args) -> int:
     spec = SyntheticSpec.from_json_file(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
+    out = _out_dir(args.out)  # a bad --out fails before the corpus is generated
     dataset = generate(spec)
-    news_path, behaviors_path = write_mind_files(dataset, args.out)
+    news_path, behaviors_path = write_mind_files(dataset, out)
     n_clicks = sum(label for rec in dataset.records for _, label in rec.shown)
     print(f"wrote {news_path} ({len(dataset.articles)} articles) and "
           f"{behaviors_path} ({len(dataset.records)} impressions, {n_clicks} clicks)")
@@ -253,8 +256,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (FileNotFoundError, CorpusError, CheckpointError, ValueError,
-            TrainingDiverged) as exc:
+    except (OSError, CorpusError, CheckpointError, ValueError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

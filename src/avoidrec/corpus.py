@@ -8,6 +8,13 @@ space-separated ``<news_id>-<label>`` candidates).  A JSONL interchange
 format for impression records is accepted by the behaviors parser so
 other log formats can be converted externally.
 
+Every reader opens its file as ``utf-8-sig``: a UTF-8 byte order mark,
+as some editors and exporters write, is dropped rather than kept as part
+of the first news id, the first JSONL record or the first vector token.
+A title is normalised by lowercasing it and deleting ASCII punctuation
+from its UTF-8 bytes (``normalize_tokens``), which gives the same tokens
+as deleting those characters from the string, at a fraction of the cost.
+
 Parsed catalogs and logs are plain immutable-by-convention containers and
 are safe to share across threads once built.  They hold each distinct
 value once: news ids and user ids are interned (``sys.intern``), so a
@@ -44,7 +51,7 @@ UNK_TOKEN = "<UNK>"
 # MIND-style timestamp, e.g. "11/11/2019 9:05:58 AM"; interpreted as UTC.
 _TIME_FORMAT = "%m/%d/%Y %I:%M:%S %p"
 
-_PUNCT_TABLE = str.maketrans("", "", string.punctuation)
+_ASCII_PUNCT = string.punctuation.encode("ascii")
 
 
 class CorpusError(Exception):
@@ -182,9 +189,16 @@ class ImpressionLog:
 
 
 def normalize_tokens(text: str) -> list[str]:
-    """Lowercase, drop punctuation characters, split on whitespace."""
-    cleaned = text.lower().translate(_PUNCT_TABLE)
-    return cleaned.split()
+    """Lowercase, drop ASCII punctuation characters, split on whitespace.
+
+    The punctuation is deleted from the UTF-8 bytes: every byte of a
+    multi-byte sequence is >= 0x80, so an ASCII byte is always its own
+    character, and this drops exactly the characters that deleting them
+    from the string would.  ``surrogatepass`` carries a lone surrogate
+    through unchanged.
+    """
+    cleaned = text.lower().encode("utf-8", "surrogatepass").translate(None, _ASCII_PUNCT)
+    return cleaned.decode("utf-8", "surrogatepass").split()
 
 
 def tokenize_title(text: str, vocab: Vocabulary, max_title_len: int) -> tuple[int, ...]:
@@ -236,9 +250,10 @@ def parse_news_file(path, max_title_len: int = 30,
     grow_vocab = vocab is None
     if vocab is None:
         vocab = Vocabulary()
+    known = vocab.token_to_index.get
     catalog = NewsCatalog({}, Interner(), Interner(), Interner())
 
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\r\n")
             if not line:
@@ -252,8 +267,8 @@ def parse_news_file(path, max_title_len: int = 30,
                 raise CorpusError(f"duplicate news id {news_id!r} at line {line_no}")
             if grow_vocab:
                 # Every token enters the vocabulary, also those past the cut.
-                title_tokens = tuple([vocab.add(tok) for tok in normalize_tokens(cols[3])]
-                                     [:max_title_len])
+                title_tokens = tuple([idx if (idx := known(tok)) is not None else vocab.add(tok)
+                                      for tok in normalize_tokens(cols[3])][:max_title_len])
             else:
                 title_tokens = tokenize_title(cols[3], vocab, max_title_len)
             catalog.articles[news_id] = NewsArticle(
@@ -410,7 +425,7 @@ def parse_behaviors_file(path) -> ImpressionLog:
     records = []
     issues = []
     pairs = {}  # candidate token (TSV) or pair (JSONL) -> its one shared tuple
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\r\n")
             if not line.strip():
@@ -462,7 +477,7 @@ def load_word_vectors(path, vocab: Vocabulary, dim: int, seed: int = 0) -> np.nd
     """
     rng = np.random.default_rng(seed)
     matrix = rng.uniform(-0.1, 0.1, size=(len(vocab), dim))
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             parts = line.rstrip().split()
             if not parts:

@@ -26,8 +26,8 @@ def cell_index(av: float, epi_value: float, d: int) -> int:
 
     Each ratio is clamped into [0, 1] (NaN counts as 0) and binned by
     floor(value * D); 1.0 maps to the last bin.  This is the grid's one
-    quantisation formula: ``snapshot_cell`` and
-    ``features.impression_features`` both call it.
+    quantisation formula: ``snapshot_cell``, ``features.impression_features``
+    and ``synthetic.generate`` call it.
     """
     if d <= 0:
         raise ValueError("grid resolution must be positive")

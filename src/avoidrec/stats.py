@@ -92,7 +92,8 @@ class StatsSnapshot:
     """Read-only view of a timeline's counters over records with ``time < t``.
 
     ``timeline`` is the index it reads; readers that batch many articles
-    (``features.impression_features``) bisect its lists directly.
+    (``features.impression_features``, ``synthetic.generate``) bisect its
+    lists directly.
     """
 
     __slots__ = ("t", "n_impressions", "timeline")
@@ -107,10 +108,6 @@ class StatsSnapshot:
 
     def clicks(self, news_id: str) -> int:
         return bisect_left(self.timeline.click_times.get(news_id, ()), self.t)
-
-    def first_seen(self, news_id: str) -> int | None:
-        times = self.timeline.exposure_times.get(news_id)
-        return times[0] if times and times[0] < self.t else None
 
     def max_clicks(self) -> int:
         return bisect_left(self.timeline.max_click_rises, self.t)

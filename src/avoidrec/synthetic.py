@@ -15,14 +15,27 @@ so they wander across grid cells as buckets pass.  Optional knobs:
   probability on recently surfaced articles, decaying with the article's
   age in buckets.
 
-Every emitted record is appended to a ``stats.BucketTimeline``, and the
-flat cell comes from ``grid.snapshot_cell`` on that timeline's view at
-the bucket start -- the same ``stats.engagement_ratios`` and
-``grid.cell_index`` that the model's features use, with no frozen copies
-of the counters; ``divmod(cell, grid_d)`` gives its (epi, avoidance)
-bins.  Cell and freshness are computed once per (article, bucket), and
-only for articles that are shown.  All state is local to one
+Every emitted record is appended to a ``stats.BucketTimeline``.  An
+article's cell is frozen at the bucket start: its exposure and click
+counts there are one ``bisect_left`` each into the timeline's time lists,
+as ``features.impression_features`` reads them, and the cell comes from
+the same ``stats.engagement_ratios`` and ``grid.cell_index`` that the
+model's features use, with no frozen copies of the counters;
+``divmod(cell, grid_d)`` gives its (epi, avoidance) bins.  Cell,
+freshness and the two click probabilities (cell-following user or not)
+are computed once per (article, bucket), and only for articles that are
+shown; the resulting ``(cell, p)`` slots and each article's two
+``(news_id, label)`` pairs are shared tuples.  All state is local to one
 ``generate`` call, so concurrent calls are independent.
+
+The articles come from one batched draw.  ``_make_articles`` reads its
+6-9 bounded integers per article (category, word count, words, suffix)
+through ``_BoundedIntegers``, which draws raw 32-bit words in one array
+call and replays numpy's 32-bit Lemire rejection algorithm on them, the
+one ``Generator.integers(0, n)`` runs for a bound up to 2**32 (checked
+against numpy 2.4.6); it then rewinds the generator and advances it by
+exactly the words used.  So the articles and the stream after them are
+those of one scalar ``rng.integers`` call per draw.
 
 Sampling is one CDF per bucket.  The pool and its exposure weights change
 only at a bucket boundary, so the normalised weights and their CDF are
@@ -35,10 +48,11 @@ on a repeat, so the picks and the stream that follows them are draw for
 draw the same.  A click label is ``u < p`` for one uniform per shown
 slot; the labels of an impression come from one ``rng.random(n_shown)``
 call, which reads the stream just as one scalar draw per slot would.
-The ``GOLDEN`` sha256 pins in ``tests/test_synthetic.py`` hold the output
-byte for byte, and a property test there holds the sampler to
-``Generator.choice``; a numpy release that changes its algorithm fails
-both.
+The ``GOLDEN`` and ``BENCHMARK_GOLDEN`` sha256 pins in
+``tests/test_synthetic.py`` hold the output byte for byte, and property
+tests there hold the sampler to ``Generator.choice`` and the article
+draws to scalar ``Generator.integers``; a numpy release that changes
+either algorithm fails both.
 
 The first impression lands exactly on the first bucket boundary, so a
 timeline built from the emitted log with the same bucket width freezes
@@ -49,14 +63,15 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import ImpressionRecord, format_behaviors_line
-from .grid import snapshot_cell
-from .stats import BucketTimeline, StatsSnapshot
+from .grid import cell_index
+from .stats import BucketTimeline, engagement_ratios
 
 # 2019-11-09 00:00:00 UTC; arbitrary but fixed so outputs are reproducible.
 DEFAULT_ORIGIN = 1573257600
@@ -159,19 +174,61 @@ class SyntheticDataset:
     affinity_users: set[str]
 
 
+class _BoundedIntegers:
+    """Scalar ``int(rng.integers(0, n))`` draws, replayed from batched raw words.
+
+    On creation it saves ``rng``'s state and draws ``size`` raw 32-bit
+    words at once.  ``below(n)``, for ``2 <= n <= 2**32``, replays numpy's
+    32-bit Lemire algorithm over them: ``m = word * n``, a word whose low
+    32 bits of ``m`` fall below ``(2**32 - n) % n`` is rejected and the
+    next one read, else the value is ``m >> 32``.  Words run out only
+    after rejections; then more are drawn, which continues the same
+    stream.  ``close()`` restores the saved state and draws exactly the
+    words used, so the stream stands where the scalar draws leave it.
+    """
+
+    def __init__(self, rng, size: int):
+        self._rng = rng
+        self._saved = rng.bit_generator.state
+        self._words = self._draw(size)
+        self._used = 0
+
+    def _draw(self, size: int) -> list[int]:
+        return self._rng.integers(0, 0xFFFFFFFF, size, dtype=np.uint32, endpoint=True).tolist()
+
+    def below(self, n: int) -> int:
+        threshold = (0x100000000 - n) % n
+        words, i = self._words, self._used
+        while True:
+            if i == len(words):
+                words += self._draw(len(words) + 1)
+            m = words[i] * n
+            i += 1
+            if m & 0xFFFFFFFF >= threshold:
+                self._used = i
+                return m >> 32
+
+    def close(self):
+        self._rng.bit_generator.state = self._saved
+        self._draw(self._used)
+
+
 def _make_articles(spec: SyntheticSpec, rng) -> list[SyntheticArticle]:
+    # Up to 9 draws per article: category, word count, 3-6 words, suffix.
+    draws = _BoundedIntegers(rng, 9 * spec.n_articles)
+    below = draws.below
     articles = []
     for i in range(spec.n_articles):
-        category = _CATEGORIES[int(rng.integers(0, len(_CATEGORIES)))]
-        n_words = int(rng.integers(3, 7))
-        words = [category] + [
-            _FILLER_WORDS[int(rng.integers(0, len(_FILLER_WORDS)))] for _ in range(n_words)]
-        extra = int(rng.integers(0, 1000))
+        category = _CATEGORIES[below(len(_CATEGORIES))]
+        n_words = 3 + below(4)
+        words = [category] + [_FILLER_WORDS[below(len(_FILLER_WORDS))] for _ in range(n_words)]
+        extra = below(1000)
         articles.append(SyntheticArticle(
             news_id=f"N{i:05d}",
             category=category,
             title=" ".join(words) + f" w{extra:03d}",
         ))
+    draws.close()
     return articles
 
 
@@ -221,15 +278,19 @@ def generate(spec: SyntheticSpec) -> SyntheticDataset:
     affinity_users = set(users[:n_affinity])
     user_history: dict[str, list[str]] = {u: [] for u in users}
 
-    # The emitted log, indexed as a timeline; views at each bucket start
-    # drive the click propensities.
+    # The emitted log, indexed as a timeline; its counts frozen at each
+    # bucket start drive the click propensities.
     timeline = BucketTimeline(spec.bucket_width)
+    exposure_times, click_times = timeline.exposure_times, timeline.click_times
+    base, boost = spec.base_click_rate, spec.freshness_boost - 1.0
+    # Each article's two (news_id, label) pairs, shared by every record.
+    labelled = [((news_id, 0), (news_id, 1)) for news_id in news_ids]
     records = []
     shown_probs = []
     for bucket in range(spec.n_buckets):
         bucket_start = spec.origin + bucket * spec.bucket_width
-        frozen = StatsSnapshot(timeline, bucket_start)
-        slot_terms = {}  # news_id -> (cell, freshness multiplier) at bucket_start
+        n_impressions = bisect_left(timeline.times, bucket_start)
+        unseen_cell = cell_index(*engagement_ratios(0, 0, n_impressions), spec.grid_d)
 
         available = np.flatnonzero(entry_bucket <= bucket)
         weights = np.exp(-(bucket - entry_bucket[available]) / decay[available])
@@ -239,6 +300,9 @@ def generate(spec: SyntheticSpec) -> SyntheticDataset:
         cdf /= cdf[-1]
         pool = available.tolist()
         n_show = min(spec.n_shown, len(pool))
+        # Per pool entry, once shown: its (cell, p) slot for users who
+        # ignore the cells and for users who follow them.
+        flat_slots, cell_slots = [None] * len(pool), [None] * len(pool)
 
         offsets = np.sort(rng.integers(0, spec.bucket_width, size=spec.impressions_per_bucket))
         if bucket == 0:
@@ -251,7 +315,7 @@ def generate(spec: SyntheticSpec) -> SyntheticDataset:
             bucket_users = rng.integers(0, spec.n_users, size=spec.impressions_per_bucket)
         for offset, user_idx in zip(offsets.tolist(), bucket_users.tolist()):
             user = users[user_idx]
-            follows_cells = user in affinity_users
+            slots = cell_slots if user in affinity_users else flat_slots
             picks = _choice_without_replacement(rng, probs, cdf, n_show)
             # Nothing else draws between the picks and the labels.
             label_draws = rng.random(n_show).tolist()
@@ -259,19 +323,29 @@ def generate(spec: SyntheticSpec) -> SyntheticDataset:
             shown = []
             slot_probs = []
             for pick, draw in zip(picks, label_draws):
-                news_id = news_ids[pool[pick]]
-                if news_id not in slot_terms:
-                    seen = frozen.first_seen(news_id)
-                    age = 0.0 if seen is None else (bucket_start - seen) / spec.bucket_width
-                    fresh = 1.0 + (spec.freshness_boost - 1.0) * 0.5 ** (
-                        age / spec.freshness_halflife_buckets)
-                    slot_terms[news_id] = (snapshot_cell(frozen, news_id, spec.grid_d), fresh)
-                cell, fresh = slot_terms[news_id]
-                epi_idx, av_idx = divmod(cell, spec.grid_d)
-                mult = cell_mult[av_idx][epi_idx] if follows_cells else 1.0
-                p = min(0.95, spec.base_click_rate * mult * fresh)
-                shown.append((news_id, int(draw < p)))
-                slot_probs.append((cell, float(p)))
+                slot = slots[pick]
+                if slot is None:
+                    news_id = news_ids[pool[pick]]
+                    # Counts over records before bucket_start, as a
+                    # StatsSnapshot there would read them.
+                    times = exposure_times.get(news_id)
+                    n_exp = bisect_left(times, bucket_start) if times else 0
+                    if n_exp:
+                        n_clk = bisect_left(click_times.get(news_id, ()), bucket_start)
+                        av, epi = engagement_ratios(n_clk, n_exp, n_impressions)
+                        cell = cell_index(av, epi, spec.grid_d)
+                        age = (bucket_start - times[0]) / spec.bucket_width
+                    else:
+                        cell, age = unseen_cell, 0.0
+                    fresh = 1.0 + boost * 0.5 ** (age / spec.freshness_halflife_buckets)
+                    epi_idx, av_idx = divmod(cell, spec.grid_d)
+                    p_flat = float(base * fresh)
+                    p_cells = float(base * cell_mult[av_idx][epi_idx] * fresh)
+                    flat_slots[pick] = (cell, p_flat if p_flat < 0.95 else 0.95)
+                    cell_slots[pick] = (cell, p_cells if p_cells < 0.95 else 0.95)
+                    slot = slots[pick]
+                shown.append(labelled[pool[pick]][draw < slot[1]])
+                slot_probs.append(slot)
 
             records.append(ImpressionRecord(
                 impression_id=str(len(records) + 1),
@@ -282,7 +356,7 @@ def generate(spec: SyntheticSpec) -> SyntheticDataset:
             ))
             timeline.append(records[-1])
             shown_probs.append(slot_probs)
-            user_history[user].extend(news_id for news_id, label in shown if label)
+            user_history[user].extend([news_id for news_id, label in shown if label])
 
     return SyntheticDataset(spec=spec, articles=articles, records=records,
                             shown_probs=shown_probs, affinity_users=affinity_users)

@@ -79,6 +79,11 @@ class TestStatsCommand:
     def test_missing_file_fails(self, tmp_path):
         assert main(["stats", str(tmp_path / "nope.tsv"), "--out", str(tmp_path)]) == 1
 
+    def test_directory_as_log_fails_cleanly(self, tmp_path, capsys):
+        assert main(["stats", str(tmp_path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     @pytest.mark.parametrize("grid_d", ["0", "-3"])
     def test_bad_grid_d_fails_before_writing(self, synth_dir, tmp_path, capsys, grid_d):
         out = tmp_path / "stats"
@@ -146,6 +151,20 @@ class TestSynthCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
         assert not out.exists()
+
+    def test_out_that_is_a_file_fails_before_generating(self, tmp_path, capsys, monkeypatch):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"n_articles": 6, "seed": 1}), encoding="utf-8")
+        out = tmp_path / "taken"
+        out.write_text("not a directory", encoding="utf-8")
+
+        def refuse(spec):
+            raise AssertionError("generate ran before --out was checked")
+        monkeypatch.setattr("avoidrec.cli.generate", refuse)
+        assert main(["synth", str(spec_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out) in err
+        assert out.read_text(encoding="utf-8") == "not a directory"
 
     def test_infeasible_spec_fails(self, tmp_path):
         spec_path = tmp_path / "spec.json"

@@ -1,4 +1,5 @@
 import json
+import string
 import tracemalloc
 from datetime import datetime, timezone
 
@@ -27,9 +28,9 @@ BEHAVIOR_ROWS = [
 ]
 
 
-def write(tmp_path, name, lines):
+def write(tmp_path, name, lines, encoding="utf-8"):
     path = tmp_path / name
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text("\n".join(lines) + "\n", encoding=encoding)
     return path
 
 
@@ -52,6 +53,14 @@ class TestParseNewsFile:
         rows = NEWS_ROWS + ["N1\tnews\tus\tDup title\tabs"]
         with pytest.raises(CorpusError, match="N1"):
             parse_news_file(write(tmp_path, "news.tsv", rows), max_title_len=4)
+
+    def test_utf8_bom_is_not_part_of_the_first_id(self, tmp_path):
+        # "utf-8-sig" writes a byte order mark before N1.
+        catalog, _ = parse_news_file(write(tmp_path, "news.tsv", NEWS_ROWS, "utf-8-sig"),
+                                     max_title_len=4)
+        assert list(catalog.articles) == ["N1", "N2", "N3"]
+        log = parse_behaviors_file(write(tmp_path, "b.tsv", BEHAVIOR_ROWS))
+        assert all(news_id in catalog for r in log for news_id in r.history)
 
     def test_malformed_row_skipped_and_counted(self, tmp_path):
         rows = [NEWS_ROWS[0], "N9\tonly\tthree", NEWS_ROWS[1]]
@@ -159,6 +168,14 @@ class TestTokenize:
         once = normalize_tokens(text)
         assert normalize_tokens(" ".join(once)) == once
 
+    # Any code point, lone surrogates and Unicode whitespace included.
+    @given(st.text(st.characters(codec=None, exclude_categories=()), max_size=60)
+           | st.text(string.printable + "\u00e9\u00c9\u00a0\u0085\u3000\u2014\ud800", max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_normalization_equals_deleting_punctuation_from_the_string(self, text):
+        table = str.maketrans("", "", string.punctuation)
+        assert normalize_tokens(text) == text.lower().translate(table).split()
+
 
 class TestParseBehaviors:
     def test_format_example(self, tmp_path):
@@ -227,6 +244,13 @@ class TestParseBehaviors:
 
 
 class TestJsonRecords:
+    def test_utf8_bom_before_the_first_record(self, tmp_path):
+        lines = [record_to_json(r) for r in parse_behaviors_file(
+            write(tmp_path, "b.tsv", BEHAVIOR_ROWS))]
+        log = parse_behaviors_file(write(tmp_path, "b.jsonl", lines, "utf-8-sig"))
+        assert not log.issues
+        assert [r.impression_id for r in log] == ["2", "1"]
+
     """JSONL ids are JSON strings, labels and times JSON integers; anything else is an issue."""
 
     GOOD = {"impression_id": "9", "user_id": "U1", "time": 1000,
@@ -510,6 +534,12 @@ class TestWordVectors:
         path = write(tmp_path, "vec.txt", ["cat 0.1 0.2"])
         matrix = load_word_vectors(path, vocab, dim=2)
         assert np.allclose(matrix[vocab.index("cat")], [0.1, 0.2])
+
+    def test_utf8_bom_before_the_first_token(self, tmp_path):
+        vocab = Vocabulary()
+        vocab.add("cat")
+        path = write(tmp_path, "vec.txt", ["cat 0.1 0.2"], "utf-8-sig")
+        assert np.allclose(load_word_vectors(path, vocab, dim=2)[vocab.index("cat")], [0.1, 0.2])
 
     def test_pad_row_forced_to_zero(self, tmp_path):
         vocab = Vocabulary()

@@ -146,12 +146,11 @@ class TestBuildTimeline:
             timeline = build_timeline(log, 5000)
             for boundary in timeline.boundaries():
                 snap = StatsSnapshot(timeline, boundary)
-                n_imp, exposures, clicks, first_seen = brute_force_snapshot(
+                n_imp, exposures, clicks, _ = brute_force_snapshot(
                     log.records, boundary)
                 assert snap.n_impressions == n_imp
                 assert {k: snap.exposures(k) for k in snap.news_ids()} == exposures
                 assert {k: snap.clicks(k) for k in snap.news_ids()} == clicks
-                assert {k: snap.first_seen(k) for k in snap.news_ids()} == first_seen
                 assert snap.max_clicks() == max(clicks.values(), default=0)
 
     def test_counters_monotone_over_buckets(self):
@@ -292,7 +291,7 @@ class TestAgainstDictOracle:
             snap = snapshot_at(timeline, t)
             boundary = oracle_boundary(records, width, t)
             assert snap.t == (boundary if boundary is not None else 0)
-            n_imp, exposures, clicks, first_seen = (
+            n_imp, exposures, clicks, _ = (
                 brute_force_snapshot(records, boundary) if boundary is not None
                 else (0, {}, {}, {}))
             assert snap.n_impressions == n_imp
@@ -301,7 +300,6 @@ class TestAgainstDictOracle:
             for news_id in ARTICLES:
                 assert snap.exposures(news_id) == exposures.get(news_id, 0)
                 assert snap.clicks(news_id) == clicks.get(news_id, 0)
-                assert snap.first_seen(news_id) == first_seen.get(news_id)
         for r in records:
             ids = r.history + [news_id for news_id, _ in r.shown] + ["UNSEEN"]
             feats = impression_features(timeline, r.time, ids, 4)

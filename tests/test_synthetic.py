@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from avoidrec.corpus import parse_behaviors_file, parse_news_file
 from avoidrec.features import impression_features
 from avoidrec.stats import StatsSnapshot, build_timeline
-from avoidrec.synthetic import (SyntheticSpec, _choice_without_replacement, generate,
+from avoidrec.synthetic import (_CATEGORIES, _FILLER_WORDS, SyntheticSpec, _BoundedIntegers,
+                                _choice_without_replacement, _make_articles, generate,
                                 write_mind_files)
 
 
@@ -107,6 +108,16 @@ class TestGenerate:
                     seen_clicks.setdefault(rec.user_id, []).append(news_id)
         # at least one user accumulated history
         assert any(rec.history for rec in dataset.records)
+
+    def test_click_probability_is_capped(self):
+        spec = SyntheticSpec(n_users=10, n_articles=8, n_buckets=4, impressions_per_bucket=10,
+                             base_click_rate=0.4, freshness_boost=3.0, seed=1,
+                             affinity=high_avoidance_affinity(), affinity_user_fraction=0.5)
+        dataset = generate(spec)
+        for follows in (True, False):
+            probs = [p for rec, slots in zip(dataset.records, dataset.shown_probs)
+                     if (rec.user_id in dataset.affinity_users) == follows for _, p in slots]
+            assert max(probs) == 0.95 and min(probs) < 0.95
 
     def test_generator_cells_match_model_features(self, tmp_path):
         # The cell the generator used for each shown slot must equal the
@@ -215,6 +226,79 @@ def test_generator_output_is_pinned(spec_kwargs, behaviors_sha, probs_sha, tmp_p
     _, behaviors_path = write_mind_files(dataset, tmp_path)
     assert hashlib.sha256(behaviors_path.read_bytes()).hexdigest() == behaviors_sha
     assert hashlib.sha256(repr(dataset.shown_probs).encode()).hexdigest() == probs_sha
+
+
+# The benchmark's full train and rank corpora (perfbench/workloads.py):
+# sha256 of news.tsv, of behaviors.tsv and of repr(shown_probs), recorded
+# while the articles were still drawn by one scalar rng.integers call each
+# and the cells still read through StatsSnapshot and grid.snapshot_cell.
+BENCHMARK_GOLDEN = [
+    (dict(n_users=60, n_articles=3000, n_buckets=40, impressions_per_bucket=60, n_shown=10,
+          base_click_rate=0.3, seed=2),
+     "8b7db51ca8670fe5d07dfcbf35c431bc76171f401bdb45537d2cf8bc1c5c6d4d",
+     "f4e5634bf0185c711dde24dcf5f6060b40fc0e29a7427175c301aecd9b6c5fbf",
+     "c4ea722f0eed5ea9220d4a795ac93f359b171d7ca829499e1e8cbea03e15430b"),
+    (dict(n_users=200, n_articles=300, n_buckets=24, impressions_per_bucket=60, n_shown=10,
+          seed=1),
+     "933cc78368149c795a84dab3f18b66858925a83bce34dd5817ba573ac4eb49e4",
+     "0e73518d37fe9fb0cb93d3bdcbfd7f35174143a8a9769bbf1a41440a2a6f029d",
+     "737eeea18e8c2f9d7613d4ef8965da7804eab704f0e078ca489902e7040c838c"),
+]
+
+
+@pytest.mark.parametrize("spec_kwargs, news_sha, behaviors_sha, probs_sha", BENCHMARK_GOLDEN,
+                         ids=["train", "rank"])
+def test_benchmark_corpora_are_pinned(spec_kwargs, news_sha, behaviors_sha, probs_sha,
+                                      tmp_path):
+    dataset = generate(SyntheticSpec(**spec_kwargs))
+    news_path, behaviors_path = write_mind_files(dataset, tmp_path)
+    assert hashlib.sha256(news_path.read_bytes()).hexdigest() == news_sha
+    assert hashlib.sha256(behaviors_path.read_bytes()).hexdigest() == behaviors_sha
+    assert hashlib.sha256(repr(dataset.shown_probs).encode()).hexdigest() == probs_sha
+
+
+def _assert_replay_like_scalar_integers(seed, bounds, size):
+    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    draws = _BoundedIntegers(ours, size)
+    values = [draws.below(n) for n in bounds]
+    draws.close()
+    assert values == [int(numpys.integers(0, n)) for n in bounds]
+    assert ours.random() == numpys.random()  # the stream is still in step
+    return draws
+
+
+# Bounds just above 2**31 reject about half of all words, so the redraw
+# loop and the drawing of more words both run.
+bounds = st.one_of(st.integers(2, 2**32), st.integers(2**31 + 1, 2**31 + 2**20),
+                   st.sampled_from([4, 6, 20, 1000]))
+
+
+@given(seed=st.integers(0, 2**32 - 1), bounds=st.lists(bounds, max_size=40),
+       size=st.integers(1, 48))
+@settings(max_examples=300, deadline=None)
+def test_bounded_replay_matches_scalar_integers(seed, bounds, size):
+    _assert_replay_like_scalar_integers(seed, bounds, size)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_bounded_replay_redraws_rejected_words(seed):
+    # (2**32 - n) % n is 2**31 - 1 here: a word is rejected with probability ~1/2.
+    draws = _assert_replay_like_scalar_integers(seed, [2**31 + 1] * 64, 64)
+    assert draws._used > 64
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_make_articles_draws_like_scalar_integers(seed):
+    spec = SyntheticSpec(n_articles=200, seed=seed)
+    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = []
+    for _ in range(spec.n_articles):
+        words = [_CATEGORIES[int(numpys.integers(0, len(_CATEGORIES)))]]
+        words += [_FILLER_WORDS[int(numpys.integers(0, len(_FILLER_WORDS)))]
+                  for _ in range(int(numpys.integers(3, 7)))]
+        expected.append(" ".join(words) + f" w{int(numpys.integers(0, 1000)):03d}")
+    assert [article.title for article in _make_articles(spec, ours)] == expected
+    assert ours.bit_generator.state == numpys.bit_generator.state
 
 
 def _assert_draws_like_generator_choice(seed, probs, size):
