@@ -538,7 +538,8 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(
             f"affine: incompatible shapes x{x.data.shape} w{w.data.shape} b{b.data.shape}")
     xd, wd = x.data, w.data
-    out = xd @ wd + b.data
+    out = xd @ wd
+    out += b.data
 
     def backward_fn(g):
         return (g @ wd.T, xd.T @ g, g.sum(axis=0))

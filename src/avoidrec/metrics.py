@@ -117,8 +117,10 @@ class EvalReport:
     per_impression: list[dict] = field(default_factory=list)
 
     def to_json(self) -> str:
+        """The report as strict JSON: a mean no impression supports is ``null``."""
         payload = {
-            "metrics": self.metrics,
+            "metrics": {name: value if math.isfinite(value) else None
+                        for name, value in self.metrics.items()},
             "n_impressions": self.n_impressions,
             "n_scored": self.n_scored,
             "n_skipped_missing": self.n_skipped_missing,
@@ -126,7 +128,7 @@ class EvalReport:
             "excluded": self.excluded,
             "config_fingerprint": self.config_fingerprint,
         }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
 
     def write_per_impression_csv(self, path):
         with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -13,7 +13,9 @@ modes support component ablations:
 Users with an empty history skip the user encoder entirely and are scored
 by the relevance branch in every mode.  An impression's articles are encoded
 in one batch (``evaluate`` caches them per call), its history terms are built
-once, and the candidate-only layers run once over all C candidates.
+once, and the candidate-only layers run once over all C candidates.  What
+the per-candidate loop does not read (the article batch, the history's key
+block) is released before it starts.
 """
 
 from __future__ import annotations
@@ -180,6 +182,11 @@ class AvoidanceAwareRanker:
         model's window are dropped from the old end.  ``news_cache`` (news
         id -> vector) is read and filled; it is valid only while the
         parameters stay unchanged.
+
+        The (N, d_news) batch of the impression's distinct articles lives
+        only until the candidate and click rows are gathered from it, and
+        the history's key block only until the candidates' score halves
+        are built, so neither is alive in the per-candidate loop.
         """
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -190,12 +197,15 @@ class AvoidanceAwareRanker:
         distinct = list({a.news_id: a for a in history + candidates}.values())
         row = {a.news_id: i for i, a in enumerate(distinct)}
         news = self._news_vectors(distinct, news_cache)
+        vecs = ad.embedding_lookup(news, [row[a.news_id] for a in candidates])
+        if history:
+            clicks = ad.embedding_lookup(news, [row[a.news_id] for a in history])
+        del news  # only the gathered rows are read from here on
 
         def user_ue(ue):  # only_rel keeps engagement out of the user encoder
             return ad.scale(ue, 0.0) if mode == "only_rel" else ue
 
         cand_feats = [feats[a.news_id] for a in candidates]
-        vecs = ad.embedding_lookup(news, [row[a.news_id] for a in candidates])
         ues = self.engagement.lookup([f.cell for f in cand_feats])
         if not history or mode != "only_avoid":
             relevance = self.relevance.relevance(
@@ -204,11 +214,10 @@ class AvoidanceAwareRanker:
         if not history:  # a cold user: the relevance branch is the only signal
             scores = relevance
         else:
-            shared = self.user.augment_history(
-                ad.embedding_lookup(news, [row[a.news_id] for a in history]),
-                user_ue(self.engagement.lookup([feats[a.news_id].cell for a in history])))
+            click_ues = user_ue(self.engagement.lookup([feats[a.news_id].cell for a in history]))
             cands = ad.concat([vecs, user_ue(ues)], axis=1)  # the augmented candidates
-            users = self.user.user_vectors(shared, cands)
+            # Passed unnamed, so that user_vectors can free the History's key block.
+            users = self.user.user_vectors(self.user.augment_history(clicks, click_ues), cands)
             scores = (self.user.preliminary_interest(cands, users) if mode == "only_avoid"
                       else self.user.interest_score(cands, users, relevance))
         return [ad.slice_(scores, rows=slice(i, i + 1)) for i in range(len(candidates))]

@@ -13,15 +13,23 @@ History rows are real clicks only, never padding.  The filter bank and
 the merge are stored as row blocks (``cnn_window_w``/``cnn_cand_w``,
 ``merge_local_w``/``merge_att_w``), so every product that does not
 depend on the candidate is built once per history by ``augment_history``:
-the keys of all heads side by side, the click-query half of the scores,
-the values already taken through the attention rows of the merge, and the
-window half of the filter bank.  ``candidate_terms`` builds the C
-candidates' score halves and filter-bank terms once per impression, and
-their dot products and gates are one (C, .) batch.  Each turn of the
-per-candidate loop then reads only history-sized tensors and
-``merge_local_w``: a score row add, a per-head softmax, one product with
-the folded values, the filter-bank relu, the local half of the merge and
-the pooling.
+the window half of the filter bank, the values already taken through the
+attention rows of the merge, the keys of every head and the click-query
+half of the scores.  The keys are one (heads*d_q, M) product, kept as its
+(heads, d_q, M) view, and each half of the scores is a per-head product
+with it.  ``candidate_terms`` builds the C candidates' score halves and
+filter-bank terms once per impression, and their dot products and gates
+are one (C, .) batch.  Each turn of the per-candidate loop then reads only
+history-sized tensors and ``merge_local_w``: a score row add, a per-head
+softmax, one product with the folded values, the filter-bank relu, the
+local half of the merge and the pooling.
+
+The key block is read by the two score halves alone, so ``user_vectors``
+drops it from the History once the candidate terms exist.  When the
+caller holds no other reference (``score_impression`` passes the History
+unnamed) and no record keeps it for backward, it is freed before the
+per-candidate loop, which then runs on the scores, the values and the
+filter-bank terms only.
 
 The pooling is candidate-aware only through ``merged``: its score is
 ``merged_j . pool_w``.  A candidate term or a bias would add the same
@@ -40,9 +48,13 @@ from . import autodiff as ad
 
 
 class History(NamedTuple):
-    """Candidate-independent terms of one augmented history of M clicks."""
+    """Candidate-independent terms of one augmented history of M clicks.
 
-    keys: ad.Tensor     # (d_q, heads*M), column h*M + j is rel_w of head h times row j
+    ``keys`` is None in the History that ``user_vectors`` hands to the
+    per-candidate loop: only the candidate terms read it.
+    """
+
+    keys: ad.Tensor | None  # (heads, d_q, M), keys[h][:, j] is rel_w of head h times row j
     scores: ad.Tensor   # (M, heads*M) click-query half of every head's scores
     values: ad.Tensor   # (heads*M, d_aug), row h*M + j is row j times out_w_h times merge_att_w_h
     local: ad.Tensor    # (M, d_aug) filter-bank pre-activation of the click windows
@@ -95,31 +107,53 @@ class UserEncoder:
     # -- representation assembly ------------------------------------------
 
     def augment_history(self, news_vecs: ad.Tensor, ues: ad.Tensor) -> History:
-        """Candidate-independent terms of (M, d_news) clicks widened by their (M, dim_ue) cells."""
+        """Candidate-independent terms of (M, d_news) clicks widened by their (M, dim_ue) cells.
+
+        The terms are built one after another, so that each temporary
+        (the click windows, the values' head outputs, the key product)
+        dies before the next one is made.
+        """
         if not len(news_vecs.data):
             raise ValueError("empty history; apply the cold-user fallback instead")
         rows = ad.concat([news_vecs, ues], axis=1)
         m, heads = rows.shape[0], self.n_heads
-        # The heads stacked along rows make one (heads*d_q, M) product.
-        rel = ad.reshape(self.rel_heads, (heads * self.d_aug, self.d_aug))
-        keys = ad.reshape(ad.matmul(rel, ad.transpose(rows)), (heads, self.d_aug, m), (1, 0, 2))
-        keys = ad.reshape(keys, (self.d_aug, heads * m))
+        local = ad.affine(ad.sliding_window_concat(rows, self.cnn_window),
+                          self.cnn_window_w, self.cnn_b)
         att_w = ad.reshape(self.merge_att_w, (heads, self.d_head, self.d_aug))
         values = ad.matmul(ad.matmul(rows, self.out_w), att_w)           # (heads, M, d_aug)
-        return History(keys, ad.matmul(ad.matmul(rows, self.q_hist), keys),
-                       ad.reshape(values, (heads * m, self.d_aug)),
-                       ad.affine(ad.sliding_window_concat(rows, self.cnn_window),
-                                 self.cnn_window_w, self.cnn_b))
+        values = ad.reshape(values, (heads * m, self.d_aug))
+        # The heads stacked along rows make one (heads*d_q, M) product,
+        # read per head as its (heads, d_q, M) view.
+        rel = ad.reshape(self.rel_heads, (heads * self.d_aug, self.d_aug))
+        keys = ad.reshape(ad.matmul(rel, ad.transpose(rows)), (heads, self.d_aug, m))
+        return History(keys, self._head_scores(ad.matmul(rows, self.q_hist), keys),
+                       values, local)
+
+    def _head_scores(self, queries: ad.Tensor, keys: ad.Tensor) -> ad.Tensor:
+        """(R, heads*M) scores of (R, d_q) ``queries`` against every head's keys.
+
+        Column h*M + j is head h and click j.
+        """
+        r, m = queries.shape[0], keys.shape[2]
+        per_head = ad.matmul(queries, keys)                                 # (heads, R, M)
+        return ad.reshape(ad.reshape(per_head, (self.n_heads, r, m), (1, 0, 2)),
+                          (r, self.n_heads * m))
 
     def candidate_terms(self, history: History,
                         cands: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
         """(C, heads*M) candidate halves of the scores and (C, d_aug) filter-bank terms."""
-        return (ad.matmul(ad.matmul(cands, self.q_cand), history.keys),
+        return (self._head_scores(ad.matmul(cands, self.q_cand), history.keys),
                 ad.matmul(cands, self.cnn_cand_w))
 
     def user_vectors(self, history: History, cands: ad.Tensor) -> ad.Tensor:
-        """(C, d_aug) user vectors, one per augmented candidate row of ``cands``."""
+        """(C, d_aug) user vectors, one per augmented candidate row of ``cands``.
+
+        The key block is read only here, by the candidate terms; it is
+        dropped before the per-candidate loop, and dies then unless the
+        caller still holds ``history``.
+        """
         scores, local = self.candidate_terms(history, cands)
+        history = history._replace(keys=None)
         rows = [slice(i, i + 1) for i in range(cands.shape[0])]
         return ad.concat([self.user_embedding(
             self.candidate_aware_self_attention(history, ad.slice_(scores, rows=r)),

@@ -242,6 +242,19 @@ class TestEvaluate:
         assert report.n_missing_history == 3
         assert json.loads(report.to_json())["n_missing_history"] == 3
 
+    def test_report_json_is_strict_when_a_metric_has_no_impression(self):
+        # Every impression is all-positive, so no AUC is defined: the report
+        # writes null for its mean, never the non-standard NaN token.
+        log = _log([[("A", 1), ("B", 1)], [("B", 1)]])
+        report = evaluate(_StubModel(lambda _: 0.1), log, _timeline(), _StubCatalog(["A", "B"]))
+        assert math.isnan(report.metrics["auc"]) and report.excluded["auc"] == 2
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        parsed = json.loads(report.to_json(), parse_constant=refuse)
+        assert parsed["metrics"] == {"auc": None, "mrr": 0.875, "ndcg5": 1.0, "ndcg10": 1.0}
+
     def test_report_means_match_csv_dump(self, tmp_path):
         rng = np.random.default_rng(1)
         rows = []

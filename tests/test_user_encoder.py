@@ -1,12 +1,13 @@
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
 import avoidrec.autodiff as ad
-from avoidrec.model import AvoidanceAwareRanker, VocabSizes
+from avoidrec.model import AvoidanceAwareRanker, ModelConfig, VocabSizes
 from avoidrec.user_encoder import UserEncoder
-from conftest import make_articles, make_features, tiny_config
+from conftest import Traced, make_articles, make_features, tiny_config
 
 
 def make_encoder(seed=0, d_news=4, dim_ue=2, n_heads=2, cnn_window=1, **kw):
@@ -40,8 +41,10 @@ def unsplit(enc):
 
 
 def cand_scores(enc, history, cand):
-    """The candidate's (1, heads*M) half of the attention scores, built directly."""
-    return ad.constant(cand.data @ enc.q_cand.data @ history.keys.data, dtype=np.float64)
+    """The candidate's (1, heads*M) half of the scores, built directly, heads side by side."""
+    query = cand.data @ enc.q_cand.data
+    return ad.constant(np.concatenate([query @ keys for keys in history.keys.data], axis=1),
+                       dtype=np.float64)
 
 
 def cand_local(enc, cand):
@@ -78,25 +81,28 @@ class TestAugment:
         vecs, ues = rand_items(2)
         history, cand = augment(enc, vecs, ues, vecs[0], ues[0])
         assert cand.data.shape == (1, 6)
-        assert history.keys.data.shape == (6, 4)     # (d_q, heads*M)
+        assert history.keys.data.shape == (2, 6, 2)  # (heads, d_q, M)
         assert history.scores.data.shape == (2, 4)   # (M, heads*M)
         assert history.values.data.shape == (4, 6)   # (heads*M, d_aug)
         assert history.local.data.shape == (2, 6)
         assert enc.pool_w.data.shape == (6, 1)  # merged_j . pool_w; no candidate rows, no bias
 
     def test_concat_round_trip(self):
-        # Every shared term is built from the [news | engagement] rows; column
-        # (row) h*M + j belongs to head h and click j.
+        # Every shared term is built from the [news | engagement] rows; the
+        # keys are one (d_q, M) block per head, and column (row) h*M + j of
+        # the scores (values) belongs to head h and click j.
         enc = make_encoder()
         vecs, ues = rand_items(3)
         history, _ = augment(enc, vecs, ues, vecs[0], ues[0])
         rows = rows_of(vecs, ues)
-        keys = np.concatenate([rel_w @ rows.T for rel_w in enc.rel_heads.data], axis=1)
+        keys = np.stack([rel_w @ rows.T for rel_w in enc.rel_heads.data])
         att_w = np.split(enc.merge_att_w.data, enc.n_heads)
         values = np.concatenate([rows @ out_w @ w for out_w, w in zip(enc.out_w.data, att_w)])
         windows = ad.sliding_window_concat(ad.constant(rows), enc.cnn_window).data
         assert np.allclose(history.keys.data, keys, atol=1e-12)
-        assert np.allclose(history.scores.data, rows @ enc.q_hist.data @ keys, atol=1e-12)
+        assert np.allclose(history.scores.data,
+                           np.concatenate([rows @ enc.q_hist.data @ k for k in keys], axis=1),
+                           atol=1e-12)
         assert np.allclose(history.values.data, values, atol=1e-12)
         assert np.allclose(history.local.data,
                            windows @ enc.cnn_window_w.data + enc.cnn_b.data, atol=1e-12)
@@ -432,3 +438,57 @@ def test_candidate_loop_reads_only_merge_local_w():
                              ("matmul", ("user.pool_w",)): 4})
     params = model.user.parameters()
     assert all(params[name].shape[0] <= model.user.d_aug for _, names in grown for name in names)
+
+
+def paper_size_impression(m=28, c=10):
+    """A paper-size model, an impression of M clicks and C candidates, and a filled news cache."""
+    model = AvoidanceAwareRanker(ModelConfig(), VocabSizes(12, 3, 5), seed=0)
+    articles = make_articles(m + c)
+    ids = sorted(articles)
+    history, candidates = [articles[i] for i in ids[:m]], [articles[i] for i in ids[m:]]
+    feats, cache = make_features(ids), {}
+    model.score_impression(history, candidates, feats, news_cache=cache)
+    return model, history, candidates, feats, cache
+
+
+def test_key_block_and_news_batch_die_before_the_candidate_loop():
+    # In an inference score_impression the (heads, d_q, M) keys are read
+    # only by the two score halves, and the (N, d_news) article batch only
+    # by the row gathers: no candidate's attention finds either alive.
+    model, history, candidates, feats, cache = paper_size_impression()
+    user, refs, alive = model.user, [], []
+    augment_history, attention = user.augment_history, user.candidate_aware_self_attention
+    news_vectors = model._news_vectors
+
+    def watched_news(*args):
+        batch = news_vectors(*args)
+        refs.append(weakref.ref(batch.data))
+        return batch
+
+    def watched_augment(*args):
+        shared = augment_history(*args)
+        keys = shared.keys.data  # and the array it views, if it is a view
+        refs.extend(weakref.ref(block) for block in (keys, keys.base) if block is not None)
+        return shared
+
+    def watched_attention(*args):
+        alive.append([ref() is not None for ref in refs])
+        return attention(*args)
+
+    user.augment_history, user.candidate_aware_self_attention = watched_augment, watched_attention
+    model._news_vectors = watched_news
+    model.score_impression(history, candidates, feats, news_cache=cache)
+    assert len(refs) >= 2 and len(alive) == len(candidates)
+    assert not any(alive[0])
+
+
+def test_inference_working_set_at_the_longest_rank_history():
+    # M=28 clicks and C=10 candidates with every title cached: the longest
+    # history of the rank benchmark.  Holding the key block, the transposed
+    # key copy, the click windows and the news batch to the end took
+    # 573 KiB; 432 KiB since.
+    model, history, candidates, feats, cache = paper_size_impression()
+    with Traced() as traced:
+        scores = model.score_impression(history, candidates, feats, news_cache=cache)
+        del scores
+        assert traced.peak() < 500 * 1024
