@@ -6,11 +6,15 @@ execution order, so replaying the entry list backwards visits every node
 exactly once with all adjoints already accumulated.  Ops executed with no
 active record are plain forward evaluation (used for scoring).
 
-Broadcasting is restricted to bias-style adds and the leading (batch)
-axes of ``matmul``; every other op requires exact shape agreement and
-raises ShapeError otherwise.  Each thread (or asyncio task) has its own
-active record, so concurrent callers record separate graphs.  Training
-runs in float32; float64 exists for gradient checking.
+``add`` broadcasts as numpy does, and so do the leading (batch) axes of
+``matmul``; each sums an adjoint back to its operand's shape over the
+axes broadcasting added or stretched.  ``matmul`` and ``affine`` run a
+stack of matrices times one matrix as one product of all the stack's
+rows, and ``slice_`` and ``concat`` take stacks along their first two
+axes.  Every other op requires exact shape agreement and raises
+ShapeError otherwise.  Each thread (or asyncio task) has its own active
+record, so concurrent callers record separate graphs.  Training runs in
+float32; float64 exists for gradient checking.
 
 The record keeps only what backward reads.  An op's output is marked
 with its node number (``Tensor.node``), and an entry names each input by
@@ -227,10 +231,12 @@ def _record(op, inputs, out_data, backward_fn):
     return out
 
 
-def _need_2d(op, *tensors):
+def _need_2d(op, *tensors, stacked=False):
+    """ShapeError unless every tensor is 2-D (or, with ``stacked``, has 2 or more axes)."""
     for t in tensors:
-        if t.data.ndim != 2:
-            raise ShapeError(f"{op}: expected 2-D operand, got shape {t.data.shape}")
+        if t.data.ndim != 2 and not (stacked and t.data.ndim > 2):
+            raise ShapeError(f"{op}: expected {'2-D or stacked' if stacked else '2-D'} "
+                             f"operand, got shape {t.data.shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -238,16 +244,41 @@ def _need_2d(op, *tensors):
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise add; ``b`` may also be a (n,) or (1, n) bias over rows."""
-    if a.data.shape == b.data.shape:
-        return _record("add", (a, b), a.data + b.data, lambda g: (g, g))
-    if a.data.ndim == 2 and b.data.ndim == 1 and b.data.shape[0] == a.data.shape[1]:
-        return _record("add", (a, b), a.data + b.data,
-                       lambda g: (g, g.sum(axis=0)))
-    if a.data.ndim == 2 and b.data.shape == (1, a.data.shape[1]):
-        return _record("add", (a, b), a.data + b.data,
-                       lambda g: (g, g.sum(axis=0, keepdims=True)))
-    raise ShapeError(f"add: incompatible shapes {a.data.shape} and {b.data.shape}")
+    """Elementwise add, broadcasting as numpy does (a bias row, a stack of rows)."""
+    shape_a, shape_b = a.data.shape, b.data.shape
+    try:
+        out = a.data + b.data
+    except ValueError:
+        raise ShapeError(f"add: incompatible shapes {shape_a} and {shape_b}") from None
+    if shape_a == shape_b:
+        return _record("add", (a, b), out, _both)
+    return _record("add", (a, b), out,
+                   _Unbroadcast(None if shape_a == out.shape else shape_a,
+                                None if shape_b == out.shape else shape_b))
+
+
+def _both(g):
+    """The gradient formula of an add of equal shapes: ``g`` for each operand."""
+    return g, g
+
+
+class _Unbroadcast:
+    """The gradient formula of a broadcasting add: ``g`` summed to each operand's shape.
+
+    A record keeps one formula per add, so this one is small: two slots
+    with the operand shapes, None for a shape that is the output's (that
+    adjoint is ``g`` itself), where a closure over both shapes would hold
+    a function, its cells and both shape tuples.
+    """
+
+    __slots__ = ("shape_a", "shape_b")
+
+    def __init__(self, shape_a, shape_b):
+        self.shape_a, self.shape_b = shape_a, shape_b
+
+    def __call__(self, g):
+        a, b = self.shape_a, self.shape_b
+        return (g if a is None else _unbroadcast(g, a)), (g if b is None else _unbroadcast(g, b))
 
 
 def add_scalar(a: Tensor, c: float) -> Tensor:
@@ -266,20 +297,48 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _record("scale", (a,), a.data * c, lambda g: (g * c,))
 
 
+def _rows(x: np.ndarray) -> np.ndarray:
+    """A 2-D array itself, or a stack of matrices as the matrix of all their rows."""
+    return x if x.ndim == 2 else x.reshape(-1, x.shape[-1])
+
+
+def _stacked(rows: np.ndarray, lead) -> np.ndarray:
+    """The inverse of ``_rows``: ``rows`` with its leading axis split back into ``lead``."""
+    return rows if len(lead) == 1 else rows.reshape(lead + rows.shape[1:])
+
+
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Sum ``g`` down to ``shape`` over the axes that broadcasting added or stretched."""
+    """Sum ``g`` down to ``shape`` over the axes that broadcasting added or stretched.
+
+    Each sum is one new array of its result's shape (no view onto it), and
+    no sum runs when there are no axes to sum.
+    """
     if g.shape == shape:
         return g
-    g = g.sum(axis=tuple(range(g.ndim - len(shape))))
-    stretched = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    return g.sum(axis=stretched, keepdims=True) if stretched else g
+    lead = g.ndim - len(shape)
+    if lead:
+        g = g.sum(axis=tuple(range(lead)))
+    stretched = [i for i, (n, m) in enumerate(zip(shape, g.shape)) if n == 1 and m != 1]
+    return g.sum(axis=tuple(stretched), keepdims=True) if stretched else g
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes; leading axes broadcast as in numpy."""
+    """Matrix product over the last two axes; leading axes broadcast as in numpy.
+
+    A stack of matrices times one matrix is one product of all the
+    stack's rows, where numpy would run one product per matrix.
+    """
     x, y = a.data, b.data
     if x.ndim < 2 or y.ndim < 2 or x.shape[-1] != y.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {x.shape} and {y.shape}")
+    if y.ndim == 2:
+        rows = _rows(x)
+
+        def backward_fn(g):
+            g_rows = _rows(g)
+            return _stacked(g_rows @ y.T, g.shape[:-1]), rows.T @ g_rows
+
+        return _record("matmul", (a, b), _stacked(rows @ y, x.shape[:-1]), backward_fn)
     try:
         out = x @ y
     except ValueError:
@@ -311,16 +370,18 @@ def reshape(a: Tensor, shape, axes=None) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    _need_2d("transpose", a)
-    return _record("transpose", (a,), np.ascontiguousarray(a.data.T),
-                   lambda g: (np.ascontiguousarray(g.T),))
+    """The last two axes of a 2-D or stacked tensor swapped."""
+    _need_2d("transpose", a, stacked=True)
+    return _record("transpose", (a,), np.ascontiguousarray(np.swapaxes(a.data, -1, -2)),
+                   lambda g: (np.ascontiguousarray(np.swapaxes(g, -1, -2)),))
 
 
 def concat(parts, axis: int) -> Tensor:
+    """Join 2-D or stacked tensors along their first (0) or second (1) axis."""
     parts = list(parts)
     if not parts:
         raise ShapeError("concat: no operands")
-    _need_2d("concat", *parts)
+    _need_2d("concat", *parts, stacked=True)
     if axis not in (0, 1):
         raise ShapeError(f"concat: axis must be 0 or 1, got {axis}")
 
@@ -339,8 +400,8 @@ def concat(parts, axis: int) -> Tensor:
 
 
 def slice_(a: Tensor, rows=slice(None), cols=slice(None)) -> Tensor:
-    """Basic rectangular slicing of a 2-D tensor."""
-    _need_2d("slice", a)
+    """Basic rectangular slicing of the first two axes of a 2-D or stacked tensor."""
+    _need_2d("slice", a, stacked=True)
     key = (rows, cols)
     shape, dtype = a.data.shape, a.data.dtype
 
@@ -419,12 +480,14 @@ def softmax(a: Tensor, axis: int, mask: np.ndarray | None = None) -> Tensor:
 class _RowScatter:
     """Sums gradient rows gathered by ``ids`` back into the rows they came from.
 
-    A stable sort lines each id's positions up in their original order and
-    ``np.add.reduceat`` sums each run.  Built once per ids array, so every
-    ``write`` over the same ids shares the sort.
+    When every id is distinct there is nothing to sum, and the rows are
+    assigned.  Otherwise a stable sort lines each id's positions up in
+    their original order and ``np.add.reduceat`` sums each run.  Built
+    once per ids array, so every ``write`` over the same ids shares the sort.
     """
 
     def __init__(self, ids: np.ndarray):
+        self.ids = ids
         self.order = np.argsort(ids, kind="stable")
         sorted_ids = ids[self.order]
         self.starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
@@ -435,7 +498,10 @@ class _RowScatter:
 
         Rows no id names are left as they are.
         """
-        out[self.rows] = np.add.reduceat(g[self.order], self.starts, axis=0)
+        if len(self.rows) == len(self.ids):
+            out[self.ids] = g
+        else:
+            out[self.rows] = np.add.reduceat(g[self.order], self.starts, axis=0)
 
 
 def _check_ids(op, ids: np.ndarray, n_rows: int):
@@ -532,19 +598,24 @@ def multi_head_attention(table: Tensor, ids, mask, n_heads: int) -> Tensor:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Dense layer x @ w + b with b of shape (out,)."""
-    _need_2d("affine", x, w)
-    if b.data.ndim != 1 or x.data.shape[1] != w.data.shape[0] or b.data.shape[0] != w.data.shape[1]:
+    """Dense layer x @ w + b over the last axis of x, with b of shape (out,).
+
+    A stacked x is one product of all its rows, as in ``matmul``.
+    """
+    _need_2d("affine", x, stacked=True)
+    _need_2d("affine", w)
+    if b.data.ndim != 1 or x.data.shape[-1] != w.data.shape[0] or b.data.shape[0] != w.data.shape[1]:
         raise ShapeError(
             f"affine: incompatible shapes x{x.data.shape} w{w.data.shape} b{b.data.shape}")
-    xd, wd = x.data, w.data
-    out = xd @ wd
+    rows, wd = _rows(x.data), w.data
+    out = rows @ wd
     out += b.data
 
     def backward_fn(g):
-        return (g @ wd.T, xd.T @ g, g.sum(axis=0))
+        g_rows = _rows(g)
+        return _stacked(g_rows @ wd.T, g.shape[:-1]), rows.T @ g_rows, g_rows.sum(axis=0)
 
-    return _record("affine", (x, w, b), out, backward_fn)
+    return _record("affine", (x, w, b), _stacked(out, x.data.shape[:-1]), backward_fn)
 
 
 def sliding_window_concat(a: Tensor, h: int) -> Tensor:

@@ -13,9 +13,10 @@ modes support component ablations:
 Users with an empty history skip the user encoder entirely and are scored
 by the relevance branch in every mode.  An impression's articles are encoded
 in one batch (``evaluate`` caches them per call), its history terms are built
-once, and the candidate-only layers run once over all C candidates.  What
-the per-candidate loop does not read (the article batch, the history's key
-block) is released before it starts.
+once, the candidate-only layers run once over all C candidates, and the
+candidate-aware user encoder runs once per chunk of candidates whose rows
+fit the ``max_history`` cap.  What the chunk loop does not read (the article
+batch, the history's key block) is released before it starts.
 """
 
 from __future__ import annotations
@@ -183,10 +184,16 @@ class AvoidanceAwareRanker:
         id -> vector) is read and filled; it is valid only while the
         parameters stay unchanged.
 
+        The user encoder scores the candidates in chunks of
+        max(1, max_history // M) for M clicks, so a chunk holds no more
+        rows than one candidate at the history cap; at the cap a chunk is
+        one candidate, and a chunk's scores equal those of its candidates
+        scored one at a time up to float rounding.
+
         The (N, d_news) batch of the impression's distinct articles lives
         only until the candidate and click rows are gathered from it, and
         the history's key block only until the candidates' score halves
-        are built, so neither is alive in the per-candidate loop.
+        are built, so neither is alive in the chunk loop.
         """
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -217,7 +224,8 @@ class AvoidanceAwareRanker:
             click_ues = user_ue(self.engagement.lookup([feats[a.news_id].cell for a in history]))
             cands = ad.concat([vecs, user_ue(ues)], axis=1)  # the augmented candidates
             # Passed unnamed, so that user_vectors can free the History's key block.
-            users = self.user.user_vectors(self.user.augment_history(clicks, click_ues), cands)
+            users = self.user.user_vectors(self.user.augment_history(clicks, click_ues), cands,
+                                           self.config.max_history)
             scores = (self.user.preliminary_interest(cands, users) if mode == "only_avoid"
                       else self.user.interest_score(cands, users, relevance))
         return [ad.slice_(scores, rows=slice(i, i + 1)) for i in range(len(candidates))]

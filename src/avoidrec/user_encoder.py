@@ -19,16 +19,27 @@ half of the scores.  The keys are one (heads*d_q, M) product, kept as its
 (heads, d_q, M) view, and each half of the scores is a per-head product
 with it.  ``candidate_terms`` builds the C candidates' score halves and
 filter-bank terms once per impression, and their dot products and gates
-are one (C, .) batch.  Each turn of the per-candidate loop then reads only
-history-sized tensors and ``merge_local_w``: a score row add, a per-head
-softmax, one product with the folded values, the filter-bank relu, the
-local half of the merge and the pooling.
+are one (C, .) batch.
+
+The candidates are then scored in chunks of k = max(1, max_history // M)
+(``max_history`` is the model's history cap), one pass per chunk: the
+chunk's (k, 1, .) candidate terms broadcast against the (M, .) history
+terms, so its contexts are (k, M, d_aug) and every product with a weight
+is one product of all k*M rows.  A chunk thus never holds more rows than
+one candidate at the longest history the model accepts.  At the cap, and
+for any M above max_history / 2, a chunk is one candidate whose terms stay
+(1, .) rows, so the pass is the one-candidate pass, op for op.  Each pass
+reads only history-sized tensors and ``merge_local_w``: a score add, a
+per-head softmax, one product with the folded values, the filter-bank
+relu, the local half of the merge and the pooling.  The local context
+is released once the merge's local half has read it, and the attention
+context once it is added in.
 
 The key block is read by the two score halves alone, so ``user_vectors``
 drops it from the History once the candidate terms exist.  When the
 caller holds no other reference (``score_impression`` passes the History
 unnamed) and no record keeps it for backward, it is freed before the
-per-candidate loop, which then runs on the scores, the values and the
+chunk loop, which then runs on the scores, the values and the
 filter-bank terms only.
 
 The pooling is candidate-aware only through ``merged``: its score is
@@ -51,7 +62,7 @@ class History(NamedTuple):
     """Candidate-independent terms of one augmented history of M clicks.
 
     ``keys`` is None in the History that ``user_vectors`` hands to the
-    per-candidate loop: only the candidate terms read it.
+    chunk loop: only the candidate terms read it.
     """
 
     keys: ad.Tensor | None  # (heads, d_q, M), keys[h][:, j] is rel_w of head h times row j
@@ -145,50 +156,68 @@ class UserEncoder:
         return (self._head_scores(ad.matmul(cands, self.q_cand), history.keys),
                 ad.matmul(cands, self.cnn_cand_w))
 
-    def user_vectors(self, history: History, cands: ad.Tensor) -> ad.Tensor:
+    def user_vectors(self, history: History, cands: ad.Tensor, max_history: int) -> ad.Tensor:
         """(C, d_aug) user vectors, one per augmented candidate row of ``cands``.
 
-        The key block is read only here, by the candidate terms; it is
-        dropped before the per-candidate loop, and dies then unless the
-        caller still holds ``history``.
+        The candidates are scored in chunks of k = max(1, max_history // M),
+        so a chunk's (k, M, .) tensors hold no more rows than one candidate
+        at the longest history the model accepts.  The key block is read
+        only here, by the candidate terms; it is dropped before the chunk
+        loop, and dies then unless the caller still holds ``history``.
         """
         scores, local = self.candidate_terms(history, cands)
         history = history._replace(keys=None)
-        rows = [slice(i, i + 1) for i in range(cands.shape[0])]
-        return ad.concat([self.user_embedding(
-            self.candidate_aware_self_attention(history, ad.slice_(scores, rows=r)),
-            self.candidate_aware_cnn(history, ad.slice_(local, rows=r))) for r in rows], axis=0)
+        c, k = cands.shape[0], max(1, max_history // history.scores.shape[0])
+        if k > 1:  # a (1, .) row per candidate in a (C, 1, .) stack; chunks of one stay 2-D
+            scores = ad.reshape(scores, (c, 1, scores.shape[1]))
+            local = ad.reshape(local, (c, 1, self.d_aug))
+        users = ad.concat([self.user_embedding(
+            self.candidate_aware_self_attention(history, ad.slice_(scores, rows=chunk)),
+            self.candidate_aware_cnn(history, ad.slice_(local, rows=chunk)))
+            for chunk in (slice(i, i + k) for i in range(0, c, k))], axis=0)
+        return ad.reshape(users, (c, self.d_aug)) if k > 1 else users
 
     # -- context paths ------------------------------------------------------
 
     def candidate_aware_self_attention(self, history: History,
                                        cand_scores: ad.Tensor) -> ad.Tensor:
-        """Per-click long-range context (M, d_aug), already through the merge's attention rows.
+        """Per-click long-range context (k, M, d_aug), already through the merge's attention rows.
 
         Head scores between clicks i and j are q_i^T W h_j plus a shared
         candidate term q_c^T W h_j, softmax-normalized over j;
-        ``cand_scores`` is the (1, heads*M) row of candidate terms.
+        ``cand_scores`` holds the candidate terms of a chunk of k
+        candidates, (k, 1, heads*M).  A single (1, heads*M) row gives (M, d_aug).
         """
         m = history.scores.shape[0]
-        gamma = ad.softmax(ad.reshape(ad.add(history.scores, cand_scores),
-                                      (m, self.n_heads, m)), axis=2)
-        return ad.matmul(ad.reshape(gamma, (m, self.n_heads * m)), history.values)
+        scores = ad.add(history.scores, cand_scores)                        # (k, M, heads*M)
+        shape = scores.shape
+        gamma = ad.softmax(ad.reshape(scores, shape[:-1] + (self.n_heads, m)), axis=-1)
+        del scores
+        return ad.matmul(ad.reshape(gamma, shape), history.values)
 
     def candidate_aware_cnn(self, history: History, cand_local: ad.Tensor) -> ad.Tensor:
-        """Per-click local context (M, d_aug) of 2h+1 click windows plus the candidate term."""
+        """Per-click local context (k, M, d_aug) of 2h+1 click windows plus the candidate term.
+
+        ``cand_local`` holds the (k, 1, d_aug) filter-bank terms of a chunk
+        of k candidates; a single (1, d_aug) row gives (M, d_aug).
+        """
         return ad.relu(ad.add(history.local, cand_local))
 
     # -- pooling and scoring -------------------------------------------------
 
     def user_embedding(self, attention_ctx: ad.Tensor, local_ctx: ad.Tensor) -> ad.Tensor:
-        """Attentive pooling of merged per-click vectors into (1, d_aug).
+        """Attentive pooling of merged per-click vectors, (k, M, d_aug) into (k, 1, d_aug).
 
         ``attention_ctx`` has already passed the attention rows of the merge,
         so only its local rows remain: relu(local . W_local + b + att . W_att).
+        Each context is released once read.  An (M, d_aug) pair gives (1, d_aug).
         """
-        merged = ad.relu(ad.add(ad.affine(local_ctx, self.merge_local_w, self.merge_b),
-                                attention_ctx))
-        alpha = ad.softmax(ad.matmul(merged, self.pool_w), axis=0)
+        merged = ad.affine(local_ctx, self.merge_local_w, self.merge_b)
+        del local_ctx
+        merged = ad.add(merged, attention_ctx)
+        del attention_ctx
+        merged = ad.relu(merged)
+        alpha = ad.softmax(ad.matmul(merged, self.pool_w), axis=-2)        # (k, M, 1)
         return ad.matmul(ad.transpose(alpha), merged)
 
     def interest_score(self, cands: ad.Tensor, users: ad.Tensor,

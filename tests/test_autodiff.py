@@ -485,6 +485,45 @@ class TestGradCheck:
 
         assert ad.grad_check(fn, [a, bias_1d, bias_row], eps=1e-6) < 1e-8
 
+    def test_stacked_affine_slice_and_concat(self):
+        # A stack of matrices through the ops that take one: affine over
+        # the last axis, slices and a concat of the first axis.
+        rng = np.random.default_rng(9)
+        x = p64(rng.normal(size=(3, 4, 5)))
+        w, b = p64(rng.normal(size=(5, 2))), p64(rng.normal(size=2))
+        weights = c64(rng.normal(size=(3, 4, 2)))
+        out = ad.affine(x, w, b)
+        assert np.allclose(out.data, x.data @ w.data + b.data, rtol=0, atol=1e-12)
+
+        def fn():
+            y = ad.affine(x, w, b)
+            y = ad.concat([ad.slice_(y, rows=slice(1, 3)), ad.slice_(y, rows=slice(0, 1))], axis=0)
+            return ad.sum_(ad.mul(y, weights))
+
+        assert ad.grad_check(fn, [x, w, b], eps=1e-6) < 1e-8
+
+    def test_add_broadcasts_a_stack_of_rows(self):
+        # (M, n) + (k, 1, n) -> (k, M, n), as a chunk of candidate terms is
+        # added to the history's terms: each operand's adjoint is summed
+        # back over the axis it was stretched along.
+        rng = np.random.default_rng(8)
+        history = p64(rng.normal(size=(4, 5)))
+        chunk = p64(rng.normal(size=(3, 1, 5)))
+        weights = c64(rng.normal(size=(3, 4, 5)))
+        out = ad.add(history, chunk)
+        assert out.shape == (3, 4, 5)
+        assert np.array_equal(out.data, history.data + chunk.data)
+
+        def fn():
+            return ad.sum_(ad.mul(ad.relu(ad.add(history, chunk)), weights))
+
+        assert ad.grad_check(fn, [history, chunk], eps=1e-6) < 1e-8
+
+    @pytest.mark.parametrize("a, b", [((4, 5), (3, 2, 5)), ((4, 5), (3, 1, 4)), ((3,), (2, 2))])
+    def test_add_rejects_shapes_numpy_cannot_broadcast(self, a, b):
+        with pytest.raises(ad.ShapeError, match="add: incompatible shapes"):
+            ad.add(c64(np.zeros(a)), c64(np.zeros(b)))
+
 
     def test_batched_matmul_broadcast_grads(self):
         rng = np.random.default_rng(6)
@@ -609,3 +648,34 @@ def test_row_scatter_matches_add_at(ids, part, seed):
     np.add.at(block, ids, g)
     ad._RowScatter(ids).write(table[:, part * w:(part + 1) * w], g)
     assert np.allclose(table, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("ids", [np.random.default_rng(1).permutation(82),
+                                 np.random.default_rng(2).integers(0, 20, size=440),
+                                 np.zeros(0, dtype=np.int64)],
+                         ids=["distinct", "repeated", "empty"])
+def test_row_scatter_write_is_exact(ids):
+    # float32 rows at the train workload's widths.  Rows no id names keep
+    # their value.  Integer-valued rows sum exactly in any order, so they
+    # equal np.add.at bit for bit; random rows equal the sort-and-reduceat
+    # sum bit for bit (runs of 8 or more are summed pairwise, not in
+    # np.add.at's order), and are assigned unchanged when ids are distinct.
+    rng = np.random.default_rng(3)
+    sentinel = np.float32(7.5)
+    for g, integral in ((rng.integers(-8, 8, size=(len(ids), 256)).astype(np.float32), True),
+                        (rng.normal(size=(len(ids), 256)).astype(np.float32), False)):
+        out = np.full((90, 256), sentinel, dtype=np.float32)
+        ad._RowScatter(ids).write(out, g)
+        named = np.zeros(90, dtype=bool)
+        named[ids] = True
+        assert (out[~named] == sentinel).all()
+        expected = np.zeros_like(out)
+        np.add.at(expected, ids, g)
+        if integral:
+            assert np.array_equal(out[named], expected[named])
+        order = np.argsort(ids, kind="stable")
+        starts = np.flatnonzero(np.diff(ids[order], prepend=-1))
+        if len(ids):
+            assert np.array_equal(out[ids[order][starts]],
+                                  np.add.reduceat(g[order], starts, axis=0))
+        assert np.allclose(out[named], expected[named], rtol=1e-5, atol=1e-5)

@@ -1,0 +1,37 @@
+"""``tools/pairs.py --aa --smoke`` runs alternating pairs of the benchmark and
+summarises every end-to-end metric of ``BENCHMARK.json``."""
+
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PAIR_LINE = re.compile(r"pair (\d) seed (\d) \((parent|change) first\): (.+)")
+SUMMARY_LINE = re.compile(r"(\w+): parent (\S+) \[\S+, IQR \S+\] change (\S+) \[\S+\]  "
+                          r"ratio \S+  change better on (\d) of 2  medians differ by .+")
+
+
+def test_smoke_aa_pairs_alternate_and_summarise_every_metric():
+    if subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"],
+                      capture_output=True).returncode:
+        pytest.skip("not a git checkout with a commit")
+    proc = subprocess.run([sys.executable, "tools/pairs.py", "--workload", "rank", "--aa",
+                           "--seeds", "3,4", "--seconds", "0.1", "--smoke"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    pairs = [PAIR_LINE.fullmatch(line) for line in lines[1:3]]
+    assert all(pairs), lines[1:3]
+    assert [(p[1], p[2], p[3]) for p in pairs] == [("0", "3", "parent"), ("1", "4", "change")]
+    for pair in pairs:
+        assert [value.split()[0] for value in pair[4].split(", ")] == names
+    summaries = [SUMMARY_LINE.fullmatch(line) for line in lines[3:]]
+    assert all(summaries) and [s[1] for s in summaries] == names, lines[3:]
+    # The same tree on both sides: the deterministic peak reads alike.
+    peak = summaries[names.index("peak_mb")]
+    assert float(peak[3]) == pytest.approx(float(peak[2]), rel=0.01)

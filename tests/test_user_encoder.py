@@ -9,6 +9,7 @@ from avoidrec.model import AvoidanceAwareRanker, ModelConfig, VocabSizes
 from avoidrec.user_encoder import UserEncoder
 from conftest import Traced, make_articles, make_features, tiny_config
 
+MAX_HISTORY = ModelConfig().max_history  # chunks of 50 // M candidates: all of them, here
 
 def make_encoder(seed=0, d_news=4, dim_ue=2, n_heads=2, cnn_window=1, **kw):
     return UserEncoder(np.random.default_rng(seed), d_news=d_news, dim_ue=dim_ue,
@@ -72,7 +73,7 @@ def merged_oracle(enc, rows, cand, local):
 
 def score(enc, history, cands, relevance=0.3):
     rel = ad.constant(np.full((cands.shape[0], 1), relevance), dtype=np.float64)
-    return enc.interest_score(cands, enc.user_vectors(history, cands), rel)
+    return enc.interest_score(cands, enc.user_vectors(history, cands, MAX_HISTORY), rel)
 
 
 class TestAugment:
@@ -274,7 +275,7 @@ class TestUserEmbeddingAndScore:
         att = enc.candidate_aware_self_attention(history, cand_scores(enc, history, cand))
         loc = enc.candidate_aware_cnn(history, cand_local(enc, cand))
         u = enc.user_embedding(att, loc)
-        assert np.allclose(enc.user_vectors(history, cand).data, u.data, atol=1e-12)
+        assert np.allclose(enc.user_vectors(history, cand, MAX_HISTORY).data, u.data, atol=1e-12)
         return u, cand, history, merged_oracle(enc, rows_of(vecs, ues), cand.data, loc.data)
 
     def test_folded_merge_matches_direct_concat(self):
@@ -285,7 +286,7 @@ class TestUserEmbeddingAndScore:
         vecs, ues = rand_items(5, d_news=7)
         cv, cu = rand_items(4, d_news=7, seed=21)
         history, cands = augment(enc, vecs, ues, ad.concat(cv, axis=0), ad.concat(cu, axis=0))
-        users = enc.user_vectors(history, cands).data
+        users = enc.user_vectors(history, cands, MAX_HISTORY).data
         rows = rows_of(vecs, ues)
         windows = ad.sliding_window_concat(ad.constant(rows), enc.cnn_window).data
         cnn_w, _ = unsplit(enc)
@@ -354,7 +355,7 @@ class TestUserEmbeddingAndScore:
         vecs, ues = rand_items(3)
         cv, cu = rand_items(10, seed=100)
         history, cands = augment(enc, vecs, ues, ad.concat(cv, axis=0), ad.concat(cu, axis=0))
-        users = enc.user_vectors(history, cands)
+        users = enc.user_vectors(history, cands, MAX_HISTORY)
         r_aw = np.linspace(-0.5, 0.9, 10)[:, None]
         score = enc.interest_score(cands, users, ad.constant(r_aw, dtype=np.float64)).data
         raw = enc.preliminary_interest(cands, users).data
@@ -408,9 +409,10 @@ class TestUserEmbeddingAndScore:
         assert np.array_equal(enc.gate_w.data, ad.xavier_uniform(rng, 6, 1, dtype=np.float64))
 
 
-def user_parameter_reads(n_candidates):
-    """(op, user-encoder parameters read) -> count over one recorded score_impression."""
-    model = AvoidanceAwareRanker(tiny_config(), VocabSizes(12, 3, 5), seed=4)
+def user_parameter_reads(n_candidates, max_history):
+    """(op, user-encoder parameters read) -> count over one recorded score_impression of 3 clicks."""
+    model = AvoidanceAwareRanker(tiny_config(max_history=max_history), VocabSizes(12, 3, 5),
+                                 seed=4)
     articles = make_articles(9)
     ids = sorted(articles)
     a = [articles[i] for i in ids]
@@ -426,18 +428,25 @@ def user_parameter_reads(n_candidates):
 
 
 def test_candidate_loop_reads_only_merge_local_w():
-    # Each added candidate adds exactly two ops that read a user-encoder
-    # parameter: the local half of the merge and the (d_aug, 1) pooling
-    # column.  No per-candidate op reads a weight wider than d_aug rows (the
-    # unsplit filter bank and merge were).
-    two, _ = user_parameter_reads(2)
-    six, model = user_parameter_reads(6)
-    assert sum(six.values()) - sum(two.values()) == 8
+    # 3 clicks and max_history 6: chunks of 2 candidates.  Each added chunk
+    # adds exactly two ops that read a user-encoder parameter: the local
+    # half of the merge and the (d_aug, 1) pooling column.  No op of the
+    # chunk loop reads a weight wider than d_aug rows (the unsplit filter
+    # bank and merge were).
+    two, _ = user_parameter_reads(2, max_history=6)   # one chunk
+    five, _ = user_parameter_reads(5, max_history=6)  # three, the last of one candidate
+    six, model = user_parameter_reads(6, max_history=6)
+    assert five == six
+    assert sum(six.values()) - sum(two.values()) == 4
     grown = six - two
-    assert grown == Counter({("affine", ("user.merge_b", "user.merge_local_w")): 4,
-                             ("matmul", ("user.pool_w",)): 4})
+    assert grown == Counter({("affine", ("user.merge_b", "user.merge_local_w")): 2,
+                             ("matmul", ("user.pool_w",)): 2})
     params = model.user.parameters()
     assert all(params[name].shape[0] <= model.user.d_aug for _, names in grown for name in names)
+    # At max_history 3 a chunk is one candidate, and the same ops grow per candidate.
+    two, _ = user_parameter_reads(2, max_history=3)
+    six, _ = user_parameter_reads(6, max_history=3)
+    assert six - two == Counter({key: 2 * n for key, n in grown.items()})
 
 
 def paper_size_impression(m=28, c=10):
@@ -454,8 +463,9 @@ def paper_size_impression(m=28, c=10):
 def test_key_block_and_news_batch_die_before_the_candidate_loop():
     # In an inference score_impression the (heads, d_q, M) keys are read
     # only by the two score halves, and the (N, d_news) article batch only
-    # by the row gathers: no candidate's attention finds either alive.
-    model, history, candidates, feats, cache = paper_size_impression()
+    # by the row gathers: the attention of the first chunk of candidates
+    # finds neither alive.  10 clicks: two chunks of 5 candidates.
+    model, history, candidates, feats, cache = paper_size_impression(m=10)
     user, refs, alive = model.user, [], []
     augment_history, attention = user.augment_history, user.candidate_aware_self_attention
     news_vectors = model._news_vectors
@@ -471,24 +481,101 @@ def test_key_block_and_news_batch_die_before_the_candidate_loop():
         refs.extend(weakref.ref(block) for block in (keys, keys.base) if block is not None)
         return shared
 
-    def watched_attention(*args):
+    def watched_attention(history, cand_scores):
         alive.append([ref() is not None for ref in refs])
-        return attention(*args)
+        return attention(history, cand_scores)
 
     user.augment_history, user.candidate_aware_self_attention = watched_augment, watched_attention
     model._news_vectors = watched_news
     model.score_impression(history, candidates, feats, news_cache=cache)
-    assert len(refs) >= 2 and len(alive) == len(candidates)
+    assert len(refs) >= 2 and len(alive) == 2
     assert not any(alive[0])
+
+
+def test_chunk_contexts_die_before_the_pooling(monkeypatch):
+    # In inference a chunk's local context dies once the merge's local
+    # half has read it, and its attention context once it is added in: the
+    # pooling product of each chunk finds neither context alive.
+    model, history, candidates, feats, cache = paper_size_impression(m=10)
+    user, refs, alive = model.user, [], []
+    matmul = ad.matmul
+
+    def watched(context):
+        def call(*args):
+            out = context(*args)
+            refs.extend(weakref.ref(a) for a in (out.data, out.data.base) if a is not None)
+            return out
+        return call
+
+    def watched_matmul(a, b):
+        if b is user.pool_w:
+            alive.append([ref() is not None for ref in refs])
+        return matmul(a, b)
+
+    user.candidate_aware_self_attention = watched(user.candidate_aware_self_attention)
+    user.candidate_aware_cnn = watched(user.candidate_aware_cnn)
+    monkeypatch.setattr(ad, "matmul", watched_matmul)
+    model.score_impression(history, candidates, feats, news_cache=cache)
+    assert len(alive) == 2 and len(refs) >= 4
+    assert not any(alive[0] + alive[1])
 
 
 def test_inference_working_set_at_the_longest_rank_history():
     # M=28 clicks and C=10 candidates with every title cached: the longest
-    # history of the rank benchmark.  Holding the key block, the transposed
-    # key copy, the click windows and the news batch to the end took
-    # 573 KiB; 432 KiB since.
+    # history of the rank benchmark, chunks of one candidate.  Holding the
+    # key block, the transposed key copy, the click windows and the news
+    # batch to the end took 573 KiB; 432 KiB since.
     model, history, candidates, feats, cache = paper_size_impression()
     with Traced() as traced:
         scores = model.score_impression(history, candidates, feats, news_cache=cache)
         del scores
         assert traced.peak() < 500 * 1024
+
+
+def test_inference_working_set_of_a_short_history_in_chunks():
+    # M=10 clicks and C=10 candidates: chunks of 5 candidates, whose
+    # (5, 10, d_aug) contexts hold 50 rows, as one candidate at the 50-click
+    # cap would.  Each context is released once read, so the impression
+    # stays under the longest rank history's 432 KiB.
+    model, history, candidates, feats, cache = paper_size_impression(m=10)
+    with Traced() as traced:
+        scores = model.score_impression(history, candidates, feats, news_cache=cache)
+        del scores
+        assert traced.peak() < 432 * 1024
+
+
+@pytest.mark.parametrize("m, max_history", [(3, 3), (2, 5), (1, 50)],
+                         ids=["k=1", "k=2 ragged", "k>=C"])
+def test_chunked_scores_match_one_candidate_at_a_time(m, max_history):
+    # Chunks of max_history // M of the 5 candidates: one, two (the last
+    # chunk holds one) or all of them.  Every mode scores each candidate as
+    # an impression of that candidate alone does.
+    model = AvoidanceAwareRanker(tiny_config(max_history=max_history), VocabSizes(12, 3, 5),
+                                 seed=2)
+    articles = make_articles(m + 5)
+    ids = sorted(articles)
+    feats = make_features(ids)
+    history, candidates = [articles[i] for i in ids[:m]], [articles[i] for i in ids[m:]]
+    for mode in ("full", "only_rel", "only_avoid"):
+        batch = model.score_impression(history, candidates, feats, mode=mode)
+        alone = [model.score_impression(history, [c], feats, mode=mode)[0] for c in candidates]
+        assert [s.data[0, 0] for s in batch] == pytest.approx(
+            [s.data[0, 0] for s in alone], rel=0, abs=1e-12), mode
+
+
+def test_grad_check_through_ragged_chunks():
+    # 2 clicks and max_history 4: the 3 candidates are a chunk of 2 and a
+    # chunk of 1; gradients flow back through both into every parameter.
+    enc = make_encoder()
+    vecs, ues = rand_items(2)
+    cv, cu = rand_items(3, seed=51)
+    cand_vecs, cand_ues = ad.concat(cv, axis=0), ad.concat(cu, axis=0)
+
+    def fn():
+        history, cands = augment(enc, vecs, ues, cand_vecs, cand_ues)
+        users = enc.user_vectors(history, cands, 4)
+        rel = ad.constant(np.full((3, 1), 0.3), dtype=np.float64)
+        return ad.sum_(enc.interest_score(cands, users, rel))
+
+    params = list(enc.parameters().values())
+    assert ad.grad_check(fn, params, eps=1e-5, max_coords_per_param=10) < 1e-3

@@ -1,0 +1,125 @@
+"""Compare two trees with alternating ``perfbench`` runs, pair by pair.
+
+Usage, from the root of a checkout:
+
+    python3 tools/pairs.py --workload rank|train|ingest [--base REV] [--aa]
+        [--seeds 0-9] [--seconds 20] [--smoke]
+
+The checkout this file is in is the change; ``--base`` (default ``HEAD``,
+so an uncommitted change is measured against its last commit) is the
+parent, extracted with ``git archive`` into a temporary directory.  Pair
+i runs ``perfbench/run.py --workload W --seed S_i --seconds T --trace 0``
+once in each tree, one run at a time, the parent first on even pairs and
+the change first on odd ones, so a drift of the machine's speed falls on
+both sides alike.  ``--aa`` runs the parent against itself, which shows
+how far identical code spreads between runs.
+
+It prints one line per pair (each end-to-end metric, parent / change),
+then per metric the median and quartiles of each side, the ratio of the
+medians, on how many pairs the change was better (by the metric's
+direction in ``BENCHMARK.json``) and whether the medians differ by more
+than the parent's interquartile range.  A run that prints no result, or
+reports ``correct: false`` or failed operations, ends the comparison.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def parse_seeds(text: str) -> list[int]:
+    """``"0-9"`` or ``"0,3,5"`` (or a mix) as a list of seeds."""
+    seeds = []
+    for part in text.split(","):
+        first, _, last = part.partition("-")
+        seeds.extend(range(int(first), int(last or first) + 1))
+    return seeds
+
+
+def extract(rev: str, dest: Path) -> Path:
+    """The committed files of ``rev`` of this checkout, written under ``dest``."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                             check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float, smoke: bool) -> dict:
+    """The end-to-end metrics of one ``perfbench/run.py`` run in ``tree``, by name."""
+    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+               "--seconds", str(seconds), "--trace", "0"] + (["--smoke"] if smoke else [])
+    proc = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+    lines = [line for line in proc.stdout.splitlines() if line.startswith("{")]
+    result = json.loads(lines[-1]) if lines else {}
+    if proc.returncode or not result.get("correct") or result.get("failed"):
+        raise RuntimeError(f"{tree} seed {seed}: exit {proc.returncode}, "
+                           f"result {json.dumps(result)[:200]}\n{proc.stderr[-2000:]}")
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """First quartile, median and third quartile (inclusive method)."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summary(name: str, better: str, base: list[float], change: list[float]) -> str:
+    q1, med, q3 = quartiles(base)
+    c1, cmed, c3 = quartiles(change)
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+    ratio = cmed / med if med else float("nan")
+    beyond = abs(cmed - med) > q3 - q1
+    return (f"{name}: parent {med:.6g} [{q1:.6g}-{q3:.6g}, IQR {q3 - q1:.3g}] "
+            f"change {cmed:.6g} [{c1:.6g}-{c3:.6g}]  ratio {ratio:.4f}  "
+            f"change better on {wins} of {len(base)}  "
+            f"medians differ by {'more' if beyond else 'no more'} than the parent's IQR")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True, choices=("rank", "train", "ingest"))
+    parser.add_argument("--base", default="HEAD", help="git revision of the parent tree")
+    parser.add_argument("--aa", action="store_true", help="run the parent against itself")
+    parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("0-9"),
+                        help="one pair per seed, e.g. 0-9 or 0,2,4")
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--smoke", action="store_true", help="the workloads' smoke sizes")
+    args = parser.parse_args(argv)
+
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
+        base = extract(args.base, Path(tmp))
+        change = base if args.aa else ROOT
+        print(f"parent {args.base} ({base}), change {'the parent' if args.aa else ROOT}, "
+              f"workload {args.workload}, {args.seconds:g} s a run", flush=True)
+        runs = {"parent": [], "change": []}
+        for i, seed in enumerate(args.seeds):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(run_once(base if side == "parent" else change,
+                                           args.workload, seed, args.seconds, args.smoke))
+            print(f"pair {i} seed {seed} ({order[0]} first): " + ", ".join(
+                f"{m['name']} {runs['parent'][-1][m['name']]:.6g}/"
+                f"{runs['change'][-1][m['name']]:.6g}" for m in metrics), flush=True)
+    for m in metrics:
+        print(summary(m["name"], m["better"], [r[m["name"]] for r in runs["parent"]],
+                      [r[m["name"]] for r in runs["change"]]))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
