@@ -12,9 +12,11 @@ axes broadcasting added or stretched.  ``matmul`` and ``affine`` run a
 stack of matrices times one matrix as one product of all the stack's
 rows, and ``slice_`` and ``concat`` take stacks along their first two
 axes.  Every other op requires exact shape agreement and raises
-ShapeError otherwise.  Each thread (or asyncio task) has its own active
-record, so concurrent callers record separate graphs.  Training runs in
-float32; float64 exists for gradient checking.
+ShapeError otherwise.  ``softmax_nll`` is a training instance's whole
+loss in one op: -log softmax over (1, 1) scores, with the stabilising
+shift by their largest taken inside the op.  Each thread (or asyncio
+task) has its own active record, so concurrent callers record separate
+graphs.  Training runs in float32; float64 exists for gradient checking.
 
 The record keeps only what backward reads.  An op's output is marked
 with its node number (``Tensor.node``), and an entry names each input by
@@ -138,11 +140,6 @@ class ComputationRecord:
         _ACTIVE_RECORD.reset(self._token)
         self._token = None
         return False
-
-    def last_op(self):
-        """The op of the last entry, or None (no entry, or replayed)."""
-        entry = self.entries[-1] if self.entries else None
-        return entry.op if entry is not None else None
 
     def _key(self, t: Tensor):
         """``t``'s entry index on this record, ``t`` itself for a leaf, else None."""
@@ -279,10 +276,6 @@ class _Unbroadcast:
     def __call__(self, g):
         a, b = self.shape_a, self.shape_b
         return (g if a is None else _unbroadcast(g, a)), (g if b is None else _unbroadcast(g, b))
-
-
-def add_scalar(a: Tensor, c: float) -> Tensor:
-    return _record("add_scalar", (a,), a.data + a.data.dtype.type(c), lambda g: (g,))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -434,16 +427,6 @@ def relu(a: Tensor) -> Tensor:
     return _unary("relu", a, y, lambda g: g * (y > 0))
 
 
-def exp(a: Tensor) -> Tensor:
-    y = np.exp(a.data)
-    return _unary("exp", a, y, lambda g: g * y)
-
-
-def log(a: Tensor) -> Tensor:
-    x = a.data
-    return _unary("log", a, np.log(x), lambda g: g / x)
-
-
 def sin(a: Tensor) -> Tensor:
     x = a.data
     return _unary("sin", a, np.sin(x), lambda g: g * np.cos(x))
@@ -475,6 +458,36 @@ def softmax(a: Tensor, axis: int, mask: np.ndarray | None = None) -> Tensor:
         return (y * (g - inner),)
 
     return _record("softmax", (a,), y, backward_fn)
+
+
+def softmax_nll(parts, target: int) -> Tensor:
+    """-log of part ``target``'s softmax probability among (1, 1) ``parts``, as (1, 1).
+
+    Computed as log(sum_j exp(x_j - shift)) + shift - x_target with shift
+    the largest part, so it stays finite for any finite parts even when
+    the probability underflows to zero.  The shift cancels in the
+    gradient: part j gets p_j, and the target p_target - 1, times the
+    incoming adjoint.
+    """
+    parts = list(parts)
+    for p in parts:
+        if p.data.shape != (1, 1):
+            raise ShapeError(f"softmax_nll: expected (1, 1) parts, got shape {p.data.shape}")
+    if not 0 <= target < len(parts):
+        raise IndexError(f"softmax_nll: target {target} outside [0, {len(parts)})")
+    x = np.concatenate([p.data for p in parts], axis=1)
+    shift = x.max()
+    e = np.exp(x - shift)
+    z = e.sum(dtype=x.dtype).reshape(1, 1)
+    out = (np.log(z) + shift) + -x[:, target:target + 1]
+
+    def backward_fn(g):
+        ge = e * (g / z)
+        grads = [ge[:, j:j + 1] for j in range(len(parts))]
+        grads[target] = -g + grads[target]
+        return tuple(grads)
+
+    return _record("softmax_nll", tuple(parts), out, backward_fn)
 
 
 class _RowScatter:

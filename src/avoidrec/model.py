@@ -15,8 +15,9 @@ by the relevance branch in every mode.  An impression's articles are encoded
 in one batch (``evaluate`` caches them per call), its history terms are built
 once, the candidate-only layers run once over all C candidates, and the
 candidate-aware user encoder runs once per chunk of candidates whose rows
-fit the ``max_history`` cap.  What the chunk loop does not read (the article
-batch, the history's key block) is released before it starts.
+fit the ``max_history`` cap.  What the chunk loop does not read is released
+before it starts: the article batch here, the history's key block inside
+``UserEncoder.augment_history``.
 """
 
 from __future__ import annotations
@@ -192,8 +193,8 @@ class AvoidanceAwareRanker:
 
         The (N, d_news) batch of the impression's distinct articles lives
         only until the candidate and click rows are gathered from it, and
-        the history's key block only until the candidates' score halves
-        are built, so neither is alive in the chunk loop.
+        the history's key block only inside ``augment_history``, so neither
+        is alive in the chunk loop.
         """
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -223,9 +224,8 @@ class AvoidanceAwareRanker:
         else:
             click_ues = user_ue(self.engagement.lookup([feats[a.news_id].cell for a in history]))
             cands = ad.concat([vecs, user_ue(ues)], axis=1)  # the augmented candidates
-            # Passed unnamed, so that user_vectors can free the History's key block.
-            users = self.user.user_vectors(self.user.augment_history(clicks, click_ues), cands,
-                                           self.config.max_history)
+            terms = self.user.augment_history(clicks, click_ues, cands)
+            users = self.user.user_vectors(terms, self.config.max_history)
             scores = (self.user.preliminary_interest(cands, users) if mode == "only_avoid"
                       else self.user.interest_score(cands, users, relevance))
         return [ad.slice_(scores, rows=slice(i, i + 1)) for i in range(len(candidates))]

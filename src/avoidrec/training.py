@@ -194,15 +194,11 @@ def build_training_instances(log: ImpressionLog, k: int, rng) -> tuple[list[Trai
 def instance_loss(pos_score: ad.Tensor, neg_scores) -> ad.Tensor:
     """-log of the positive's softmax probability among K+1 scores, as (1, 1).
 
-    The loss is computed as logsumexp(scores) - positive, which stays
-    finite for any finite scores even when the probability itself
-    underflows to zero; the probability is exp(-loss).
+    One ``softmax_nll`` op, which stays finite for any finite scores even
+    when the probability itself underflows to zero; the probability is
+    exp(-loss).
     """
-    stacked = ad.concat([pos_score] + list(neg_scores), axis=1)
-    shift = float(stacked.data.max())
-    z = ad.sum_(ad.exp(ad.add_scalar(stacked, -shift)))
-    logsumexp = ad.add_scalar(ad.log(z), shift)
-    return ad.add(logsumexp, ad.scale(pos_score, -1.0))
+    return ad.softmax_nll([pos_score] + list(neg_scores), 0)
 
 
 class OptimizerReleased(RuntimeError):
@@ -452,8 +448,7 @@ def train(config: TrainConfig, corpus: Corpus, timeline) -> TrainResult:
                     loss, loss_values = group_loss(model, *prepared, mode=config.mode)
                 if not all(map(math.isfinite, loss_values)):
                     raise TrainingDiverged(
-                        f"non-finite loss at step {step}, lr={config.learning_rate}, "
-                        f"last op {record.last_op()!r}")
+                        f"non-finite loss at step {step}, lr={config.learning_rate}")
                 record.backward(loss)
                 del record  # one group's graph alive at a time
                 loss_sum = sum(loss_values, loss_sum)

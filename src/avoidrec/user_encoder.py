@@ -12,14 +12,14 @@ score.
 History rows are real clicks only, never padding.  The filter bank and
 the merge are stored as row blocks (``cnn_window_w``/``cnn_cand_w``,
 ``merge_local_w``/``merge_att_w``), so every product that does not
-depend on the candidate is built once per history by ``augment_history``:
-the window half of the filter bank, the values already taken through the
-attention rows of the merge, the keys of every head and the click-query
-half of the scores.  The keys are one (heads*d_q, M) product, kept as its
-(heads, d_q, M) view, and each half of the scores is a per-head product
-with it.  ``candidate_terms`` builds the C candidates' score halves and
-filter-bank terms once per impression, and their dot products and gates
-are one (C, .) batch.
+depend on a click-candidate pair is built once per impression by
+``augment_history``: the window half of the filter bank, the values
+already taken through the attention rows of the merge, the click-query
+half of the scores, and the C candidates' score halves and filter-bank
+terms as one (C, .) batch.  The keys of every head are one (heads*d_q, M)
+product, kept as its (heads, d_q, M) view; both score halves are per-head
+products with it, and it dies when ``augment_history`` returns (unless a
+record keeps it for backward), so no later pass holds it.
 
 The candidates are then scored in chunks of k = max(1, max_history // M)
 (``max_history`` is the model's history cap), one pass per chunk: the
@@ -34,13 +34,6 @@ per-head softmax, one product with the folded values, the filter-bank
 relu, the local half of the merge and the pooling.  The local context
 is released once the merge's local half has read it, and the attention
 context once it is added in.
-
-The key block is read by the two score halves alone, so ``user_vectors``
-drops it from the History once the candidate terms exist.  When the
-caller holds no other reference (``score_impression`` passes the History
-unnamed) and no record keeps it for backward, it is freed before the
-chunk loop, which then runs on the scores, the values and the
-filter-bank terms only.
 
 The pooling is candidate-aware only through ``merged``: its score is
 ``merged_j . pool_w``.  A candidate term or a bias would add the same
@@ -59,16 +52,13 @@ from . import autodiff as ad
 
 
 class History(NamedTuple):
-    """Candidate-independent terms of one augmented history of M clicks.
+    """Terms of one augmented history of M clicks and the C candidates scored against it."""
 
-    ``keys`` is None in the History that ``user_vectors`` hands to the
-    chunk loop: only the candidate terms read it.
-    """
-
-    keys: ad.Tensor | None  # (heads, d_q, M), keys[h][:, j] is rel_w of head h times row j
-    scores: ad.Tensor   # (M, heads*M) click-query half of every head's scores
-    values: ad.Tensor   # (heads*M, d_aug), row h*M + j is row j times out_w_h times merge_att_w_h
-    local: ad.Tensor    # (M, d_aug) filter-bank pre-activation of the click windows
+    scores: ad.Tensor  # (M, heads*M) click-query half of every head's scores
+    values: ad.Tensor  # (heads*M, d_aug), row h*M + j is row j times out_w_h times merge_att_w_h
+    local: ad.Tensor   # (M, d_aug) filter-bank pre-activation of the click windows
+    cand_scores: ad.Tensor  # (C, heads*M) candidate half of every head's scores
+    cand_local: ad.Tensor   # (C, d_aug) filter-bank terms of the candidate rows
 
 
 class UserEncoder:
@@ -117,12 +107,14 @@ class UserEncoder:
 
     # -- representation assembly ------------------------------------------
 
-    def augment_history(self, news_vecs: ad.Tensor, ues: ad.Tensor) -> History:
-        """Candidate-independent terms of (M, d_news) clicks widened by their (M, dim_ue) cells.
+    def augment_history(self, news_vecs: ad.Tensor, ues: ad.Tensor,
+                        cands: ad.Tensor) -> History:
+        """Terms of (M, d_news) clicks widened by their (M, dim_ue) cells and (C, d_aug) ``cands``.
 
         The terms are built one after another, so that each temporary
-        (the click windows, the values' head outputs, the key product)
-        dies before the next one is made.
+        (the click windows, the values' head outputs) dies before the next
+        one is made; the key product, read by both score halves, dies on
+        return.
         """
         if not len(news_vecs.data):
             raise ValueError("empty history; apply the cold-user fallback instead")
@@ -137,8 +129,10 @@ class UserEncoder:
         # read per head as its (heads, d_q, M) view.
         rel = ad.reshape(self.rel_heads, (heads * self.d_aug, self.d_aug))
         keys = ad.reshape(ad.matmul(rel, ad.transpose(rows)), (heads, self.d_aug, m))
-        return History(keys, self._head_scores(ad.matmul(rows, self.q_hist), keys),
-                       values, local)
+        scores = self._head_scores(ad.matmul(rows, self.q_hist), keys)
+        return History(scores, values, local,
+                       self._head_scores(ad.matmul(cands, self.q_cand), keys),
+                       ad.matmul(cands, self.cnn_cand_w))
 
     def _head_scores(self, queries: ad.Tensor, keys: ad.Tensor) -> ad.Tensor:
         """(R, heads*M) scores of (R, d_q) ``queries`` against every head's keys.
@@ -150,24 +144,15 @@ class UserEncoder:
         return ad.reshape(ad.reshape(per_head, (self.n_heads, r, m), (1, 0, 2)),
                           (r, self.n_heads * m))
 
-    def candidate_terms(self, history: History,
-                        cands: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
-        """(C, heads*M) candidate halves of the scores and (C, d_aug) filter-bank terms."""
-        return (self._head_scores(ad.matmul(cands, self.q_cand), history.keys),
-                ad.matmul(cands, self.cnn_cand_w))
-
-    def user_vectors(self, history: History, cands: ad.Tensor, max_history: int) -> ad.Tensor:
-        """(C, d_aug) user vectors, one per augmented candidate row of ``cands``.
+    def user_vectors(self, history: History, max_history: int) -> ad.Tensor:
+        """(C, d_aug) user vectors, one per candidate of ``history``.
 
         The candidates are scored in chunks of k = max(1, max_history // M),
         so a chunk's (k, M, .) tensors hold no more rows than one candidate
-        at the longest history the model accepts.  The key block is read
-        only here, by the candidate terms; it is dropped before the chunk
-        loop, and dies then unless the caller still holds ``history``.
+        at the longest history the model accepts.
         """
-        scores, local = self.candidate_terms(history, cands)
-        history = history._replace(keys=None)
-        c, k = cands.shape[0], max(1, max_history // history.scores.shape[0])
+        scores, local = history.cand_scores, history.cand_local
+        c, k = scores.shape[0], max(1, max_history // history.scores.shape[0])
         if k > 1:  # a (1, .) row per candidate in a (C, 1, .) stack; chunks of one stay 2-D
             scores = ad.reshape(scores, (c, 1, scores.shape[1]))
             local = ad.reshape(local, (c, 1, self.d_aug))

@@ -439,21 +439,13 @@ class TestGradCheck:
 
         assert ad.grad_check(fn, [w], eps=1e-5) < 1e-4
 
-    @pytest.mark.parametrize("op", [ad.sigmoid, ad.tanh, ad.exp, ad.sin])
+    @pytest.mark.parametrize("op", [ad.sigmoid, ad.tanh, ad.sin])
     def test_elementwise_ops(self, op):
         rng = np.random.default_rng(3)
         w = p64(rng.normal(size=(2, 3)))
 
         def fn():
             return ad.sum_(op(w))
-
-        assert ad.grad_check(fn, [w], eps=1e-6) < 1e-7
-
-    def test_log(self):
-        w = p64([[0.5, 1.5, 2.5]])
-
-        def fn():
-            return ad.sum_(ad.log(w))
 
         assert ad.grad_check(fn, [w], eps=1e-6) < 1e-7
 
@@ -574,7 +566,7 @@ class TestGradCheck:
         weights = c64([[1.0, 1e-9]])
 
         def fn():
-            return ad.add_scalar(ad.sum_(ad.mul(w, weights)), 1e3)
+            return ad.add(ad.sum_(ad.mul(w, weights)), c64([[1e3]]))
 
         assert ad.grad_check(fn, [w], eps=1e-6) < 1e-6
 
@@ -592,11 +584,82 @@ class TestGradCheck:
         assert np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
         w = ad.parameter(np.array([[0.25]], dtype=np.longdouble))
         weights = ad.constant(np.array([[1e-12]], dtype=np.longdouble))
+        one = ad.constant(np.array([[1.0]], dtype=np.longdouble))
 
         def fn():
-            return ad.add_scalar(ad.sum_(ad.mul(w, weights)), 1.0)
+            return ad.add(ad.sum_(ad.mul(w, weights)), one)
 
         assert ad.grad_check(fn, [w], eps=1e-4) < 1e-4
+
+
+def eight_op_chain(scores, target):
+    """Oracle: the loss and part gradients of the former 8-op chain, in float32 numpy.
+
+    concat, add_scalar(-shift), exp, sum_, log, add_scalar(shift), then
+    the scaled target added in, with shift the largest score as a float.
+    """
+    f32 = np.float32
+    x = np.asarray(scores, dtype=f32).reshape(1, -1)
+    shift = float(x.max())
+    e = np.exp(x + f32(-shift))
+    z = e.sum(dtype=f32).reshape(1, 1)
+    loss = (np.log(z) + f32(shift)) + x[:, target:target + 1] * f32(-1.0)
+    g = np.ones_like(loss)
+    ge = np.full(x.shape, (g / z)[0, 0], f32) * e  # sum_, then exp, of log's g / z
+    grads = [ge[:, j:j + 1] for j in range(x.shape[1])]
+    grads[target] = g * f32(-1.0) + grads[target]
+    return loss, grads
+
+
+class TestSoftmaxNll:
+    def parts(self, scores, dtype):
+        return [ad.parameter(np.array([[s]], dtype=dtype)) for s in scores]
+
+    @pytest.mark.parametrize("scores, target", [
+        ([0.3, 0.1, -0.4, 0.2, 0.05], 0),
+        ([1.3, 1.3], 0),
+        ([-2.7, 5.1, 0.25, 5.1], 3),
+        ([1e-3, -7.5, 12.25, 3.0, -0.125], 2),
+        ([-1e4, 1e4], 0),
+    ])
+    def test_float32_equals_the_eight_op_chain_bit_for_bit(self, scores, target):
+        parts = self.parts(scores, np.float32)
+        with ad.ComputationRecord() as rec:
+            loss = ad.softmax_nll(parts, target)
+        assert len(rec.entries) == 1
+        rec.backward(loss)
+        expected, grads = eight_op_chain(scores, target)
+        assert loss.data.dtype == np.float32
+        assert np.array_equal(loss.data, expected)
+        for p, g in zip(parts, grads):
+            assert np.array_equal(p.grad, g)
+
+    def test_float64_grad_check(self):
+        parts = self.parts([0.3, -1.1, 0.7, 0.2], F64)
+        assert ad.grad_check(lambda: ad.softmax_nll(parts, 2), parts, eps=1e-6) < 1e-8
+
+    def test_finite_loss_and_gradient_at_extreme_scores(self):
+        for scores in ([-1e4, 1e4], [1e4, -1e4]):
+            parts = self.parts(scores, np.float32)
+            with ad.ComputationRecord() as rec:
+                loss = ad.softmax_nll(parts, 0)
+            rec.backward(loss)
+            assert np.isfinite(loss.data).all()
+            assert loss.data[0, 0] == pytest.approx(2e4 if scores[0] < 0 else 0.0)
+            assert all(np.isfinite(p.grad).all() for p in parts)
+
+    def test_longdouble_keeps_its_dtype_and_digits(self):
+        # The shift is taken in the parts' own dtype, so an extended
+        # precision loss is not rounded through float64.
+        parts = self.parts([0.25, -0.5, 1.0], np.longdouble)
+        assert ad.softmax_nll(parts, 1).data.dtype == np.longdouble
+        assert ad.grad_check(lambda: ad.softmax_nll(parts, 1), parts, eps=1e-6) < 1e-10
+
+    def test_rejects_a_part_that_is_not_one_by_one(self):
+        with pytest.raises(ad.ShapeError, match="softmax_nll"):
+            ad.softmax_nll([c64([[0.5]]), c64([[0.5, 1.0]])], 0)
+        with pytest.raises(IndexError, match="softmax_nll"):
+            ad.softmax_nll([c64([[0.5]]), c64([[1.0]])], 2)
 
 
 class TestDeterminism:

@@ -24,9 +24,9 @@ def rand_items(n, d_news=4, dim_ue=2, seed=1):
 
 
 def augment(enc, vecs, ues, cand_vec, cand_ue):
-    """Shared history terms and the augmented candidate row."""
-    history = enc.augment_history(ad.concat(vecs, axis=0), ad.concat(ues, axis=0))
-    return history, ad.concat([cand_vec, cand_ue], axis=1)
+    """The history and candidate terms, and the augmented candidate rows."""
+    cands = ad.concat([cand_vec, cand_ue], axis=1)
+    return enc.augment_history(ad.concat(vecs, axis=0), ad.concat(ues, axis=0), cands), cands
 
 
 def rows_of(vecs, ues):
@@ -41,10 +41,15 @@ def unsplit(enc):
             np.concatenate([enc.merge_local_w.data, enc.merge_att_w.data]))
 
 
-def cand_scores(enc, history, cand):
-    """The candidate's (1, heads*M) half of the scores, built directly, heads side by side."""
+def head_keys(enc, rows):
+    """The (heads, d_q, M) keys of the augmented history ``rows``: rel_w_h @ rows.T per head."""
+    return np.stack([rel_w @ rows.T for rel_w in enc.rel_heads.data])
+
+
+def cand_scores(enc, rows, cand):
+    """The candidates' (C, heads*M) half of the scores, built directly, heads side by side."""
     query = cand.data @ enc.q_cand.data
-    return ad.constant(np.concatenate([query @ keys for keys in history.keys.data], axis=1),
+    return ad.constant(np.concatenate([query @ keys for keys in head_keys(enc, rows)], axis=1),
                        dtype=np.float64)
 
 
@@ -73,7 +78,7 @@ def merged_oracle(enc, rows, cand, local):
 
 def score(enc, history, cands, relevance=0.3):
     rel = ad.constant(np.full((cands.shape[0], 1), relevance), dtype=np.float64)
-    return enc.interest_score(cands, enc.user_vectors(history, cands, MAX_HISTORY), rel)
+    return enc.interest_score(cands, enc.user_vectors(history, MAX_HISTORY), rel)
 
 
 class TestAugment:
@@ -82,10 +87,12 @@ class TestAugment:
         vecs, ues = rand_items(2)
         history, cand = augment(enc, vecs, ues, vecs[0], ues[0])
         assert cand.data.shape == (1, 6)
-        assert history.keys.data.shape == (2, 6, 2)  # (heads, d_q, M)
-        assert history.scores.data.shape == (2, 4)   # (M, heads*M)
-        assert history.values.data.shape == (4, 6)   # (heads*M, d_aug)
+        assert history.scores.data.shape == (2, 4)       # (M, heads*M)
+        assert history.values.data.shape == (4, 6)       # (heads*M, d_aug)
         assert history.local.data.shape == (2, 6)
+        assert history.cand_scores.data.shape == (1, 4)  # (C, heads*M)
+        assert history.cand_local.data.shape == (1, 6)   # (C, d_aug)
+        assert "keys" not in history._fields  # the (heads, d_q, M) block stays inside
         assert enc.pool_w.data.shape == (6, 1)  # merged_j . pool_w; no candidate rows, no bias
 
     def test_concat_round_trip(self):
@@ -96,13 +103,12 @@ class TestAugment:
         vecs, ues = rand_items(3)
         history, _ = augment(enc, vecs, ues, vecs[0], ues[0])
         rows = rows_of(vecs, ues)
-        keys = np.stack([rel_w @ rows.T for rel_w in enc.rel_heads.data])
         att_w = np.split(enc.merge_att_w.data, enc.n_heads)
         values = np.concatenate([rows @ out_w @ w for out_w, w in zip(enc.out_w.data, att_w)])
         windows = ad.sliding_window_concat(ad.constant(rows), enc.cnn_window).data
-        assert np.allclose(history.keys.data, keys, atol=1e-12)
         assert np.allclose(history.scores.data,
-                           np.concatenate([rows @ enc.q_hist.data @ k for k in keys], axis=1),
+                           np.concatenate([rows @ enc.q_hist.data @ k
+                                           for k in head_keys(enc, rows)], axis=1),
                            atol=1e-12)
         assert np.allclose(history.values.data, values, atol=1e-12)
         assert np.allclose(history.local.data,
@@ -115,9 +121,10 @@ class TestAugment:
         vecs, ues = rand_items(4)
         cv, cu = rand_items(3, seed=6)
         history, cands = augment(enc, vecs, ues, ad.concat(cv, axis=0), ad.concat(cu, axis=0))
-        scores, local = enc.candidate_terms(history, cands)
+        scores, local = history.cand_scores, history.cand_local
         assert scores.data.shape == (3, 8)
-        assert np.allclose(scores.data, cand_scores(enc, history, cands).data, atol=1e-12)
+        assert np.allclose(scores.data, cand_scores(enc, rows_of(vecs, ues), cands).data,
+                           atol=1e-12)
         assert np.allclose(local.data, cand_local(enc, cands).data, atol=1e-12)
 
     def test_truncates_to_most_recent(self):
@@ -152,8 +159,8 @@ class TestSelfAttention:
         enc = make_encoder()
         vecs, ues = rand_items(1)
         history, cand = augment(enc, vecs, ues, vecs[0], ues[0])
-        out = enc.candidate_aware_self_attention(history, cand_scores(enc, history, cand))
         rows = rows_of(vecs, ues)
+        out = enc.candidate_aware_self_attention(history, cand_scores(enc, rows, cand))
         heads = np.concatenate([rows @ w for w in enc.out_w.data], axis=1)
         assert np.allclose(out.data, heads @ enc.merge_att_w.data, atol=1e-12)
 
@@ -169,10 +176,10 @@ class TestSelfAttention:
         enc.merge_att_w.data[:] = eye
         h = np.array([[1.0, 0.5, -0.5], [0.2, -1.0, 0.3]])
         c = np.array([[0.7, 0.1, 0.4]])
+        cand = ad.constant(c, dtype=np.float64)
         history = enc.augment_history(ad.constant(h[:, :2], dtype=np.float64),
-                                      ad.constant(h[:, 2:], dtype=np.float64))
-        out = enc.candidate_aware_self_attention(
-            history, cand_scores(enc, history, ad.constant(c, dtype=np.float64)))
+                                      ad.constant(h[:, 2:], dtype=np.float64), cand)
+        out = enc.candidate_aware_self_attention(history, cand_scores(enc, h, cand))
 
         scores = np.empty((2, 2))
         for i in range(2):
@@ -192,15 +199,16 @@ class TestSelfAttention:
         vecs, ues = rand_items(4)
         cv, cu = rand_items(1, seed=8)
         history, cand = augment(enc, vecs, ues, cv[0], cu[0])
-        expected = per_head_attention(enc, rows_of(vecs, ues), cand.data)
-        out = enc.candidate_aware_self_attention(history, cand_scores(enc, history, cand))
+        rows = rows_of(vecs, ues)
+        expected = per_head_attention(enc, rows, cand.data)
+        out = enc.candidate_aware_self_attention(history, cand_scores(enc, rows, cand))
         assert np.allclose(out.data, expected @ unsplit(enc)[1][enc.d_aug:], atol=1e-12)
 
     def test_attention_rows_sum_to_one_per_head(self):
         enc = make_encoder()
         vecs, ues = rand_items(3)
         history, cand = augment(enc, vecs, ues, vecs[0], ues[0])
-        scores = ad.add(history.scores, cand_scores(enc, history, cand))
+        scores = ad.add(history.scores, cand_scores(enc, rows_of(vecs, ues), cand))
         gamma = ad.softmax(ad.reshape(scores, (3, 2, 3)), axis=2).data
         assert np.allclose(gamma.sum(axis=2), 1.0, atol=1e-12)
 
@@ -208,7 +216,8 @@ class TestSelfAttention:
         enc = make_encoder()
         with pytest.raises(ValueError, match="cold-user"):
             enc.augment_history(ad.constant(np.zeros((0, 4)), dtype=np.float64),
-                                ad.constant(np.zeros((0, 2)), dtype=np.float64))
+                                ad.constant(np.zeros((0, 2)), dtype=np.float64),
+                                ad.constant(np.zeros((1, 6)), dtype=np.float64))
 
 
 class TestLocalContext:
@@ -243,7 +252,7 @@ class TestLocalContext:
         vecs, ues = rand_items(4)
         cv, cu = rand_items(3, seed=4)
         history, cands = augment(enc, vecs, ues, ad.concat(cv, axis=0), ad.concat(cu, axis=0))
-        _, local = enc.candidate_terms(history, cands)
+        local = history.cand_local
         windows = ad.sliding_window_concat(ad.constant(rows_of(vecs, ues)), enc.cnn_window).data
         for i in range(3):
             stacked = np.concatenate([windows, np.repeat(cands.data[i:i + 1], 4, axis=0)], axis=1)
@@ -272,11 +281,12 @@ class TestUserEmbeddingAndScore:
     def _full(self, enc, vecs, ues, cand_vec, cand_ue):
         """The pooled user vector and the merged per-click vectors, from the oracle."""
         history, cand = augment(enc, vecs, ues, cand_vec, cand_ue)
-        att = enc.candidate_aware_self_attention(history, cand_scores(enc, history, cand))
+        rows = rows_of(vecs, ues)
+        att = enc.candidate_aware_self_attention(history, cand_scores(enc, rows, cand))
         loc = enc.candidate_aware_cnn(history, cand_local(enc, cand))
         u = enc.user_embedding(att, loc)
-        assert np.allclose(enc.user_vectors(history, cand, MAX_HISTORY).data, u.data, atol=1e-12)
-        return u, cand, history, merged_oracle(enc, rows_of(vecs, ues), cand.data, loc.data)
+        assert np.allclose(enc.user_vectors(history, MAX_HISTORY).data, u.data, atol=1e-12)
+        return u, cand, history, merged_oracle(enc, rows, cand.data, loc.data)
 
     def test_folded_merge_matches_direct_concat(self):
         # Every candidate's merged vectors, pooled, equal the unfolded model:
@@ -286,7 +296,7 @@ class TestUserEmbeddingAndScore:
         vecs, ues = rand_items(5, d_news=7)
         cv, cu = rand_items(4, d_news=7, seed=21)
         history, cands = augment(enc, vecs, ues, ad.concat(cv, axis=0), ad.concat(cu, axis=0))
-        users = enc.user_vectors(history, cands, MAX_HISTORY).data
+        users = enc.user_vectors(history, MAX_HISTORY).data
         rows = rows_of(vecs, ues)
         windows = ad.sliding_window_concat(ad.constant(rows), enc.cnn_window).data
         cnn_w, _ = unsplit(enc)
@@ -355,7 +365,7 @@ class TestUserEmbeddingAndScore:
         vecs, ues = rand_items(3)
         cv, cu = rand_items(10, seed=100)
         history, cands = augment(enc, vecs, ues, ad.concat(cv, axis=0), ad.concat(cu, axis=0))
-        users = enc.user_vectors(history, cands, MAX_HISTORY)
+        users = enc.user_vectors(history, MAX_HISTORY)
         r_aw = np.linspace(-0.5, 0.9, 10)[:, None]
         score = enc.interest_score(cands, users, ad.constant(r_aw, dtype=np.float64)).data
         raw = enc.preliminary_interest(cands, users).data
@@ -460,14 +470,38 @@ def paper_size_impression(m=28, c=10):
     return model, history, candidates, feats, cache
 
 
+def watch_key_block(user, refs):
+    """Make ``user`` add weak references to each key block that its score halves read."""
+    head_scores = user._head_scores
+
+    def watched(queries, keys):
+        # The (heads, d_q, M) block and the product it is a view of.
+        refs.extend(weakref.ref(block) for block in (keys.data, keys.data.base)
+                    if block is not None)
+        return head_scores(queries, keys)
+
+    user._head_scores = watched
+
+
+def watch_first_attention(user, refs, alive):
+    """Make ``user`` note, at each chunk's attention, which of ``refs`` are alive."""
+    attention = user.candidate_aware_self_attention
+
+    def watched(history, cand_scores):
+        alive.append([ref() is not None for ref in refs])
+        return attention(history, cand_scores)
+
+    user.candidate_aware_self_attention = watched
+
+
 def test_key_block_and_news_batch_die_before_the_candidate_loop():
     # In an inference score_impression the (heads, d_q, M) keys are read
-    # only by the two score halves, and the (N, d_news) article batch only
-    # by the row gathers: the attention of the first chunk of candidates
-    # finds neither alive.  10 clicks: two chunks of 5 candidates.
+    # only by the two score halves inside augment_history, and the
+    # (N, d_news) article batch only by the row gathers: the attention of
+    # the first chunk of candidates finds neither alive.  10 clicks: two
+    # chunks of 5 candidates.
     model, history, candidates, feats, cache = paper_size_impression(m=10)
-    user, refs, alive = model.user, [], []
-    augment_history, attention = user.augment_history, user.candidate_aware_self_attention
+    refs, alive = [], []
     news_vectors = model._news_vectors
 
     def watched_news(*args):
@@ -475,19 +509,27 @@ def test_key_block_and_news_batch_die_before_the_candidate_loop():
         refs.append(weakref.ref(batch.data))
         return batch
 
-    def watched_augment(*args):
-        shared = augment_history(*args)
-        keys = shared.keys.data  # and the array it views, if it is a view
-        refs.extend(weakref.ref(block) for block in (keys, keys.base) if block is not None)
-        return shared
-
-    def watched_attention(history, cand_scores):
-        alive.append([ref() is not None for ref in refs])
-        return attention(history, cand_scores)
-
-    user.augment_history, user.candidate_aware_self_attention = watched_augment, watched_attention
     model._news_vectors = watched_news
+    watch_key_block(model.user, refs)
+    watch_first_attention(model.user, refs, alive)
     model.score_impression(history, candidates, feats, news_cache=cache)
+    assert len(refs) >= 3 and len(alive) == 2  # the batch, and the keys read twice
+    assert not any(alive[0])
+
+
+def test_a_named_history_holds_no_key_block():
+    # A caller that keeps the History by name through the chunk loop keeps
+    # no key block alive with it: the block never leaves augment_history.
+    # 3 clicks and max_history 6: two chunks of the 3 candidates.
+    enc = make_encoder()
+    vecs, ues = rand_items(3)
+    cv, cu = rand_items(3, seed=12)
+    refs, alive = [], []
+    watch_key_block(enc, refs)
+    watch_first_attention(enc, refs, alive)
+    history, cands = augment(enc, vecs, ues, ad.concat(cv, axis=0), ad.concat(cu, axis=0))
+    users = enc.user_vectors(history, 6)
+    assert users.shape == (3, enc.d_aug)
     assert len(refs) >= 2 and len(alive) == 2
     assert not any(alive[0])
 
@@ -573,7 +615,7 @@ def test_grad_check_through_ragged_chunks():
 
     def fn():
         history, cands = augment(enc, vecs, ues, cand_vecs, cand_ues)
-        users = enc.user_vectors(history, cands, 4)
+        users = enc.user_vectors(history, 4)
         rel = ad.constant(np.full((3, 1), 0.3), dtype=np.float64)
         return ad.sum_(enc.interest_score(cands, users, rel))
 

@@ -35,9 +35,9 @@ import run  # noqa: E402  pins BLAS threads before numpy loads
 import workloads  # noqa: E402
 from avoidrec import autodiff  # noqa: E402
 
-OPS = ("add", "add_scalar", "mul", "scale", "matmul", "reshape", "transpose", "concat",
-       "slice_", "sigmoid", "tanh", "relu", "exp", "log", "sin", "softmax",
-       "embedding_lookup", "multi_head_attention", "affine", "sliding_window_concat", "sum_")
+OPS = ("add", "mul", "scale", "matmul", "reshape", "transpose", "concat", "slice_",
+       "sigmoid", "tanh", "relu", "sin", "softmax", "softmax_nll", "embedding_lookup",
+       "multi_head_attention", "affine", "sliding_window_concat", "sum_")
 FRAMES = 6  # caller frames kept per op
 
 
