@@ -10,9 +10,12 @@ active record are plain forward evaluation (used for scoring).
 ``matmul``; each sums an adjoint back to its operand's shape over the
 axes broadcasting added or stretched.  ``matmul`` and ``affine`` run a
 stack of matrices times one matrix as one product of all the stack's
-rows, and ``slice_`` and ``concat`` take stacks along their first two
-axes.  Every other op requires exact shape agreement and raises
-ShapeError otherwise.  ``softmax_nll`` is a training instance's whole
+rows.  That 2-D product, when it is above OpenBLAS's small-matrix
+bound and one of its outer sides has only a few rows or columns, runs in
+blocks under the bound (``_product``): above it, OpenBLAS packs the
+operands on every call.  ``slice_`` and ``concat`` take stacks along
+their first two axes.  Every other op requires exact shape agreement and
+raises ShapeError otherwise.  ``softmax_nll`` is a training instance's whole
 loss in one op: -log softmax over (1, 1) scores, with the stabilising
 shift by their largest taken inside the op.  Each thread (or asyncio
 task) has its own active record, so concurrent callers record separate
@@ -290,6 +293,63 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _record("scale", (a,), a.data * c, lambda g: (g * c,))
 
 
+# numpy's bundled OpenBLAS (scipy-openblas 0.3.31) runs a float32 or
+# float64 product on its small-matrix kernels, which read the operands in
+# place, only while M*N*K <= _SMALL_GEMM.  Above that it packs both
+# operands on every call, and with a few rows (or columns) the packing
+# costs more than the arithmetic.  On one thread of an AVX-512 Xeon:
+#   (10,288)@(288,347) takes 17 us and (10,288)@(288,348) 31 us;
+#   the key product (1152,288)@(288,10) 116 us whole, 80 us in row blocks;
+#   the filter bank (10,864)@(864,288) 79 us whole, 50 us in column blocks.
+# Per product, blocks gain at 5 and 10 rows, break even at 20 and lose at
+# 28.  One rank operation (in process, median of 7) took 195.4 ms with no
+# blocks, and 191.4, 183.4 and 181.5-182.0 ms with _SKINNY at 8, 16 and
+# anywhere in 20-64.  ``tools/gemm_bound.py`` times these shapes again on
+# another BLAS or CPU.
+_SMALL_GEMM = 1_000_000
+_SKINNY = 32
+
+
+def _block_plan(m: int, k: int, n: int) -> tuple[int, list[int]]:
+    """How ``_product`` cuts an (m, k) @ (k, n) product: (axis, cut points).
+
+    Axis 0 cuts the output's rows, axis 1 its columns; the cut points run
+    from 0 to that side's length.  A product above ``_SMALL_GEMM`` whose
+    smaller outer side is below ``_SKINNY`` is cut along its larger outer
+    side into balanced blocks that each stay within the bound.  Every
+    other product, and one whose every row (or column) alone exceeds the
+    bound, is one block of rows.
+    """
+    skinny = min(m, n)
+    if m * k * n <= _SMALL_GEMM or skinny >= _SKINNY or skinny * k > _SMALL_GEMM:
+        return 0, [0, m]
+    axis, length = (0, m) if m >= n else (1, n)
+    blocks = -(-length // (_SMALL_GEMM // (skinny * k)))
+    # A list, not tuple() of a generator: that builds a tuple of a guessed
+    # length and resizes it, so each call would leave one more block on
+    # CPython's tuple free list, which tracemalloc (and peak_mb) counts.
+    return axis, [length * i // blocks for i in range(blocks + 1)]
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y`` of 2-D arrays, in the blocks of ``_block_plan`` written into one output."""
+    m, k = x.shape
+    n = y.shape[1]
+    # The plan's first two tests, inline: a product they make one call
+    # (every one of the full-size train workload's) skips the plan's
+    # function call, which cost a train operation 0.1-0.2% in process.
+    if m * k * n <= _SMALL_GEMM or min(m, n) >= _SKINNY:
+        return x @ y
+    axis, cuts = _block_plan(m, k, n)
+    out = np.empty((m, n), np.result_type(x, y))
+    for lo, hi in zip(cuts, cuts[1:]):
+        if axis == 0:
+            np.matmul(x[lo:hi], y, out=out[lo:hi])
+        else:
+            np.matmul(x, y[:, lo:hi], out=out[:, lo:hi])
+    return out
+
+
 def _rows(x: np.ndarray) -> np.ndarray:
     """A 2-D array itself, or a stack of matrices as the matrix of all their rows."""
     return x if x.ndim == 2 else x.reshape(-1, x.shape[-1])
@@ -319,7 +379,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes; leading axes broadcast as in numpy.
 
     A stack of matrices times one matrix is one product of all the
-    stack's rows, where numpy would run one product per matrix.
+    stack's rows, where numpy would run one product per matrix; a skinny
+    one above the small-matrix bound runs in blocks (``_product``).
     """
     x, y = a.data, b.data
     if x.ndim < 2 or y.ndim < 2 or x.shape[-1] != y.shape[-2]:
@@ -331,7 +392,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             g_rows = _rows(g)
             return _stacked(g_rows @ y.T, g.shape[:-1]), rows.T @ g_rows
 
-        return _record("matmul", (a, b), _stacked(rows @ y, x.shape[:-1]), backward_fn)
+        return _record("matmul", (a, b), _stacked(_product(rows, y), x.shape[:-1]), backward_fn)
     try:
         out = x @ y
     except ValueError:
@@ -613,7 +674,8 @@ def multi_head_attention(table: Tensor, ids, mask, n_heads: int) -> Tensor:
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Dense layer x @ w + b over the last axis of x, with b of shape (out,).
 
-    A stacked x is one product of all its rows, as in ``matmul``.
+    A stacked x is one product of all its rows, in blocks when skinny, as
+    in ``matmul``; b is added once, to the whole product.
     """
     _need_2d("affine", x, stacked=True)
     _need_2d("affine", w)
@@ -621,7 +683,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(
             f"affine: incompatible shapes x{x.data.shape} w{w.data.shape} b{b.data.shape}")
     rows, wd = _rows(x.data), w.data
-    out = rows @ wd
+    out = _product(rows, wd)
     out += b.data
 
     def backward_fn(g):
@@ -652,13 +714,6 @@ def sliding_window_concat(a: Tensor, h: int) -> Tensor:
         return (gp[h:h + m],)
 
     return _record("sliding_window_concat", (a,), out, backward_fn)
-
-
-def sum_(a: Tensor) -> Tensor:
-    """Total of all entries as a (1, 1) scalar."""
-    shape, dtype = a.data.shape, a.data.dtype
-    out = a.data.sum(dtype=dtype).reshape(1, 1)
-    return _record("sum", (a,), out, lambda g: (np.full(shape, g[0, 0], dtype),))
 
 
 # ---------------------------------------------------------------------------

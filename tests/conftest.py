@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import avoidrec.autodiff as ad
 from avoidrec.corpus import NewsArticle
 from avoidrec.features import ArticleFeatures
 from avoidrec.model import AvoidanceAwareRanker, ModelConfig, VocabSizes
@@ -36,6 +37,15 @@ def make_features(article_ids, seed=5, grid_d=5):
                                  clicks_norm=float(rng.random()),
                                  age_hours=float(rng.random() * 30))
             for nid in article_ids}
+
+
+def total(t):
+    """The sum of every entry of ``t`` as a (1, 1) tensor of its dtype, whose gradient is ones.
+
+    Built from autodiff's own ops: ``t`` as one row, times a column of ones.
+    """
+    n = t.data.size
+    return ad.matmul(ad.reshape(t, (1, n)), ad.constant(np.ones((n, 1)), dtype=t.dtype))
 
 
 def clear_grads(model):

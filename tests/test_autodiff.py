@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import avoidrec.autodiff as ad
-from conftest import Traced
+from conftest import Traced, total
 
 F64 = np.float64
 
@@ -104,7 +104,7 @@ class TestForward:
 
         with ad.ComputationRecord() as rec:
             fused = ad.multi_head_attention(fused_table, ids, mask, heads)
-            loss = ad.sum_(ad.mul(fused, weights))
+            loss = total(ad.mul(fused, weights))
         rec.backward(loss)
         with ad.ComputationRecord() as rec:
             rows = ad.embedding_lookup(composed_table, ids.reshape(-1))
@@ -115,7 +115,7 @@ class TestForward:
             heads_out = ad.matmul(attn, v)
             composed = ad.reshape(ad.reshape(heads_out, heads_out.shape, (0, 2, 1, 3)),
                                   (n * length, d))
-            loss = ad.sum_(ad.mul(composed, weights))
+            loss = total(ad.mul(composed, weights))
         rec.backward(loss)
         assert np.allclose(fused.data, composed.data, rtol=0, atol=1e-12)
         assert np.allclose(fused_table.grad, composed_table.grad, rtol=0, atol=1e-12)
@@ -167,13 +167,6 @@ class TestForward:
 
 
 class TestBackward:
-    def test_sum_grad_is_ones(self):
-        x = p64(np.arange(6, dtype=F64).reshape(2, 3))
-        with ad.ComputationRecord() as rec:
-            loss = ad.sum_(x)
-        rec.backward(loss)
-        assert np.array_equal(x.grad, np.ones((2, 3)))
-
     def test_sigmoid_chain_quarter_rule(self):
         w = p64([[0.0]])
         c = c64([[3.0]])
@@ -187,7 +180,7 @@ class TestBackward:
         unused = p64([[2.0]])
         with ad.ComputationRecord() as rec:
             dead_branch = ad.scale(unused, 2.0)  # recorded, not on loss path
-            loss = ad.sum_(used)
+            loss = total(used)
         rec.backward(loss)
         assert np.array_equal(unused.grad, [[0.0]])
         assert dead_branch.grad is None
@@ -223,7 +216,7 @@ class TestBackward:
         for _ in range(2):
             with ad.ComputationRecord() as rec:
                 b_rows = b if shared == "same array" else ad.reshape(b, (2, 3))
-                loss = ad.sum_(ad.add(a, b_rows))
+                loss = total(ad.add(a, b_rows))
             rec.backward(loss)
         assert np.array_equal(a.grad, np.full((2, 3), 2.0))
         assert np.array_equal(b.grad, np.full(b.shape, 2.0))
@@ -238,7 +231,7 @@ class TestBackward:
         for _ in range(2):
             with ad.ComputationRecord() as rec:
                 ad.scale(unused, 2.0)
-                loss = ad.sum_(ad.scale(used, 3.0))
+                loss = total(ad.scale(used, 3.0))
             rec.backward(loss)
         assert used.grad is buffers[0] and unused.grad is buffers[1]
         assert np.array_equal(buffers[0], np.full((2, 3), 6.0))
@@ -248,14 +241,14 @@ class TestBackward:
         x = p64([[1.0, 2.0]])
         with ad.ComputationRecord() as rec:
             y = ad.scale(x, 1.0)
-            loss = ad.sum_(ad.add(ad.add(y, y), ad.mul(y, y)))  # 2y + y^2
+            loss = total(ad.add(ad.add(y, y), ad.mul(y, y)))  # 2y + y^2
         rec.backward(loss)
         assert np.allclose(x.grad, 2.0 + 2.0 * x.data, rtol=0, atol=1e-15)
 
     def test_embedding_grad_is_row_sparse(self):
         table = p64(np.random.default_rng(0).normal(size=(6, 3)))
         with ad.ComputationRecord() as rec:
-            loss = ad.sum_(ad.embedding_lookup(table, [1, 4, 1]))
+            loss = total(ad.embedding_lookup(table, [1, 4, 1]))
         rec.backward(loss)
         expected = np.zeros((6, 3))
         expected[1] = 2.0   # looked up twice
@@ -271,7 +264,7 @@ class TestBackward:
         table = p64(rng.normal(size=(7, 4)))
         weights = c64(rng.normal(size=(len(ids), 4)))
         with ad.ComputationRecord() as rec:
-            loss = ad.sum_(ad.mul(ad.embedding_lookup(table, ids), weights))
+            loss = total(ad.mul(ad.embedding_lookup(table, ids), weights))
         rec.backward(loss)
         one_hot = np.eye(7)[np.asarray(ids, dtype=np.int64)].reshape(len(ids), 7)
         assert table.grad.shape == (7, 4)
@@ -280,9 +273,9 @@ class TestBackward:
     def test_loss_of_another_record_rejected(self):
         w = p64([[1.0]])
         with ad.ComputationRecord() as r1:
-            l1 = ad.sum_(ad.scale(w, 2.0))
+            l1 = total(ad.scale(w, 2.0))
         with ad.ComputationRecord() as r2:
-            ad.sum_(ad.scale(w, 3.0))
+            total(ad.scale(w, 3.0))
         with pytest.raises(ad.NotRecordedError):
             r2.backward(l1)
         assert w.grad is None
@@ -292,7 +285,7 @@ class TestBackward:
     def test_unrecorded_loss_rejected(self):
         # No input is tracked, so the sum is plain forward evaluation.
         with ad.ComputationRecord() as rec:
-            loss = ad.sum_(c64([[1.0, 2.0]]))
+            loss = total(c64([[1.0, 2.0]]))
         assert rec.entries == []
         with pytest.raises(ad.NotRecordedError):
             rec.backward(loss)
@@ -300,12 +293,12 @@ class TestBackward:
     def test_record_replays_once(self):
         w = p64([[1.0]])
         with ad.ComputationRecord() as rec:
-            loss = ad.sum_(ad.scale(w, 2.0))
+            loss = total(ad.scale(w, 2.0))
         rec.backward(loss)
         with pytest.raises(ad.NotRecordedError):
             rec.backward(loss)
         assert np.array_equal(w.grad, [[2.0]])
-        assert rec.entries == [None, None]  # the op count stays readable
+        assert rec.entries == [None, None, None]  # the op count stays readable
 
     def test_nested_record_rejected(self):
         with ad.ComputationRecord():
@@ -323,9 +316,9 @@ class TestBackward:
                 for _ in range(200):
                     w.grad = None
                     with ad.ComputationRecord() as rec:
-                        loss = ad.sum_(ad.mul(w, w))
+                        loss = total(ad.mul(w, w))
                     rec.backward(loss)
-                    assert len(rec.entries) == 2
+                    assert len(rec.entries) == 3
                     assert np.allclose(w.grad, 2.0 * w.data)
             except Exception as exc:  # surfaced in the main thread below
                 errors.append(exc)
@@ -371,14 +364,14 @@ class TestGraphMemory:
                 y = x
                 for _ in range(10):
                     y = ad.sigmoid(y)  # each formula keeps its output
-                loss = ad.sum_(y)
+                loss = total(y)
             del y
             recorded = mem.kept()
             rec.backward(loss)
             kept = mem.kept()
         assert recorded > 10 * nbytes
         assert kept < 2 * nbytes, f"{kept / nbytes:.2f} arrays kept"  # x.grad
-        assert len(rec.entries) == 11
+        assert len(rec.entries) == 12
 
     def test_attention_keeps_no_per_position_queries_keys_or_values(self):
         # Many positions read few table rows, so the per-position queries,
@@ -409,7 +402,7 @@ class TestGraphMemory:
         b = c64(np.zeros(256))
         with ad.ComputationRecord() as rec:
             outs = [ad.affine(c64(rng.normal(size=(2, 256))), w, b) for _ in range(8)]
-            loss = ad.sum_(ad.concat(outs, axis=0))
+            loss = total(ad.concat(outs, axis=0))
         del outs
         with Traced() as mem:
             rec.backward(loss)
@@ -435,7 +428,7 @@ class TestGradCheck:
         x = c64([[1.0, 2.0]])
 
         def fn():
-            return ad.sum_(ad.relu(ad.matmul(x, w)))
+            return total(ad.relu(ad.matmul(x, w)))
 
         assert ad.grad_check(fn, [w], eps=1e-5) < 1e-4
 
@@ -445,7 +438,7 @@ class TestGradCheck:
         w = p64(rng.normal(size=(2, 3)))
 
         def fn():
-            return ad.sum_(op(w))
+            return total(op(w))
 
         assert ad.grad_check(fn, [w], eps=1e-6) < 1e-7
 
@@ -462,7 +455,7 @@ class TestGradCheck:
             stacked = ad.concat([windows, ad.concat([cand] * 4, axis=0)], axis=1)
             z = ad.affine(stacked, w, b)
             alpha = ad.softmax(z, axis=0, mask=mask[:, None])
-            return ad.sum_(ad.mul(alpha, z))
+            return total(ad.mul(alpha, z))
 
         assert ad.grad_check(fn, [w, b, cand], eps=1e-5) < 1e-6
 
@@ -473,7 +466,7 @@ class TestGradCheck:
         bias_row = p64(rng.normal(size=(1, 4)))
 
         def fn():
-            return ad.sum_(ad.add(ad.add(a, bias_1d), bias_row))
+            return total(ad.add(ad.add(a, bias_1d), bias_row))
 
         assert ad.grad_check(fn, [a, bias_1d, bias_row], eps=1e-6) < 1e-8
 
@@ -490,7 +483,7 @@ class TestGradCheck:
         def fn():
             y = ad.affine(x, w, b)
             y = ad.concat([ad.slice_(y, rows=slice(1, 3)), ad.slice_(y, rows=slice(0, 1))], axis=0)
-            return ad.sum_(ad.mul(y, weights))
+            return total(ad.mul(y, weights))
 
         assert ad.grad_check(fn, [x, w, b], eps=1e-6) < 1e-8
 
@@ -507,7 +500,7 @@ class TestGradCheck:
         assert np.array_equal(out.data, history.data + chunk.data)
 
         def fn():
-            return ad.sum_(ad.mul(ad.relu(ad.add(history, chunk)), weights))
+            return total(ad.mul(ad.relu(ad.add(history, chunk)), weights))
 
         assert ad.grad_check(fn, [history, chunk], eps=1e-6) < 1e-8
 
@@ -528,7 +521,7 @@ class TestGradCheck:
         def fn():
             y = ad.matmul(ad.matmul(a, shared), stretched)    # (2, 3, 3)
             y = ad.matmul(left, y)                            # (2, 2, 3)
-            return ad.sum_(ad.reshape(ad.matmul(y, weights), (2, 4)))
+            return total(ad.reshape(ad.matmul(y, weights), (2, 4)))
 
         assert ad.grad_check(fn, [a, shared, stretched, left], eps=1e-5) < 1e-6
 
@@ -540,7 +533,7 @@ class TestGradCheck:
         weights = c64(rng.normal(size=(12, 6)))
 
         def fn():
-            return ad.sum_(ad.mul(ad.multi_head_attention(table, ids, mask, 2), weights))
+            return total(ad.mul(ad.multi_head_attention(table, ids, mask, 2), weights))
 
         assert ad.grad_check(fn, [table], eps=1e-6) < 1e-7
 
@@ -554,7 +547,7 @@ class TestGradCheck:
             k_t = ad.reshape(x, (2, 3, 2, 2), (0, 2, 3, 1))
             heads = ad.matmul(ad.softmax(ad.matmul(q, k_t), axis=3), q)
             merged = ad.reshape(ad.reshape(heads, heads.shape, (0, 2, 1, 3)), (6, 4))
-            return ad.sum_(ad.mul(merged, weights))
+            return total(ad.mul(merged, weights))
 
         assert ad.grad_check(fn, [x], eps=1e-6) < 1e-7
 
@@ -566,7 +559,7 @@ class TestGradCheck:
         weights = c64([[1.0, 1e-9]])
 
         def fn():
-            return ad.add(ad.sum_(ad.mul(w, weights)), c64([[1e3]]))
+            return ad.add(total(ad.mul(w, weights)), c64([[1e3]]))
 
         assert ad.grad_check(fn, [w], eps=1e-6) < 1e-6
 
@@ -574,7 +567,7 @@ class TestGradCheck:
         w = p64([[0.5, -1.0, 2.0]])
 
         def fn():  # forward 2w, backward 3g: |3 - 2| / (3 + 2)
-            return ad.sum_(ad._record("double", (w,), w.data * 2.0, lambda g: (g * 3.0,)))
+            return total(ad._record("double", (w,), w.data * 2.0, lambda g: (g * 3.0,)))
 
         assert ad.grad_check(fn, [w], eps=1e-6) == pytest.approx(0.2)
 
@@ -587,9 +580,86 @@ class TestGradCheck:
         one = ad.constant(np.array([[1.0]], dtype=np.longdouble))
 
         def fn():
-            return ad.add(ad.sum_(ad.mul(w, weights)), one)
+            return ad.add(total(ad.mul(w, weights)), one)
 
         assert ad.grad_check(fn, [w], eps=1e-4) < 1e-4
+
+
+class TestBlockedProduct:
+    """A skinny product above the small-matrix bound runs in blocks under it."""
+
+    # Above the bound with a skinny side: the model's key product, its
+    # filter bank and click queries at 10 and 28 clicks, one column past
+    # the bound, and a product that needs 20 blocks.
+    SPLIT = [(1152, 288, 10), (10, 864, 288), (10, 288, 348), (28, 288, 288),
+             (1152, 288, 28), (5, 288, 695), (1, 50_000, 400)]
+
+    @pytest.mark.parametrize("m, k, n", SPLIT)
+    def test_blocks_tile_the_output_under_the_bound(self, m, k, n):
+        axis, cuts = ad._block_plan(m, k, n)
+        assert axis == (0 if m >= n else 1)
+        length, other = (m, n) if axis == 0 else (n, m)
+        sizes = np.diff(cuts)
+        assert cuts[0] == 0 and cuts[-1] == length and len(sizes) > 1
+        assert sizes.min() >= 1 and sizes.max() - sizes.min() <= 1  # balanced
+        assert all(size * other * k <= ad._SMALL_GEMM for size in sizes)
+
+    @pytest.mark.parametrize("m, k, n", [
+        (10, 288, 347), (347, 288, 10),     # at the bound
+        (10, 288, 288), (0, 288, 10_000),   # under it
+        (32, 288, 288), (288, 288, 32),     # a skinny side at the limit
+        (50, 864, 288), (1152, 288, 50),
+        (10, 200_000, 10),                  # one row of blocks already above the bound
+    ])
+    def test_other_products_are_one_block(self, m, k, n):
+        assert ad._block_plan(m, k, n) == (0, [0, m])
+
+    @pytest.mark.parametrize("m, k, n", [
+        (347, 288, 10), (348, 288, 10), (1152, 288, 10),   # rows: at, past, far past the bound
+        (10, 288, 347), (10, 288, 348), (10, 864, 288),    # columns
+    ])
+    def test_matmul_and_affine_match_a_float64_reference(self, m, k, n):
+        rng = np.random.default_rng(m * n)
+        x, w = rng.normal(size=(m, k)), rng.normal(size=(k, n))
+        b = rng.normal(size=n)
+        x32, w32, b32 = (ad.constant(a, dtype=np.float32) for a in (x, w, b))
+        product = ad.matmul(x32, w32).data
+        dense = ad.affine(x32, w32, b32).data
+        assert product.dtype == dense.dtype == np.float32
+        # A k-term dot product of unit normals errs by about k * eps; allow sqrt(k) times that.
+        tol = k * np.finfo(np.float32).eps * np.sqrt(k)
+        assert np.allclose(product, x @ w, rtol=0, atol=tol)
+        assert np.allclose(dense, x @ w + b, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.longdouble])
+    @pytest.mark.parametrize("m, k, n", [
+        (10, 288, 348), (1152, 288, 10),  # column and row blocks
+        (10, 288, 40),                    # under the bound
+        (2, 510_000, 2),                  # one block, as every row alone exceeds the bound
+    ])
+    def test_keeps_the_dtype_shape_and_layout_of_one_product(self, dtype, m, k, n):
+        rng = np.random.default_rng(1)
+        x, y = rng.normal(size=(m, k)).astype(dtype), rng.normal(size=(k, n)).astype(dtype)
+        out, whole = ad._product(x, y), x @ y
+        assert out.dtype == whole.dtype and out.shape == whole.shape
+        assert out.flags.c_contiguous
+        assert np.allclose(out, whole, rtol=0, atol=k * np.finfo(dtype).eps * np.sqrt(k))
+
+    def test_a_permuted_view_a_stack_and_a_bias_added_once(self):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(2, 5, 288))              # ten rows, as a stack
+        w_t = rng.normal(size=(348, 288))
+        b = np.full(348, 3.0)
+        # (288, 348) as reshape's permuted view: not contiguous.
+        w = ad.reshape(ad.constant(w_t, dtype=F64), (348, 288), (1, 0))
+        assert not w.data.flags.c_contiguous
+        assert len(ad._block_plan(10, 288, 348)[1]) > 2
+        reference = np.stack([x[i] @ w_t.T for i in range(2)])
+        product = ad.matmul(c64(x), w).data
+        dense = ad.affine(c64(x), w, c64(b)).data
+        assert product.shape == dense.shape == (2, 5, 348)
+        assert np.allclose(product, reference, rtol=0, atol=1e-10)
+        assert np.allclose(dense, reference + b, rtol=0, atol=1e-10)
 
 
 def eight_op_chain(scores, target):
@@ -670,7 +740,7 @@ class TestDeterminism:
         x = c64(rng.normal(size=(1, 3)))
         with ad.ComputationRecord() as rec:
             h = ad.tanh(ad.matmul(x, w1))
-            loss = ad.sum_(ad.sigmoid(ad.matmul(h, w2)))
+            loss = total(ad.sigmoid(ad.matmul(h, w2)))
         rec.backward(loss)
         return loss.data.copy(), w1.grad.copy(), w2.grad.copy()
 

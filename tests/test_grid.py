@@ -11,6 +11,7 @@ from avoidrec.grid import EngagementEmbeddingTable, cell_index, grid_cell_counts
 from avoidrec.corpus import ImpressionLog, ImpressionRecord
 from avoidrec.stats import StatsSnapshot, build_timeline
 from avoidrec.training import Adam
+from conftest import total
 
 
 class TestQuantize:
@@ -121,7 +122,7 @@ class TestEmbeddingTable:
         table = EngagementEmbeddingTable(5, 8, np.random.default_rng(0))
         before = table.table.data.copy()
         with ad.ComputationRecord() as rec:
-            loss = ad.sum_(table.lookup(7))
+            loss = total(table.lookup(7))
         rec.backward(loss)
         opt = Adam({"table": table.table}, lr=0.05)
         opt.step()

@@ -7,6 +7,7 @@ import pytest
 import avoidrec.autodiff as ad
 from avoidrec.corpus import NewsArticle, Vocabulary, parse_news_file
 from avoidrec.news_encoder import NewsEncoder
+from conftest import total
 
 
 def make_encoder(seed=0, n_words=12, **kw):
@@ -102,7 +103,7 @@ class TestEncodeNews:
         enc = make_encoder()
         art = self.art(cat=2, toks=(5, 6, 7, 0), ents=[1])
         with ad.ComputationRecord() as rec:
-            loss = ad.sum_(enc.encode_news([art]))
+            loss = total(enc.encode_news([art]))
         rec.backward(loss)
         assert np.abs(enc.word_emb.grad[5]).sum() > 0
         assert np.abs(enc.word_emb.grad[4]).sum() == 0  # untouched row
@@ -117,7 +118,7 @@ class TestEncodeNews:
         weights = ad.constant(np.linspace(0.5, 1.5, 24).reshape(3, 8), dtype=np.float64)
 
         def fn():
-            return ad.sum_(ad.mul(enc.encode_news(arts), weights))
+            return total(ad.mul(enc.encode_news(arts), weights))
 
         params = list(enc.parameters().values())
         assert ad.grad_check(fn, params, eps=1e-5, max_coords_per_param=8) < 1e-3

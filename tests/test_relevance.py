@@ -5,6 +5,7 @@ import pytest
 
 import avoidrec.autodiff as ad
 from avoidrec.relevance import RelevancePredictor
+from conftest import total
 
 
 def make_predictor(seed=0, d_news=6, dim_ue=4, d_time=5):
@@ -147,7 +148,7 @@ class TestBatch:
         news, ue, hours, clicks = self._batch(pred)
 
         def fn():
-            return ad.sum_(pred.relevance(news, ue, pred.time2vec(hours), clicks))
+            return total(pred.relevance(news, ue, pred.time2vec(hours), clicks))
 
         params = list(pred.parameters().values())
         assert ad.grad_check(fn, params, eps=1e-5) < 1e-3

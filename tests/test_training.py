@@ -15,7 +15,7 @@ from avoidrec.training import (Adam, Corpus, OptimizerReleased, TrainConfig, Tra
                                TrainingInstance, _group_score_inputs,
                                build_training_instances, group_loss, impression_groups,
                                instance_loss, sample_negatives, train)
-from conftest import Traced, clear_grads, make_articles, tiny_config
+from conftest import Traced, clear_grads, make_articles, tiny_config, total
 
 
 def record(i=1, shown=(("P", 1), ("A", 0), ("B", 0), ("C", 0), ("D", 0))):
@@ -418,7 +418,7 @@ class TestAdam:
             assert np.shares_memory(p.data, opt.values)
             assert np.shares_memory(p.grad_buffer, opt.grads)
         with ad.ComputationRecord() as rec:
-            loss = ad.sum_(ad.matmul(params["a"], ad.constant(np.ones((4, 1)))))
+            loss = total(ad.matmul(params["a"], ad.constant(np.ones((4, 1)))))
         rec.backward(loss)
         assert params["a"].grad is params["a"].grad_buffer and params["b"].grad is None
         assert np.array_equal(opt.grads[opt.slices["a"]], np.ones(12))

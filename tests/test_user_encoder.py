@@ -7,7 +7,7 @@ import pytest
 import avoidrec.autodiff as ad
 from avoidrec.model import AvoidanceAwareRanker, ModelConfig, VocabSizes
 from avoidrec.user_encoder import UserEncoder
-from conftest import Traced, make_articles, make_features, tiny_config
+from conftest import Traced, make_articles, make_features, tiny_config, total
 
 MAX_HISTORY = ModelConfig().max_history  # chunks of 50 // M candidates: all of them, here
 
@@ -391,7 +391,7 @@ class TestUserEmbeddingAndScore:
         cand_vecs, cand_ues = ad.concat(cv, axis=0), ad.concat(cu, axis=0)
 
         def fn():
-            return ad.sum_(score(enc, *augment(enc, vecs, ues, cand_vecs, cand_ues)))
+            return total(score(enc, *augment(enc, vecs, ues, cand_vecs, cand_ues)))
 
         params = list(enc.parameters().values())
         assert ad.grad_check(fn, params, eps=1e-5, max_coords_per_param=10) < 1e-3
@@ -617,7 +617,7 @@ def test_grad_check_through_ragged_chunks():
         history, cands = augment(enc, vecs, ues, cand_vecs, cand_ues)
         users = enc.user_vectors(history, 4)
         rel = ad.constant(np.full((3, 1), 0.3), dtype=np.float64)
-        return ad.sum_(enc.interest_score(cands, users, rel))
+        return total(enc.interest_score(cands, users, rel))
 
     params = list(enc.parameters().values())
     assert ad.grad_check(fn, params, eps=1e-5, max_coords_per_param=10) < 1e-3

@@ -37,7 +37,7 @@ from avoidrec import autodiff  # noqa: E402
 
 OPS = ("add", "mul", "scale", "matmul", "reshape", "transpose", "concat", "slice_",
        "sigmoid", "tanh", "relu", "sin", "softmax", "softmax_nll", "embedding_lookup",
-       "multi_head_attention", "affine", "sliding_window_concat", "sum_")
+       "multi_head_attention", "affine", "sliding_window_concat")
 FRAMES = 6  # caller frames kept per op
 
 
