@@ -418,7 +418,7 @@ def reshape(a: Tensor, shape, axes=None) -> Tensor:
         return _record("reshape", (a,), out, lambda g: (g.reshape(shape_in),))
     if sorted(axes) != list(range(out.ndim)):
         raise ShapeError(f"reshape: {axes} is not a permutation of {out.ndim} axes")
-    inverse = tuple(int(i) for i in np.argsort(axes))
+    inverse = tuple(np.argsort(axes).tolist())
     return _record("reshape", (a,), out.transpose(axes),
                    lambda g: (g.transpose(inverse).reshape(shape_in),))
 

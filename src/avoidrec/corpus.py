@@ -117,9 +117,6 @@ class Interner:
             self.index_to_key.append(key)
         return idx
 
-    def get(self, key: str):
-        return self.key_to_index.get(key)
-
 
 @dataclass(slots=True)
 class NewsArticle:

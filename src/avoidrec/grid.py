@@ -48,7 +48,7 @@ class EngagementEmbeddingTable:
         self.d = d
         self.dim = dim
         data = rng.uniform(-0.1, 0.1, size=(d * d, dim))
-        self.table = ad.parameter(data, name="engagement_table", dtype=dtype)
+        self.table = ad.parameter(data, name="engagement.table", dtype=dtype)
 
     def lookup(self, i_ue) -> ad.Tensor:
         """Rows (n, dim) for one flat cell index or a sequence of n; they receive gradients."""

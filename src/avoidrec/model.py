@@ -134,12 +134,9 @@ class AvoidanceAwareRanker:
     # -- parameter access ----------------------------------------------------
 
     def parameters(self) -> dict[str, ad.Tensor]:
-        named = {}
-        named.update(self.news.parameters())
-        named["engagement.table"] = self.engagement.table
-        named.update(self.relevance.parameters())
-        named.update(self.user.parameters())
-        return named
+        tensors = [*self.news.parameters().values(), self.engagement.table,
+                   *self.relevance.parameters().values(), *self.user.parameters().values()]
+        return {p.name: p for p in tensors}
 
     def trainable_parameters(self) -> dict[str, ad.Tensor]:
         return {k: v for k, v in self.parameters().items() if v.requires_grad}

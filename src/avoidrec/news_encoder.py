@@ -72,16 +72,9 @@ class NewsEncoder:
         self.combine_b = ad.parameter(np.zeros(d_news, dtype=self.dtype), name="news.combine_b")
 
     def parameters(self):
-        named = {
-            "news.word_emb": self.word_emb,
-            "news.wqkv": self.wqkv,
-            "news.att_w": self.att_w, "news.att_b": self.att_b, "news.att_q": self.att_q,
-            "news.cat_emb": self.cat_emb,
-            "news.combine_w": self.combine_w, "news.combine_b": self.combine_b,
-        }
-        if self.ent_emb is not None:
-            named["news.ent_emb"] = self.ent_emb
-        return named
+        return {p.name: p for p in (self.word_emb, self.wqkv, self.att_w, self.att_b, self.att_q,
+                                    self.cat_emb, self.combine_w, self.combine_b, self.ent_emb)
+                if p is not None}
 
     def _contextualize(self, tokens, mask):
         """Self-attention of all heads over each title's positions, as (N*L, d_news)."""

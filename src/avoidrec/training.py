@@ -150,9 +150,8 @@ def load_corpus(config: TrainConfig) -> Corpus:
 @dataclass
 class TrainingInstance:
     impression: int  # index of the source impression in the training log
-    positive: str
-    negatives: list[str]
-    order: list[int]  # shuffled candidate positions; 0 marks the positive
+    candidates: list[str]  # the positive and its K negatives, shuffled
+    target: int  # the positive's index in ``candidates``
 
 
 def sample_negatives(impression: ImpressionRecord, k: int, rng: np.random.Generator,
@@ -173,9 +172,11 @@ def sample_negatives(impression: ImpressionRecord, k: int, rng: np.random.Genera
             negs = [pool[i] for i in rng.choice(len(pool), size=k, replace=False)]
         else:
             negs = [pool[i] for i in rng.integers(0, len(pool), size=k)]
-        order = [int(i) for i in rng.permutation(k + 1)]
-        instances.append(TrainingInstance(impression=index, positive=pos, negatives=negs,
-                                          order=order))
+        order = rng.permutation(k + 1)
+        drawn = [pos] + negs
+        instances.append(TrainingInstance(impression=index,
+                                          candidates=[drawn[j] for j in order],
+                                          target=int(np.argmin(order))))
     return instances
 
 
@@ -347,7 +348,7 @@ class TrainResult:
 
 
 def _has_unknown_candidate(instance, catalog):
-    return any(cid not in catalog for cid in [instance.positive] + instance.negatives)
+    return any(cid not in catalog for cid in instance.candidates)
 
 
 def impression_groups(batch) -> list[list[TrainingInstance]]:
@@ -364,21 +365,20 @@ def _group_score_inputs(record, group, catalog, timeline, model_config):
     ``record`` is the group's impression.  Instances with a candidate
     missing from the catalog are left out.  Returns the kept history, the
     union of the instances' candidates (each once, in order of first use),
-    their features, and per instance the union rows of its candidates in
-    ``order`` and the positive's slot there.
+    their features, and per instance the union rows of its candidates and
+    its ``target``.
     """
     group = [i for i in group if not _has_unknown_candidate(i, catalog)]
     if not group:
         return None
-    ordered = [[([i.positive] + i.negatives)[j] for j in i.order] for i in group]
-    union = list(dict.fromkeys(cid for ids in ordered for cid in ids))
+    union = list(dict.fromkeys(cid for i in group for cid in i.candidates))
     row = {cid: r for r, cid in enumerate(union)}
     # Only the known clicks the model keeps need features.
     history = recent_history([a for a in map(catalog.get, record.history) if a is not None],
                              model_config.max_history)
     feats = impression_features(timeline, record.time, [a.news_id for a in history] + union,
                                 model_config.grid_d, catalog)
-    slots = [([row[cid] for cid in ids], i.order.index(0)) for ids, i in zip(ordered, group)]
+    slots = [([row[cid] for cid in i.candidates], i.target) for i in group]
     return history, [catalog.get(cid) for cid in union], feats, slots
 
 
@@ -425,10 +425,8 @@ def train(config: TrainConfig, corpus: Corpus, timeline) -> TrainResult:
     optimizer = Adam(model.trainable_parameters(), lr=config.learning_rate)
     best_val = -math.inf
     best_state, best_epoch = None, 0  # None: the model as it stands is the best
-    epochs_since_best = 0
     history = []
     step = 0
-    done = False
 
     for epoch in range(1, config.max_epochs + 1):
         t0 = time.perf_counter()
@@ -462,8 +460,7 @@ def train(config: TrainConfig, corpus: Corpus, timeline) -> TrainResult:
                         p.grad /= batch_scored
             optimizer.step()
             step += 1
-            if config.max_steps is not None and step >= config.max_steps:
-                done = True
+            if step == config.max_steps:
                 break
 
         val_auc = math.nan
@@ -480,14 +477,11 @@ def train(config: TrainConfig, corpus: Corpus, timeline) -> TrainResult:
                 best_val, best_epoch = val_auc, epoch
                 best_state = None  # the old copy goes before the new one is taken
                 best_state = model.state_dict()
-                epochs_since_best = 0
-            else:
-                epochs_since_best += 1
-                if epochs_since_best >= config.patience:
-                    break
+            elif epoch - best_epoch >= config.patience:
+                break
         else:
             best_val, best_epoch, best_state = val_auc, epoch, None
-        if done:
+        if step == config.max_steps:  # the budget is spent
             break
 
     # The copy below is taken with no gradient or moment store alive.

@@ -106,3 +106,14 @@ def test_adam_still_moves_the_parameters_after_a_load():
     opt.step()
     for name, p in params.items():
         assert np.allclose(p.data, loaded[name] - 0.1, rtol=0, atol=1e-8), name  # a step of lr
+
+
+@pytest.mark.parametrize("use_entities", [True, False])
+def test_parameters_are_keyed_by_their_own_names(use_entities):
+    model = AvoidanceAwareRanker(tiny_config(use_entities=use_entities), VocabSizes(12, 3, 5))
+    params = model.parameters()
+    assert [p.name for p in params.values()] == list(params)
+    # The news encoder's, then the grid's, the relevance predictor's and the user encoder's.
+    parts = [name.split(".")[0] for name in params]
+    assert list(dict.fromkeys(parts)) == ["news", "engagement", "rel", "user"]
+    assert ("news.ent_emb" in params) == use_entities

@@ -1,6 +1,7 @@
 """``tools/pairs.py --aa --smoke`` runs alternating pairs of the benchmark and
 summarises every end-to-end metric of ``BENCHMARK.json``."""
 
+import importlib.util
 import json
 import re
 import subprocess
@@ -10,6 +11,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+HEADER = re.compile(r"parent HEAD \((.+)\), change the parent again \((.+)\), "
+                    r"workload rank, 0\.1 s a run")
 PAIR_LINE = re.compile(r"pair (\d) seed (\d) \((parent|change) first\): (.+)")
 SUMMARY_LINE = re.compile(r"(\w+): parent (\S+) \[\S+, IQR \S+\] change (\S+) \[\S+\]  "
                           r"ratio \S+  change better on (\d) of 2  medians differ by .+")
@@ -24,6 +27,13 @@ def test_smoke_aa_pairs_alternate_and_summarise_every_metric():
                           cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
+    header = HEADER.fullmatch(lines[0])
+    assert header is not None, lines[0]
+    # Two sibling copies with names of one length, neither of them the checkout.
+    parent, change = Path(header[1]), Path(header[2])
+    assert parent != change and parent.parent == change.parent
+    assert len(parent.name) == len(change.name)
+    assert ROOT not in (parent, change) and ROOT not in parent.parents
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
     pairs = [PAIR_LINE.fullmatch(line) for line in lines[1:3]]
     assert all(pairs), lines[1:3]
@@ -35,3 +45,16 @@ def test_smoke_aa_pairs_alternate_and_summarise_every_metric():
     # The same tree on both sides: the deterministic peak reads alike.
     peak = summaries[names.index("peak_mb")]
     assert float(peak[3]) == pytest.approx(float(peak[2]), rel=0.01)
+
+
+def test_the_change_is_copied_from_the_checkout_as_it_stands(tmp_path):
+    if subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"],
+                      capture_output=True).returncode:
+        pytest.skip("not a git checkout with a commit")
+    spec = importlib.util.spec_from_file_location("pairs", ROOT / "tools" / "pairs.py")
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
+    copy = pairs.copy_checkout(tmp_path / "change")
+    for name in ("tools/pairs.py", "src/avoidrec/training.py", "BENCHMARK.json"):
+        assert (copy / name).read_bytes() == (ROOT / name).read_bytes(), name
+    assert not (copy / ".git").exists() and not list(copy.rglob("__pycache__"))

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,15 @@ from avoidrec.training import (Adam, Corpus, OptimizerReleased, TrainConfig, Tra
 from conftest import Traced, clear_grads, make_articles, tiny_config, total
 
 
+def positive(instance):
+    return instance.candidates[instance.target]
+
+
+def negatives(instance):
+    """The instance's candidates other than its positive, in their shuffled order."""
+    return [c for j, c in enumerate(instance.candidates) if j != instance.target]
+
+
 def record(i=1, shown=(("P", 1), ("A", 0), ("B", 0), ("C", 0), ("D", 0))):
     return ImpressionRecord(str(i), "U1", 1000, ["H1"], list(shown))
 
@@ -26,21 +36,21 @@ class TestSampleNegatives:
     def test_exact_pool_when_k_matches(self):
         instances = sample_negatives(record(), 4, np.random.default_rng(0), 0)
         assert len(instances) == 1
-        assert sorted(instances[0].negatives) == ["A", "B", "C", "D"]
-        assert instances[0].positive == "P"
-        assert sorted(instances[0].order) == [0, 1, 2, 3, 4]
+        assert sorted(negatives(instances[0])) == ["A", "B", "C", "D"]
+        assert positive(instances[0]) == "P"
+        assert sorted(instances[0].candidates) == ["A", "B", "C", "D", "P"]
 
     def test_two_positives_share_the_pool(self):
         rec = record(shown=(("P1", 1), ("P2", 1), ("A", 0), ("B", 0)))
         instances = sample_negatives(rec, 2, np.random.default_rng(0), 0)
-        assert [i.positive for i in instances] == ["P1", "P2"]
+        assert [positive(i) for i in instances] == ["P1", "P2"]
         for inst in instances:
-            assert set(inst.negatives) <= {"A", "B"}
+            assert set(negatives(inst)) <= {"A", "B"}
 
     def test_small_pool_sampled_with_replacement(self):
         rec = record(shown=(("P", 1), ("A", 0)))
         instances = sample_negatives(rec, 3, np.random.default_rng(0), 0)
-        assert instances[0].negatives == ["A", "A", "A"]
+        assert negatives(instances[0]) == ["A", "A", "A"]
 
     def test_zero_negatives_skipped_and_counted(self):
         rec = record(shown=(("P", 1),))
@@ -292,6 +302,19 @@ class TestTrainLoop:
         # frozen parameters: validation never improves after epoch 1
         assert len(result.history) == 3
 
+    def test_a_budget_spent_on_an_epoch_s_last_batch_ends_training(self, tmp_path):
+        _, news, behaviors = make_tiny_corpus(tmp_path)
+        config = make_train_config(news, behaviors, max_epochs=5)
+        corpus, timeline = prepare(config)
+        instances, _ = build_training_instances(corpus.train, config.negatives,
+                                                np.random.default_rng(0))
+        batches = -(-len(instances) // config.batch_size)  # one step each: all are scorable
+        assert batches >= 2
+        for max_steps, epochs in ((batches, 1), (batches + 1, 2)):
+            result = train(replace(config, max_steps=max_steps), corpus, timeline)
+            assert result.n_unknown_candidate_instances == 0
+            assert len(result.history) == epochs, max_steps
+
 
 class TestTrainConfigValidation:
     @pytest.mark.parametrize("field, value", [
@@ -541,8 +564,8 @@ def test_instance_features_cover_only_the_kept_history():
     ids = sorted(articles)
 
     rec = ImpressionRecord("i", "U1", 1000, ids[:5] + ["GONE"], [])
-    instance = TrainingInstance(impression=0, positive=ids[5], negatives=ids[6:],
-                                order=[2, 0, 1, 3])
+    instance = TrainingInstance(impression=0, candidates=[ids[7], ids[5], ids[6], ids[8]],
+                                target=1)
     timeline = build_timeline(ImpressionLog([]), 3600)
     hist, candidates, feats, slots = _group_score_inputs(
         rec, [instance], articles, timeline, tiny_config(max_history=3))
@@ -571,7 +594,7 @@ class TestImpressionGroups:
         ])
         instances, skipped = build_training_instances(log, 2, np.random.default_rng(4))
         assert skipped == 0 and [i.impression for i in instances] == [0, 0, 1, 1]
-        assert instances[0].negatives == instances[1].negatives == [ids[6], ids[6]]
+        assert negatives(instances[0]) == negatives(instances[1]) == [ids[6], ids[6]]
         batch = [instances[i] for i in (2, 0, 3, 1)]
         timeline = build_timeline(log, 3600)
         return model, articles, log, timeline, batch
@@ -616,8 +639,7 @@ class TestImpressionGroups:
         assert len(candidates) == 3
         for instance, (rows, pos_slot) in zip(group, slots):
             ids = [candidates[r].news_id for r in rows]
-            assert ids[pos_slot] == instance.positive
-            assert sorted(ids[:pos_slot] + ids[pos_slot + 1:]) == sorted(instance.negatives)
+            assert ids == instance.candidates and pos_slot == instance.target
 
     @pytest.mark.parametrize("mode", MODES)
     def test_leaf_gradients_share_no_memory(self, mode):

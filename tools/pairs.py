@@ -7,12 +7,17 @@ Usage, from the root of a checkout:
 
 The checkout this file is in is the change; ``--base`` (default ``HEAD``,
 so an uncommitted change is measured against its last commit) is the
-parent, extracted with ``git archive`` into a temporary directory.  Pair
+parent.  Both run from sibling copies under one temporary directory,
+with names of one length, so neither side gains from where its tree lies
+(a path's length alone can move a run's speed): the parent extracted
+with ``git archive``, the change copied from the checkout as it stands
+(its tracked files with their uncommitted edits, and its untracked files
+that are not ignored).  Pair
 i runs ``perfbench/run.py --workload W --seed S_i --seconds T --trace 0``
 once in each tree, one run at a time, the parent first on even pairs and
 the change first on odd ones, so a drift of the machine's speed falls on
-both sides alike.  ``--aa`` runs the parent against itself, which shows
-how far identical code spreads between runs.
+both sides alike.  ``--aa`` runs the parent against a second extraction
+of itself, which shows how far identical code spreads between runs.
 
 It prints one line per pair (each end-to-end metric, parent / change),
 then per metric the median and quartiles of each side, the ratio of the
@@ -27,6 +32,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -52,6 +58,21 @@ def extract(rev: str, dest: Path) -> Path:
                              check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
+    return dest
+
+
+def copy_checkout(dest: Path) -> Path:
+    """This checkout's tracked and unignored untracked files as they stand, under ``dest``.
+
+    Tracked files deleted from the working tree are skipped.
+    """
+    names = subprocess.run(["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others",
+                            "--exclude-standard"], check=True, capture_output=True,
+                           text=True).stdout.split("\0")
+    for name in filter(None, names):
+        if (ROOT / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
     return dest
 
 
@@ -102,9 +123,13 @@ def main(argv=None) -> int:
 
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
-        base = extract(args.base, Path(tmp))
-        change = base if args.aa else ROOT
-        print(f"parent {args.base} ({base}), change {'the parent' if args.aa else ROOT}, "
+        base = extract(args.base, Path(tmp, "parent"))
+        if args.aa:
+            change = extract(args.base, Path(tmp, "second"))
+        else:
+            change = copy_checkout(Path(tmp, "change"))
+        print(f"parent {args.base} ({base}), "
+              f"change {'the parent again' if args.aa else 'the checkout'} ({change}), "
               f"workload {args.workload}, {args.seconds:g} s a run", flush=True)
         runs = {"parent": [], "change": []}
         for i, seed in enumerate(args.seeds):

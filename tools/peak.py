@@ -7,9 +7,10 @@ Usage, from the root of a checkout:
 It sets up the ``rank`` or ``train`` workload of ``perfbench/`` for the
 input slot of ``--seed`` (the smoke size with ``--smoke``) and runs one
 operation under tracemalloc exactly as the benchmark measures ``peak_mb``.
-It then runs a second operation with every public ``autodiff`` op and
-every recorded gradient formula wrapped, and reads tracemalloc's peak at
-each wrapper's entry and exit (resetting it after each read).  The span
+It then runs a second operation with every public function of
+``autodiff`` (its ops, found at import) and every recorded gradient
+formula wrapped, and reads tracemalloc's peak at each wrapper's entry
+and exit (resetting it after each read).  The span
 whose peak is the highest locates the operation's peak: either inside an
 op (its forward, or its gradient formula during ``backward``), or in the
 code between two ops.  For each it prints the op and the frames that
@@ -21,6 +22,7 @@ slightly above the first.
 from __future__ import annotations
 
 import argparse
+import inspect
 import linecache
 import sys
 import tracemalloc
@@ -35,9 +37,10 @@ import run  # noqa: E402  pins BLAS threads before numpy loads
 import workloads  # noqa: E402
 from avoidrec import autodiff  # noqa: E402
 
-OPS = ("add", "mul", "scale", "matmul", "reshape", "transpose", "concat", "slice_",
-       "sigmoid", "tanh", "relu", "sin", "softmax", "softmax_nll", "embedding_lookup",
-       "multi_head_attention", "affine", "sliding_window_concat")
+# Every public function ``autodiff`` defines: its ops and the few helpers
+# that make tensors, which an operation calls rarely or never.
+OPS = tuple(name for name, fn in inspect.getmembers(autodiff, inspect.isfunction)
+            if not name.startswith("_") and fn.__module__ == autodiff.__name__)
 FRAMES = 6  # caller frames kept per op
 
 
