@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import DTYPES, CheckpointError, load_checkpoint, save_checkpoint
 from .corpus import CorpusError, parse_behaviors_file
 from .grid import write_grid_csv
 from .metrics import evaluate
@@ -100,9 +100,12 @@ def _prepare(config: TrainConfig):
 
 def cmd_train(args) -> int:
     config = _load_config(args)
+    if config.model.numpy_dtype().name not in DTYPES:
+        raise ValueError(f"model dtype {config.model.dtype!r} cannot be saved to a checkpoint; "
+                         f"use one of {DTYPES}")
+    out = _out_dir(args.out)  # a bad --out fails before the model is trained
     corpus, timeline = _prepare(config)
     result = train(config, corpus, timeline)
-    out = _out_dir(args.out)
     save_checkpoint(out / "checkpoint.ntck", result.best_state,
                     meta=checkpoint_meta(config, result))
     result.write_log_csv(out / "training_log.csv")
@@ -136,16 +139,15 @@ def cmd_eval(args) -> int:
     corpus, timeline = _prepare(config)
     mode = args.mode or meta.get("mode", config.mode)
     sizes = VocabSizes.from_corpus(corpus.catalog, corpus.vocab)
-    model = AvoidanceAwareRanker(config.model, sizes, seed=config.seed,
-                                 word_init=corpus.word_init)
+    model = AvoidanceAwareRanker(config.model, sizes, word_init=corpus.word_init)
     model.load_state_dict(state)
     split = corpus.validation if args.split == "validation" else corpus.test
     if not len(split):
         print(f"error: {args.split} split is empty", file=sys.stderr)
         return 1
+    out = _out_dir(args.out)  # a bad --out fails before the split is scored
     report = evaluate(model, split, timeline, corpus.catalog, mode=mode,
                       config_dict=config.to_dict())
-    out = _out_dir(args.out)
     (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
     report.write_per_impression_csv(out / "per_impression.csv")
     m = report.metrics
@@ -233,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--config", required=True)
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--mode", choices=MODES, default=None)
-    p_eval.add_argument("--seed", type=int, default=None)
     p_eval.add_argument("--bucket-width", type=int, default=None)
     p_eval.add_argument("--grid-d", type=int, default=None)
     p_eval.add_argument("--split", choices=["test", "validation"], default="test")

@@ -114,22 +114,12 @@ class AvoidanceAwareRanker:
     def __init__(self, config: ModelConfig, sizes: VocabSizes, seed: int = 0,
                  word_init: np.ndarray | None = None):
         self.config = config
-        dtype = config.numpy_dtype()
         rng = np.random.default_rng(seed)
-        self.news = NewsEncoder(
-            sizes.n_words, sizes.n_categories, sizes.n_entities, rng,
-            d_word=config.d_word, d_news=config.d_news, n_heads=config.n_heads,
-            d_att=config.d_att, d_cat=config.d_cat, d_ent=config.d_ent,
-            use_entities=config.use_entities, word_init=word_init,
-            word_trainable=config.word_trainable, dtype=dtype)
+        self.news = NewsEncoder(config, sizes, rng, word_init=word_init)
         self.engagement = EngagementEmbeddingTable(
-            config.grid_d, config.dim_ue, rng, dtype=dtype)
-        self.relevance = RelevancePredictor(
-            rng, d_news=config.d_news, dim_ue=config.dim_ue,
-            d_time=config.d_time, dtype=dtype)
-        self.user = UserEncoder(
-            rng, d_news=config.d_news, dim_ue=config.dim_ue,
-            n_heads=config.user_heads, cnn_window=config.cnn_window, dtype=dtype)
+            config.grid_d, config.dim_ue, rng, dtype=config.numpy_dtype())
+        self.relevance = RelevancePredictor(config, rng)
+        self.user = UserEncoder(config, rng)
 
     # -- parameter access ----------------------------------------------------
 
@@ -182,11 +172,11 @@ class AvoidanceAwareRanker:
         id -> vector) is read and filled; it is valid only while the
         parameters stay unchanged.
 
-        The user encoder scores the candidates in chunks of
-        max(1, max_history // M) for M clicks, so a chunk holds no more
-        rows than one candidate at the history cap; at the cap a chunk is
-        one candidate, and a chunk's scores equal those of its candidates
-        scored one at a time up to float rounding.
+        The user encoder scores the candidates as one (C, 1, .) stack, in
+        chunks of max(1, max_history // M) for M clicks, so a chunk holds
+        no more rows than one candidate at the history cap; a chunk's
+        scores equal those of its candidates scored one at a time up to
+        float rounding.
 
         The (N, d_news) batch of the impression's distinct articles lives
         only until the candidate and click rows are gathered from it, and
@@ -222,7 +212,7 @@ class AvoidanceAwareRanker:
             click_ues = user_ue(self.engagement.lookup([feats[a.news_id].cell for a in history]))
             cands = ad.concat([vecs, user_ue(ues)], axis=1)  # the augmented candidates
             terms = self.user.augment_history(clicks, click_ues, cands)
-            users = self.user.user_vectors(terms, self.config.max_history)
+            users = self.user.user_vectors(terms)
             scores = (self.user.preliminary_interest(cands, users) if mode == "only_avoid"
                       else self.user.interest_score(cands, users, relevance))
         return [ad.slice_(scores, rows=slice(i, i + 1)) for i in range(len(candidates))]

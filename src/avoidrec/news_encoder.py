@@ -22,37 +22,38 @@ row from that small table.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from . import autodiff as ad
 from .corpus import Vocabulary
 
+if TYPE_CHECKING:
+    from .model import ModelConfig, VocabSizes
+
 
 class NewsEncoder:
-    def __init__(self, n_words, n_categories, n_entities, rng,
-                 d_word=300, d_news=256, n_heads=8, d_att=128,
-                 d_cat=64, d_ent=64, use_entities=True,
-                 word_init=None, word_trainable=True, dtype=None):
-        if d_news % n_heads:
-            raise ValueError(f"d_news={d_news} not divisible by n_heads={n_heads}")
+    def __init__(self, config: ModelConfig, sizes: VocabSizes, rng, word_init=None):
+        d_word, d_news, d_att = config.d_word, config.d_news, config.d_att
+        d_cat, d_ent = config.d_cat, config.d_ent
         self.d_news = d_news
-        self.n_heads = n_heads
-        self.d_head = d_news // n_heads
+        self.n_heads = config.n_heads
         self.d_ent = d_ent
-        self.use_entities = use_entities and n_entities > 0
-        self.dtype = dtype if dtype is not None else ad.DEFAULT_DTYPE
+        self.use_entities = config.use_entities and sizes.n_entities > 0
+        self.dtype = config.numpy_dtype()
 
         def xav(fan_in, fan_out):
             return ad.xavier_uniform(rng, fan_in, fan_out, dtype=self.dtype)
 
         if word_init is None:
-            word_init = rng.uniform(-0.1, 0.1, size=(n_words, d_word))
+            word_init = rng.uniform(-0.1, 0.1, size=(sizes.n_words, d_word))
             word_init[Vocabulary.pad_index] = 0.0
-        elif word_init.shape != (n_words, d_word):
-            raise ValueError(f"word_init shape {word_init.shape} != {(n_words, d_word)}")
+        elif word_init.shape != (sizes.n_words, d_word):
+            raise ValueError(f"word_init shape {word_init.shape} != {(sizes.n_words, d_word)}")
         # A copy: loading a state writes the table in place, never into word_init.
         self.word_emb = ad.Tensor(np.array(word_init, dtype=self.dtype),
-                                  requires_grad=word_trainable, name="news.word_emb")
+                                  requires_grad=config.word_trainable, name="news.word_emb")
         # The query, key and value draws, in that order, side by side.
         self.wqkv = ad.parameter(np.concatenate([xav(d_word, d_news) for _ in range(3)], axis=1),
                                  name="news.wqkv")
@@ -60,11 +61,11 @@ class NewsEncoder:
         self.att_b = ad.parameter(np.zeros(d_att, dtype=self.dtype), name="news.att_b")
         self.att_q = ad.parameter(xav(d_att, 1), name="news.att_q")
         self.cat_emb = ad.parameter(
-            rng.uniform(-0.1, 0.1, size=(max(n_categories, 1), d_cat)),
+            rng.uniform(-0.1, 0.1, size=(sizes.n_categories, d_cat)),
             name="news.cat_emb", dtype=self.dtype)
         if self.use_entities:
             self.ent_emb = ad.parameter(
-                rng.uniform(-0.1, 0.1, size=(n_entities, d_ent)),
+                rng.uniform(-0.1, 0.1, size=(sizes.n_entities, d_ent)),
                 name="news.ent_emb", dtype=self.dtype)
         else:
             self.ent_emb = None

@@ -10,19 +10,20 @@ are scored as one (C, .) batch.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from . import autodiff as ad
 
+if TYPE_CHECKING:
+    from .model import ModelConfig
+
 
 class RelevancePredictor:
-    def __init__(self, rng, d_news=256, dim_ue=32, d_time=16, dtype=None):
-        if d_time < 1:
-            raise ValueError("d_time must be at least 1")
-        self.d_news = d_news
-        self.dim_ue = dim_ue
-        self.d_time = d_time
-        self.dtype = dtype if dtype is not None else ad.DEFAULT_DTYPE
+    def __init__(self, config: ModelConfig, rng):
+        d_news, dim_ue, d_time = config.d_news, config.dim_ue, config.d_time
+        self.dtype = config.numpy_dtype()
 
         def xav(fan_in, fan_out):
             return ad.xavier_uniform(rng, fan_in, fan_out, dtype=self.dtype)

@@ -21,19 +21,18 @@ product, kept as its (heads, d_q, M) view; both score halves are per-head
 products with it, and it dies when ``augment_history`` returns (unless a
 record keeps it for backward), so no later pass holds it.
 
-The candidates are then scored in chunks of k = max(1, max_history // M)
-(``max_history`` is the model's history cap), one pass per chunk: the
-chunk's (k, 1, .) candidate terms broadcast against the (M, .) history
-terms, so its contexts are (k, M, d_aug) and every product with a weight
-is one product of all k*M rows.  A chunk thus never holds more rows than
-one candidate at the longest history the model accepts.  At the cap, and
-for any M above max_history / 2, a chunk is one candidate whose terms stay
-(1, .) rows, so the pass is the one-candidate pass, op for op.  Each pass
-reads only history-sized tensors and ``merge_local_w``: a score add, a
-per-head softmax, one product with the folded values, the filter-bank
-relu, the local half of the merge and the pooling.  The local context
-is released once the merge's local half has read it, and the attention
-context once it is added in.
+The candidates' terms are then a (C, 1, .) stack, scored in chunks of
+k = max(1, max_history // M) (``max_history`` is the model's history
+cap), one pass per chunk: the chunk's (k, 1, .) terms broadcast against
+the (M, .) history terms, so its contexts are (k, M, d_aug) and every
+product with a weight is one product of all k*M rows.  A chunk thus never
+holds more rows than one candidate at the longest history the model
+accepts; at the cap it is one candidate.  Each pass reads only
+history-sized tensors and ``merge_local_w``: a score add, a per-head
+softmax, one product with the folded values, the filter-bank relu, the
+local half of the merge and the pooling.  The local context is released
+once the merge's local half has read it, and the attention context once
+it is added in.
 
 The pooling is candidate-aware only through ``merged``: its score is
 ``merged_j . pool_w``.  A candidate term or a bias would add the same
@@ -44,11 +43,14 @@ candidate term matter.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
+
+if TYPE_CHECKING:
+    from .model import ModelConfig
 
 
 class History(NamedTuple):
@@ -62,15 +64,13 @@ class History(NamedTuple):
 
 
 class UserEncoder:
-    def __init__(self, rng, d_news=256, dim_ue=32, n_heads=4, cnn_window=1,
-                 dtype=None):
-        self.d_aug = d_news + dim_ue
-        if self.d_aug % n_heads:
-            raise ValueError(f"augmented width {self.d_aug} not divisible by n_heads={n_heads}")
-        self.n_heads = n_heads
+    def __init__(self, config: ModelConfig, rng):
+        self.d_aug = config.d_news + config.dim_ue
+        self.n_heads = n_heads = config.user_heads
         self.d_head = self.d_aug // n_heads
-        self.cnn_window = cnn_window
-        self.dtype = dtype if dtype is not None else ad.DEFAULT_DTYPE
+        self.cnn_window = cnn_window = config.cnn_window
+        self.max_history = config.max_history
+        self.dtype = config.numpy_dtype()
 
         def xav(fan_in, fan_out):
             return ad.xavier_uniform(rng, fan_in, fan_out, dtype=self.dtype)
@@ -144,23 +144,23 @@ class UserEncoder:
         return ad.reshape(ad.reshape(per_head, (self.n_heads, r, m), (1, 0, 2)),
                           (r, self.n_heads * m))
 
-    def user_vectors(self, history: History, max_history: int) -> ad.Tensor:
+    def user_vectors(self, history: History) -> ad.Tensor:
         """(C, d_aug) user vectors, one per candidate of ``history``.
 
-        The candidates are scored in chunks of k = max(1, max_history // M),
-        so a chunk's (k, M, .) tensors hold no more rows than one candidate
-        at the longest history the model accepts.
+        The candidates are a (C, 1, .) stack scored in chunks of
+        k = max(1, max_history // M), so a chunk's (k, M, .) tensors hold
+        no more rows than one candidate at the longest history the model
+        accepts.
         """
-        scores, local = history.cand_scores, history.cand_local
-        c, k = scores.shape[0], max(1, max_history // history.scores.shape[0])
-        if k > 1:  # a (1, .) row per candidate in a (C, 1, .) stack; chunks of one stay 2-D
-            scores = ad.reshape(scores, (c, 1, scores.shape[1]))
-            local = ad.reshape(local, (c, 1, self.d_aug))
+        c, m = history.cand_scores.shape[0], history.scores.shape[0]
+        k = max(1, self.max_history // m)
+        scores = ad.reshape(history.cand_scores, (c, 1, self.n_heads * m))
+        local = ad.reshape(history.cand_local, (c, 1, self.d_aug))
         users = ad.concat([self.user_embedding(
             self.candidate_aware_self_attention(history, ad.slice_(scores, rows=chunk)),
             self.candidate_aware_cnn(history, ad.slice_(local, rows=chunk)))
             for chunk in (slice(i, i + k) for i in range(0, c, k))], axis=0)
-        return ad.reshape(users, (c, self.d_aug)) if k > 1 else users
+        return ad.reshape(users, (c, self.d_aug))
 
     # -- context paths ------------------------------------------------------
 

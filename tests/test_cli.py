@@ -289,6 +289,53 @@ class TestTrainEvalAblate:
         assert main(["train", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 1
 
+    def test_train_out_that_is_a_file_fails_before_training(self, config_path, tmp_path,
+                                                            capsys, monkeypatch):
+        out = tmp_path / "taken"
+        out.write_text("not a directory", encoding="utf-8")
+        monkeypatch.setattr("avoidrec.cli.train", lambda *a, **k: pytest.fail("trained"))
+        assert main(["train", "--config", str(config_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out) in err
+        assert out.read_text(encoding="utf-8") == "not a directory"
+
+    def test_eval_out_that_is_a_file_fails_before_scoring(self, config_path, tmp_path,
+                                                          capsys, monkeypatch):
+        train_out = tmp_path / "train"
+        assert main(["train", "--config", str(config_path), "--out", str(train_out)]) == 0
+        out = tmp_path / "taken"
+        out.write_text("not a directory", encoding="utf-8")
+        monkeypatch.setattr("avoidrec.cli.evaluate", lambda *a, **k: pytest.fail("scored"))
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config_path),
+                     "--checkpoint", str(train_out / "checkpoint.ntck"),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out) in err
+        assert out.read_text(encoding="utf-8") == "not a directory"
+
+    def test_train_refuses_a_dtype_no_checkpoint_holds_before_loading(
+            self, config_path, tmp_path, capsys, monkeypatch):
+        # longdouble is a library dtype for gradient checks; a checkpoint
+        # cannot hold it, so the command refuses it before any work.
+        cfg = json.loads(config_path.read_text())
+        cfg["model"]["dtype"] = "longdouble"
+        path = tmp_path / "longdouble.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        monkeypatch.setattr("avoidrec.cli.load_corpus", lambda *a, **k: pytest.fail("loaded"))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: model dtype 'longdouble'") and "float64" in err
+        assert not out.exists()
+
+    def test_eval_has_no_seed_flag(self, config_path, tmp_path, capsys):
+        # Loading the checkpoint overwrites every parameter, so a seed could change no score.
+        with pytest.raises(SystemExit):
+            main(["eval", "--config", str(config_path), "--checkpoint", "x.ntck",
+                  "--seed", "1", "--out", str(tmp_path / "eval")])
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
     def test_ablate_emits_three_rows(self, config_path, tmp_path, capsys):
         out = tmp_path / "ablate"
         assert main(["ablate", "--config", str(config_path), "--out", str(out)]) == 0

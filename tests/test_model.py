@@ -117,3 +117,27 @@ def test_parameters_are_keyed_by_their_own_names(use_entities):
     parts = [name.split(".")[0] for name in params]
     assert list(dict.fromkeys(parts)) == ["news", "engagement", "rel", "user"]
     assert ("news.ent_emb" in params) == use_entities
+
+
+def test_each_encoder_takes_its_own_settings(monkeypatch):
+    # n_heads is the news encoder's, user_heads the user encoder's; the
+    # relevance widths follow d_time and dim_ue, which differ here.
+    config = tiny_config(n_heads=1, user_heads=4, d_time=5)
+    model = AvoidanceAwareRanker(config, VocabSizes(12, 3, 5), seed=1)
+    d_aug = config.d_news + config.dim_ue
+    assert model.user.rel_heads.shape[0] == 4
+    assert model.user.out_w.shape == (4, d_aug, d_aug // 4)
+    heads = []
+    attention = ad.multi_head_attention
+
+    def watched(*args):
+        heads.append(args[-1])
+        return attention(*args)
+
+    monkeypatch.setattr(ad, "multi_head_attention", watched)
+    model.news.encode_titles([[5, 6, 7]])
+    assert heads == [1]
+    rel = model.relevance
+    assert rel.t2v_freq.shape == rel.t2v_phase.shape == (1, 5)
+    assert rel.engage_w.shape == (config.dim_ue + 5, 1)
+    assert rel.gate_w.shape == (config.d_news + config.dim_ue + 5, 1)

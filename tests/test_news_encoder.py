@@ -6,15 +6,13 @@ import pytest
 
 import avoidrec.autodiff as ad
 from avoidrec.corpus import NewsArticle, Vocabulary, parse_news_file
+from avoidrec.model import VocabSizes
 from avoidrec.news_encoder import NewsEncoder
-from conftest import total
+from conftest import tiny_config, total
 
 
 def make_encoder(seed=0, n_words=12, **kw):
-    defaults = dict(d_word=8, d_news=8, n_heads=2, d_att=6, d_cat=4, d_ent=4,
-                    dtype=np.float64)
-    defaults.update(kw)
-    return NewsEncoder(n_words, 3, 5, np.random.default_rng(seed), **defaults)
+    return NewsEncoder(tiny_config(**kw), VocabSizes(n_words, 3, 5), np.random.default_rng(seed))
 
 
 class TestEncodeTitle:
@@ -180,8 +178,9 @@ class TestFusedProjection:
         x = enc.word_emb.data[tokens]
         q, k, v = (x @ w for w in np.split(enc.wqkv.data, 3, axis=1))
         for t in range(3):
+            d_head = enc.d_news // enc.n_heads
             for h in range(enc.n_heads):
-                cols = slice(h * enc.d_head, (h + 1) * enc.d_head)
+                cols = slice(h * d_head, (h + 1) * d_head)
                 scores = q[t, :, cols] @ k[t, :, cols].T
                 scores = np.where(mask[t][None, :], scores, -np.inf)
                 weights = np.exp(scores - scores.max(axis=1, keepdims=True))

@@ -58,3 +58,16 @@ def test_the_change_is_copied_from_the_checkout_as_it_stands(tmp_path):
     for name in ("tools/pairs.py", "src/avoidrec/training.py", "BENCHMARK.json"):
         assert (copy / name).read_bytes() == (ROOT / name).read_bytes(), name
     assert not (copy / ".git").exists() and not list(copy.rglob("__pycache__"))
+
+
+def test_summary_gives_the_quartiles_of_the_pair_ratios():
+    # Runs without git: only the summary of numbers already measured.
+    spec = importlib.util.spec_from_file_location("pairs", ROOT / "tools" / "pairs.py")
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
+    # Pair ratios 2, 1, 0.5, 1.5 and 1: median 1, quartiles 1 and 1.5.
+    base, change = [1.0, 2.0, 4.0, 2.0, 3.0], [2.0, 2.0, 2.0, 3.0, 3.0]
+    line = pairs.summary("items_per_s", "higher", base, change)
+    assert line.endswith("  pair ratios 1.0000 [1.0000-1.5000]"), line
+    assert "ratio 1.0000  change better on 2 of 5" in line
+    assert pairs.ratio(0.0, 1.0) != pairs.ratio(0.0, 1.0)  # nan for a zero parent

@@ -5,18 +5,20 @@ import pytest
 
 import avoidrec.autodiff as ad
 from avoidrec.relevance import RelevancePredictor
-from conftest import total
+from conftest import tiny_config, total
+
+D_NEWS, DIM_UE = 6, 4
 
 
-def make_predictor(seed=0, d_news=6, dim_ue=4, d_time=5):
-    return RelevancePredictor(np.random.default_rng(seed), d_news=d_news,
-                              dim_ue=dim_ue, d_time=d_time, dtype=np.float64)
+def make_predictor(seed=0, d_time=5):
+    config = tiny_config(d_news=D_NEWS, dim_ue=DIM_UE, d_time=d_time, user_heads=2)
+    return RelevancePredictor(config, np.random.default_rng(seed))
 
 
 def rand_inputs(pred, seed=1):
     rng = np.random.default_rng(seed)
-    n = ad.constant(rng.normal(size=(1, pred.d_news)), dtype=np.float64)
-    ue = ad.constant(rng.normal(size=(1, pred.dim_ue)), dtype=np.float64)
+    n = ad.constant(rng.normal(size=(1, D_NEWS)), dtype=np.float64)
+    ue = ad.constant(rng.normal(size=(1, DIM_UE)), dtype=np.float64)
     return n, ue
 
 
@@ -41,7 +43,7 @@ class TestTime2Vec:
         pred.t2v_freq.data[:] = np.array([[0.3, 0.5, 1.0, 2.0, 0.25]])
         base_hours = 3.7
         base = pred.time2vec(base_hours).data[0]
-        for i in range(1, pred.d_time):
+        for i in range(1, pred.t2v_freq.shape[1]):
             period = 2 * math.pi / pred.t2v_freq.data[0, i]
             shifted = pred.time2vec(base_hours + period).data[0]
             assert shifted[i] == pytest.approx(base[i], abs=1e-9)
@@ -119,15 +121,15 @@ class TestBatch:
 
     def _batch(self, pred, c=3, seed=2):
         rng = np.random.default_rng(seed)
-        news = ad.constant(rng.normal(size=(c, pred.d_news)), dtype=np.float64)
-        ue = ad.constant(rng.normal(size=(c, pred.dim_ue)), dtype=np.float64)
+        news = ad.constant(rng.normal(size=(c, D_NEWS)), dtype=np.float64)
+        ue = ad.constant(rng.normal(size=(c, DIM_UE)), dtype=np.float64)
         return news, ue, list(rng.random(c) * 40), list(rng.random(c))
 
     def test_time2vec_rows_equal_single_times(self):
         pred = make_predictor()
         hours = [0.0, 2.5, 71.0]
         batch = pred.time2vec(hours).data
-        assert batch.shape == (3, pred.d_time)
+        assert batch.shape == (3, pred.t2v_freq.shape[1])
         for i, h in enumerate(hours):
             assert np.allclose(batch[i], pred.time2vec(h).data[0], atol=1e-12)
 

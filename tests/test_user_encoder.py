@@ -11,9 +11,12 @@ from conftest import Traced, make_articles, make_features, tiny_config, total
 
 MAX_HISTORY = ModelConfig().max_history  # chunks of 50 // M candidates: all of them, here
 
-def make_encoder(seed=0, d_news=4, dim_ue=2, n_heads=2, cnn_window=1, **kw):
-    return UserEncoder(np.random.default_rng(seed), d_news=d_news, dim_ue=dim_ue,
-                       n_heads=n_heads, cnn_window=cnn_window, dtype=np.float64, **kw)
+
+def make_encoder(seed=0, d_news=4, dim_ue=2, n_heads=2, cnn_window=1, max_history=MAX_HISTORY):
+    """A user encoder of ``n_heads`` heads; the news encoder's heads are unused here."""
+    config = tiny_config(d_news=d_news, dim_ue=dim_ue, n_heads=1, user_heads=n_heads,
+                         cnn_window=cnn_window, max_history=max_history)
+    return UserEncoder(config, np.random.default_rng(seed))
 
 
 def rand_items(n, d_news=4, dim_ue=2, seed=1):
@@ -78,7 +81,7 @@ def merged_oracle(enc, rows, cand, local):
 
 def score(enc, history, cands, relevance=0.3):
     rel = ad.constant(np.full((cands.shape[0], 1), relevance), dtype=np.float64)
-    return enc.interest_score(cands, enc.user_vectors(history, MAX_HISTORY), rel)
+    return enc.interest_score(cands, enc.user_vectors(history), rel)
 
 
 class TestAugment:
@@ -285,7 +288,7 @@ class TestUserEmbeddingAndScore:
         att = enc.candidate_aware_self_attention(history, cand_scores(enc, rows, cand))
         loc = enc.candidate_aware_cnn(history, cand_local(enc, cand))
         u = enc.user_embedding(att, loc)
-        assert np.allclose(enc.user_vectors(history, MAX_HISTORY).data, u.data, atol=1e-12)
+        assert np.allclose(enc.user_vectors(history).data, u.data, atol=1e-12)
         return u, cand, history, merged_oracle(enc, rows, cand.data, loc.data)
 
     def test_folded_merge_matches_direct_concat(self):
@@ -296,7 +299,7 @@ class TestUserEmbeddingAndScore:
         vecs, ues = rand_items(5, d_news=7)
         cv, cu = rand_items(4, d_news=7, seed=21)
         history, cands = augment(enc, vecs, ues, ad.concat(cv, axis=0), ad.concat(cu, axis=0))
-        users = enc.user_vectors(history, MAX_HISTORY).data
+        users = enc.user_vectors(history).data
         rows = rows_of(vecs, ues)
         windows = ad.sliding_window_concat(ad.constant(rows), enc.cnn_window).data
         cnn_w, _ = unsplit(enc)
@@ -365,7 +368,7 @@ class TestUserEmbeddingAndScore:
         vecs, ues = rand_items(3)
         cv, cu = rand_items(10, seed=100)
         history, cands = augment(enc, vecs, ues, ad.concat(cv, axis=0), ad.concat(cu, axis=0))
-        users = enc.user_vectors(history, MAX_HISTORY)
+        users = enc.user_vectors(history)
         r_aw = np.linspace(-0.5, 0.9, 10)[:, None]
         score = enc.interest_score(cands, users, ad.constant(r_aw, dtype=np.float64)).data
         raw = enc.preliminary_interest(cands, users).data
@@ -521,14 +524,14 @@ def test_a_named_history_holds_no_key_block():
     # A caller that keeps the History by name through the chunk loop keeps
     # no key block alive with it: the block never leaves augment_history.
     # 3 clicks and max_history 6: two chunks of the 3 candidates.
-    enc = make_encoder()
+    enc = make_encoder(max_history=6)
     vecs, ues = rand_items(3)
     cv, cu = rand_items(3, seed=12)
     refs, alive = [], []
     watch_key_block(enc, refs)
     watch_first_attention(enc, refs, alive)
     history, cands = augment(enc, vecs, ues, ad.concat(cv, axis=0), ad.concat(cu, axis=0))
-    users = enc.user_vectors(history, 6)
+    users = enc.user_vectors(history)
     assert users.shape == (3, enc.d_aug)
     assert len(refs) >= 2 and len(alive) == 2
     assert not any(alive[0])
@@ -608,14 +611,14 @@ def test_chunked_scores_match_one_candidate_at_a_time(m, max_history):
 def test_grad_check_through_ragged_chunks():
     # 2 clicks and max_history 4: the 3 candidates are a chunk of 2 and a
     # chunk of 1; gradients flow back through both into every parameter.
-    enc = make_encoder()
+    enc = make_encoder(max_history=4)
     vecs, ues = rand_items(2)
     cv, cu = rand_items(3, seed=51)
     cand_vecs, cand_ues = ad.concat(cv, axis=0), ad.concat(cu, axis=0)
 
     def fn():
         history, cands = augment(enc, vecs, ues, cand_vecs, cand_ues)
-        users = enc.user_vectors(history, 4)
+        users = enc.user_vectors(history)
         rel = ad.constant(np.full((3, 1), 0.3), dtype=np.float64)
         return total(enc.interest_score(cands, users, rel))
 

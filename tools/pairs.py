@@ -19,12 +19,15 @@ the change first on odd ones, so a drift of the machine's speed falls on
 both sides alike.  ``--aa`` runs the parent against a second extraction
 of itself, which shows how far identical code spreads between runs.
 
-It prints one line per pair (each end-to-end metric, parent / change),
-then per metric the median and quartiles of each side, the ratio of the
-medians, on how many pairs the change was better (by the metric's
-direction in ``BENCHMARK.json``) and whether the medians differ by more
-than the parent's interquartile range.  A run that prints no result, or
-reports ``correct: false`` or failed operations, ends the comparison.
+It prints one line per pair (each end-to-end metric, parent / change
+and the pair's change/parent ratio), then per metric the median and
+quartiles of each side, the ratio of the medians, on how many pairs the
+change was better (by the metric's direction in ``BENCHMARK.json``),
+whether the medians differ by more than the parent's interquartile range,
+and the median and quartiles of the pair ratios.  Both runs of a pair
+share a seed, so a pair ratio leaves out what the seed alone moves.  A
+run that prints no result, or reports ``correct: false`` or failed
+operations, ends the comparison.
 """
 
 from __future__ import annotations
@@ -97,17 +100,23 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def ratio(base: float, change: float) -> float:
+    """change / base; nan when the base is 0."""
+    return change / base if base else float("nan")
+
+
 def summary(name: str, better: str, base: list[float], change: list[float]) -> str:
     q1, med, q3 = quartiles(base)
     c1, cmed, c3 = quartiles(change)
+    r1, rmed, r3 = quartiles([ratio(b, c) for b, c in zip(base, change)])
     sign = 1 if better == "higher" else -1
     wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
-    ratio = cmed / med if med else float("nan")
     beyond = abs(cmed - med) > q3 - q1
     return (f"{name}: parent {med:.6g} [{q1:.6g}-{q3:.6g}, IQR {q3 - q1:.3g}] "
-            f"change {cmed:.6g} [{c1:.6g}-{c3:.6g}]  ratio {ratio:.4f}  "
+            f"change {cmed:.6g} [{c1:.6g}-{c3:.6g}]  ratio {ratio(med, cmed):.4f}  "
             f"change better on {wins} of {len(base)}  "
-            f"medians differ by {'more' if beyond else 'no more'} than the parent's IQR")
+            f"medians differ by {'more' if beyond else 'no more'} than the parent's IQR  "
+            f"pair ratios {rmed:.4f} [{r1:.4f}-{r3:.4f}]")
 
 
 def main(argv=None) -> int:
@@ -137,9 +146,11 @@ def main(argv=None) -> int:
             for side in order:
                 runs[side].append(run_once(base if side == "parent" else change,
                                            args.workload, seed, args.seconds, args.smoke))
+            values = [(m["name"], runs["parent"][-1][m["name"]], runs["change"][-1][m["name"]])
+                      for m in metrics]
             print(f"pair {i} seed {seed} ({order[0]} first): " + ", ".join(
-                f"{m['name']} {runs['parent'][-1][m['name']]:.6g}/"
-                f"{runs['change'][-1][m['name']]:.6g}" for m in metrics), flush=True)
+                f"{name} {b:.6g}/{c:.6g} ({ratio(b, c):.4f})" for name, b, c in values),
+                flush=True)
     for m in metrics:
         print(summary(m["name"], m["better"], [r[m["name"]] for r in runs["parent"]],
                       [r[m["name"]] for r in runs["change"]]))
