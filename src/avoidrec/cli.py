@@ -17,8 +17,10 @@ Subcommands:
 
 Every command is deterministic under a fixed seed and exits nonzero
 exactly when it reports an error.  A file that cannot be read or written
-(missing, a directory, an ``--out`` that is a file) is reported as
-``error: ...`` with exit status 1, not a traceback.
+(missing, a directory, an ``--out`` that is a file) or a value too large
+to use is reported as ``error: ...`` with exit status 1, not a traceback.
+``stats``, ``train``, ``eval`` and ``ablate`` skip malformed input rows
+and print their count to stderr as ``warning: skipped N malformed rows``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 from .checkpoint import DTYPES, CheckpointError, load_checkpoint, save_checkpoint
 from .corpus import CorpusError, parse_behaviors_file
 from .grid import write_grid_csv
-from .metrics import evaluate
+from .metrics import METRICS, evaluate
 from .model import MODES, AvoidanceAwareRanker, VocabSizes
 from .stats import StatsSnapshot, build_timeline, write_snapshot_csv
 from .synthetic import SyntheticSpec, generate, write_mind_files
@@ -55,8 +57,7 @@ def cmd_stats(args) -> int:
     if not len(log):
         print("error: no parseable impression records", file=sys.stderr)
         return 1
-    if log.issues:
-        print(f"warning: skipped {len(log.issues)} malformed rows", file=sys.stderr)
+    _warn_skipped(log.issues)
     timeline = build_timeline(log, args.bucket_width)
     out = _out_dir(args.out)
     for boundary in timeline.boundaries():
@@ -92,8 +93,14 @@ def _load_config(args) -> TrainConfig:
     return TrainConfig.from_dict(d)
 
 
+def _warn_skipped(issues):
+    if issues:
+        print(f"warning: skipped {len(issues)} malformed rows", file=sys.stderr)
+
+
 def _prepare(config: TrainConfig):
     corpus = load_corpus(config)
+    _warn_skipped(corpus.issues)
     timeline = build_timeline(corpus.all_records(), config.bucket_width)
     return corpus, timeline
 
@@ -150,11 +157,9 @@ def cmd_eval(args) -> int:
                       config_dict=config.to_dict())
     (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
     report.write_per_impression_csv(out / "per_impression.csv")
-    m = report.metrics
-    print(f"{args.split} ({mode}): auc={m['auc']:.4f} mrr={m['mrr']:.4f} "
-          f"ndcg5={m['ndcg5']:.4f} ndcg10={m['ndcg10']:.4f} "
-          f"[{report.n_scored} impressions, {report.n_skipped_missing} skipped, "
-          f"{report.n_missing_history} unknown history ids]")
+    means = " ".join(f"{name}={report.metrics[name]:.4f}" for name in METRICS)
+    print(f"{args.split} ({mode}): {means} [{report.n_scored} impressions, "
+          f"{report.n_skipped_missing} skipped, {report.n_missing_history} unknown history ids]")
     return 0
 
 
@@ -183,13 +188,13 @@ def cmd_ablate(args) -> int:
             per_seed.append(report.metrics)
         rows.append((mode, per_seed))
 
-    header = f"{'mode':<12}" + "".join(f"{name:>16}" for name in ("auc", "mrr", "ndcg5", "ndcg10"))
-    print(header)
-    csv_lines = ["mode,auc,auc_std,mrr,mrr_std,ndcg5,ndcg5_std,ndcg10,ndcg10_std"]
+    print(f"{'mode':<12}" + "".join(f"{name:>16}" for name in METRICS))
+    csv_lines = [",".join(["mode"] + [f"{name}{suffix}" for name in METRICS
+                                      for suffix in ("", "_std")])]
     for mode, per_seed in rows:
         cells = []
         csv_cells = [mode]
-        for name in ("auc", "mrr", "ndcg5", "ndcg10"):
+        for name in METRICS:
             values = np.array([m[name] for m in per_seed], dtype=np.float64)
             mean = float(np.mean(values))
             std = float(np.std(values))
@@ -257,7 +262,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (OSError, CorpusError, CheckpointError, ValueError, TrainingDiverged) as exc:
+    except (OSError, OverflowError, CorpusError, CheckpointError, ValueError,
+            TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

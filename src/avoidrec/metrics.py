@@ -1,13 +1,14 @@
 """Per-impression ranking metrics and dataset-level evaluation.
 
-AUC is the probability that a uniformly random positive outranks a
-uniformly random negative, with ties worth half; it is computed from
-tie-averaged ranks.  MRR and nDCG order candidates by descending score
-with ties broken by the original candidate index (stable), which keeps
-every metric reproducible.  Impressions that cannot support a metric
-(no positive, or single-class for AUC) are excluded from that metric's
-mean rather than zero-filled.  A non-finite score is an error, never a
-rank: it raises ``NonFiniteScoreError`` naming the impression.
+``METRICS`` names the four ranking metrics, in the order every report,
+CSV and summary lists them.  AUC counts the (positive, negative) pairs
+whose positive scores higher, ties worth half, over the number of pairs.
+MRR and nDCG order candidates by descending score with ties broken by
+the original candidate index (stable), which keeps every metric
+reproducible.  Impressions that cannot support a metric (no positive, or
+single-class for AUC) are excluded from that metric's mean rather than
+zero-filled.  A non-finite score is an error, never a rank: it raises
+``NonFiniteScoreError`` naming the impression.
 """
 
 from __future__ import annotations
@@ -16,12 +17,14 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .features import impression_features
 from .model import recent_history
+
+METRICS = ("auc", "mrr", "ndcg5", "ndcg10")
 
 
 class NonFiniteScoreError(ValueError):
@@ -51,29 +54,13 @@ class RankedImpression:
             raise NonFiniteScoreError(self.impression_id)
 
 
-def _tie_averaged_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks in ascending score order; tied scores share the mean rank."""
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
-
-
 def auc(impression: RankedImpression):
-    """Rank-sum AUC with half-credit for ties; None if single-class."""
+    """Share of (positive, negative) pairs the positive wins; None if single-class."""
     pos = impression.labels == 1
-    n_pos = int(pos.sum())
-    n_neg = len(impression.labels) - n_pos
-    if n_pos == 0 or n_neg == 0:
+    p, n = impression.scores[pos, None], impression.scores[~pos]
+    if not len(p) or not len(n):
         return None
-    ranks = _tie_averaged_ranks(impression.scores)
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    return float(((p > n).sum() + 0.5 * (p == n).sum()) / (len(p) * len(n)))
 
 
 def _descending_order(scores: np.ndarray) -> np.ndarray:
@@ -118,30 +105,19 @@ class EvalReport:
 
     def to_json(self) -> str:
         """The report as strict JSON: a mean no impression supports is ``null``."""
-        payload = {
-            "metrics": {name: value if math.isfinite(value) else None
-                        for name, value in self.metrics.items()},
-            "n_impressions": self.n_impressions,
-            "n_scored": self.n_scored,
-            "n_skipped_missing": self.n_skipped_missing,
-            "n_missing_history": self.n_missing_history,
-            "excluded": self.excluded,
-            "config_fingerprint": self.config_fingerprint,
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)
+                   if f.name != "per_impression"}
+        payload["metrics"] = {name: value if math.isfinite(value) else None
+                              for name, value in self.metrics.items()}
         return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
 
     def write_per_impression_csv(self, path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["impression_id", "auc", "mrr", "ndcg5", "ndcg10"])
+            writer.writerow(["impression_id", *METRICS])
             for row in self.per_impression:
-                writer.writerow([
-                    row["impression_id"],
-                    "" if row["auc"] is None else repr(row["auc"]),
-                    "" if row["mrr"] is None else repr(row["mrr"]),
-                    "" if row["ndcg5"] is None else repr(row["ndcg5"]),
-                    "" if row["ndcg10"] is None else repr(row["ndcg10"]),
-                ])
+                writer.writerow([row["impression_id"]] + [
+                    "" if row[name] is None else repr(row[name]) for name in METRICS])
 
 
 def config_fingerprint(config_dict: dict) -> str:
@@ -187,15 +163,11 @@ def evaluate(model, test_log, timeline, catalog, mode="full",
             n_skipped += 1
             continue
         n_missing_history += sum(news_id not in catalog for news_id in record.history)
-        per_impression.append({
-            "impression_id": record.impression_id,
-            "auc": auc(ranked),
-            "mrr": mrr(ranked),
-            "ndcg5": ndcg_at_k(ranked, 5),
-            "ndcg10": ndcg_at_k(ranked, 10),
-        })
+        row = zip(METRICS, (auc(ranked), mrr(ranked), ndcg_at_k(ranked, 5),
+                            ndcg_at_k(ranked, 10)))
+        per_impression.append({"impression_id": record.impression_id, **dict(row)})
     means, excluded = {}, {}
-    for name in ("auc", "mrr", "ndcg5", "ndcg10"):
+    for name in METRICS:
         values = [row[name] for row in per_impression if row[name] is not None]
         # Plain float addition in impression order, not fsum or sum (compensated
         # from Python 3.12): the means are pinned bit for bit.

@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -111,8 +112,10 @@ class SyntheticSpec:
                     "impressions_per_bucket", "n_shown")
         for name in positive + ("seed", "origin"):
             value, floor = getattr(self, name), 1 if name in positive else 0
-            if not isinstance(value, int) or isinstance(value, bool) or value < floor:
-                raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
+            if (not isinstance(value, int) or isinstance(value, bool)
+                    or not floor <= value <= sys.maxsize):
+                raise ValueError(f"{name} must be an integer from {floor} to {sys.maxsize}, "
+                                 f"got {value!r}")
         if not self.affinity:
             self.affinity = [[1.0] * self.grid_d for _ in range(self.grid_d)]
         try:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import (ImpressionLog, ImpressionRecord, load_word_vectors,
+from .corpus import (ImpressionLog, ImpressionRecord, ParseIssue, load_word_vectors,
                      parse_behaviors_file, parse_news_file, split_log_by_time)
 from .features import impression_features
 from .metrics import config_fingerprint, evaluate
@@ -69,6 +69,13 @@ class TrainConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def __post_init__(self):
+        if not isinstance(self.news_path, str):
+            raise ValueError(f"news_path must be a string, got {self.news_path!r}")
+        for name in ("behaviors_path", "train_behaviors_path", "val_behaviors_path",
+                     "test_behaviors_path", "word_vectors_path"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"{name} must be a string or null, got {value!r}")
         positive = ("bucket_width", "negatives", "max_epochs", "patience", "batch_size")
         positive += () if self.max_steps is None else ("max_steps",)
         for name in positive + ("seed",):
@@ -119,6 +126,7 @@ class Corpus:
     validation: ImpressionLog
     test: ImpressionLog
     word_init: np.ndarray | None = None
+    issues: list[ParseIssue] = field(default_factory=list)  # the skipped rows of every file read
 
     def all_records(self):
         records = list(self.train) + list(self.validation) + list(self.test)
@@ -135,16 +143,18 @@ def load_corpus(config: TrainConfig) -> Corpus:
                if config.val_behaviors_path else ImpressionLog([]))
         test = (parse_behaviors_file(config.test_behaviors_path)
                 if config.test_behaviors_path else ImpressionLog([]))
+        issues = train.issues + val.issues + test.issues
     elif config.behaviors_path:
         log = parse_behaviors_file(config.behaviors_path)
         train, val, test = split_log_by_time(log, config.val_fraction, config.test_fraction)
+        issues = log.issues
     else:
         raise ValueError("config needs behaviors_path or train_behaviors_path")
     word_init = None
     if config.word_vectors_path:
         word_init = load_word_vectors(config.word_vectors_path, vocab,
                                       config.model.d_word, seed=config.seed)
-    return Corpus(catalog, vocab, train, val, test, word_init)
+    return Corpus(catalog, vocab, train, val, test, word_init, catalog.issues + issues)
 
 
 @dataclass
@@ -225,8 +235,9 @@ class Adam:
     """
 
     CHUNK = 1 << 15
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: dict[str, ad.Tensor], lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: dict[str, ad.Tensor], lr):
         self.params = dict(params)
         tensors = list(self.params.values())
         if len({id(p) for p in tensors}) != len(tensors):
@@ -236,9 +247,6 @@ class Adam:
             raise ValueError(f"Adam needs parameters of one dtype, got {sorted(map(str, dtypes))}")
         dtype = dtypes.pop() if dtypes else np.dtype(ad.DEFAULT_DTYPE)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.slices = {}
         start = 0
@@ -282,24 +290,24 @@ class Adam:
             raise OptimizerReleased("Adam.step after Adam.release(): the gradient and "
                                     "moment stores are gone")
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - self.BETA1 ** self.t
+        b2t = 1.0 - self.BETA2 ** self.t
         lr = self.values.dtype.type(self.lr)
         for start, stop in self._runs():
             for lo in range(start, stop, self.CHUNK):
                 hi = min(lo + self.CHUNK, stop)
                 g, m, v = self.grads[lo:hi], self.m[lo:hi], self.v[lo:hi]
                 a, b = self._scratch[:, :hi - lo]
-                m *= self.beta1
-                np.multiply(g, 1.0 - self.beta1, out=a)
+                m *= self.BETA1
+                np.multiply(g, 1.0 - self.BETA1, out=a)
                 m += a
-                v *= self.beta2
+                v *= self.BETA2
                 np.multiply(g, g, out=a)
-                a *= 1.0 - self.beta2
+                a *= 1.0 - self.BETA2
                 v += a
                 np.divide(v, b2t, out=a)  # a: the denominator
                 np.sqrt(a, out=a)
-                a += self.eps
+                a += self.EPS
                 np.divide(m, b1t, out=b)  # b: the update
                 b /= a
                 b *= lr

@@ -123,7 +123,8 @@ class TestSynthCommand:
 
     @pytest.mark.parametrize("spec, args, field", [
         ({"seed": 1}, ["--seed", "-1"], "seed"),
-        ({"n_shown": 0}, [], "n_shown")])
+        ({"n_shown": 0}, [], "n_shown"),
+        ({"grid_d": 10**30}, [], "grid_d")])
     def test_bad_integer_fails_naming_the_field(self, tmp_path, capsys, spec, args, field):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec), encoding="utf-8")
@@ -140,7 +141,10 @@ class TestSynthCommand:
         ("synth", {"affinity": [[1, "2"], [1, 1]], "grid_d": 2}, "affinity"),
         ("synth", {"affinity": [[1, 1], [1]], "grid_d": 2}, "affinity"),
         ("train", [1, 2], "JSON object"),
-        ("train", {"model": [1, 2]}, "model")])
+        ("train", {"model": [1, 2]}, "model"),
+        ("train", {"news_path": True}, "news_path"),
+        ("train", {"news_path": None}, "news_path"),
+        ("train", {"val_behaviors_path": 0}, "val_behaviors_path")])
     def test_bad_config_file_fails_naming_the_field(self, tmp_path, capsys, command, content,
                                                     field):
         path = tmp_path / "file.json"
@@ -166,6 +170,16 @@ class TestSynthCommand:
         assert err.startswith("error:") and str(out) in err
         assert out.read_text(encoding="utf-8") == "not a directory"
 
+    def test_an_overflow_is_reported_not_raised(self, tmp_path, capsys, monkeypatch):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"seed": 1}), encoding="utf-8")
+
+        def overflow(spec):
+            return np.random.default_rng(0).choice(3, size=10**30, replace=False)
+        monkeypatch.setattr("avoidrec.cli.generate", overflow)
+        assert main(["synth", str(spec_path), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err.startswith("error: Python int too large")
+
     def test_infeasible_spec_fails(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({
@@ -190,6 +204,27 @@ class TestTrainEvalAblate:
         report = json.loads((eval_out / "report.json").read_text())
         assert set(report["metrics"]) == {"auc", "mrr", "ndcg5", "ndcg10"}
         assert (eval_out / "per_impression.csv").exists()
+
+    def test_skipped_rows_are_reported_by_every_command(self, synth_dir, config_path,
+                                                        tmp_path, capsys):
+        # One malformed news row and one malformed behaviors row, as stats reports them.
+        for name, bad in (("news.tsv", "N-bad\ttoo few columns\n"),
+                          ("behaviors.tsv", "not a behaviors row\n")):
+            text = (synth_dir / name).read_text(encoding="utf-8")
+            (tmp_path / name).write_text(text + bad, encoding="utf-8")
+        cfg = json.loads(config_path.read_text())
+        cfg.update(news_path=str(tmp_path / "news.tsv"),
+                   behaviors_path=str(tmp_path / "behaviors.tsv"))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["stats", str(tmp_path / "behaviors.tsv"), "--out", str(tmp_path / "s")]) == 0
+        assert "warning: skipped 1 malformed rows\n" in capsys.readouterr().err
+        ckpt = str(tmp_path / "train" / "checkpoint.ntck")
+        for argv in (["train", "--out", str(tmp_path / "train")],
+                     ["eval", "--checkpoint", ckpt, "--out", str(tmp_path / "eval")],
+                     ["ablate", "--mode", "full", "--out", str(tmp_path / "ablate")]):
+            assert main([argv[0], "--config", str(config), *argv[1:]]) == 0, argv
+            assert capsys.readouterr().err == "warning: skipped 2 malformed rows\n", argv
 
     def test_eval_validation_split_reproduces_best_val_auc(self, config_path, tmp_path, capsys):
         train_out = tmp_path / "train"

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avoidrec.corpus import ImpressionLog, ImpressionRecord
-from avoidrec.metrics import (NonFiniteScoreError, RankedImpression, auc, evaluate, mrr,
-                              ndcg_at_k, score_log_impression)
+from avoidrec.metrics import (METRICS, EvalReport, NonFiniteScoreError, RankedImpression, auc,
+                              evaluate, mrr, ndcg_at_k, score_log_impression)
 from avoidrec.model import AvoidanceAwareRanker, VocabSizes
 from avoidrec.news_encoder import NewsEncoder
 from conftest import make_articles, tiny_config
@@ -29,6 +29,26 @@ def brute_force_auc(scores, labels):
         return None
     wins = sum(1.0 if p > n else 0.5 if p == n else 0.0 for p in pos for n in neg)
     return wins / (len(pos) * len(neg))
+
+
+def rank_sum_auc(scores, labels):
+    """Mann-Whitney AUC from 1-based ascending ranks, tied scores sharing their mean rank."""
+    n_pos = sum(labels)
+    n_neg = len(labels) - n_pos
+    if not n_pos or not n_neg:
+        return None
+    order = sorted(range(len(scores)), key=lambda i: scores[i])
+    ranks = [0.0] * len(scores)
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and scores[order[j + 1]] == scores[order[i]]:
+            j += 1
+        for k in order[i:j + 1]:
+            ranks[k] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    rank_sum = sum(r for r, label in zip(ranks, labels) if label == 1)
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def brute_force_mrr(scores, labels):
@@ -83,6 +103,23 @@ class TestAuc:
                 assert mine is None
             else:
                 assert mine == pytest.approx(oracle, abs=1e-9)
+
+    def test_pair_count_equals_the_rank_sum_bit_for_bit(self):
+        # Both numerators are the same half-integer, exact in a float, so the
+        # pair count and the rank sum give one float, not two close ones.
+        rng = np.random.default_rng(11)
+        defined = 0
+        for _ in range(1000):
+            n = int(rng.integers(2, 51))
+            scores = rng.choice([-1.0, 0.0, 0.3, 0.7, 2.5], size=n)  # about n/5 ties each
+            labels = rng.integers(0, 2, size=n)
+            oracle = rank_sum_auc([float(s) for s in scores], [int(v) for v in labels])
+            mine = auc(imp(scores, labels))
+            assert (mine is None) == (oracle is None)
+            if oracle is not None:
+                assert mine == oracle
+                defined += 1
+        assert defined > 900
 
 
 class TestMrr:
@@ -277,6 +314,22 @@ class TestEvaluate:
             else:
                 assert math.isnan(report.metrics[name])
         assert report.excluded["auc"] == sum(1 for r in dumped if r["auc"] == "")
+
+    def test_report_names_the_metrics_in_one_order(self, tmp_path):
+        log = _log([[("A", 1), ("B", 0)], [("A", 1), ("B", 1)]])
+        report = evaluate(_StubModel(lambda nid: 0.9 if nid == "A" else 0.1), log,
+                          _timeline(), _StubCatalog(["A", "B"]))
+        assert tuple(report.metrics) == tuple(report.excluded) == METRICS
+        assert [list(row) for row in report.per_impression] == [["impression_id", *METRICS]] * 2
+        path = tmp_path / "rows.csv"
+        report.write_per_impression_csv(path)
+        assert path.read_text().splitlines() == [
+            "impression_id,auc,mrr,ndcg5,ndcg10", "0,1.0,1.0,1.0,1.0", "1,,0.75,1.0,1.0"]
+        # Every field but the rows, with a mean no impression supports as null.
+        payload = json.loads(report.to_json())
+        names = [f for f in EvalReport.__dataclass_fields__ if f != "per_impression"]
+        assert sorted(payload) == sorted(names)
+        assert payload["excluded"] == {"auc": 1, "mrr": 0, "ndcg5": 0, "ndcg10": 0}
 
     def test_non_finite_score_raises_naming_the_impression(self):
         log = _log([[("A", 1), ("B", 0)], [("A", 0), ("BAD", 1)]])

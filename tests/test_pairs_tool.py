@@ -71,3 +71,25 @@ def test_summary_gives_the_quartiles_of_the_pair_ratios():
     assert line.endswith("  pair ratios 1.0000 [1.0000-1.5000]"), line
     assert "ratio 1.0000  change better on 2 of 5" in line
     assert pairs.ratio(0.0, 1.0) != pairs.ratio(0.0, 1.0)  # nan for a zero parent
+
+
+def test_train_summaries_split_by_slot_kind():
+    # Runs without git: the summaries of numbers already measured.
+    spec = importlib.util.spec_from_file_location("pairs", ROOT / "tools" / "pairs.py")
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
+    seeds = list(range(10))
+    assert pairs.slot_kinds(seeds) == {"slots 0, 4, 7": [0, 4, 7, 8],
+                                       "other slots": [1, 2, 3, 5, 6, 9]}
+    assert pairs.slot_kinds([1, 2]) == {"other slots": [0, 1]}
+    # Two-group slots run at 100 ms and the rest at 130 ms; the change is 10% slower on both.
+    metrics = [{"name": "latency_ms_p50", "better": "lower"}]
+    base = [100.0 if seed % 8 in (0, 4, 7) else 130.0 for seed in seeds]
+    runs = {"parent": [{"latency_ms_p50": b} for b in base],
+            "change": [{"latency_ms_p50": 1.1 * b} for b in base]}
+    lines = pairs.summaries(metrics, runs, "train", seeds)
+    assert [line.split(": parent ")[0] for line in lines] == [
+        "latency_ms_p50", "[slots 0, 4, 7] latency_ms_p50", "[other slots] latency_ms_p50"]
+    assert "parent 100 [100-100, IQR 0]" in lines[1] and "change better on 0 of 4" in lines[1]
+    assert "parent 130 [130-130, IQR 0]" in lines[2] and "change better on 0 of 6" in lines[2]
+    assert pairs.summaries(metrics, runs, "rank", seeds) == lines[:1]

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -36,10 +37,14 @@ class TestSpecValidation:
     @pytest.mark.parametrize("field, value", [
         ("seed", -1), ("seed", 1.5), ("n_users", 0), ("n_articles", 0), ("n_buckets", 0),
         ("grid_d", 0), ("bucket_width", 0), ("impressions_per_bucket", 0), ("n_shown", 0),
-        ("n_shown", True), ("n_users", "8"), ("origin", "2019"), ("origin", -1)])
+        ("n_shown", True), ("n_users", "8"), ("origin", "2019"), ("origin", -1),
+        ("grid_d", 10**30), ("n_articles", sys.maxsize + 1), ("seed", 2**64)])
     def test_bad_integer_field_is_named(self, field, value):
         with pytest.raises(ValueError, match=field):
             SyntheticSpec(**{field: value})
+
+    def test_the_largest_index_sized_integer_is_accepted(self):
+        assert SyntheticSpec(seed=sys.maxsize, origin=sys.maxsize).origin == sys.maxsize
 
     @pytest.mark.parametrize("field, value", [
         ("freshness_halflife_buckets", 0), ("freshness_halflife_buckets", -1.0),

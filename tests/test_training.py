@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import avoidrec.autodiff as ad
-from avoidrec.corpus import ImpressionLog, ImpressionRecord, parse_news_file
+from avoidrec.corpus import ImpressionLog, ImpressionRecord, parse_behaviors_file, parse_news_file
 from avoidrec.metrics import evaluate
 from avoidrec.model import MODES, AvoidanceAwareRanker, ModelConfig, VocabSizes
 from avoidrec.stats import build_timeline
@@ -15,7 +15,7 @@ from avoidrec.synthetic import SyntheticSpec, generate, write_mind_files
 from avoidrec.training import (Adam, Corpus, OptimizerReleased, TrainConfig, TrainingDiverged,
                                TrainingInstance, _group_score_inputs,
                                build_training_instances, group_loss, impression_groups,
-                               instance_loss, sample_negatives, train)
+                               instance_loss, load_corpus, sample_negatives, train)
 from conftest import Traced, clear_grads, make_articles, tiny_config, total
 
 
@@ -128,10 +128,62 @@ def make_train_config(news_path, behaviors_path, **kw):
 
 
 def prepare(config):
-    from avoidrec.training import load_corpus
     corpus = load_corpus(config)
     timeline = build_timeline(corpus.all_records(), config.bucket_width)
     return corpus, timeline
+
+
+class TestLoadCorpus:
+    def _split_files(self, tmp_path):
+        """The tiny corpus' behaviors rows cut in time order into files of 10, 7 and 7."""
+        _, news, behaviors = make_tiny_corpus(tmp_path)
+        rows = behaviors.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert len(rows) == 24
+        paths = []
+        for name, part in (("train", rows[:10]), ("val", rows[10:17]), ("test", rows[17:])):
+            paths.append(tmp_path / f"{name}.tsv")
+            paths[-1].write_text("".join(part), encoding="utf-8")
+        return news, behaviors, paths
+
+    def test_three_behaviors_files_are_the_three_splits(self, tmp_path):
+        news, behaviors, (train_path, val_path, test_path) = self._split_files(tmp_path)
+        config = TrainConfig(news_path=str(news), train_behaviors_path=str(train_path),
+                             val_behaviors_path=str(val_path),
+                             test_behaviors_path=str(test_path))
+        corpus = load_corpus(config)
+        whole = parse_behaviors_file(behaviors).records
+        assert corpus.train.records == whole[:10]
+        assert corpus.validation.records == whole[10:17]
+        assert corpus.test.records == whole[17:]
+        assert corpus.all_records().records == whole
+        assert len(corpus.catalog) == 12 and corpus.issues == []
+
+    def test_absent_validation_and_test_files_give_empty_logs(self, tmp_path):
+        news, behaviors, (train_path, _, _) = self._split_files(tmp_path)
+        # The fractions split a single log only; they do not cut the training file.
+        config = TrainConfig(news_path=str(news), train_behaviors_path=str(train_path),
+                             val_fraction=0.5, test_fraction=0.4)
+        corpus = load_corpus(config)
+        assert corpus.train.records == parse_behaviors_file(behaviors).records[:10]
+        assert len(corpus.validation) == 0 and len(corpus.test) == 0
+
+    def test_issues_hold_the_skipped_rows_of_every_file(self, tmp_path):
+        news, _, paths = self._split_files(tmp_path)
+        with open(news, "a", encoding="utf-8") as fh:
+            fh.write("N-bad\ttoo few columns\n")
+        for path in paths[1:]:
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write("not a behaviors row\n")
+        corpus = load_corpus(TrainConfig(news_path=str(news), train_behaviors_path=str(paths[0]),
+                                         val_behaviors_path=str(paths[1]),
+                                         test_behaviors_path=str(paths[2])))
+        assert [issue.line_no for issue in corpus.issues] == [13, 8, 8]
+        assert len(corpus.validation) == len(corpus.test) == 7
+
+    def test_a_corpus_built_by_hand_has_no_issues(self):
+        catalog, vocab = object(), object()
+        corpus = Corpus(catalog, vocab, ImpressionLog([]), ImpressionLog([]), ImpressionLog([]))
+        assert corpus.issues == [] and corpus.word_init is None
 
 
 class TestTrainLoop:
@@ -325,6 +377,11 @@ class TestTrainConfigValidation:
         ("val_fraction", "0.1"), ("val_fraction", math.nan), ("val_fraction", -0.1),
         ("val_fraction", True), ("val_fraction", 1.0), ("test_fraction", math.inf),
         ("test_fraction", None), ("test_fraction", -1), ("test_fraction", 0.95),
+        *[("news_path", value) for value in (True, 1.5, [], {}, 0, None)],
+        *[(path, value) for path in ("behaviors_path", "train_behaviors_path",
+                                     "val_behaviors_path", "test_behaviors_path",
+                                     "word_vectors_path")
+          for value in (True, 1.5, [], {}, 0)],
     ])
     def test_bad_field_is_named(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -333,7 +390,8 @@ class TestTrainConfigValidation:
     @pytest.mark.parametrize("field, value", [
         ("batch_size", 1), ("max_epochs", 1), ("bucket_width", 1), ("max_steps", None),
         ("max_steps", 1), ("learning_rate", 0.0), ("learning_rate", 0), ("seed", 0),
-        ("val_fraction", 0.0), ("val_fraction", 0.89), ("test_fraction", 0)])
+        ("val_fraction", 0.0), ("val_fraction", 0.89), ("test_fraction", 0),
+        ("news_path", ""), ("behaviors_path", None), ("word_vectors_path", "vectors.txt")])
     def test_boundary_values_accepted(self, field, value):
         assert getattr(TrainConfig(**{field: value}), field) == value
 

@@ -25,9 +25,13 @@ quartiles of each side, the ratio of the medians, on how many pairs the
 change was better (by the metric's direction in ``BENCHMARK.json``),
 whether the medians differ by more than the parent's interquartile range,
 and the median and quartiles of the pair ratios.  Both runs of a pair
-share a seed, so a pair ratio leaves out what the seed alone moves.  A
-run that prints no result, or reports ``correct: false`` or failed
-operations, ends the comparison.
+share a seed, so a pair ratio leaves out what the seed alone moves.  On
+``train`` the summary is printed again for each slot kind (the seed
+modulo ``perfbench``'s 8 input slots): slots 0, 4 and 7, whose steps
+each hold one impression, so that a call scores two impression groups,
+and the other slots, whose calls score four.  A run that prints no
+result, or reports ``correct: false`` or failed operations, ends the
+comparison.
 """
 
 from __future__ import annotations
@@ -44,6 +48,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SLOTS = 8  # perfbench's input slots: --seed S runs slot S % 8
+TWO_GROUP_SLOTS = (0, 4, 7)  # train slots whose calls score two impression groups, not four
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -119,6 +125,24 @@ def summary(name: str, better: str, base: list[float], change: list[float]) -> s
             f"pair ratios {rmed:.4f} [{r1:.4f}-{r3:.4f}]")
 
 
+def slot_kinds(seeds: list[int]) -> dict[str, list[int]]:
+    """The pair indices of train's two slot kinds, by label; a kind with no pair is left out."""
+    kinds = {"slots 0, 4, 7": [], "other slots": []}
+    for i, seed in enumerate(seeds):
+        kinds["slots 0, 4, 7" if seed % SLOTS in TWO_GROUP_SLOTS else "other slots"].append(i)
+    return {label: pairs for label, pairs in kinds.items() if pairs}
+
+
+def summaries(metrics: list[dict], runs: dict, workload: str, seeds: list[int]) -> list[str]:
+    """Each metric's summary over every pair, then on train over each slot kind's pairs."""
+    groups = {"": list(range(len(seeds)))}
+    if workload == "train":
+        groups.update((f"[{label}] ", pairs) for label, pairs in slot_kinds(seeds).items())
+    return [prefix + summary(m["name"], m["better"], [runs["parent"][i][m["name"]] for i in pairs],
+                             [runs["change"][i][m["name"]] for i in pairs])
+            for prefix, pairs in groups.items() for m in metrics]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=("rank", "train", "ingest"))
@@ -151,9 +175,7 @@ def main(argv=None) -> int:
             print(f"pair {i} seed {seed} ({order[0]} first): " + ", ".join(
                 f"{name} {b:.6g}/{c:.6g} ({ratio(b, c):.4f})" for name, b, c in values),
                 flush=True)
-    for m in metrics:
-        print(summary(m["name"], m["better"], [r[m["name"]] for r in runs["parent"]],
-                      [r[m["name"]] for r in runs["change"]]))
+    print("\n".join(summaries(metrics, runs, args.workload, args.seeds)))
     return 0
 
 
