@@ -38,6 +38,21 @@ leaf's first adjoint is copied into the leaf's ``grad_buffer`` when it
 has one (``training.Adam`` gives each parameter its view into one flat
 gradient store), else into a fresh array; no adjoint array is ever
 adopted as a ``grad``.
+
+A gradient formula is called as ``backward_fn(g, owned)`` and returns
+arrays it made or views of ``g``, never an array it keeps.  ``owned``
+says whether backward owns ``g``, that is, whether no one else holds
+its memory.  An adjoint is owned when it is a sum backward made itself,
+or when a formula returned it as an array (or a view of one) that the
+formula made, or that it was handed as an owned ``g``, and handed it to
+exactly one input.  One array handed to two inputs (``add``'s ``g, g``),
+or views of one array (``concat``'s parts), is owned by neither.  The
+formulas of ``relu``, ``scale``, ``mul``, ``sigmoid`` and ``softmax``
+write their result into an owned ``g``, and the first sum into a
+tensor's adjoint goes into whichever addend is owned; each write gives
+the bits a new array would.  Ownership lives in the locals of one
+``backward`` call, never in module state, so concurrent callers stay
+apart.
 """
 
 from __future__ import annotations
@@ -133,6 +148,11 @@ class ComputationRecord:
         self._leaves: dict[Tensor, None] = {}  # every leaf an entry reads, in order
         self._token = None
 
+    @staticmethod
+    def active() -> ComputationRecord | None:
+        """The record active in this thread or task, or None."""
+        return _ACTIVE_RECORD.get()
+
     def __enter__(self):
         if _ACTIVE_RECORD.get() is not None:
             raise RuntimeError("a ComputationRecord is already active")
@@ -177,6 +197,10 @@ class ComputationRecord:
         ``grad_buffer`` or a fresh array, never an adjoint, so it shares
         memory with no other leaf and several backward passes (one per
         graph of a batch) sum into it.
+
+        Each formula is told whether its adjoint is owned (module
+        docstring), and a sum goes into an owned addend of its dtype, so
+        the pass makes no array for a result that can overwrite one.
         """
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -185,27 +209,48 @@ class ComputationRecord:
         if self.entries[loss.node[1]] is None:
             raise NotRecordedError("backward: this record was already replayed")
         adjoint = {loss.node[1]: np.ones_like(loss.data)}
-        summed = set()  # adjoints that are sums made here, so no one else holds them
+        owned = {loss.node[1]}  # keys whose adjoint no one else holds (module docstring)
         for n in range(len(self.entries) - 1, -1, -1):
             entry, self.entries[n] = self.entries[n], None
             g = adjoint.pop(n, None)
             if g is None:
                 continue
-            for key, gt in zip(entry.inputs, entry.backward_fn(g)):
+            mine = n in owned
+            owned.discard(n)
+            grads = entry.backward_fn(g, mine)
+            # The memory each adjoint lies in; one held twice is owned by neither key.
+            roots = [id(_root(gt)) for gt in grads if gt is not None]
+            for key, gt in zip(entry.inputs, grads):
                 if key is None or gt is None:
                     continue
                 if isinstance(key, Tensor):
                     _accumulate(key, gt)
-                elif (prev := adjoint.get(key)) is None:
+                    continue
+                root = _root(gt)
+                sole = roots.count(id(root)) == 1 and (mine or root is not _root(g))
+                if (prev := adjoint.get(key)) is None:
                     adjoint[key] = gt
-                elif key in summed:
+                    if sole:
+                        owned.add(key)
+                    continue
+                # A sum lands in an owned operand when that keeps prev + gt's dtype.
+                if key in owned and prev.dtype == gt.dtype:
                     prev += gt
+                elif sole and gt.dtype == prev.dtype:
+                    gt += prev
+                    adjoint[key] = gt
                 else:
                     adjoint[key] = prev + gt
-                    summed.add(key)
+                owned.add(key)
+            del grads  # so the formula's leaf adjoints die before the next formula runs
         for leaf in self._leaves:
             if leaf.grad is None:
                 _accumulate(leaf, 0)
+
+
+def _root(x: np.ndarray) -> np.ndarray:
+    """The array whose memory ``x`` lies in: ``x`` itself, or the array it is a view of."""
+    return x if x.base is None else x.base
 
 
 def _accumulate(leaf: Tensor, g):
@@ -257,7 +302,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
                                 None if shape_b == out.shape else shape_b))
 
 
-def _both(g):
+def _both(g, owned):
     """The gradient formula of an add of equal shapes: ``g`` for each operand."""
     return g, g
 
@@ -276,7 +321,7 @@ class _Unbroadcast:
     def __init__(self, shape_a, shape_b):
         self.shape_a, self.shape_b = shape_a, shape_b
 
-    def __call__(self, g):
+    def __call__(self, g, owned):
         a, b = self.shape_a, self.shape_b
         return (g if a is None else _unbroadcast(g, a)), (g if b is None else _unbroadcast(g, b))
 
@@ -285,12 +330,18 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"mul: incompatible shapes {a.data.shape} and {b.data.shape}")
     x, y = a.data, b.data
-    return _record("mul", (a, b), x * y, lambda g: (g * y, g * x))
+
+    def backward_fn(g, owned):
+        gb = g * x  # before an owned g is overwritten
+        return np.multiply(g, y, out=g if owned else None), gb
+
+    return _record("mul", (a, b), x * y, backward_fn)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = a.data.dtype.type(c)
-    return _record("scale", (a,), a.data * c, lambda g: (g * c,))
+    return _record("scale", (a,), a.data * c,
+                   lambda g, owned: (np.multiply(g, c, out=g if owned else None),))
 
 
 # numpy's bundled OpenBLAS (scipy-openblas 0.3.31) runs a float32 or
@@ -388,7 +439,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if y.ndim == 2:
         rows = _rows(x)
 
-        def backward_fn(g):
+        def backward_fn(g, owned):
             g_rows = _rows(g)
             return _stacked(g_rows @ y.T, g.shape[:-1]), rows.T @ g_rows
 
@@ -399,8 +450,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: incompatible shapes {x.shape} and {y.shape}") from None
 
     return _record("matmul", (a, b), out,
-                   lambda g: (_unbroadcast(g @ np.swapaxes(y, -1, -2), x.shape),
-                              _unbroadcast(np.swapaxes(x, -1, -2) @ g, y.shape)))
+                   lambda g, owned: (_unbroadcast(g @ np.swapaxes(y, -1, -2), x.shape),
+                                     _unbroadcast(np.swapaxes(x, -1, -2) @ g, y.shape)))
 
 
 def reshape(a: Tensor, shape, axes=None) -> Tensor:
@@ -415,19 +466,19 @@ def reshape(a: Tensor, shape, axes=None) -> Tensor:
         raise ShapeError(f"reshape: {exc}") from None
     shape_in = a.data.shape
     if axes is None:
-        return _record("reshape", (a,), out, lambda g: (g.reshape(shape_in),))
+        return _record("reshape", (a,), out, lambda g, owned: (g.reshape(shape_in),))
     if sorted(axes) != list(range(out.ndim)):
         raise ShapeError(f"reshape: {axes} is not a permutation of {out.ndim} axes")
     inverse = tuple(np.argsort(axes).tolist())
     return _record("reshape", (a,), out.transpose(axes),
-                   lambda g: (g.transpose(inverse).reshape(shape_in),))
+                   lambda g, owned: (g.transpose(inverse).reshape(shape_in),))
 
 
 def transpose(a: Tensor) -> Tensor:
     """The last two axes of a 2-D or stacked tensor swapped."""
     _need_2d("transpose", a, stacked=True)
     return _record("transpose", (a,), np.ascontiguousarray(np.swapaxes(a.data, -1, -2)),
-                   lambda g: (np.ascontiguousarray(np.swapaxes(g, -1, -2)),))
+                   lambda g, owned: (np.ascontiguousarray(np.swapaxes(g, -1, -2)),))
 
 
 def concat(parts, axis: int) -> Tensor:
@@ -441,7 +492,7 @@ def concat(parts, axis: int) -> Tensor:
 
     offsets = list(itertools.accumulate((p.data.shape[axis] for p in parts), initial=0))
 
-    def backward_fn(g):
+    def backward_fn(g, owned):
         return tuple(
             g[offsets[i]:offsets[i + 1]] if axis == 0 else g[:, offsets[i]:offsets[i + 1]]
             for i in range(len(offsets) - 1))
@@ -459,7 +510,7 @@ def slice_(a: Tensor, rows=slice(None), cols=slice(None)) -> Tensor:
     key = (rows, cols)
     shape, dtype = a.data.shape, a.data.dtype
 
-    def backward_fn(g):
+    def backward_fn(g, owned):
         ga = np.zeros(shape, dtype)
         ga[key] = g
         return (ga,)
@@ -468,29 +519,35 @@ def slice_(a: Tensor, rows=slice(None), cols=slice(None)) -> Tensor:
 
 
 def _unary(op, a, out_data, dfn):
-    return _record(op, (a,), out_data, lambda g: (dfn(g),))
+    return _record(op, (a,), out_data, lambda g, owned: (dfn(g, owned),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
     e = np.exp(-np.abs(x))
     y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype)
-    return _unary("sigmoid", a, y, lambda g: g * y * (1.0 - y))
+
+    def dfn(g, owned):
+        gx = np.multiply(g, y, out=g if owned else None)
+        gx *= 1.0 - y
+        return gx
+
+    return _unary("sigmoid", a, y, dfn)
 
 
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
-    return _unary("tanh", a, y, lambda g: g * (1.0 - y * y))
+    return _unary("tanh", a, y, lambda g, owned: g * (1.0 - y * y))
 
 
 def relu(a: Tensor) -> Tensor:
     y = np.maximum(a.data, 0)
-    return _unary("relu", a, y, lambda g: g * (y > 0))
+    return _unary("relu", a, y, lambda g, owned: np.multiply(g, y > 0, out=g if owned else None))
 
 
 def sin(a: Tensor) -> Tensor:
     x = a.data
-    return _unary("sin", a, np.sin(x), lambda g: g * np.cos(x))
+    return _unary("sin", a, np.sin(x), lambda g, owned: g * np.cos(x))
 
 
 def softmax(a: Tensor, axis: int, mask: np.ndarray | None = None) -> Tensor:
@@ -514,9 +571,11 @@ def softmax(a: Tensor, axis: int, mask: np.ndarray | None = None) -> Tensor:
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
 
-    def backward_fn(g):
+    def backward_fn(g, owned):
         inner = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - inner),)
+        gx = np.subtract(g, inner, out=g if owned else None)
+        gx *= y
+        return (gx,)
 
     return _record("softmax", (a,), y, backward_fn)
 
@@ -542,7 +601,7 @@ def softmax_nll(parts, target: int) -> Tensor:
     z = e.sum(dtype=x.dtype).reshape(1, 1)
     out = (np.log(z) + shift) + -x[:, target:target + 1]
 
-    def backward_fn(g):
+    def backward_fn(g, owned):
         ge = e * (g / z)
         grads = [ge[:, j:j + 1] for j in range(len(parts))]
         grads[target] = -g + grads[target]
@@ -592,7 +651,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     _check_ids("embedding_lookup", ids, table.data.shape[0])
     shape, dtype = table.data.shape, table.data.dtype
 
-    def backward_fn(g):
+    def backward_fn(g, owned):
         gt = np.zeros(shape, dtype)
         _RowScatter(ids).write(gt, g)
         return (gt,)
@@ -650,7 +709,7 @@ def multi_head_attention(table: Tensor, ids, mask, n_heads: int) -> Tensor:
     attn /= _fold_last(np.add, attn)
     out = (attn @ parts[2][:, ids]).transpose(1, 2, 0, 3).reshape(n * length, d)
 
-    def backward_fn(g):
+    def backward_fn(g, owned):
         g = g.reshape(n, length, n_heads, d_head).transpose(2, 0, 1, 3)
         d_scores = g @ parts[2][:, ids].swapaxes(2, 3)  # d attn, then d scores in place
         d_scores -= _fold_last(np.add, d_scores * attn)
@@ -686,7 +745,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out = _product(rows, wd)
     out += b.data
 
-    def backward_fn(g):
+    def backward_fn(g, owned):
         g_rows = _rows(g)
         return _stacked(g_rows @ wd.T, g.shape[:-1]), rows.T @ g_rows, g_rows.sum(axis=0)
 
@@ -707,7 +766,7 @@ def sliding_window_concat(a: Tensor, h: int) -> Tensor:
     padded[h:h + m] = a.data
     out = np.concatenate([padded[k:k + m] for k in range(2 * h + 1)], axis=1)
 
-    def backward_fn(g):
+    def backward_fn(g, owned):
         gp = np.zeros((m + 2 * h, d), dtype)
         for k in range(2 * h + 1):
             gp[k:k + m] += g[:, k * d:(k + 1) * d]

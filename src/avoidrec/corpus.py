@@ -11,6 +11,10 @@ other log formats can be converted externally.
 Every reader opens its file as ``utf-8-sig``: a UTF-8 byte order mark,
 as some editors and exporters write, is dropped rather than kept as part
 of the first news id, the first JSONL record or the first vector token.
+A byte that is not UTF-8 fails the whole file with a CorpusError naming
+the file and the first line that does not decode.  Its row is not
+skipped and counted as a ``ParseIssue``, which would take a decode per
+line in the parse loops.
 A title is normalised by lowercasing it and deleting ASCII punctuation
 from its UTF-8 bytes (``normalize_tokens``), which gives the same tokens
 as deleting those characters from the string, at a fraction of the cost.
@@ -35,6 +39,7 @@ shared pairs.  Its history stays a list, because callers extend it with
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -56,6 +61,39 @@ _ASCII_PUNCT = string.punctuation.encode("ascii")
 
 class CorpusError(Exception):
     """Unrecoverable problem with an input file (duplicate ids, bad vectors)."""
+
+
+# A byte that is not UTF-8, as the "surrogateescape" error handler decodes it.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def _undecodable(path) -> CorpusError:
+    """CorpusError naming ``path`` and its first line that is not valid UTF-8.
+
+    The file is read again with every undecodable byte escaped, so its
+    lines are counted as the readers count them.
+    """
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if bad := _ESCAPED_BYTE.search(line):
+                return CorpusError(f"{path}: line {line_no}: invalid UTF-8 byte "
+                                   f"0x{ord(bad.group()) - 0xDC00:02x}")
+    return CorpusError(f"{path}: invalid UTF-8")
+
+
+def _utf8_or_corpus_error(reader):
+    """``reader(path, ...)``, with its strict decoding's failure raised as ``_undecodable``.
+
+    That failure names a position in a read buffer, not a line; the line
+    is found only on this failure path, so the reader's loop is as it was.
+    """
+    @functools.wraps(reader)
+    def read(path, *args, **kwargs):
+        try:
+            return reader(path, *args, **kwargs)
+        except UnicodeDecodeError:
+            raise _undecodable(path) from None
+    return read
 
 
 @dataclass
@@ -234,6 +272,7 @@ def _extract_entity_keys(extra_columns):
     return out
 
 
+@_utf8_or_corpus_error
 def parse_news_file(path, max_title_len: int = 30,
                     vocab: Vocabulary | None = None) -> tuple[NewsCatalog, Vocabulary]:
     """Parse a news catalog TSV and build the title vocabulary.
@@ -402,6 +441,7 @@ def _record_from_tsv(line: str, pairs: dict) -> ImpressionRecord:
     )
 
 
+@_utf8_or_corpus_error
 def parse_behaviors_file(path) -> ImpressionLog:
     """Parse a behaviors log (TSV or JSONL) into time-sorted records.
 
@@ -462,6 +502,7 @@ def record_to_json(record: ImpressionRecord) -> str:
     }, separators=(",", ":"))
 
 
+@_utf8_or_corpus_error
 def load_word_vectors(path, vocab: Vocabulary, dim: int, seed: int = 0) -> np.ndarray:
     """Build a ``len(vocab) x dim`` embedding matrix from a text vector file.
 

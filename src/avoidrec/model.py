@@ -14,14 +14,17 @@ Users with an empty history skip the user encoder entirely and are scored
 by the relevance branch in every mode.  An impression's articles are encoded
 in one batch (``evaluate`` caches them per call), its history terms are built
 once, the candidate-only layers run once over all C candidates, and the
-candidate-aware user encoder runs once per chunk of candidates whose rows
-fit the ``max_history`` cap.  What the chunk loop does not read is released
+candidate-aware user encoder runs once per chunk of candidates: chunks
+whose rows fit the ``max_history`` cap in inference, and at most two
+chunks while a record is active (training), whose record keeps every
+chunk's activations anyway.  What the chunk loop does not read is released
 before it starts: the article batch here, the history's key block inside
 ``UserEncoder.augment_history``.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +37,16 @@ from .relevance import RelevancePredictor
 from .user_encoder import UserEncoder
 
 MODES = ("full", "only_rel", "only_avoid")
+
+
+def check_integer(name: str, value, floor: int):
+    """ValueError naming ``name`` unless ``value`` is an int, not a bool, in [floor, sys.maxsize].
+
+    The cap keeps a size far beyond any array from reaching numpy, whose
+    error would name no field.
+    """
+    if not isinstance(value, int) or isinstance(value, bool) or not floor <= value <= sys.maxsize:
+        raise ValueError(f"{name} must be an integer from {floor} to {sys.maxsize}, got {value!r}")
 
 
 @dataclass
@@ -59,9 +72,7 @@ class ModelConfig:
         positive = ("d_word", "d_news", "n_heads", "d_att", "d_cat", "d_ent", "max_title_len",
                     "dim_ue", "grid_d", "d_time", "user_heads")
         for name in positive + ("cnn_window", "max_history"):
-            value, floor = getattr(self, name), 1 if name in positive else 0
-            if not isinstance(value, int) or isinstance(value, bool) or value < floor:
-                raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
+            check_integer(name, getattr(self, name), 1 if name in positive else 0)
         for name in ("use_entities", "word_trainable"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
@@ -174,9 +185,10 @@ class AvoidanceAwareRanker:
 
         The user encoder scores the candidates as one (C, 1, .) stack, in
         chunks of max(1, max_history // M) for M clicks, so a chunk holds
-        no more rows than one candidate at the history cap; a chunk's
-        scores equal those of its candidates scored one at a time up to
-        float rounding.
+        no more rows than one candidate at the history cap; while a record
+        is active, in at most two chunks (``UserEncoder.user_vectors``).
+        A chunk's scores equal those of its candidates scored one at a
+        time up to float rounding.
 
         The (N, d_news) batch of the impression's distinct articles lives
         only until the candidate and click rows are gathered from it, and

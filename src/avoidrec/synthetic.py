@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -72,6 +71,7 @@ import numpy as np
 
 from .corpus import ImpressionRecord, format_behaviors_line
 from .grid import cell_index
+from .model import check_integer
 from .stats import BucketTimeline, engagement_ratios
 
 # 2019-11-09 00:00:00 UTC; arbitrary but fixed so outputs are reproducible.
@@ -111,11 +111,7 @@ class SyntheticSpec:
         positive = ("n_users", "n_articles", "n_buckets", "grid_d", "bucket_width",
                     "impressions_per_bucket", "n_shown")
         for name in positive + ("seed", "origin"):
-            value, floor = getattr(self, name), 1 if name in positive else 0
-            if (not isinstance(value, int) or isinstance(value, bool)
-                    or not floor <= value <= sys.maxsize):
-                raise ValueError(f"{name} must be an integer from {floor} to {sys.maxsize}, "
-                                 f"got {value!r}")
+            check_integer(name, getattr(self, name), 1 if name in positive else 0)
         if not self.affinity:
             self.affinity = [[1.0] * self.grid_d for _ in range(self.grid_d)]
         try:

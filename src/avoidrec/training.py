@@ -39,7 +39,8 @@ from .corpus import (ImpressionLog, ImpressionRecord, ParseIssue, load_word_vect
                      parse_behaviors_file, parse_news_file, split_log_by_time)
 from .features import impression_features
 from .metrics import config_fingerprint, evaluate
-from .model import MODES, AvoidanceAwareRanker, ModelConfig, VocabSizes, recent_history
+from .model import (MODES, AvoidanceAwareRanker, ModelConfig, VocabSizes, check_integer,
+                    recent_history)
 from .stats import build_timeline
 
 
@@ -79,9 +80,7 @@ class TrainConfig:
         positive = ("bucket_width", "negatives", "max_epochs", "patience", "batch_size")
         positive += () if self.max_steps is None else ("max_steps",)
         for name in positive + ("seed",):
-            value, floor = getattr(self, name), 1 if name in positive else 0
-            if not isinstance(value, int) or isinstance(value, bool) or value < floor:
-                raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
+            check_integer(name, getattr(self, name), 1 if name in positive else 0)
         for name in ("learning_rate", "val_fraction", "test_fraction"):
             value = getattr(self, name)
             if (not isinstance(value, (int, float)) or isinstance(value, bool)

@@ -22,12 +22,18 @@ products with it, and it dies when ``augment_history`` returns (unless a
 record keeps it for backward), so no later pass holds it.
 
 The candidates' terms are then a (C, 1, .) stack, scored in chunks of
-k = max(1, max_history // M) (``max_history`` is the model's history
-cap), one pass per chunk: the chunk's (k, 1, .) terms broadcast against
-the (M, .) history terms, so its contexts are (k, M, d_aug) and every
-product with a weight is one product of all k*M rows.  A chunk thus never
-holds more rows than one candidate at the longest history the model
-accepts; at the cap it is one candidate.  Each pass reads only
+k candidates, one pass per chunk: the chunk's (k, 1, .) terms broadcast
+against the (M, .) history terms, so its contexts are (k, M, d_aug) and
+every product with a weight is one product of all k*M rows.  With no
+record active (ranking, ``evaluate``), k = max(1, max_history // M)
+(``max_history`` is the model's history cap), so a chunk never holds
+more rows than one candidate at the longest history the model accepts;
+at the cap it is one candidate.  While a record is active (training),
+the record keeps every chunk's activations until backward, so smaller
+chunks save no memory and only add ops: k = max(that k, ceil(C / 2)),
+at most two chunks.  One chunk of all C would raise the training peak by
+its forward temporaries (three (C, M, d_aug) blocks at the merge's add);
+two chunks halve them.  Each pass reads only
 history-sized tensors and ``merge_local_w``: a score add, a per-head
 softmax, one product with the folded values, the filter-bank relu, the
 local half of the merge and the pooling.  The local context is released
@@ -150,10 +156,13 @@ class UserEncoder:
         The candidates are a (C, 1, .) stack scored in chunks of
         k = max(1, max_history // M), so a chunk's (k, M, .) tensors hold
         no more rows than one candidate at the longest history the model
-        accepts.
+        accepts.  While a record is active there are at most two chunks,
+        k = max(that k, ceil(C / 2)) (module docstring).
         """
         c, m = history.cand_scores.shape[0], history.scores.shape[0]
         k = max(1, self.max_history // m)
+        if ad.ComputationRecord.active() is not None:
+            k = max(k, -(-c // 2))
         scores = ad.reshape(history.cand_scores, (c, 1, self.n_heads * m))
         local = ad.reshape(history.cand_local, (c, 1, self.d_aug))
         users = ad.concat([self.user_embedding(

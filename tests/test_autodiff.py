@@ -411,6 +411,98 @@ class TestGraphMemory:
         assert peak <= 1.5 * w.data.nbytes, f"{peak / w.data.nbytes:.2f} weights at peak"
 
 
+def copied_backward(rec, loss):
+    """``rec.backward(loss)`` with every formula given its own copy of the adjoint.
+
+    No formula then owns (and so may write) an adjoint another key holds:
+    the reference that in-place backward must equal bit for bit.
+    """
+    for entry in rec.entries:
+        entry.backward_fn = lambda g, owned, fn=entry.backward_fn: fn(g.copy(), False)
+    rec.backward(loss)
+
+
+def grads_of(build, params, backward):
+    """Each param's gradient after ``backward`` of a fresh record of ``build()``."""
+    for p in params:
+        p.grad = None
+    with ad.ComputationRecord() as rec:
+        loss = build()
+    backward(rec, loss)
+    return [p.grad.copy() for p in params]
+
+
+class TestOwnedAdjoints:
+    """Formulas write only into adjoints that backward owns, and match a copy-based backward."""
+
+    def test_an_adjoint_shared_by_two_keys_is_never_written(self):
+        # t is read by two relus and an add.  Each add hands one array to
+        # both its operands, so neither may write it: the outer add's
+        # adjoint is held by t and by the inner add, and the inner add's by
+        # the first relu and the scale, whose formula runs first and would
+        # scale the relu's adjoint if it wrote its own.
+        rng = np.random.default_rng(0)
+        x, w = p64(rng.normal(size=(4, 6))), p64(rng.normal(size=(6, 6)))
+
+        def build():
+            t = ad.matmul(x, w)
+            u = ad.add(ad.add(ad.relu(t), ad.scale(ad.relu(t), -2.0)), t)
+            return total(ad.mul(u, u))
+
+        in_place = grads_of(build, [x, w], ad.ComputationRecord.backward)
+        reference = grads_of(build, [x, w], copied_backward)
+        assert all(np.array_equal(a, b) for a, b in zip(in_place, reference))
+        # The same gradients, computed directly: u = relu(t) - 2 relu(t) + t.
+        t = x.data @ w.data
+        u = t - np.maximum(t, 0)
+        d_t = 2 * u * (1 - (t > 0))
+        assert np.allclose(in_place[0], d_t @ w.data.T, rtol=1e-12, atol=0)
+        assert np.allclose(in_place[1], x.data.T @ d_t, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("op", [
+        ad.relu, ad.sigmoid, lambda t: ad.scale(t, -2.0), lambda t: ad.mul(t, t),
+        lambda t: ad.softmax(t, axis=-1)], ids=["relu", "sigmoid", "scale", "mul", "softmax"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_formulas_equal_a_copy_based_backward(self, op, dtype):
+        # op's first use gets an adjoint shared with t, its second one an
+        # adjoint of its own; mul's formula gets one of its own, too.
+        rng = np.random.default_rng(1)
+        x = ad.parameter(rng.normal(size=(3, 2, 5)), dtype=dtype)
+        w = ad.parameter(rng.normal(size=(5, 5)), dtype=dtype)
+
+        def build():
+            t = ad.matmul(x, w)
+            return total(ad.mul(ad.add(op(t), t), op(t)))
+
+        in_place = grads_of(build, [x, w], ad.ComputationRecord.backward)
+        reference = grads_of(build, [x, w], copied_backward)
+        assert all(np.array_equal(a, b) for a, b in zip(in_place, reference))
+
+    def test_backward_of_a_chunk_chain_sums_and_masks_in_place(self):
+        # The pooling end of a training chunk on (C, M, d_aug) blocks:
+        # relu(affine(local) + att) is read twice, so its adjoint is a sum,
+        # and both the sum and the relu's mask go into the array backward
+        # owns.  The backward then peaks at 2.8 blocks; with a new array for
+        # the sum and for the mask it peaked at 3.8.
+        rng = np.random.default_rng(0)
+        c, m, d = 10, 50, 32
+        block = c * m * d * 4
+        local = ad.constant(rng.normal(size=(c, m, d)), dtype=np.float32)
+        att = ad.constant(rng.normal(size=(c, m, d)), dtype=np.float32)
+        w = ad.parameter(rng.normal(size=(d, d)) / d, dtype=np.float32)
+        b = ad.parameter(np.zeros(d), dtype=np.float32)
+        pool = ad.parameter(rng.normal(size=(d, 1)), dtype=np.float32)
+        with ad.ComputationRecord() as rec:
+            merged = ad.relu(ad.add(ad.affine(local, w, b), att))
+            alpha = ad.softmax(ad.matmul(merged, pool), axis=-2)
+            loss = total(ad.matmul(ad.transpose(alpha), merged))
+        del merged, alpha
+        with Traced() as mem:
+            rec.backward(loss)
+            peak = mem.peak() / block
+        assert peak < 3.3, f"{peak:.2f} blocks at peak"
+
+
 class TestGradCheck:
     def test_quadratic(self):
         rng = np.random.default_rng(0)
@@ -567,7 +659,7 @@ class TestGradCheck:
         w = p64([[0.5, -1.0, 2.0]])
 
         def fn():  # forward 2w, backward 3g: |3 - 2| / (3 + 2)
-            return total(ad._record("double", (w,), w.data * 2.0, lambda g: (g * 3.0,)))
+            return total(ad._record("double", (w,), w.data * 2.0, lambda g, owned: (g * 3.0,)))
 
         assert ad.grad_check(fn, [w], eps=1e-6) == pytest.approx(0.2)
 

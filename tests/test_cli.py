@@ -79,6 +79,16 @@ class TestStatsCommand:
     def test_missing_file_fails(self, tmp_path):
         assert main(["stats", str(tmp_path / "nope.tsv"), "--out", str(tmp_path)]) == 1
 
+    def test_invalid_utf8_fails_naming_the_line(self, synth_dir, tmp_path, capsys):
+        lines = (synth_dir / "behaviors.tsv").read_bytes().split(b"\n")
+        assert len(lines) > 40
+        lines[39] = lines[39].replace(b"\t", b"\t\xf8", 1)  # line 40
+        log = tmp_path / "behaviors.tsv"
+        log.write_bytes(b"\n".join(lines))
+        out = tmp_path / "stats"
+        assert main(["stats", str(log), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {log}: line 40: invalid UTF-8 byte 0xf8\n"
+
     def test_directory_as_log_fails_cleanly(self, tmp_path, capsys):
         assert main(["stats", str(tmp_path), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
@@ -188,6 +198,25 @@ class TestSynthCommand:
 
 
 class TestTrainEvalAblate:
+    @pytest.mark.parametrize("override, field", [
+        ({"negatives": 10**30}, "negatives"),
+        ({"model": {"grid_d": 10**30}}, "grid_d")])
+    def test_huge_config_integer_fails_naming_the_field_before_the_corpus_is_read(
+            self, config_path, tmp_path, capsys, monkeypatch, override, field):
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        for name, value in override.items():
+            config[name] = {**config[name], **value} if isinstance(value, dict) else value
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+
+        def refuse(config):
+            raise AssertionError("the corpus was read before the config was checked")
+        monkeypatch.setattr("avoidrec.cli.load_corpus", refuse)
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be an integer from 1 to ")
+        assert "Traceback" not in err
+
     def test_train_then_eval(self, config_path, tmp_path):
         train_out = tmp_path / "train"
         assert main(["train", "--config", str(config_path),

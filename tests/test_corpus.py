@@ -578,6 +578,63 @@ class TestWordVectors:
             assert (oov != 0.0).all()
 
 
+def with_bad_byte(tmp_path, name, lines, bad_line, newline="\n"):
+    """``lines`` as a UTF-8 file, with byte 0xf8 (never valid UTF-8) in line ``bad_line``."""
+    data = bytearray()
+    for i, line in enumerate(lines, start=1):
+        encoded = line.encode("utf-8")
+        data += encoded.replace(b"X", b"X\xf8", 1) if i == bad_line else encoded
+        data += newline.encode()
+    path = tmp_path / name
+    path.write_bytes(bytes(data))
+    return path
+
+
+class TestInvalidUtf8:
+    """A byte that is not UTF-8 fails the file with a CorpusError naming the file and line."""
+
+    ROWS = 60  # several times 40, so line 40 does not sit at the start of a read buffer
+
+    def readers(self, tmp_path, newline):
+        vocab = Vocabulary()
+        vocab.add("wX")
+        news = [f"N{i}\tcat\tsub\ttitle X {i}\tabstract X" for i in range(self.ROWS)]
+        tsv = [f"{i}\tUX\t11/11/2019 9:05:58 AM\tN1\tN2-1 N3-0" for i in range(self.ROWS)]
+        jsonl = [json.dumps({"impression_id": str(i), "user_id": "UX", "time": 1000,
+                             "history": ["N1"], "shown": [["N2", 1]]}) for i in range(self.ROWS)]
+        vectors = [f"wX{i} 0.1 0.2" for i in range(self.ROWS)]
+        return {
+            "news": (parse_news_file, with_bad_byte(tmp_path, "news.tsv", news, 40, newline)),
+            "behaviors tsv": (parse_behaviors_file,
+                              with_bad_byte(tmp_path, "b.tsv", tsv, 40, newline)),
+            "behaviors jsonl": (parse_behaviors_file,
+                                with_bad_byte(tmp_path, "b.jsonl", jsonl, 40, newline)),
+            "word vectors": (lambda path: load_word_vectors(path, vocab, dim=2),
+                             with_bad_byte(tmp_path, "vec.txt", vectors, 40, newline)),
+        }
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_the_message_names_the_file_and_the_line(self, tmp_path, newline):
+        for name, (reader, path) in self.readers(tmp_path, newline).items():
+            with pytest.raises(CorpusError) as err:
+                reader(path)
+            assert str(err.value) == f"{path}: line 40: invalid UTF-8 byte 0xf8", name
+
+    def test_the_first_bad_line_is_named(self, tmp_path):
+        lines = [f"{i}\tUX\t11/11/2019 9:05:58 AM\tN1\tN2-1" for i in range(self.ROWS)]
+        data = with_bad_byte(tmp_path, "b.tsv", lines, 40).read_bytes().split(b"\n")
+        data[9] = data[9].replace(b"X", b"X\xfe")  # line 10
+        path = tmp_path / "b.tsv"
+        path.write_bytes(b"\n".join(data))
+        with pytest.raises(CorpusError, match=r"b\.tsv: line 10: invalid UTF-8 byte 0xfe$"):
+            parse_behaviors_file(path)
+
+    def test_a_bom_is_still_dropped_and_a_valid_file_parses(self, tmp_path):
+        rows = [f"{i}\tU1\t11/11/2019 9:05:58 AM\tN1\tN2-1" for i in range(3)]
+        log = parse_behaviors_file(write(tmp_path, "b.tsv", rows, "utf-8-sig"))
+        assert [r.impression_id for r in log] == ["0", "1", "2"] and not log.issues
+
+
 class TestSplit:
     def _log(self, tmp_path, n):
         rows = [f"{i}\tU{i}\t11/11/2019 {1 + i % 11}:00:00 AM\tN1\tN1-1 N2-0"

@@ -93,3 +93,37 @@ def test_train_summaries_split_by_slot_kind():
     assert "parent 100 [100-100, IQR 0]" in lines[1] and "change better on 0 of 4" in lines[1]
     assert "parent 130 [130-130, IQR 0]" in lines[2] and "change better on 0 of 6" in lines[2]
     assert pairs.summaries(metrics, runs, "rank", seeds) == lines[:1]
+
+
+def test_an_aa_band_is_written_and_marks_a_comparison(tmp_path):
+    # Runs without git: the band of numbers already measured, written and read back.
+    spec = importlib.util.spec_from_file_location("pairs", ROOT / "tools" / "pairs.py")
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
+    seeds = list(range(10))
+    metrics = [{"name": "items_per_s", "better": "higher"}]
+    # Identical trees: pair ratios 0.98, 0.99, ..., 1.07, quartiles 1.0025 and 1.0475.
+    base = [100.0] * 10
+    aa = {"parent": [{"items_per_s": b} for b in base],
+          "change": [{"items_per_s": b * (0.98 + i / 100)} for i, b in enumerate(base)]}
+    band = pairs.aa_band(metrics, aa, "train", seeds, 20.0)
+    assert band["workload"] == "train" and band["seeds"] == seeds
+    assert set(band["groups"]) == {"all", "slots 0, 4, 7", "other slots"}
+    assert band["groups"]["all"]["items_per_s"] == pytest.approx([1.0025, 1.025, 1.0475])
+    path = tmp_path / "band.json"
+    path.write_text(json.dumps(band), encoding="utf-8")
+    band = pairs.read_band(path, "train")
+    with pytest.raises(ValueError, match="workload 'train', not 'rank'"):
+        pairs.read_band(path, "rank")
+    # A change 3% faster on every pair sits inside the band; one 8% faster, outside.
+    for gain, mark in ((1.03, "inside"), (1.08, "outside")):
+        runs = {"parent": aa["parent"], "change": [{"items_per_s": b * gain} for b in base]}
+        lines = pairs.summaries(metrics, runs, "train", seeds, band)
+        assert len(lines) == 3
+        assert lines[0].endswith(f"A/A band [1.0025-1.0475]: {mark}"), lines[0]
+        assert all(line.endswith(mark) for line in lines)
+    # A group or metric the band lacks is left unmarked, and so is every line without a band.
+    del band["groups"]["other slots"]
+    lines = pairs.summaries(metrics, runs, "train", seeds, band)
+    assert [line.endswith("outside") for line in lines] == [True, True, False]
+    assert pairs.summaries(metrics, runs, "train", seeds)[0] == lines[0].split("  A/A band")[0]

@@ -1,5 +1,6 @@
 import weakref
 from collections import Counter
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -422,33 +423,41 @@ class TestUserEmbeddingAndScore:
         assert np.array_equal(enc.gate_w.data, ad.xavier_uniform(rng, 6, 1, dtype=np.float64))
 
 
-def user_parameter_reads(n_candidates, max_history):
-    """(op, user-encoder parameters read) -> count over one recorded score_impression of 3 clicks."""
+def user_parameter_reads(n_candidates, max_history, monkeypatch, recorded=False):
+    """(op, user-encoder parameters read) -> count over one score_impression of 3 clicks.
+
+    Every op is counted as it runs, through ``autodiff._record``, so an
+    inference call (``recorded=False``) is counted as a recorded one is.
+    """
     model = AvoidanceAwareRanker(tiny_config(max_history=max_history), VocabSizes(12, 3, 5),
                                  seed=4)
     articles = make_articles(9)
     ids = sorted(articles)
     a = [articles[i] for i in ids]
     user = {id(p): p for p in model.user.parameters().values()}
-    with ad.ComputationRecord() as rec:
-        model.score_impression(a[:3], a[3:3 + n_candidates], make_features(ids))
-    reads = Counter()
-    for entry in rec.entries:
-        names = tuple(sorted(user[id(t)].name for t in entry.inputs if id(t) in user))
+    reads, record = Counter(), ad._record
+
+    def counted(op, inputs, out_data, backward_fn):
+        names = tuple(sorted(user[id(t)].name for t in inputs if id(t) in user))
         if names:
-            reads[entry.op, names] += 1
+            reads[op, names] += 1
+        return record(op, inputs, out_data, backward_fn)
+
+    with monkeypatch.context() as patch, ad.ComputationRecord() if recorded else nullcontext():
+        patch.setattr(ad, "_record", counted)
+        model.score_impression(a[:3], a[3:3 + n_candidates], make_features(ids))
     return reads, model
 
 
-def test_candidate_loop_reads_only_merge_local_w():
-    # 3 clicks and max_history 6: chunks of 2 candidates.  Each added chunk
-    # adds exactly two ops that read a user-encoder parameter: the local
-    # half of the merge and the (d_aug, 1) pooling column.  No op of the
-    # chunk loop reads a weight wider than d_aug rows (the unsplit filter
-    # bank and merge were).
-    two, _ = user_parameter_reads(2, max_history=6)   # one chunk
-    five, _ = user_parameter_reads(5, max_history=6)  # three, the last of one candidate
-    six, model = user_parameter_reads(6, max_history=6)
+def test_candidate_loop_reads_only_merge_local_w(monkeypatch):
+    # 3 clicks and max_history 6: inference chunks of 2 candidates.  Each
+    # added chunk adds exactly two ops that read a user-encoder parameter:
+    # the local half of the merge and the (d_aug, 1) pooling column.  No
+    # op of the chunk loop reads a weight wider than d_aug rows (the
+    # unsplit filter bank and merge were).
+    two, _ = user_parameter_reads(2, 6, monkeypatch)   # one chunk
+    five, _ = user_parameter_reads(5, 6, monkeypatch)  # three, the last of one candidate
+    six, model = user_parameter_reads(6, 6, monkeypatch)
     assert five == six
     assert sum(six.values()) - sum(two.values()) == 4
     grown = six - two
@@ -457,9 +466,21 @@ def test_candidate_loop_reads_only_merge_local_w():
     params = model.user.parameters()
     assert all(params[name].shape[0] <= model.user.d_aug for _, names in grown for name in names)
     # At max_history 3 a chunk is one candidate, and the same ops grow per candidate.
-    two, _ = user_parameter_reads(2, max_history=3)
-    six, _ = user_parameter_reads(6, max_history=3)
+    two, _ = user_parameter_reads(2, 3, monkeypatch)
+    six, _ = user_parameter_reads(6, 3, monkeypatch)
     assert six - two == Counter({key: 2 * n for key, n in grown.items()})
+    # While recording there are at most two chunks: 2 candidates are one
+    # chunk at max_history 6, 5 and 6 candidates two, and the second
+    # chunk adds the same two ops once.
+    two, _ = user_parameter_reads(2, 6, monkeypatch, recorded=True)
+    five, _ = user_parameter_reads(5, 6, monkeypatch, recorded=True)
+    six, _ = user_parameter_reads(6, 6, monkeypatch, recorded=True)
+    assert five == six
+    assert six - two == Counter({key: n // 2 for key, n in grown.items()})
+    # At max_history 3, 2 candidates are already two chunks, and so are 6.
+    two, _ = user_parameter_reads(2, 3, monkeypatch, recorded=True)
+    six, _ = user_parameter_reads(6, 3, monkeypatch, recorded=True)
+    assert six == two
 
 
 def paper_size_impression(m=28, c=10):
@@ -624,3 +645,56 @@ def test_grad_check_through_ragged_chunks():
 
     params = list(enc.parameters().values())
     assert ad.grad_check(fn, params, eps=1e-5, max_coords_per_param=10) < 1e-3
+
+
+def test_grad_check_through_training_chunks():
+    # 6 clicks at max_history 6: inference scores the 5 candidates one
+    # at a time, while a record is active they are a chunk of 3 and one of
+    # 2.  The analytic gradients come from the training chunks, the
+    # finite differences from the inference ones.
+    enc = make_encoder(max_history=6)
+    vecs, ues = rand_items(6)
+    cv, cu = rand_items(5, seed=52)
+    cand_vecs, cand_ues = ad.concat(cv, axis=0), ad.concat(cu, axis=0)
+    chunks = []
+    attention = enc.candidate_aware_self_attention
+
+    def counted(history, cand_scores):
+        chunks.append((ad.ComputationRecord.active() is not None, cand_scores.shape[0]))
+        return attention(history, cand_scores)
+
+    enc.candidate_aware_self_attention = counted
+
+    def fn():
+        history, cands = augment(enc, vecs, ues, cand_vecs, cand_ues)
+        users = enc.user_vectors(history)
+        rel = ad.constant(np.full((5, 1), 0.3), dtype=np.float64)
+        return total(enc.interest_score(cands, users, rel))
+
+    params = list(enc.parameters().values())
+    assert ad.grad_check(fn, params, eps=1e-5, max_coords_per_param=10) < 1e-3
+    assert chunks[:2] == [(True, 3), (True, 2)]
+    assert set(chunks[2:]) == {(False, 1)}
+
+
+@pytest.mark.parametrize("m, inference_chunks", [(28, 10), (10, 2), (50, 10)])
+def test_recorded_scores_equal_inference_scores(m, inference_chunks):
+    # A paper-size float32 model: a record scores the 10 candidates in two
+    # chunks of 5, inference in chunks of 50 // M; every score agrees
+    # within float32 rounding.
+    model, history, candidates, feats, cache = paper_size_impression(m=m)
+    chunks = []
+    attention = model.user.candidate_aware_self_attention
+
+    def counted(history, cand_scores):
+        chunks.append(cand_scores.shape[0])
+        return attention(history, cand_scores)
+
+    model.user.candidate_aware_self_attention = counted
+    alone = [s.data[0, 0] for s in model.score_impression(history, candidates, feats)]
+    assert len(chunks) == inference_chunks
+    del chunks[:]
+    with ad.ComputationRecord():
+        recorded = [s.data[0, 0] for s in model.score_impression(history, candidates, feats)]
+    assert chunks == [5, 5]
+    assert recorded == pytest.approx(alone, rel=1e-5, abs=1e-6)

@@ -3,7 +3,7 @@
 Usage, from the root of a checkout:
 
     python3 tools/pairs.py --workload rank|train|ingest [--base REV] [--aa]
-        [--seeds 0-9] [--seconds 20] [--smoke]
+        [--band PATH] [--seeds 0-9] [--seconds 20] [--smoke]
 
 The checkout this file is in is the change; ``--base`` (default ``HEAD``,
 so an uncommitted change is measured against its last commit) is the
@@ -32,6 +32,15 @@ each hold one impression, so that a call scores two impression groups,
 and the other slots, whose calls score four.  A run that prints no
 result, or reports ``correct: false`` or failed operations, ends the
 comparison.
+
+``--band PATH`` with ``--aa`` writes the A/A band to PATH as JSON: per
+summary (all pairs, and on ``train`` each slot kind) and per metric, the
+first quartile, median and third quartile of the pair ratios of
+identical trees.  Without ``--aa`` it reads such a file (of the same
+workload), and each summary line ends by saying whether that metric's
+median pair ratio lies inside or outside its A/A band, the interval from
+the band's first to its third quartile.  A claim is a median pair ratio
+outside the band, with the change better on at least 9 of 10 pairs.
 """
 
 from __future__ import annotations
@@ -111,18 +120,24 @@ def ratio(base: float, change: float) -> float:
     return change / base if base else float("nan")
 
 
-def summary(name: str, better: str, base: list[float], change: list[float]) -> str:
+def summary(name: str, better: str, base: list[float], change: list[float],
+            band: list[float] | None = None) -> str:
+    """One metric's summary line, marked against its A/A ``band`` (q1, median, q3) if given."""
     q1, med, q3 = quartiles(base)
     c1, cmed, c3 = quartiles(change)
     r1, rmed, r3 = quartiles([ratio(b, c) for b, c in zip(base, change)])
     sign = 1 if better == "higher" else -1
     wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
     beyond = abs(cmed - med) > q3 - q1
-    return (f"{name}: parent {med:.6g} [{q1:.6g}-{q3:.6g}, IQR {q3 - q1:.3g}] "
+    line = (f"{name}: parent {med:.6g} [{q1:.6g}-{q3:.6g}, IQR {q3 - q1:.3g}] "
             f"change {cmed:.6g} [{c1:.6g}-{c3:.6g}]  ratio {ratio(med, cmed):.4f}  "
             f"change better on {wins} of {len(base)}  "
             f"medians differ by {'more' if beyond else 'no more'} than the parent's IQR  "
             f"pair ratios {rmed:.4f} [{r1:.4f}-{r3:.4f}]")
+    if band is None:
+        return line
+    a1, _, a3 = band
+    return line + f"  A/A band [{a1:.4f}-{a3:.4f}]: {'inside' if a1 <= rmed <= a3 else 'outside'}"
 
 
 def slot_kinds(seeds: list[int]) -> dict[str, list[int]]:
@@ -133,14 +148,44 @@ def slot_kinds(seeds: list[int]) -> dict[str, list[int]]:
     return {label: pairs for label, pairs in kinds.items() if pairs}
 
 
-def summaries(metrics: list[dict], runs: dict, workload: str, seeds: list[int]) -> list[str]:
-    """Each metric's summary over every pair, then on train over each slot kind's pairs."""
-    groups = {"": list(range(len(seeds)))}
+def groups(workload: str, seeds: list[int]) -> dict[str, list[int]]:
+    """The pair indices of each summary by label: all pairs, then on train each slot kind."""
+    found = {"all": list(range(len(seeds)))}
     if workload == "train":
-        groups.update((f"[{label}] ", pairs) for label, pairs in slot_kinds(seeds).items())
-    return [prefix + summary(m["name"], m["better"], [runs["parent"][i][m["name"]] for i in pairs],
-                             [runs["change"][i][m["name"]] for i in pairs])
-            for prefix, pairs in groups.items() for m in metrics]
+        found.update(slot_kinds(seeds))
+    return found
+
+
+def summaries(metrics: list[dict], runs: dict, workload: str, seeds: list[int],
+              band: dict | None = None) -> list[str]:
+    """Each metric's summary per group, marked against the A/A ``band`` where it has one."""
+    lines = []
+    for label, pairs in groups(workload, seeds).items():
+        limits = band["groups"].get(label, {}) if band is not None else {}
+        for m in metrics:
+            line = summary(m["name"], m["better"], [runs["parent"][i][m["name"]] for i in pairs],
+                           [runs["change"][i][m["name"]] for i in pairs], limits.get(m["name"]))
+            lines.append(line if label == "all" else f"[{label}] {line}")
+    return lines
+
+
+def aa_band(metrics: list[dict], runs: dict, workload: str, seeds: list[int],
+            seconds: float) -> dict:
+    """The pair-ratio quartiles of each metric per group, as ``--band`` writes them."""
+    return {"workload": workload, "seeds": seeds, "seconds": seconds, "groups": {
+        label: {m["name"]: list(quartiles([ratio(runs["parent"][i][m["name"]],
+                                                 runs["change"][i][m["name"]]) for i in pairs]))
+                for m in metrics}
+        for label, pairs in groups(workload, seeds).items()}}
+
+
+def read_band(path: Path, workload: str) -> dict:
+    """An A/A band written by ``--aa --band``; ValueError if it is of another workload."""
+    band = json.loads(path.read_text(encoding="utf-8"))
+    if band.get("workload") != workload:
+        raise ValueError(f"{path} is an A/A band of workload {band.get('workload')!r}, "
+                         f"not {workload!r}")
+    return band
 
 
 def main(argv=None) -> int:
@@ -148,6 +193,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, choices=("rank", "train", "ingest"))
     parser.add_argument("--base", default="HEAD", help="git revision of the parent tree")
     parser.add_argument("--aa", action="store_true", help="run the parent against itself")
+    parser.add_argument("--band", type=Path,
+                        help="with --aa, write the A/A band here; else mark the summaries by it")
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("0-9"),
                         help="one pair per seed, e.g. 0-9 or 0,2,4")
     parser.add_argument("--seconds", type=float, default=20.0)
@@ -155,6 +202,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    band = read_band(args.band, args.workload) if args.band and not args.aa else None
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         base = extract(args.base, Path(tmp, "parent"))
         if args.aa:
@@ -175,7 +223,11 @@ def main(argv=None) -> int:
             print(f"pair {i} seed {seed} ({order[0]} first): " + ", ".join(
                 f"{name} {b:.6g}/{c:.6g} ({ratio(b, c):.4f})" for name, b, c in values),
                 flush=True)
-    print("\n".join(summaries(metrics, runs, args.workload, args.seeds)))
+    print("\n".join(summaries(metrics, runs, args.workload, args.seeds, band)))
+    if args.band and args.aa:
+        args.band.write_text(json.dumps(aa_band(metrics, runs, args.workload, args.seeds,
+                                                args.seconds), indent=1) + "\n", encoding="utf-8")
+        print(f"wrote the A/A band to {args.band}")
     return 0
 
 
