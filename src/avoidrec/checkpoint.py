@@ -1,29 +1,32 @@
 """Deterministic named-tensor checkpoint files.
 
-Layout (version 1, little-endian, stable across releases):
+Layout (version 2, little-endian, stable across releases):
 
     bytes 0..3    magic ``NTCK``
     bytes 4..7    uint32 header length ``H``
     bytes 8..8+H  UTF-8 JSON header
-    rest          raw C-order tensor buffers, in header order
+    rest          the payload: raw C-order tensor buffers, in header order
 
-The JSON header is ``{"format_version": 1, "meta": {...}, "tensors":
-[{"name", "dtype", "shape", "offset", "nbytes"}, ...]}`` with tensors
-sorted by name.  No timestamps or platform fields are embedded, so
-identical tensors always serialize to identical bytes.  Tensor buffers
-tile the payload exactly, and only the dtypes in ``DTYPES`` are written
-or read; a file that breaks any of this raises ``CheckpointError``.
+The JSON header is ``{"format_version": 2, "meta": {...}, "payload_sha256":
+hex, "tensors": [{"name", "dtype", "shape", "offset", "nbytes"}, ...]}``
+with tensors sorted by name.  No timestamps or platform fields are
+embedded, so identical tensors always serialize to identical bytes.
+Tensor buffers tile the payload exactly and hash to ``payload_sha256``,
+and only the dtypes in ``DTYPES`` are written or read; a file that breaks
+any of this, or a version-1 file (no ``payload_sha256``), raises
+``CheckpointError``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
 import numpy as np
 
 MAGIC = b"NTCK"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 DTYPES = ("float32", "float64")  # what model parameters use
 
 
@@ -34,6 +37,7 @@ class CheckpointError(Exception):
 def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict | None = None):
     entries = []
     buffers = []
+    digest = hashlib.sha256()
     offset = 0
     for name in sorted(tensors):
         arr = np.ascontiguousarray(tensors[name])
@@ -48,10 +52,11 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict | None = No
             "nbytes": len(buf),
         })
         buffers.append(buf)
+        digest.update(buf)
         offset += len(buf)
-    header = json.dumps(
-        {"format_version": FORMAT_VERSION, "meta": meta or {}, "tensors": entries},
-        sort_keys=True, separators=(",", ":")).encode("utf-8")
+    header = json.dumps({"format_version": FORMAT_VERSION, "meta": meta or {},
+                         "payload_sha256": digest.hexdigest(), "tensors": entries},
+                        sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(len(header).to_bytes(4, "little"))
@@ -72,8 +77,11 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         header = json.loads(raw[8:8 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
         raise CheckpointError(f"{path}: unreadable header: {exc}") from None
-    if not isinstance(header, dict) or header.get("format_version") != FORMAT_VERSION:
-        version = header.get("format_version") if isinstance(header, dict) else None
+    version = header.get("format_version") if isinstance(header, dict) else None
+    if not isinstance(header, dict) or not isinstance(header.get("payload_sha256"), str):
+        raise CheckpointError(f"{path}: header (format version {version!r}) has no "
+                              f"payload_sha256 field")
+    if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version!r}")
     payload = memoryview(raw)[8 + header_len:]
     entries, meta = header.get("tensors"), header.get("meta", {})
@@ -92,6 +100,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         offset = end
     if offset != len(payload):
         raise CheckpointError(f"{path}: {len(payload) - offset} bytes after the last tensor")
+    if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
+        raise CheckpointError(f"{path}: the payload does not match its payload_sha256")
     return tensors, meta
 
 

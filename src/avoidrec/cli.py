@@ -113,7 +113,7 @@ def cmd_train(args) -> int:
     out = _out_dir(args.out)  # a bad --out fails before the model is trained
     corpus, timeline = _prepare(config)
     result = train(config, corpus, timeline)
-    save_checkpoint(out / "checkpoint.ntck", result.best_state,
+    save_checkpoint(out / "checkpoint.ntck", result.model.state_dict(),
                     meta=checkpoint_meta(config, result))
     result.write_log_csv(out / "training_log.csv")
     last = result.history[-1]

@@ -24,6 +24,7 @@ before it starts: the article batch here, the history's key block inside
 
 from __future__ import annotations
 
+import json
 import sys
 from dataclasses import dataclass
 
@@ -47,6 +48,26 @@ def check_integer(name: str, value, floor: int):
     """
     if not isinstance(value, int) or isinstance(value, bool) or not floor <= value <= sys.maxsize:
         raise ValueError(f"{name} must be an integer from {floor} to {sys.maxsize}, got {value!r}")
+
+
+def json_fields(cls, what: str, d=None, path=None) -> dict:
+    """``d``, or the JSON of the UTF-8 file at ``path``, as an object of dataclass ``cls``'s fields.
+
+    Each ValueError names the file, if any; ``what`` names the object.
+    """
+    if path is not None:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                d = json.load(fh)
+        except ValueError as exc:  # invalid UTF-8 or invalid JSON
+            raise ValueError(f"{path}: not a UTF-8 JSON file: {exc}") from None
+        what = f"{path}: {what}"
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
+    unknown = set(d) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ValueError(f"{what} has unknown fields: {sorted(unknown)}")
+    return d
 
 
 @dataclass
@@ -94,13 +115,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d):
-        if not isinstance(d, dict):
-            raise ValueError(f"model must be a JSON object, got {type(d).__name__}")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown model config fields: {sorted(unknown)}")
-        return cls(**d)
+        return cls(**json_fields(cls, "model", d))
 
 
 def recent_history(items, max_history: int) -> list:

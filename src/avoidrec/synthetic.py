@@ -61,7 +61,6 @@ statistics at exactly the boundaries this generator used.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -71,7 +70,7 @@ import numpy as np
 
 from .corpus import ImpressionRecord, format_behaviors_line
 from .grid import cell_index
-from .model import check_integer
+from .model import check_integer, json_fields
 from .stats import BucketTimeline, engagement_ratios
 
 # 2019-11-09 00:00:00 UTC; arbitrary but fixed so outputs are reproducible.
@@ -143,14 +142,7 @@ class SyntheticSpec:
 
     @classmethod
     def from_json_file(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            d = json.load(fh)
-        if not isinstance(d, dict):
-            raise ValueError(f"a synthetic spec must be a JSON object, got {type(d).__name__}")
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown spec fields: {sorted(unknown)}")
-        return cls(**d)
+        return cls(**json_fields(cls, "a synthetic spec", path=path))
 
     def to_dict(self):
         return dict(self.__dict__)

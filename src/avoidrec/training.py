@@ -20,14 +20,15 @@ instances.  ``Adam`` holds the only copy of the parameters, in one flat
 ``values`` array, and their gradients and its moments, as the rows of one
 ``(3, n)`` block; it steps both in place.  Once the last step is taken,
 ``train`` releases the block, leaving every parameter's ``grad`` and
-``grad_buffer`` None, and only then copies the parameters out for the
-state it returns: the returned model's parameters are views into
-``values``, and nothing else of the optimizer stays alive.
+``grad_buffer`` None; the returned model's parameters, views into
+``values``, are the one copy kept, into which early stopping restores its
+snapshot of the best epoch.  Instances with a candidate missing from the
+catalog are left out once, before batches are drawn, so every batch but
+an epoch's last scores ``batch_size`` instances.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -40,7 +41,7 @@ from .corpus import (ImpressionLog, ImpressionRecord, ParseIssue, load_word_vect
 from .features import impression_features
 from .metrics import config_fingerprint, evaluate
 from .model import (MODES, AvoidanceAwareRanker, ModelConfig, VocabSizes, check_integer,
-                    recent_history)
+                    json_fields, recent_history)
 from .stats import build_timeline
 
 
@@ -99,22 +100,15 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
-        if not isinstance(d, dict):
-            raise ValueError(f"a train config must be a JSON object, got {type(d).__name__}")
-        d = dict(d)
+        d = dict(json_fields(cls, "a train config", d))
         model = d.pop("model", {})
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
         if not isinstance(model, ModelConfig):
             model = ModelConfig.from_dict(model)
         return cls(model=model, **d)
 
     @classmethod
     def from_json_file(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(json_fields(cls, "a train config", path=path))
 
 
 @dataclass
@@ -337,8 +331,10 @@ class EpochStats:
 
 @dataclass
 class TrainResult:
+    """What ``train`` returns: the model, holding the one kept copy of its
+    best epoch's parameters, with the per-epoch log and instance counts."""
+
     model: AvoidanceAwareRanker
-    best_state: dict[str, np.ndarray]
     best_val_auc: float
     history: list[EpochStats]
     n_instances: int
@@ -354,10 +350,6 @@ class TrainResult:
                          f"{row.wall_seconds:.3f}\n")
 
 
-def _has_unknown_candidate(instance, catalog):
-    return any(cid not in catalog for cid in instance.candidates)
-
-
 def impression_groups(batch) -> list[list[TrainingInstance]]:
     """The batch's instances grouped by impression, groups and members in batch order."""
     groups = {}
@@ -367,17 +359,14 @@ def impression_groups(batch) -> list[list[TrainingInstance]]:
 
 
 def _group_score_inputs(record, group, catalog, timeline, model_config):
-    """What one ``score_impression`` call needs to score a group, or None.
+    """What one ``score_impression`` call needs to score a group.
 
-    ``record`` is the group's impression.  Instances with a candidate
-    missing from the catalog are left out.  Returns the kept history, the
+    ``record`` is the group's impression, and every candidate of the
+    group's instances is in the catalog.  Returns the kept history, the
     union of the instances' candidates (each once, in order of first use),
     their features, and per instance the union rows of its candidates and
     its ``target``.
     """
-    group = [i for i in group if not _has_unknown_candidate(i, catalog)]
-    if not group:
-        return None
     union = list(dict.fromkeys(cid for i in group for cid in i.candidates))
     row = {cid: r for r, cid in enumerate(union)}
     # Only the known clicks the model keeps need features.
@@ -409,10 +398,11 @@ def group_loss(model, history, candidates, feats, slots, mode="full"):
 def train(config: TrainConfig, corpus: Corpus, timeline) -> TrainResult:
     """Optimize a fresh model on the corpus' training split.
 
-    Returns the model loaded with its best-validation parameters along
-    with the per-epoch log; its parameters' ``grad`` and ``grad_buffer``
-    are None.  Aborts with TrainingDiverged on a non-finite loss.  With
-    ``config.max_steps`` set, training stops after that many optimizer
+    Returns the model, holding its best-validation parameters, with the
+    per-epoch log; its parameters' ``grad`` and ``grad_buffer`` are None.
+    Raises ValueError before the first step when no instance has all its
+    candidates in the catalog, and TrainingDiverged on a non-finite loss.
+    With ``config.max_steps`` set, training stops after that many optimizer
     steps (or earlier, after ``max_epochs``) and early stopping is skipped
     (small-scale experiments).
     """
@@ -423,9 +413,12 @@ def train(config: TrainConfig, corpus: Corpus, timeline) -> TrainResult:
     instances, skipped = build_training_instances(corpus.train, config.negatives, rng)
     if not instances:
         raise ValueError("no training instances; is the training split empty?")
-    # Drops are counted once per instance, however many epochs skip them.
+    scorable = [i for i in instances if all(c in corpus.catalog for c in i.candidates)]
+    if not scorable:
+        raise ValueError(f"none of the {len(instances)} training instances can be scored: "
+                         f"each names a candidate missing from the catalog "
+                         f"({len(corpus.catalog)} articles)")
     records = corpus.train.records
-    scorable = [i for i in instances if not _has_unknown_candidate(i, corpus.catalog)]
     n_missing_history = sum(h not in corpus.catalog
                             for i in scorable for h in records[i.impression].history)
 
@@ -437,18 +430,15 @@ def train(config: TrainConfig, corpus: Corpus, timeline) -> TrainResult:
 
     for epoch in range(1, config.max_epochs + 1):
         t0 = time.perf_counter()
-        order = rng.permutation(len(instances))
+        order = rng.permutation(len(scorable))
         loss_sum = 0.0
         loss_count = 0
         for start in range(0, len(order), config.batch_size):
-            batch = [instances[i] for i in order[start:start + config.batch_size]]
+            batch = [scorable[i] for i in order[start:start + config.batch_size]]
             optimizer.zero_grads()
-            batch_scored = 0
             for group in impression_groups(batch):
                 prepared = _group_score_inputs(records[group[0].impression], group,
                                                corpus.catalog, timeline, config.model)
-                if prepared is None:
-                    continue
                 with ad.ComputationRecord() as record:
                     loss, loss_values = group_loss(model, *prepared, mode=config.mode)
                 if not all(map(math.isfinite, loss_values)):
@@ -457,14 +447,11 @@ def train(config: TrainConfig, corpus: Corpus, timeline) -> TrainResult:
                 record.backward(loss)
                 del record  # one group's graph alive at a time
                 loss_sum = sum(loss_values, loss_sum)
-                loss_count += len(loss_values)
-                batch_scored += len(loss_values)
-            if batch_scored == 0:
-                continue
-            if batch_scored > 1:
+            loss_count += len(batch)
+            if len(batch) > 1:
                 for p in optimizer.params.values():
                     if p.grad is not None:
-                        p.grad /= batch_scored
+                        p.grad /= len(batch)
             optimizer.step()
             step += 1
             if step == config.max_steps:
@@ -475,9 +462,8 @@ def train(config: TrainConfig, corpus: Corpus, timeline) -> TrainResult:
             report = evaluate(model, corpus.validation, timeline, corpus.catalog,
                               mode=config.mode, config_dict=config.to_dict())
             val_auc = report.metrics["auc"]
-        train_loss = loss_sum / loss_count if loss_count else math.nan
-        history.append(EpochStats(epoch=epoch, train_loss=train_loss, val_auc=val_auc,
-                                  wall_seconds=time.perf_counter() - t0))
+        history.append(EpochStats(epoch=epoch, train_loss=loss_sum / loss_count,
+                                  val_auc=val_auc, wall_seconds=time.perf_counter() - t0))
 
         if config.max_steps is None and not math.isnan(val_auc):
             if val_auc > best_val:
@@ -491,15 +477,11 @@ def train(config: TrainConfig, corpus: Corpus, timeline) -> TrainResult:
         if step == config.max_steps:  # the budget is spent
             break
 
-    # The copy below is taken with no gradient or moment store alive.
     optimizer.release()
     del optimizer
-    if best_state is None:
-        best_state = model.state_dict()
-    elif best_epoch < len(history):
-        model.load_state_dict(best_state)
-    return TrainResult(model=model, best_state=best_state,
-                       best_val_auc=best_val, history=history,
+    if best_epoch < len(history):
+        model.load_state_dict(best_state)  # in place, into the one copy
+    return TrainResult(model=model, best_val_auc=best_val, history=history,
                        n_instances=len(instances), n_skipped_instances=skipped,
                        n_unknown_candidate_instances=len(instances) - len(scorable),
                        n_missing_history=n_missing_history)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -54,10 +56,23 @@ def test_rejects_unknown_version(tmp_path):
     path = tmp_path / "model.ntck"
     save_checkpoint(path, {"w": np.ones(2)})
     raw = bytearray(path.read_bytes())
-    idx = raw.find(b'"format_version":1')
-    raw[idx:idx + len(b'"format_version":1')] = b'"format_version":9'
+    idx = raw.find(b'"format_version":2')
+    raw[idx:idx + len(b'"format_version":2')] = b'"format_version":9'
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match="version"):
+        load_checkpoint(path)
+
+
+def test_a_version_1_file_fails_naming_the_missing_digest(tmp_path):
+    tensors = {"w": np.arange(6, dtype=np.float32).reshape(3, 2)}
+    buf = tensors["w"].tobytes()
+    header = json.dumps({"format_version": 1, "meta": {}, "tensors": [
+        {"name": "w", "dtype": "float32", "shape": [3, 2], "offset": 0, "nbytes": len(buf)}]},
+        sort_keys=True, separators=(",", ":")).encode("utf-8")
+    path = tmp_path / "v1.ntck"
+    path.write_bytes(b"NTCK" + len(header).to_bytes(4, "little") + header + buf)
+    with pytest.raises(CheckpointError, match=r"v1\.ntck: header \(format version 1\) has no "
+                                              r"payload_sha256 field"):
         load_checkpoint(path)
 
 
@@ -109,7 +124,9 @@ def test_any_truncation_raises_checkpoint_error(tmp_path, spec, cut):
 @given(spec=_TENSORS, data=st.data())
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_bit_flips_load_or_raise_checkpoint_error(tmp_path, spec, data):
+    # A flip inside the payload always raises: the header's digest covers it.
     raw = bytearray(_saved_bytes(tmp_path, spec))
+    payload_start = 8 + int.from_bytes(raw[4:8], "little")
     position = data.draw(st.integers(0, len(raw) - 1))
     raw[position] ^= 1 << data.draw(st.integers(0, 7))
     path = tmp_path / "flip.ntck"
@@ -118,5 +135,6 @@ def test_bit_flips_load_or_raise_checkpoint_error(tmp_path, spec, data):
         tensors, meta = load_checkpoint(path)
     except CheckpointError:
         return
+    assert position < payload_start
     assert isinstance(meta, dict)
     assert all(isinstance(arr, np.ndarray) for arr in tensors.values())

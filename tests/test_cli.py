@@ -166,6 +166,20 @@ class TestSynthCommand:
         assert err.startswith("error:") and field in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, content, reason", [
+        ("synth", b'{"n_users": 8, ', "Expecting property name"),
+        ("train", b'{"news_path": "\xff"}', "can't decode byte 0xff")])
+    def test_unreadable_json_fails_naming_the_file(self, tmp_path, capsys, command, content,
+                                                   reason):
+        path = tmp_path / "file.json"
+        path.write_bytes(content)
+        out = tmp_path / "x"
+        args = [str(path)] if command == "synth" else ["--config", str(path)]
+        assert main([command, *args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not a UTF-8 JSON file: ") and reason in err
+        assert not out.exists()
+
     def test_out_that_is_a_file_fails_before_generating(self, tmp_path, capsys, monkeypatch):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"n_articles": 6, "seed": 1}), encoding="utf-8")
@@ -348,6 +362,22 @@ class TestTrainEvalAblate:
         bad.write_text(json.dumps(cfg), encoding="utf-8")
         assert main(["train", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: max_epochs")
+
+    def test_train_with_no_scorable_instance_fails_without_a_checkpoint(
+            self, synth_dir, config_path, tmp_path, capsys):
+        # Every shown id is renamed away from the catalog's.
+        behaviors = tmp_path / "behaviors.tsv"
+        behaviors.write_text((synth_dir / "behaviors.tsv").read_text(encoding="utf-8")
+                             .replace("N0", "GONE"), encoding="utf-8")
+        cfg = json.loads(config_path.read_text())
+        cfg["behaviors_path"] = str(behaviors)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: none of the ") and "(12 articles)" in err
+        assert not (out / "checkpoint.ntck").exists()
 
     def test_missing_config_fails(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.json"),

@@ -7,10 +7,11 @@ Usage, from the root of a checkout:
 For every input slot of ``perfbench/`` it sets up the ``train`` and the
 ``rank`` workload (their smoke sizes with ``--smoke``) and runs one
 operation of each.  A ``train`` line holds the final train loss as a hex
-float and the sha256 of ``best_state``; a ``rank`` line holds each rank
-metric as a hex float.  Two checkouts print the same line only when that
-output is bit-identical, so a diff of two runs names the slot and the
-output that moved.
+float and, labelled ``best_state`` so that lines of older checkouts still
+compare, the sha256 of the trained model's ``state_dict()``; a ``rank``
+line holds each rank metric as a hex float.  Two checkouts print the same
+line only when that output is bit-identical, so a diff of two runs names
+the slot and the output that moved.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def fingerprint_lines(smoke: bool):
             train = workloads.Train(slot, smoke, workdir, None)
             result, _ = train._train(train.setup())
             yield (f"train slot {slot} loss {result.history[-1].train_loss.hex()} "
-                   f"best_state {state_sha256(result.best_state)}")
+                   f"best_state {state_sha256(result.model.state_dict())}")
             rank = workloads.Rank(slot, smoke, workdir, None)
             metrics = rank.run_op(rank.setup()).output
             yield f"rank slot {slot} " + " ".join(
