@@ -1,20 +1,23 @@
 """Deterministic named-tensor checkpoint files.
 
-Layout (version 2, little-endian, stable across releases):
+Layout (version 3, little-endian, stable across releases):
 
-    bytes 0..3    magic ``NTCK``
-    bytes 4..7    uint32 header length ``H``
-    bytes 8..8+H  UTF-8 JSON header
-    rest          the payload: raw C-order tensor buffers, in header order
+    bytes 0..3      magic ``NTCK``
+    bytes 4..7      uint32 header length ``H``
+    bytes 8..8+H    UTF-8 JSON header
+    then            the payload: raw C-order tensor buffers, in header order
+    last 32 bytes   the sha256 of every byte before them
 
-The JSON header is ``{"format_version": 2, "meta": {...}, "payload_sha256":
-hex, "tensors": [{"name", "dtype", "shape", "offset", "nbytes"}, ...]}``
-with tensors sorted by name.  No timestamps or platform fields are
-embedded, so identical tensors always serialize to identical bytes.
-Tensor buffers tile the payload exactly and hash to ``payload_sha256``,
-and only the dtypes in ``DTYPES`` are written or read; a file that breaks
-any of this, or a version-1 file (no ``payload_sha256``), raises
-``CheckpointError``.
+The JSON header is ``{"format_version": 3, "meta": {...}, "tensors":
+[{"name", "dtype", "shape", "offset", "nbytes"}, ...]}`` with tensors
+sorted by name.  No timestamps or platform fields are embedded, so
+identical tensors and meta always serialize to identical bytes.  The
+sha256 covers the magic, the header with its meta and tensor entries,
+and the payload, so flipping any one bit of a file makes it fail to
+load.  Tensor buffers tile the payload exactly, and only the dtypes in
+``DTYPES`` are written or read; a file that breaks any of this, or a file
+of another format version (versions 1 and 2 had no trailing sha256),
+raises ``CheckpointError`` naming the file.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ import math
 import numpy as np
 
 MAGIC = b"NTCK"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+_DIGEST_BYTES = 32  # the trailing sha256
 DTYPES = ("float32", "float64")  # what model parameters use
 
 
@@ -37,7 +41,6 @@ class CheckpointError(Exception):
 def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict | None = None):
     entries = []
     buffers = []
-    digest = hashlib.sha256()
     offset = 0
     for name in sorted(tensors):
         arr = np.ascontiguousarray(tensors[name])
@@ -52,17 +55,15 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict | None = No
             "nbytes": len(buf),
         })
         buffers.append(buf)
-        digest.update(buf)
         offset += len(buf)
-    header = json.dumps({"format_version": FORMAT_VERSION, "meta": meta or {},
-                         "payload_sha256": digest.hexdigest(), "tensors": entries},
+    header = json.dumps({"format_version": FORMAT_VERSION, "meta": meta or {}, "tensors": entries},
                         sort_keys=True, separators=(",", ":")).encode("utf-8")
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(len(header).to_bytes(4, "little"))
-        fh.write(header)
-        for buf in buffers:
-            fh.write(buf)
+        for part in (MAGIC, len(header).to_bytes(4, "little"), header, *buffers):
+            fh.write(part)
+            digest.update(part)
+        fh.write(digest.digest())
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
@@ -78,12 +79,13 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     except (UnicodeDecodeError, ValueError) as exc:
         raise CheckpointError(f"{path}: unreadable header: {exc}") from None
     version = header.get("format_version") if isinstance(header, dict) else None
-    if not isinstance(header, dict) or not isinstance(header.get("payload_sha256"), str):
-        raise CheckpointError(f"{path}: header (format version {version!r}) has no "
-                              f"payload_sha256 field")
     if version != FORMAT_VERSION:
-        raise CheckpointError(f"{path}: unsupported format version {version!r}")
-    payload = memoryview(raw)[8 + header_len:]
+        raise CheckpointError(f"{path}: unsupported format version {version!r}, "
+                              f"expected {FORMAT_VERSION}")
+    body_len = len(raw) - _DIGEST_BYTES
+    if body_len < 8 + header_len:
+        raise CheckpointError(f"{path}: the file ends before its sha256")
+    payload = memoryview(raw)[8 + header_len:body_len]
     entries, meta = header.get("tensors"), header.get("meta", {})
     if not isinstance(entries, list) or not isinstance(meta, dict):
         raise CheckpointError(f"{path}: header needs a tensor list and a meta object")
@@ -100,8 +102,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         offset = end
     if offset != len(payload):
         raise CheckpointError(f"{path}: {len(payload) - offset} bytes after the last tensor")
-    if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
-        raise CheckpointError(f"{path}: the payload does not match its payload_sha256")
+    if hashlib.sha256(memoryview(raw)[:body_len]).digest() != raw[body_len:]:
+        raise CheckpointError(f"{path}: the file does not match its sha256")
     return tensors, meta
 
 

@@ -2,7 +2,9 @@
 
 Reads the two tab-separated files used by news click datasets: a news
 catalog (``news.tsv``: id, category, subcategory, title, abstract and
-optional JSON entity columns) and a behaviors log (``behaviors.tsv``:
+optional JSON entity columns, of which the id, the category, the title
+and the entities are read; the subcategory and the abstract are required
+but not read) and a behaviors log (``behaviors.tsv``:
 impression id, user id, timestamp, space-separated click history,
 space-separated ``<news_id>-<label>`` candidates).  A JSONL interchange
 format for impression records is accepted by the behaviors parser so
@@ -18,6 +20,9 @@ line in the parse loops.
 A title is normalised by lowercasing it and deleting ASCII punctuation
 from its UTF-8 bytes (``normalize_tokens``), which gives the same tokens
 as deleting those characters from the string, at a fraction of the cost.
+Title words, categories and entities get dense ids in first-seen order
+from one ``Interner`` class; the title vocabulary reserves ``PAD_TOKEN``
+at 0 and ``UNK_TOKEN`` at 1.
 
 Parsed catalogs and logs are plain immutable-by-convention containers and
 are safe to share across threads once built.  They hold each distinct
@@ -52,6 +57,7 @@ import numpy as np
 
 PAD_TOKEN = "<PAD>"
 UNK_TOKEN = "<UNK>"
+PAD_INDEX = 0  # PAD_TOKEN's id in every title vocabulary
 
 # MIND-style timestamp, e.g. "11/11/2019 9:05:58 AM"; interpreted as UTC.
 _TIME_FORMAT = "%m/%d/%Y %I:%M:%S %p"
@@ -105,44 +111,21 @@ class ParseIssue:
         return f"line {self.line_no}: {self.message}"
 
 
-class Vocabulary:
-    """Token interning with reserved padding and unknown-word slots.
+class Interner:
+    """Dense id assignment in first-seen order.
 
-    Index 0 is always the padding token and index 1 the unknown token;
-    ``token_to_index`` and ``index_to_token`` stay exact inverses.
+    ``Interner(*reserved)`` holds ``reserved`` at ids 0, 1, ... before any
+    other key; a catalog's categories and entities start empty, and its
+    title vocabulary starts with ``PAD_TOKEN`` at ``PAD_INDEX`` and
+    ``UNK_TOKEN`` at 1.  ``key_to_index`` and ``index_to_key`` stay exact
+    inverses.
     """
 
-    pad_index = 0
-    unk_index = 1
-
-    def __init__(self):
-        self.token_to_index = {PAD_TOKEN: 0, UNK_TOKEN: 1}
-        self.index_to_token = [PAD_TOKEN, UNK_TOKEN]
-
-    def __len__(self):
-        return len(self.index_to_token)
-
-    def __contains__(self, token):
-        return token in self.token_to_index
-
-    def add(self, token: str) -> int:
-        idx = self.token_to_index.get(token)
-        if idx is None:
-            idx = len(self.index_to_token)
-            self.token_to_index[token] = idx
-            self.index_to_token.append(token)
-        return idx
-
-    def index(self, token: str) -> int:
-        return self.token_to_index.get(token, self.unk_index)
-
-
-class Interner:
-    """Dense id assignment for opaque keys (categories, entities)."""
-
-    def __init__(self):
+    def __init__(self, *reserved: str):
         self.key_to_index = {}
         self.index_to_key = []
+        for key in reserved:
+            self.intern(key)
 
     def __len__(self):
         return len(self.index_to_key)
@@ -167,7 +150,6 @@ class NewsArticle:
 
     news_id: str
     category_id: int
-    subcategory_id: int
     title_tokens: tuple[int, ...]
     entity_ids: tuple[int, ...] = ()
     publish_time: int | None = None
@@ -195,7 +177,6 @@ class NewsCatalog:
 
     articles: dict[str, NewsArticle]
     categories: Interner
-    subcategories: Interner
     entities: Interner
     issues: list[ParseIssue] = field(default_factory=list)
 
@@ -236,15 +217,6 @@ def normalize_tokens(text: str) -> list[str]:
     return cleaned.decode("utf-8", "surrogatepass").split()
 
 
-def tokenize_title(text: str, vocab: Vocabulary, max_title_len: int) -> tuple[int, ...]:
-    """Map a raw title to its first ``max_title_len`` token indices.
-
-    Out-of-vocabulary tokens map to the unknown index.  The tuple is not
-    padded: the news encoder pads each batch to its longest title.
-    """
-    return tuple([vocab.index(tok) for tok in normalize_tokens(text)][:max_title_len])
-
-
 def _extract_entity_keys(extra_columns):
     # Trailing catalog columns may hold JSON arrays of entity annotations;
     # anything else (URLs etc.) is ignored.
@@ -262,32 +234,27 @@ def _extract_entity_keys(extra_columns):
         for item in parsed:
             if isinstance(item, dict) and "WikidataId" in item:
                 keys.append(str(item["WikidataId"]))
-    # Dedupe preserving first-seen order.
-    seen = set()
-    out = []
-    for k in keys:
-        if k not in seen:
-            seen.add(k)
-            out.append(k)
-    return out
+    return list(dict.fromkeys(keys))  # deduped, in first-seen order
 
 
 @_utf8_or_corpus_error
-def parse_news_file(path, max_title_len: int = 30,
-                    vocab: Vocabulary | None = None) -> tuple[NewsCatalog, Vocabulary]:
-    """Parse a news catalog TSV and build the title vocabulary.
+def parse_news_file(path, max_title_len: int = 30) -> tuple[NewsCatalog, Interner]:
+    """Parse a news catalog TSV and build its title vocabulary.
 
-    Rows need at least five columns (id, category, subcategory, title,
-    abstract).  Malformed rows are skipped and recorded on the returned
-    catalog; a duplicated news id aborts parsing.  Passing an existing
-    ``vocab`` reuses it instead of growing a new one (unseen title words
-    then map to the unknown index).
+    Rows need at least five columns: id, category, subcategory, title and
+    abstract.  The id, the category, the title and any JSON entity columns
+    after the abstract are read.  The subcategory and the abstract are
+    required but not read.  Malformed rows are skipped and recorded on
+    the returned catalog; a duplicated news id aborts parsing.
+
+    Each title is tokenized once, and every one of its tokens enters the
+    vocabulary, also those past the ``max_title_len`` cut, so a token's
+    id is its first-seen position after the reserved ``PAD_TOKEN`` and
+    ``UNK_TOKEN``.
     """
-    grow_vocab = vocab is None
-    if vocab is None:
-        vocab = Vocabulary()
-    known = vocab.token_to_index.get
-    catalog = NewsCatalog({}, Interner(), Interner(), Interner())
+    vocab = Interner(PAD_TOKEN, UNK_TOKEN)
+    known, add = vocab.key_to_index.get, vocab.intern
+    catalog = NewsCatalog({}, Interner(), Interner())
 
     with open(path, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -301,17 +268,11 @@ def parse_news_file(path, max_title_len: int = 30,
             news_id = sys.intern(cols[0])
             if news_id in catalog.articles:
                 raise CorpusError(f"duplicate news id {news_id!r} at line {line_no}")
-            if grow_vocab:
-                # Every token enters the vocabulary, also those past the cut.
-                title_tokens = tuple([idx if (idx := known(tok)) is not None else vocab.add(tok)
-                                      for tok in normalize_tokens(cols[3])][:max_title_len])
-            else:
-                title_tokens = tokenize_title(cols[3], vocab, max_title_len)
             catalog.articles[news_id] = NewsArticle(
                 news_id=news_id,
                 category_id=catalog.categories.intern(cols[1]),
-                subcategory_id=catalog.subcategories.intern(cols[2]),
-                title_tokens=title_tokens,
+                title_tokens=tuple([idx if (idx := known(tok)) is not None else add(tok)
+                                    for tok in normalize_tokens(cols[3])][:max_title_len]),
                 entity_ids=tuple(map(catalog.entities.intern, _extract_entity_keys(cols[5:]))),
             )
     return catalog, vocab
@@ -503,15 +464,15 @@ def record_to_json(record: ImpressionRecord) -> str:
 
 
 @_utf8_or_corpus_error
-def load_word_vectors(path, vocab: Vocabulary, dim: int, seed: int = 0) -> np.ndarray:
+def load_word_vectors(path, vocab: Interner, dim: int, seed: int = 0) -> np.ndarray:
     """Build a ``len(vocab) x dim`` embedding matrix from a text vector file.
 
-    Each line is a token followed by ``dim`` floats.  Vocabulary tokens
+    Each line is a token followed by ``dim`` floats.  Tokens of ``vocab``
     found in the file get their vectors verbatim; the rest are drawn
-    uniformly from ``[-0.1, 0.1]`` (seeded).  The padding
-    row is forced to zeros.  A line of the wrong width, or a vocabulary
-    token's component that is not a finite number, raises CorpusError
-    naming the line; other tokens' components are not read.
+    uniformly from ``[-0.1, 0.1]`` (seeded).  The padding row
+    (``PAD_INDEX``) is forced to zeros.  A line of the wrong width, or a
+    component of a ``vocab`` token that is not a finite number, raises
+    CorpusError naming the line; other tokens' components are not read.
     """
     rng = np.random.default_rng(seed)
     matrix = rng.uniform(-0.1, 0.1, size=(len(vocab), dim))
@@ -524,15 +485,16 @@ def load_word_vectors(path, vocab: Vocabulary, dim: int, seed: int = 0) -> np.nd
             if len(values) != dim:
                 raise CorpusError(
                     f"line {line_no}: expected {dim} vector components, got {len(values)}")
-            if token in vocab:
+            idx = vocab.key_to_index.get(token)
+            if idx is not None:
                 try:
                     row = [float(v) for v in values]
                 except ValueError as exc:
                     raise CorpusError(f"line {line_no}: {exc}") from None
                 if not all(map(math.isfinite, row)):
                     raise CorpusError(f"line {line_no}: vector components must be finite")
-                matrix[vocab.token_to_index[token]] = row
-    matrix[vocab.pad_index] = 0.0
+                matrix[idx] = row
+    matrix[PAD_INDEX] = 0.0
     return matrix
 
 

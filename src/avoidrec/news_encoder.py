@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import Vocabulary
+from .corpus import PAD_INDEX
 
 if TYPE_CHECKING:
     from .model import ModelConfig, VocabSizes
@@ -48,7 +48,7 @@ class NewsEncoder:
 
         if word_init is None:
             word_init = rng.uniform(-0.1, 0.1, size=(sizes.n_words, d_word))
-            word_init[Vocabulary.pad_index] = 0.0
+            word_init[PAD_INDEX] = 0.0
         elif word_init.shape != (sizes.n_words, d_word):
             raise ValueError(f"word_init shape {word_init.shape} != {(sizes.n_words, d_word)}")
         # A copy: loading a state writes the table in place, never into word_init.
@@ -98,7 +98,7 @@ class NewsEncoder:
         Trailing padding ids in a title change nothing: the batch is cut
         to its longest real title.
         """
-        pad = Vocabulary.pad_index
+        pad = PAD_INDEX
         tokens = np.full((len(titles), max(map(len, titles), default=0)), pad, dtype=np.int64)
         for row, title in zip(tokens, titles):
             row[:len(title)] = title

@@ -5,7 +5,10 @@ click behavior is driven by the engagement grid: a shown article sits in
 the (avoidance, exposure-per-impression) cell of the statistics frozen at
 the start of the current bucket, and a user's click probability on it is
 the base rate times the cell's propensity multiplier (normalized by the
-mean multiplier so the base rate stays the average).  Articles enter the
+mean multiplier so the base rate stays the average).  An empty
+``affinity``, the default, is uniform: every cell's multiplier is exactly
+1.0, so a cell-following user clicks with the very probability of one who
+ignores the cells, and no D x D matrix is built.  Articles enter the
 pool on staggered schedules and their exposure weight decays afterwards,
 so they wander across grid cells as buckets pass.  Optional knobs:
 
@@ -95,7 +98,7 @@ class SyntheticSpec:
     n_articles: int = 60
     n_buckets: int = 16
     grid_d: int = 5
-    affinity: list = field(default_factory=list)  # D x D, indexed [av_idx][epi_idx]
+    affinity: list = field(default_factory=list)  # D x D, [av_idx][epi_idx]; empty is uniform
     base_click_rate: float = 0.15
     seed: int = 0
     bucket_width: int = 3600
@@ -111,21 +114,20 @@ class SyntheticSpec:
                     "impressions_per_bucket", "n_shown")
         for name in positive + ("seed", "origin"):
             check_integer(name, getattr(self, name), 1 if name in positive else 0)
-        if not self.affinity:
-            self.affinity = [[1.0] * self.grid_d for _ in range(self.grid_d)]
-        try:
-            matrix = np.asarray(self.affinity, dtype=np.float64)
-        except (TypeError, ValueError):  # ragged, or an entry that is no number
-            matrix = None
-        if matrix is None or matrix.shape != (self.grid_d, self.grid_d):
-            raise ValueError(f"affinity must be a {self.grid_d}x{self.grid_d} matrix of "
-                             f"numbers, got {self.affinity!r}")
-        if not all(_is_finite_number(v) for row in self.affinity for v in row):
-            raise ValueError("affinity propensities must be finite numbers")
-        if (matrix < 0).any():
-            raise ValueError("affinity propensities must be nonnegative")
-        if matrix.max() <= 0:
-            raise ValueError("infeasible spec: all cell propensities are zero")
+        if self.affinity:  # empty is uniform, and is not expanded to a matrix
+            try:
+                matrix = np.asarray(self.affinity, dtype=np.float64)
+            except (TypeError, ValueError):  # ragged, or an entry that is no number
+                matrix = None
+            if matrix is None or matrix.shape != (self.grid_d, self.grid_d):
+                raise ValueError(f"affinity must be a {self.grid_d}x{self.grid_d} matrix of "
+                                 f"numbers, got {self.affinity!r}")
+            if not all(_is_finite_number(v) for row in self.affinity for v in row):
+                raise ValueError("affinity propensities must be finite numbers")
+            if (matrix < 0).any():
+                raise ValueError("affinity propensities must be nonnegative")
+            if matrix.max() <= 0:
+                raise ValueError("infeasible spec: all cell propensities are zero")
         fraction, rate = self.affinity_user_fraction, self.base_click_rate
         if not _is_finite_number(fraction) or not 0 <= fraction <= 1:
             raise ValueError(f"affinity_user_fraction must lie in [0, 1], got {fraction!r}")
@@ -256,8 +258,11 @@ def generate(spec: SyntheticSpec) -> SyntheticDataset:
     rng = np.random.default_rng(spec.seed)
     articles = _make_articles(spec, rng)
     news_ids = [article.news_id for article in articles]
-    matrix = np.asarray(spec.affinity, dtype=np.float64)
-    cell_mult = (matrix / matrix.mean() if matrix.mean() > 0 else matrix).tolist()
+    if spec.affinity:
+        matrix = np.asarray(spec.affinity, dtype=np.float64)
+        cell_mult = (matrix / matrix.mean() if matrix.mean() > 0 else matrix).tolist()
+    else:
+        cell_mult = None  # uniform: each cell's multiplier is 1.0
 
     # Staggered entries with decaying exposure weight per article.
     entry_bucket = rng.integers(0, max(1, int(spec.n_buckets * 0.75)), size=spec.n_articles)
@@ -331,7 +336,8 @@ def generate(spec: SyntheticSpec) -> SyntheticDataset:
                     fresh = 1.0 + boost * 0.5 ** (age / spec.freshness_halflife_buckets)
                     epi_idx, av_idx = divmod(cell, spec.grid_d)
                     p_flat = float(base * fresh)
-                    p_cells = float(base * cell_mult[av_idx][epi_idx] * fresh)
+                    p_cells = (p_flat if cell_mult is None
+                               else float(base * cell_mult[av_idx][epi_idx] * fresh))
                     flat_slots[pick] = (cell, p_flat if p_flat < 0.95 else 0.95)
                     cell_slots[pick] = (cell, p_cells if p_cells < 0.95 else 0.95)
                     slot = slots[pick]

@@ -26,7 +26,7 @@ def make_articles(n, seed=3, n_words=12, n_categories=3, n_entities=5, title_len
         toks = [int(t) for t in rng.integers(2, n_words, size=n_real)]
         toks += [0] * (title_len - n_real)
         articles[nid] = NewsArticle(
-            nid, int(rng.integers(0, n_categories)), 0, toks,
+            nid, int(rng.integers(0, n_categories)), toks,
             entity_ids=[int(rng.integers(0, n_entities))])
     return articles
 

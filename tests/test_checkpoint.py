@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -56,24 +57,27 @@ def test_rejects_unknown_version(tmp_path):
     path = tmp_path / "model.ntck"
     save_checkpoint(path, {"w": np.ones(2)})
     raw = bytearray(path.read_bytes())
-    idx = raw.find(b'"format_version":2')
-    raw[idx:idx + len(b'"format_version":2')] = b'"format_version":9'
+    idx = raw.find(b'"format_version":3')
+    raw[idx:idx + len(b'"format_version":3')] = b'"format_version":9'
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(path)
 
 
-def test_a_version_1_file_fails_naming_the_missing_digest(tmp_path):
-    tensors = {"w": np.arange(6, dtype=np.float32).reshape(3, 2)}
-    buf = tensors["w"].tobytes()
-    header = json.dumps({"format_version": 1, "meta": {}, "tensors": [
-        {"name": "w", "dtype": "float32", "shape": [3, 2], "offset": 0, "nbytes": len(buf)}]},
-        sort_keys=True, separators=(",", ":")).encode("utf-8")
-    path = tmp_path / "v1.ntck"
-    path.write_bytes(b"NTCK" + len(header).to_bytes(4, "little") + header + buf)
-    with pytest.raises(CheckpointError, match=r"v1\.ntck: header \(format version 1\) has no "
-                                              r"payload_sha256 field"):
-        load_checkpoint(path)
+def test_an_older_version_fails_naming_it(tmp_path):
+    # Version 1 had no digest, version 2 a payload_sha256 field in the header.
+    buf = np.arange(6, dtype=np.float32).tobytes()
+    entries = [{"name": "w", "dtype": "float32", "shape": [3, 2], "offset": 0,
+                "nbytes": len(buf)}]
+    digests = {1: {}, 2: {"payload_sha256": hashlib.sha256(buf).hexdigest()}}
+    for version, digest in digests.items():
+        header = json.dumps({"format_version": version, "meta": {}, "tensors": entries, **digest},
+                            sort_keys=True, separators=(",", ":")).encode("utf-8")
+        path = tmp_path / f"v{version}.ntck"
+        path.write_bytes(b"NTCK" + len(header).to_bytes(4, "little") + header + buf)
+        with pytest.raises(CheckpointError, match=rf"v{version}\.ntck: unsupported format "
+                                                  rf"version {version}, expected 3"):
+            load_checkpoint(path)
 
 
 def test_truncated_file_raises_checkpoint_error(tmp_path):
@@ -124,17 +128,27 @@ def test_any_truncation_raises_checkpoint_error(tmp_path, spec, cut):
 @given(spec=_TENSORS, data=st.data())
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_bit_flips_load_or_raise_checkpoint_error(tmp_path, spec, data):
-    # A flip inside the payload always raises: the header's digest covers it.
+    # Every flip raises: the trailing sha256 covers the header, meta included, and the payload.
     raw = bytearray(_saved_bytes(tmp_path, spec))
-    payload_start = 8 + int.from_bytes(raw[4:8], "little")
-    position = data.draw(st.integers(0, len(raw) - 1))
-    raw[position] ^= 1 << data.draw(st.integers(0, 7))
+    raw[data.draw(st.integers(0, len(raw) - 1))] ^= 1 << data.draw(st.integers(0, 7))
     path = tmp_path / "flip.ntck"
     path.write_bytes(bytes(raw))
-    try:
-        tensors, meta = load_checkpoint(path)
-    except CheckpointError:
-        return
-    assert position < payload_start
-    assert isinstance(meta, dict)
-    assert all(isinstance(arr, np.ndarray) for arr in tensors.values())
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_every_single_bit_flip_of_a_small_file_raises(tmp_path):
+    path = tmp_path / "model.ntck"
+    save_checkpoint(path, {"w": np.arange(3, dtype=np.float32)}, meta={"mode": "full", "lr": 1e-05})
+    raw = path.read_bytes()
+    loaded = []
+    for position in range(len(raw)):
+        for bit in range(8):
+            flipped = bytearray(raw)
+            flipped[position] ^= 1 << bit
+            path.write_bytes(bytes(flipped))
+            try:
+                loaded.append((position, bit, load_checkpoint(path)[1]))
+            except CheckpointError:
+                pass
+    assert loaded == []

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avoidrec.corpus import (_TIME_FORMAT, CorpusError, ImpressionRecord, Vocabulary,
-                             format_behaviors_line, format_time,
+from avoidrec.corpus import (_TIME_FORMAT, PAD_INDEX, PAD_TOKEN, UNK_TOKEN, CorpusError,
+                             ImpressionRecord, Interner, format_behaviors_line, format_time,
                              load_word_vectors, normalize_tokens,
                              parse_behaviors_file, parse_news_file,
-                             parse_time, record_to_json, split_log_by_time,
-                             tokenize_title)
+                             parse_time, record_to_json, split_log_by_time)
 from avoidrec.synthetic import SyntheticSpec, generate, write_mind_files
 
 NEWS_ROWS = [
@@ -39,10 +38,8 @@ class TestParseNewsFile:
         catalog, vocab = parse_news_file(write(tmp_path, "news.tsv", NEWS_ROWS),
                                          max_title_len=5)
         art = catalog.get("N1")
-        expected = (vocab.index("team"), vocab.index("wins"), vocab.index("final"))
-        assert art.title_tokens == expected
+        assert [vocab.index_to_key[t] for t in art.title_tokens] == ["team", "wins", "final"]
         assert catalog.categories.index_to_key[art.category_id] == "sports"
-        assert catalog.subcategories.index_to_key[art.subcategory_id] == "soccer"
 
     def test_empty_title_is_all_padding(self, tmp_path):
         catalog, vocab = parse_news_file(write(tmp_path, "news.tsv", NEWS_ROWS),
@@ -63,11 +60,12 @@ class TestParseNewsFile:
         assert all(news_id in catalog for r in log for news_id in r.history)
 
     def test_malformed_row_skipped_and_counted(self, tmp_path):
-        rows = [NEWS_ROWS[0], "N9\tonly\tthree", NEWS_ROWS[1]]
+        # The subcategory and abstract columns are not read, but required.
+        rows = [NEWS_ROWS[0], "N9\tonly\tthree", NEWS_ROWS[1], "N8\tnews\tworld\tNo abstract"]
         catalog, _ = parse_news_file(write(tmp_path, "news.tsv", rows), max_title_len=4)
         assert len(catalog) == 2
-        assert len(catalog.issues) == 1
-        assert catalog.issues[0].line_no == 2
+        assert [(issue.line_no, issue.message) for issue in catalog.issues] == [
+            (2, "expected >=5 columns, got 3"), (4, "expected >=5 columns, got 4")]
 
     def test_entity_columns_parsed_from_json(self, tmp_path):
         ents = json.dumps([{"Label": "X", "WikidataId": "Q1"},
@@ -76,15 +74,6 @@ class TestParseNewsFile:
         catalog, _ = parse_news_file(write(tmp_path, "news.tsv", rows), max_title_len=4)
         art = catalog.get("N1")
         assert [catalog.entities.index_to_key[e] for e in art.entity_ids] == ["Q1", "Q2"]
-
-    def test_existing_vocab_reused_with_unk(self, tmp_path):
-        vocab = Vocabulary()
-        vocab.add("team")
-        catalog, out_vocab = parse_news_file(write(tmp_path, "news.tsv", NEWS_ROWS),
-                                             max_title_len=3, vocab=vocab)
-        assert out_vocab is vocab
-        assert catalog.get("N1").title_tokens == (vocab.index("team"),
-                                                  vocab.unk_index, vocab.unk_index)
 
 
 class TestSinglePassTokenizer:
@@ -99,20 +88,19 @@ class TestSinglePassTokenizer:
 
     @staticmethod
     def two_pass(rows, max_title_len):
-        """The former parser: grow the vocabulary, then tokenize the title again."""
-        vocab = Vocabulary()
-        titles = {}
-        for row in rows:
-            cols = row.split("\t")
-            for tok in normalize_tokens(cols[3]):
-                vocab.add(tok)
-            titles[cols[0]] = tokenize_title(cols[3], vocab, max_title_len)
-        return vocab, titles
+        """Grow the vocabulary over every title, then look each title's cut up in it."""
+        titles = {row.split("\t")[0]: normalize_tokens(row.split("\t")[3]) for row in rows}
+        vocab = Interner(PAD_TOKEN, UNK_TOKEN)
+        for tokens in titles.values():
+            for tok in tokens:
+                vocab.intern(tok)
+        return vocab, {news_id: tuple(vocab.key_to_index[tok] for tok in tokens[:max_title_len])
+                       for news_id, tokens in titles.items()}
 
     def test_tokens_past_the_cut_enter_the_vocabulary_in_order(self, tmp_path):
         catalog, vocab = parse_news_file(write(tmp_path, "news.tsv", self.ROWS), max_title_len=3)
-        assert vocab.index_to_token[2:] == ["one", "two", "three", "four", "five", "six",
-                                            "seven", "eight", "nine", "ten", "eleven", "zeta"]
+        assert vocab.index_to_key[2:] == ["one", "two", "three", "four", "five", "six",
+                                          "seven", "eight", "nine", "ten", "eleven", "zeta"]
         assert catalog.get("N1").title_tokens == (2, 3, 4)
         assert catalog.get("N2").title_tokens == (8, 9, 3)
         assert catalog.get("N4").title_tokens == (13,)
@@ -123,44 +111,35 @@ class TestSinglePassTokenizer:
                                          max_title_len=max_title_len)
         ref_vocab, ref_titles = self.two_pass(self.ROWS, max_title_len)
         assert len(vocab) == len(ref_vocab)
-        assert vocab.index_to_token == ref_vocab.index_to_token
-        assert vocab.token_to_index == ref_vocab.token_to_index
+        assert vocab.index_to_key == ref_vocab.index_to_key
+        assert vocab.key_to_index == ref_vocab.key_to_index
         assert {n: a.title_tokens for n, a in catalog.articles.items()} == ref_titles
 
-    def test_given_vocab_gains_nothing_and_maps_oov_to_unk(self, tmp_path):
-        vocab = Vocabulary()
-        for tok in ["two", "seven", "zeta"]:
-            vocab.add(tok)
-        before = list(vocab.index_to_token)
-        catalog, out_vocab = parse_news_file(write(tmp_path, "news.tsv", self.ROWS),
-                                             max_title_len=4, vocab=vocab)
-        assert out_vocab is vocab
-        assert vocab.index_to_token == before
-        unk, pad = vocab.unk_index, vocab.pad_index
-        assert catalog.get("N1").title_tokens == (unk, vocab.index("two"), unk, unk)
-        assert catalog.get("N2").title_tokens == (vocab.index("seven"), unk,
-                                                  vocab.index("two"), unk)
-        assert catalog.get("N3").title_tokens == ()
-        assert catalog.get("N4").title_tokens == (vocab.index("zeta"),)
+    # Reserved keys among the stream, so interning one of them again is tried too.
+    @given(st.lists(st.text(max_size=3) | st.sampled_from([PAD_TOKEN, UNK_TOKEN]), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_interned_ids_are_dense_and_in_first_seen_order(self, stream):
+        vocab = Interner(PAD_TOKEN, UNK_TOKEN)
+        ids = [vocab.intern(tok) for tok in stream]
+        first_seen = list(dict.fromkeys([PAD_TOKEN, UNK_TOKEN, *stream]))
+        assert vocab.index_to_key == first_seen and len(vocab) == len(first_seen)
+        assert ids == [first_seen.index(tok) for tok in stream]
+        assert vocab.key_to_index == {key: idx for idx, key in enumerate(vocab.index_to_key)}
+        assert [vocab.index_to_key[vocab.key_to_index[key]] for key in first_seen] == first_seen
+        assert vocab.key_to_index[PAD_TOKEN] == PAD_INDEX == 0
+        assert vocab.key_to_index[UNK_TOKEN] == 1
 
 
 class TestTokenize:
-    def test_punctuation_and_case(self):
-        vocab = Vocabulary()
-        vocab.add("hello")
-        vocab.add("world")
-        assert tokenize_title("Hello, WORLD", vocab, 4) == (
-            vocab.index("hello"), vocab.index("world"))
+    def test_punctuation_and_case(self, tmp_path):
+        catalog, vocab = parse_news_file(write(tmp_path, "news.tsv", NEWS_ROWS), max_title_len=4)
+        assert [vocab.index_to_key[t] for t in catalog.get("N2").title_tokens] == [
+            "hello", "world"]
 
-    def test_all_oov_maps_to_unk(self):
-        vocab = Vocabulary()
-        assert tokenize_title("never seen", vocab, 3) == (1, 1)
-
-    def test_truncation(self):
-        vocab = Vocabulary()
-        for w in "a b c d".split():
-            vocab.add(w)
-        assert tokenize_title("a b c d", vocab, 2) == (vocab.index("a"), vocab.index("b"))
+    def test_truncation(self, tmp_path):
+        rows = ["N1\tnews\tworld\ta b c d\tabs"]
+        catalog, vocab = parse_news_file(write(tmp_path, "news.tsv", rows), max_title_len=2)
+        assert catalog.get("N1").title_tokens == (vocab.key_to_index["a"], vocab.key_to_index["b"])
 
     @given(st.text(max_size=60))
     @settings(max_examples=100, deadline=None)
@@ -529,35 +508,36 @@ class TestParseTimeAgainstStrptime:
 
 class TestWordVectors:
     def test_present_tokens_copied_verbatim(self, tmp_path):
-        vocab = Vocabulary()
-        vocab.add("cat")
+        vocab = Interner(PAD_TOKEN, UNK_TOKEN)
+        vocab.intern("cat")
         path = write(tmp_path, "vec.txt", ["cat 0.1 0.2"])
         matrix = load_word_vectors(path, vocab, dim=2)
-        assert np.allclose(matrix[vocab.index("cat")], [0.1, 0.2])
+        assert np.allclose(matrix[vocab.key_to_index["cat"]], [0.1, 0.2])
 
     def test_utf8_bom_before_the_first_token(self, tmp_path):
-        vocab = Vocabulary()
-        vocab.add("cat")
+        vocab = Interner(PAD_TOKEN, UNK_TOKEN)
+        vocab.intern("cat")
         path = write(tmp_path, "vec.txt", ["cat 0.1 0.2"], "utf-8-sig")
-        assert np.allclose(load_word_vectors(path, vocab, dim=2)[vocab.index("cat")], [0.1, 0.2])
+        matrix = load_word_vectors(path, vocab, dim=2)
+        assert np.allclose(matrix[vocab.key_to_index["cat"]], [0.1, 0.2])
 
     def test_pad_row_forced_to_zero(self, tmp_path):
-        vocab = Vocabulary()
-        vocab.add("cat")
+        vocab = Interner(PAD_TOKEN, UNK_TOKEN)
+        vocab.intern("cat")
         path = write(tmp_path, "vec.txt", ["<PAD> 9.0 9.0", "cat 0.1 0.2"])
         matrix = load_word_vectors(path, vocab, dim=2)
-        assert np.array_equal(matrix[vocab.pad_index], [0.0, 0.0])
+        assert np.array_equal(matrix[PAD_INDEX], [0.0, 0.0])
 
     def test_width_mismatch_is_hard_error_with_line(self, tmp_path):
-        vocab = Vocabulary()
+        vocab = Interner(PAD_TOKEN, UNK_TOKEN)
         path = write(tmp_path, "vec.txt", ["cat 0.1 0.2", "dog 0.3"])
         with pytest.raises(CorpusError, match="line 2"):
             load_word_vectors(path, vocab, dim=2)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "x"])
     def test_bad_component_is_hard_error_with_line(self, tmp_path, bad):
-        vocab = Vocabulary()
-        vocab.add("b")
+        vocab = Interner(PAD_TOKEN, UNK_TOKEN)
+        vocab.intern("b")
         path = write(tmp_path, "vec.txt", ["a 0.1 0.2", f"b {bad} 3", "c 0.3 0.4"])
         with pytest.raises(CorpusError, match="line 2: ") as err:
             load_word_vectors(path, vocab, dim=2)
@@ -566,11 +546,11 @@ class TestWordVectors:
     def test_oov_rows_sampled_within_range(self, tmp_path):
         # Oracle: direct uniform sampling stays within +-0.1 and is
         # essentially never exactly zero; check the loader over many seeds.
-        vocab = Vocabulary()
-        vocab.add("known")
-        vocab.add("missing")
+        vocab = Interner(PAD_TOKEN, UNK_TOKEN)
+        vocab.intern("known")
+        vocab.intern("missing")
         path = write(tmp_path, "vec.txt", ["known 1.0 2.0"])
-        row = vocab.index("missing")
+        row = vocab.key_to_index["missing"]
         for seed in range(1000):
             matrix = load_word_vectors(path, vocab, dim=2, seed=seed)
             oov = matrix[row]
@@ -596,8 +576,8 @@ class TestInvalidUtf8:
     ROWS = 60  # several times 40, so line 40 does not sit at the start of a read buffer
 
     def readers(self, tmp_path, newline):
-        vocab = Vocabulary()
-        vocab.add("wX")
+        vocab = Interner(PAD_TOKEN, UNK_TOKEN)
+        vocab.intern("wX")
         news = [f"N{i}\tcat\tsub\ttitle X {i}\tabstract X" for i in range(self.ROWS)]
         tsv = [f"{i}\tUX\t11/11/2019 9:05:58 AM\tN1\tN2-1 N3-0" for i in range(self.ROWS)]
         jsonl = [json.dumps({"impression_id": str(i), "user_id": "UX", "time": 1000,

@@ -225,7 +225,7 @@ class _StubModel:
 class _StubCatalog:
     def __init__(self, ids=(), articles=None):
         from avoidrec.corpus import NewsArticle
-        self.articles = articles or {i: NewsArticle(i, 0, 0, [0]) for i in ids}
+        self.articles = articles or {i: NewsArticle(i, 0, [0]) for i in ids}
 
     def __contains__(self, news_id):
         return news_id in self.articles

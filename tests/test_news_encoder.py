@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import avoidrec.autodiff as ad
-from avoidrec.corpus import NewsArticle, Vocabulary, parse_news_file
+from avoidrec.corpus import PAD_INDEX, NewsArticle, parse_news_file
 from avoidrec.model import VocabSizes
 from avoidrec.news_encoder import NewsEncoder
 from conftest import tiny_config, total
@@ -62,7 +62,7 @@ class TestEncodeTitle:
 
 class TestEncodeNews:
     def art(self, nid="N1", cat=1, toks=(5, 6, 0, 0), ents=()):
-        return NewsArticle(nid, cat, 0, list(toks), entity_ids=list(ents))
+        return NewsArticle(nid, cat, list(toks), entity_ids=list(ents))
 
     def test_disabled_entities_match_empty_entity_list(self):
         enc_off = make_encoder(use_entities=False)
@@ -137,7 +137,7 @@ class TestEncodeNews:
         parsed = catalog.articles
         padded = {n: dataclasses.replace(
             a, title_tokens=list(a.title_tokens)
-            + [Vocabulary.pad_index] * (max_title_len - len(a.title_tokens)),
+            + [PAD_INDEX] * (max_title_len - len(a.title_tokens)),
             entity_ids=list(a.entity_ids)) for n, a in parsed.items()}
         assert parsed["N3"].title_tokens == () and len(parsed["N4"].title_tokens) == 6
         enc = make_encoder(n_words=len(vocab))

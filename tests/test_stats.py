@@ -316,9 +316,9 @@ class TestAgainstDictOracle:
         # start at ``start`` <= 30 and step by at most 9); None means unknown.
         records = log_from_steps(start, step_list)
         timeline = build_timeline(ImpressionLog(records), width)
-        articles = {news_id: NewsArticle(news_id, 0, 0, [], publish_time=t)
+        articles = {news_id: NewsArticle(news_id, 0, [], publish_time=t)
                     for news_id, t in publish.items()}
-        catalog = (NewsCatalog(articles, Interner(), Interner(), Interner())
+        catalog = (NewsCatalog(articles, Interner(), Interner())
                    if as_news_catalog else articles)
         for r in records:
             ids = r.history + [news_id for news_id, _ in r.shown] + ["UNSEEN"]

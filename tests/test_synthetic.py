@@ -1,5 +1,6 @@
 import hashlib
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,8 +71,28 @@ class TestSpecValidation:
         assert generate(spec).records
 
     def test_default_affinity_is_uniform(self):
-        spec = SyntheticSpec(grid_d=3)
-        assert spec.affinity == [[1.0] * 3 for _ in range(3)]
+        base = dict(n_users=12, n_articles=10, n_buckets=4, impressions_per_bucket=8, seed=5,
+                    grid_d=3, affinity_user_fraction=0.5, freshness_boost=2.0)
+        default = generate(SyntheticSpec(**base))
+        ones = generate(SyntheticSpec(affinity=[[1.0] * 3 for _ in range(3)], **base))
+        assert default.records == ones.records
+        assert default.shown_probs == ones.shown_probs
+
+    def test_default_affinity_builds_no_matrix(self):
+        # A D x D list of 3000 x 3000 floats would trace about 146 MB.
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            spec = SyntheticSpec(grid_d=3000)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < 1_000_000, f"{peak} bytes traced"
+        assert spec.affinity == []
 
 
 class TestGenerate:

@@ -12,7 +12,8 @@ program's reader.  The allowed outcomes are:
 
 * ``parsed``: the reader returns.  For the news and behaviors readers
   every non-blank line is a row or a counted ``ParseIssue``; a
-  checkpoint that loads holds the very tensor bytes it was saved with.
+  checkpoint that loads holds the very tensor bytes and meta it was
+  saved with.
 * ``CorpusError`` (the news and behaviors readers) or ``CheckpointError``
   (the checkpoint reader).
 * ``ValueError`` from a JSON-config reader whose message names the file
@@ -20,12 +21,9 @@ program's reader.  The allowed outcomes are:
   ``JSONDecodeError`` does not count.
 
 Any other outcome raises ``FuzzFailure``, naming the surface, the case
-number and the mutated bytes.  A spec case whose ``grid_d`` parses to
-more than ``GRID_D_CAP`` is counted as ``skipped`` and not read:
-``SyntheticSpec`` builds a ``grid_d`` x ``grid_d`` default affinity list
-while it validates, which at an index-sized ``grid_d`` would exhaust
-memory.  ``main`` prints the count of each surface and outcome;
-``tests/test_fuzz.py`` runs 1,000 cases of each surface in the test suite.
+number and the mutated bytes.  ``main`` prints the count of each surface
+and outcome; ``tests/test_fuzz.py`` runs 1,000 cases of each surface in
+the test suite.
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ from avoidrec.training import TrainConfig  # noqa: E402
 
 SURFACES = ("news_tsv", "behaviors_tsv", "behaviors_jsonl", "checkpoint", "spec_json",
             "train_config_json")
-GRID_D_CAP = 64
 # Each JSON surface's reader and the field names its errors may give.
 CONFIG_READERS = {
     "spec_json": (SyntheticSpec, set(SyntheticSpec.__dataclass_fields__)),
@@ -69,8 +66,11 @@ class FuzzFailure(AssertionError):
     pass
 
 
-def seed_files(workdir: Path) -> tuple[dict[str, bytes], list[bytes]]:
-    """Each surface's unmutated bytes, from a small synthetic corpus, and the checkpoint's data."""
+def seed_files(workdir: Path) -> tuple[dict[str, bytes], tuple[list[bytes], dict]]:
+    """Each surface's unmutated bytes, from a small synthetic corpus, and the checkpoint's data.
+
+    The checkpoint's data are its tensor bytes and its meta.
+    """
     spec = {"n_users": 6, "n_articles": 8, "n_buckets": 2, "impressions_per_bucket": 4,
             "n_shown": 4, "grid_d": 2, "affinity": [[1.0, 0.5], [0.0, 2.0]], "seed": 1}
     news, behaviors = write_mind_files(generate(SyntheticSpec(**spec)), workdir / "corpus")
@@ -93,7 +93,8 @@ def seed_files(workdir: Path) -> tuple[dict[str, bytes], list[bytes]]:
         "spec_json": json.dumps(spec).encode(),
         "train_config_json": json.dumps(config).encode(),
     }
-    return files, _tensor_bytes(load_checkpoint(ckpt)[0])
+    tensors, meta = load_checkpoint(ckpt)
+    return files, (_tensor_bytes(tensors), meta)
 
 
 def _tensor_bytes(tensors) -> list[bytes]:
@@ -125,16 +126,6 @@ def mutate(data: bytes, rnd: random.Random) -> bytes:
     return bytes(out)
 
 
-def _index_sized_grid_d(data: bytes) -> bool:
-    """Whether ``data`` reads as a spec whose ``grid_d`` exceeds ``GRID_D_CAP``."""
-    try:
-        spec = json.loads(data.decode("utf-8"))
-    except ValueError:
-        return False
-    grid_d = spec.get("grid_d") if isinstance(spec, dict) else None
-    return isinstance(grid_d, int) and grid_d > GRID_D_CAP
-
-
 def _non_blank_lines(path, whitespace_is_blank: bool) -> int:
     """Lines of ``path`` that a corpus reader does not skip, split as it splits them."""
     with open(path, encoding="utf-8-sig") as fh:
@@ -146,7 +137,7 @@ def _names_file_or_field(message: str, path, fields) -> bool:
     return str(path) in message or any(re.search(rf"\b{name}\b", message) for name in fields)
 
 
-def _check(surface: str, path: Path, saved_tensors: list[bytes]) -> str:
+def _check(surface: str, path: Path, saved: tuple[list[bytes], dict]) -> str:
     """The outcome of reading ``path``; FuzzFailure if it is not an allowed one."""
     if surface == "news_tsv":
         try:
@@ -162,11 +153,11 @@ def _check(surface: str, path: Path, saved_tensors: list[bytes]) -> str:
         rows, lines = len(log) + len(log.issues), _non_blank_lines(path, True)
     elif surface == "checkpoint":
         try:
-            tensors, _ = load_checkpoint(path)
+            tensors, meta = load_checkpoint(path)
         except CheckpointError:
             return "CheckpointError"
-        if _tensor_bytes(tensors) != saved_tensors:
-            raise FuzzFailure("a checkpoint loaded with other tensor bytes")
+        if (_tensor_bytes(tensors), meta) != saved:
+            raise FuzzFailure("a checkpoint loaded with other tensor bytes or meta")
         return "parsed"
     else:
         cls, fields = CONFIG_READERS[surface]
@@ -189,19 +180,16 @@ def run(workdir: Path, seed: int, cases: int) -> Counter:
 
     Raises FuzzFailure on the first outcome that is not allowed.
     """
-    files, saved_tensors = seed_files(workdir)
+    files, saved = seed_files(workdir)
     rnd = random.Random(seed)
     counts = Counter()
     for case in range(cases):
         for surface in SURFACES:
             data = mutate(files[surface], rnd)
-            if surface == "spec_json" and _index_sized_grid_d(data):
-                counts[surface, "skipped"] += 1
-                continue
             path = workdir / f"case_{surface}"
             path.write_bytes(data)
             try:
-                outcome = _check(surface, path, saved_tensors)
+                outcome = _check(surface, path, saved)
             except Exception as exc:  # every other outcome is a finding, reported with its input
                 raise FuzzFailure(f"{surface} case {case} (seed {seed}): {type(exc).__name__}: "
                                   f"{exc}; input {data!r}") from exc
