@@ -1,10 +1,14 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 A deliberately bounded op set: what the ranking model needs and nothing
-more.  Ops executed while a ComputationRecord is active append entries in
-execution order, so replaying the entry list backwards visits every node
-exactly once with all adjoints already accumulated.  Ops executed with no
-active record are plain forward evaluation (used for scoring).
+more.  The ops are ``add``, ``mul``, ``scale``, ``matmul``, ``affine``,
+``reshape``, ``concat``, ``slice_``, ``sigmoid``, ``tanh``, ``relu``,
+``sin``, ``softmax``, ``softmax_nll``, ``embedding_lookup``,
+``multi_head_attention`` and ``sliding_window_concat``.  Ops executed
+while a ComputationRecord is active append entries in execution order,
+so replaying the entry list backwards visits every node exactly once
+with all adjoints already accumulated.  Ops executed with no active
+record are plain forward evaluation (used for scoring).
 
 ``add`` broadcasts as numpy does, and so do the leading (batch) axes of
 ``matmul``; each sums an adjoint back to its operand's shape over the
@@ -14,12 +18,14 @@ rows.  That 2-D product, when it is above OpenBLAS's small-matrix
 bound and one of its outer sides has only a few rows or columns, runs in
 blocks under the bound (``_product``): above it, OpenBLAS packs the
 operands on every call.  ``slice_`` and ``concat`` take stacks along
-their first two axes.  Every other op requires exact shape agreement and
-raises ShapeError otherwise.  ``softmax_nll`` is a training instance's whole
-loss in one op: -log softmax over (1, 1) scores, with the stabilising
-shift by their largest taken inside the op.  Each thread (or asyncio
-task) has its own active record, so concurrent callers record separate
-graphs.  Training runs in float32; float64 exists for gradient checking.
+their first two axes, and ``reshape``, the one layout op, permutes by its
+``axes`` first, so a transpose or a merge of heads is one entry.  Every
+other op requires exact shape agreement and raises ShapeError otherwise.
+``softmax_nll`` is a training instance's whole loss in one op: -log
+softmax over (1, 1) scores, with the stabilising shift by their largest
+taken inside the op.  Each thread (or asyncio task) has its own active
+record, so concurrent callers record separate graphs.  Training runs in
+float32; float64 exists for gradient checking.
 
 The record keeps only what backward reads.  An op's output is marked
 with its node number (``Tensor.node``), and an entry names each input by
@@ -31,13 +37,15 @@ a ``reshape``'s input die with their last forward use.  ``backward``
 releases each entry as it replays it.
 
 Every adjoint and every leaf ``grad`` is a plain array of its tensor's
-shape.  A leaf's adjoints are added into its ``grad`` in place, each as
-it arrives, so no leaf adjoint outlives the formula that made it, and the
-backward passes of several graphs sum into one gradient per leaf.  A
-leaf's first adjoint is copied into the leaf's ``grad_buffer`` when it
-has one (``training.Adam`` gives each parameter its view into one flat
-gradient store), else into a fresh array; no adjoint array is ever
-adopted as a ``grad``.
+shape.  A leaf the loss does not reach keeps ``grad`` None and its
+``grad_buffer`` untouched, as a leaf no op recorded does.  A leaf's
+adjoints are added into its ``grad`` in place, each as it arrives, so no
+leaf adjoint outlives the formula that made it, and the backward passes
+of several graphs sum into one gradient per leaf.  A leaf's first
+adjoint is copied into the leaf's ``grad_buffer`` when it has one
+(``training.Adam`` gives each parameter its view into one flat gradient
+store), else into a fresh array; no adjoint array is ever adopted as a
+``grad``.
 
 A gradient formula is called as ``backward_fn(g, owned)`` and returns
 arrays it made or views of ``g``, never an array it keeps.  ``owned``
@@ -145,7 +153,6 @@ class ComputationRecord:
     def __init__(self):
         self.entries: list[_Entry | None] = []  # None once replayed
         self._marker = object()  # first half of the ``node`` of every output recorded here
-        self._leaves: dict[Tensor, None] = {}  # every leaf an entry reads, in order
         self._token = None
 
     @staticmethod
@@ -175,12 +182,11 @@ class ComputationRecord:
         keys = tuple(map(self._key, inputs))
         if all(key is None for key in keys):
             return
-        self._leaves.update((key, None) for key in keys if isinstance(key, Tensor))
         out.node = (self._marker, len(self.entries))
         self.entries.append(_Entry(op, keys, backward_fn))
 
     def backward(self, loss: Tensor):
-        """Populate ``grad`` on every leaf recorded here.
+        """Add the loss's gradient into ``grad`` of every leaf it reaches.
 
         ``loss`` must be a scalar output of an op recorded here, and a
         record replays once: anything else raises NotRecordedError.
@@ -192,11 +198,11 @@ class ComputationRecord:
         A leaf's adjoint is added into its ``grad`` in place as soon as a
         formula returns it, so no leaf adjoint is held or summed apart.
         Gradients accumulate into existing ``grad`` arrays (callers zero
-        them between batches); leaves recorded but not on any path to the
-        loss receive zeros.  A ``grad`` this sets is the leaf's
-        ``grad_buffer`` or a fresh array, never an adjoint, so it shares
-        memory with no other leaf and several backward passes (one per
-        graph of a batch) sum into it.
+        them between batches); a leaf the loss does not reach is left as
+        it is.  A ``grad`` this sets is the leaf's ``grad_buffer`` or a
+        fresh array, never an adjoint, so it shares memory with no other
+        leaf and several backward passes (one per graph of a batch) sum
+        into it.
 
         Each formula is told whether its adjoint is owned (module
         docstring), and a sum goes into an owned addend of its dtype, so
@@ -243,9 +249,6 @@ class ComputationRecord:
                     adjoint[key] = prev + gt
                 owned.add(key)
             del grads  # so the formula's leaf adjoints die before the next formula runs
-        for leaf in self._leaves:
-            if leaf.grad is None:
-                _accumulate(leaf, 0)
 
 
 def _root(x: np.ndarray) -> np.ndarray:
@@ -253,12 +256,13 @@ def _root(x: np.ndarray) -> np.ndarray:
     return x if x.base is None else x.base
 
 
-def _accumulate(leaf: Tensor, g):
-    """Add the adjoint ``g`` (an array, or 0) into ``leaf.grad`` in place.
+def _accumulate(leaf: Tensor, g: np.ndarray):
+    """Add the adjoint ``g`` into ``leaf.grad`` in place.
 
-    A leaf with no ``grad`` yet gets a copy of ``g`` in its ``grad_buffer``
-    (a fresh array when it has none), so later in-place adds touch this
-    leaf alone.
+    Only an adjoint that reached the leaf comes here, so an unreached
+    leaf keeps ``grad`` None.  A leaf with no ``grad`` yet gets a copy of
+    ``g`` in its ``grad_buffer`` (a fresh array when it has none), so
+    later in-place adds touch this leaf alone.
     """
     if leaf.grad is not None:
         leaf.grad += g
@@ -455,30 +459,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape, axes=None) -> Tensor:
-    """``a`` reshaped to ``shape``, then with its axes permuted by ``axes``.
+    """``a`` with its axes permuted by ``axes``, then reshaped to ``shape``.
 
-    Splits and merges attention heads without copying when it can; a
-    merge that must permute before reshaping takes two calls.
+    With ``axes`` the output is always a C-contiguous copy, the layout a
+    product reads fastest, and its adjoint a view of ``g``; without, it is
+    a view of ``a`` where numpy can make one.
     """
+    x = a.data
+    if axes is not None:
+        if sorted(axes) != list(range(x.ndim)):
+            raise ShapeError(f"reshape: {axes} is not a permutation of {x.ndim} axes")
+        inverse = tuple(np.argsort(axes).tolist())  # before the copy, so not beside it at peak
+        x = np.ascontiguousarray(x.transpose(axes))
     try:
-        out = a.data.reshape(shape)
+        out = x.reshape(shape)
     except ValueError as exc:
         raise ShapeError(f"reshape: {exc}") from None
-    shape_in = a.data.shape
+    shape_x = x.shape
     if axes is None:
-        return _record("reshape", (a,), out, lambda g, owned: (g.reshape(shape_in),))
-    if sorted(axes) != list(range(out.ndim)):
-        raise ShapeError(f"reshape: {axes} is not a permutation of {out.ndim} axes")
-    inverse = tuple(np.argsort(axes).tolist())
-    return _record("reshape", (a,), out.transpose(axes),
-                   lambda g, owned: (g.transpose(inverse).reshape(shape_in),))
-
-
-def transpose(a: Tensor) -> Tensor:
-    """The last two axes of a 2-D or stacked tensor swapped."""
-    _need_2d("transpose", a, stacked=True)
-    return _record("transpose", (a,), np.ascontiguousarray(np.swapaxes(a.data, -1, -2)),
-                   lambda g, owned: (np.ascontiguousarray(np.swapaxes(g, -1, -2)),))
+        return _record("reshape", (a,), out, lambda g, owned: (g.reshape(shape_x),))
+    return _record("reshape", (a,), out,
+                   lambda g, owned: (g.reshape(shape_x).transpose(inverse),))
 
 
 def concat(parts, axis: int) -> Tensor:

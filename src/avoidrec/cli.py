@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import DTYPES, CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .corpus import CorpusError, parse_behaviors_file
 from .grid import write_grid_csv
 from .metrics import METRICS, evaluate
@@ -107,9 +107,6 @@ def _prepare(config: TrainConfig):
 
 def cmd_train(args) -> int:
     config = _load_config(args)
-    if config.model.numpy_dtype().name not in DTYPES:
-        raise ValueError(f"model dtype {config.model.dtype!r} cannot be saved to a checkpoint; "
-                         f"use one of {DTYPES}")
     out = _out_dir(args.out)  # a bad --out fails before the model is trained
     corpus, timeline = _prepare(config)
     result = train(config, corpus, timeline)

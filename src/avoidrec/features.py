@@ -2,9 +2,10 @@
 
 All statistics come from the snapshot at the largest bucket boundary not
 after the impression time, so nothing recorded at or after the impression
-itself can reach its features.  Click counts are log-scaled by the
-snapshot's maximum so they land in [0, 1]; article age falls back to the
-first observed exposure when no publish time is known.
+itself can reach its features.  Click counts become log1p(clicks) /
+log1p(snapshot maximum), in [0, 1], not the linear clicks / maximum of
+the ``stats`` snapshot CSV; article age falls back to the first observed
+exposure when no publish time is known.
 
 ``impression_features`` takes the snapshot once per call and then makes
 one pass per distinct article: one ``bisect_left`` into the article's

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .checkpoint import DTYPES
 from .features import ArticleFeatures
 from .grid import EngagementEmbeddingTable
 from .news_encoder import NewsEncoder
@@ -102,10 +103,8 @@ class ModelConfig:
         if (self.d_news + self.dim_ue) % self.user_heads:
             raise ValueError(f"user_heads={self.user_heads} must divide "
                              f"d_news + dim_ue = {self.d_news + self.dim_ue}")
-        # Checkpoints cannot hold long double.
-        if self.dtype not in ("float32", "float64", "longdouble"):
-            raise ValueError("dtype must be 'float32', 'float64' or 'longdouble' (for "
-                             f"gradient checks only), got {self.dtype!r}")
+        if self.dtype not in DTYPES:  # what a checkpoint can hold
+            raise ValueError(f"dtype must be one of {DTYPES}, got {self.dtype!r}")
 
     def numpy_dtype(self):
         return np.dtype(self.dtype)

@@ -160,8 +160,9 @@ def export_snapshot_rows(snapshot: StatsSnapshot):
 
     The first row per bucket is a global one (empty news id) whose
     exposures column holds the bucket's impression total.  The last
-    column, ``clicks_norm``, scales click counts to [0, 1] by the
-    bucket's maximum.
+    column, ``clicks_norm``, is clicks / the bucket's maximum, linear;
+    the model's ``clicks_norm`` (``features``) is ``log1p``-scaled, so a
+    plot of this column does not show the model's input.
     """
     yield ["t", "news_id", "n_E", "n_clk", "epi", "avoidance", "clicks_norm"]
     yield [snapshot.t, GLOBAL_ROW_ID, snapshot.n_impressions, "", "", "", ""]

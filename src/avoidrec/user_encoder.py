@@ -15,11 +15,12 @@ the merge are stored as row blocks (``cnn_window_w``/``cnn_cand_w``,
 depend on a click-candidate pair is built once per impression by
 ``augment_history``: the window half of the filter bank, the values
 already taken through the attention rows of the merge, the click-query
-half of the scores, and the C candidates' score halves and filter-bank
-terms as one (C, .) batch.  The keys of every head are one (heads*d_q, M)
-product, kept as its (heads, d_q, M) view; both score halves are per-head
-products with it, and it dies when ``augment_history`` returns (unless a
-record keeps it for backward), so no later pass holds it.
+half of the scores (M, heads*M), and the C candidates' score halves
+(C, 1, heads*M) and filter-bank terms (C, d_aug).  The keys of every head
+are one (heads*d_q, M) product, kept as its (heads, d_q, M) view; each
+score half is a per-head product with it, merged by one ``reshape``, and
+it dies when ``augment_history`` returns (unless a record keeps it for
+backward), so no later pass holds it.
 
 The candidates' terms are then a (C, 1, .) stack, scored in chunks of
 k candidates, one pass per chunk: the chunk's (k, 1, .) terms broadcast
@@ -65,7 +66,7 @@ class History(NamedTuple):
     scores: ad.Tensor  # (M, heads*M) click-query half of every head's scores
     values: ad.Tensor  # (heads*M, d_aug), row h*M + j is row j times out_w_h times merge_att_w_h
     local: ad.Tensor   # (M, d_aug) filter-bank pre-activation of the click windows
-    cand_scores: ad.Tensor  # (C, heads*M) candidate half of every head's scores
+    cand_scores: ad.Tensor  # (C, 1, heads*M) candidate half of every head's scores
     cand_local: ad.Tensor   # (C, d_aug) filter-bank terms of the candidate rows
 
 
@@ -134,21 +135,20 @@ class UserEncoder:
         # The heads stacked along rows make one (heads*d_q, M) product,
         # read per head as its (heads, d_q, M) view.
         rel = ad.reshape(self.rel_heads, (heads * self.d_aug, self.d_aug))
-        keys = ad.reshape(ad.matmul(rel, ad.transpose(rows)), (heads, self.d_aug, m))
-        scores = self._head_scores(ad.matmul(rows, self.q_hist), keys)
-        return History(scores, values, local,
-                       self._head_scores(ad.matmul(cands, self.q_cand), keys),
-                       ad.matmul(cands, self.cnn_cand_w))
+        keys = ad.matmul(rel, ad.reshape(rows, (self.d_aug, m), (1, 0)))
+        keys = ad.reshape(keys, (heads, self.d_aug, m))
+        scores = self._head_scores(ad.matmul(rows, self.q_hist), keys, (m,))
+        cand_scores = self._head_scores(ad.matmul(cands, self.q_cand), keys, (len(cands.data), 1))
+        return History(scores, values, local, cand_scores, ad.matmul(cands, self.cnn_cand_w))
 
-    def _head_scores(self, queries: ad.Tensor, keys: ad.Tensor) -> ad.Tensor:
-        """(R, heads*M) scores of (R, d_q) ``queries`` against every head's keys.
+    def _head_scores(self, queries: ad.Tensor, keys: ad.Tensor, lead) -> ad.Tensor:
+        """Scores of (R, d_q) ``queries`` against every head's keys, shaped ``lead + (heads*M,)``.
 
-        Column h*M + j is head h and click j.
+        ``lead`` holds R rows: (R,) or (R, 1).  Column h*M + j is head h
+        and click j.
         """
-        r, m = queries.shape[0], keys.shape[2]
         per_head = ad.matmul(queries, keys)                                 # (heads, R, M)
-        return ad.reshape(ad.reshape(per_head, (self.n_heads, r, m), (1, 0, 2)),
-                          (r, self.n_heads * m))
+        return ad.reshape(per_head, lead + (self.n_heads * keys.shape[2],), (1, 0, 2))
 
     def user_vectors(self, history: History) -> ad.Tensor:
         """(C, d_aug) user vectors, one per candidate of ``history``.
@@ -163,8 +163,7 @@ class UserEncoder:
         k = max(1, self.max_history // m)
         if ad.ComputationRecord.active() is not None:
             k = max(k, -(-c // 2))
-        scores = ad.reshape(history.cand_scores, (c, 1, self.n_heads * m))
-        local = ad.reshape(history.cand_local, (c, 1, self.d_aug))
+        scores, local = history.cand_scores, ad.reshape(history.cand_local, (c, 1, self.d_aug))
         users = ad.concat([self.user_embedding(
             self.candidate_aware_self_attention(history, ad.slice_(scores, rows=chunk)),
             self.candidate_aware_cnn(history, ad.slice_(local, rows=chunk)))
@@ -212,7 +211,7 @@ class UserEncoder:
         del attention_ctx
         merged = ad.relu(merged)
         alpha = ad.softmax(ad.matmul(merged, self.pool_w), axis=-2)        # (k, M, 1)
-        return ad.matmul(ad.transpose(alpha), merged)
+        return ad.matmul(ad.reshape(alpha, alpha.shape[:-2] + (1, alpha.shape[-2])), merged)
 
     def interest_score(self, cands: ad.Tensor, users: ad.Tensor,
                        relevance_score: ad.Tensor) -> ad.Tensor:

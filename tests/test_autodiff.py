@@ -108,13 +108,13 @@ class TestForward:
         rec.backward(loss)
         with ad.ComputationRecord() as rec:
             rows = ad.embedding_lookup(composed_table, ids.reshape(-1))
-            q, k, v = (ad.reshape(ad.slice_(rows, cols=slice(i * d, (i + 1) * d)),
-                                  (n, length, heads, d_head), (0, 2, 1, 3)) for i in range(3))
-            attn = ad.softmax(ad.matmul(q, ad.reshape(k, k.shape, (0, 1, 3, 2))), axis=3,
-                              mask=mask[:, None, None, :])
+            q, k, v = (ad.reshape(ad.reshape(ad.slice_(rows, cols=slice(i * d, (i + 1) * d)),
+                                             (n, length, heads, d_head)),
+                                  (n, heads, length, d_head), (0, 2, 1, 3)) for i in range(3))
+            attn = ad.softmax(ad.matmul(q, ad.reshape(k, (n, heads, d_head, length), (0, 1, 3, 2))),
+                              axis=3, mask=mask[:, None, None, :])
             heads_out = ad.matmul(attn, v)
-            composed = ad.reshape(ad.reshape(heads_out, heads_out.shape, (0, 2, 1, 3)),
-                                  (n * length, d))
+            composed = ad.reshape(heads_out, (n * length, d), (0, 2, 1, 3))
             loss = total(ad.mul(composed, weights))
         rec.backward(loss)
         assert np.allclose(fused.data, composed.data, rtol=0, atol=1e-12)
@@ -155,15 +155,36 @@ class TestForward:
         with pytest.raises(ad.ShapeError, match="matmul"):
             ad.matmul(c64(np.zeros(3)), c64(np.zeros((3, 2))))
 
-    def test_reshape_then_permute(self):
-        x = np.arange(24, dtype=F64).reshape(4, 6)
-        out = ad.reshape(c64(x), (2, 2, 3, 2), (0, 2, 1, 3)).data
-        assert np.array_equal(out, x.reshape(2, 2, 3, 2).transpose(0, 2, 1, 3))
+    def test_permute_then_reshape(self):
+        x = np.arange(24, dtype=F64).reshape(2, 3, 4)
+        out = ad.reshape(c64(x), (3, 8), (1, 0, 2)).data
+        assert np.array_equal(out, x.transpose(1, 0, 2).reshape(3, 8))
         assert np.array_equal(ad.reshape(c64(x), (6, 4)).data, x.reshape(6, 4))
         with pytest.raises(ad.ShapeError, match="reshape"):
             ad.reshape(c64(x), (5, 5))
         with pytest.raises(ad.ShapeError, match="reshape"):
-            ad.reshape(c64(x), (4, 6), (0, 0))
+            ad.reshape(c64(x), (5, 5), (2, 1, 0))
+        with pytest.raises(ad.ShapeError, match="reshape"):
+            ad.reshape(c64(x), (2, 3, 4), (0, 0, 1))
+
+    @pytest.mark.parametrize("shape, axes, new", [
+        ((4, 6), (1, 0), (6, 4)),                    # a matrix transposed
+        ((3, 1, 5), (0, 2, 1), (3, 5, 1)),           # a length-1 axis moved: a view in numpy
+        ((2, 3, 4), (1, 0, 2), (3, 1, 8)),           # heads merged into a (R, 1, .) stack
+        ((2, 3, 4, 5), (0, 2, 1, 3), (2, 4, 15)),
+    ])
+    def test_permuted_reshape_is_a_contiguous_copy(self, shape, axes, new):
+        x = np.arange(np.prod(shape), dtype=F64).reshape(shape)
+        out = ad.reshape(c64(x), new, axes).data
+        assert np.array_equal(out, x.transpose(axes).reshape(new))
+        assert out.flags.c_contiguous
+
+    def test_a_head_merge_records_one_entry(self):
+        per_head = p64(np.ones((4, 3, 5)))   # (heads, R, M)
+        with ad.ComputationRecord() as rec:
+            merged = ad.reshape(per_head, (3, 1, 20), (1, 0, 2))
+        assert merged.shape == (3, 1, 20)
+        assert [entry.op for entry in rec.entries] == ["reshape"]
 
 
 class TestBackward:
@@ -175,15 +196,21 @@ class TestBackward:
         rec.backward(loss)
         assert np.allclose(w.grad, 0.25 * 3.0)
 
-    def test_unreached_leaf_gets_zero_grad(self):
+    def test_unreached_leaf_keeps_no_grad(self):
+        # A leaf recorded off the loss's path is left as an unrecorded one
+        # is: no grad, and its buffer untouched, over two backwards.
         used = p64([[1.0]])
         unused = p64([[2.0]])
-        with ad.ComputationRecord() as rec:
-            dead_branch = ad.scale(unused, 2.0)  # recorded, not on loss path
-            loss = total(used)
-        rec.backward(loss)
-        assert np.array_equal(unused.grad, [[0.0]])
-        assert dead_branch.grad is None
+        buffer = np.full((1, 1), np.nan)
+        unused.grad_buffer = buffer
+        for _ in range(2):
+            with ad.ComputationRecord() as rec:
+                dead_branch = ad.scale(unused, 2.0)  # recorded, not on loss path
+                loss = total(ad.scale(used, 3.0))
+            rec.backward(loss)
+            assert unused.grad is None and dead_branch.grad is None
+        assert np.isnan(buffer).all() and unused.grad_buffer is buffer
+        assert np.array_equal(used.grad, [[6.0]])
 
     def test_non_scalar_loss_rejected(self):
         x = p64(np.ones((2, 2)))
@@ -223,19 +250,18 @@ class TestBackward:
         assert not np.shares_memory(a.grad, b.grad)
 
     def test_first_adjoint_is_copied_into_the_grad_buffer(self):
-        # Both leaves' buffers are filled in place, the unreached one with
-        # zeros; a second backward adds into the same arrays.
-        used, unused = p64(np.ones((2, 3))), p64([[2.0]])
+        # Both leaves' buffers are filled in place, each with its own first
+        # adjoint; a second backward adds into the same arrays.
+        a, b = p64(np.ones((2, 3))), p64([[2.0]])
         buffers = [np.full((2, 3), np.nan), np.full((1, 1), np.nan)]
-        used.grad_buffer, unused.grad_buffer = buffers
+        a.grad_buffer, b.grad_buffer = buffers
         for _ in range(2):
             with ad.ComputationRecord() as rec:
-                ad.scale(unused, 2.0)
-                loss = total(ad.scale(used, 3.0))
+                loss = ad.add(total(ad.scale(a, 3.0)), ad.scale(b, 2.0))
             rec.backward(loss)
-        assert used.grad is buffers[0] and unused.grad is buffers[1]
+        assert a.grad is buffers[0] and b.grad is buffers[1]
         assert np.array_equal(buffers[0], np.full((2, 3), 6.0))
-        assert np.array_equal(buffers[1], [[0.0]])
+        assert np.array_equal(buffers[1], [[4.0]])
 
     def test_multi_use_adjoint_sums_every_use(self):
         x = p64([[1.0, 2.0]])
@@ -495,7 +521,7 @@ class TestOwnedAdjoints:
         with ad.ComputationRecord() as rec:
             merged = ad.relu(ad.add(ad.affine(local, w, b), att))
             alpha = ad.softmax(ad.matmul(merged, pool), axis=-2)
-            loss = total(ad.matmul(ad.transpose(alpha), merged))
+            loss = total(ad.matmul(ad.reshape(alpha, (c, 1, m)), merged))
         del merged, alpha
         with Traced() as mem:
             rec.backward(loss)
@@ -510,7 +536,7 @@ class TestGradCheck:
         x = c64(rng.normal(size=(1, 4)))
 
         def fn():
-            y = ad.matmul(ad.matmul(x, w), ad.transpose(x))
+            y = ad.matmul(ad.matmul(x, w), ad.reshape(x, (4, 1), (1, 0)))
             return ad.mul(y, y)
 
         assert ad.grad_check(fn, [w], eps=1e-5) < 1e-6
@@ -629,16 +655,32 @@ class TestGradCheck:
 
         assert ad.grad_check(fn, [table], eps=1e-6) < 1e-7
 
+    @pytest.mark.parametrize("shape, axes, new", [
+        ((4, 6), (1, 0), (6, 4)),
+        ((3, 1, 5), (0, 2, 1), (3, 5, 1)),
+        ((2, 3, 4), (1, 0, 2), (3, 1, 8)),
+    ])
+    def test_permuted_reshape(self, shape, axes, new):
+        rng = np.random.default_rng(3)
+        x = p64(rng.normal(size=shape))
+        weights = c64(rng.normal(size=new))
+
+        def fn():
+            return total(ad.mul(ad.reshape(x, new, axes), weights))
+
+        assert ad.grad_check(fn, [x], eps=1e-6) < 1e-7
+
     def test_reshape_split_and_merge_heads(self):
         rng = np.random.default_rng(7)
         x = p64(rng.normal(size=(6, 4)))   # 2 items x 3 positions, 2 heads of width 2
         weights = c64(rng.normal(size=(6, 4)))
 
         def fn():
-            q = ad.reshape(x, (2, 3, 2, 2), (0, 2, 1, 3))
-            k_t = ad.reshape(x, (2, 3, 2, 2), (0, 2, 3, 1))
+            split = ad.reshape(x, (2, 3, 2, 2))
+            q = ad.reshape(split, (2, 2, 3, 2), (0, 2, 1, 3))
+            k_t = ad.reshape(split, (2, 2, 2, 3), (0, 2, 3, 1))
             heads = ad.matmul(ad.softmax(ad.matmul(q, k_t), axis=3), q)
-            merged = ad.reshape(ad.reshape(heads, heads.shape, (0, 2, 1, 3)), (6, 4))
+            merged = ad.reshape(heads, (6, 4), (0, 2, 1, 3))
             return total(ad.mul(merged, weights))
 
         assert ad.grad_check(fn, [x], eps=1e-6) < 1e-7
@@ -742,8 +784,8 @@ class TestBlockedProduct:
         x = rng.normal(size=(2, 5, 288))              # ten rows, as a stack
         w_t = rng.normal(size=(348, 288))
         b = np.full(348, 3.0)
-        # (288, 348) as reshape's permuted view: not contiguous.
-        w = ad.reshape(ad.constant(w_t, dtype=F64), (348, 288), (1, 0))
+        # (288, 348) as a permuted view: not contiguous.
+        w = ad.constant(w_t.T, dtype=F64)
         assert not w.data.flags.c_contiguous
         assert len(ad._block_plan(10, 288, 348)[1]) > 2
         reference = np.stack([x[i] @ w_t.T for i in range(2)])

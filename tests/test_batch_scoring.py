@@ -67,9 +67,13 @@ def test_batched_loss_grad_check():
     # Every parameter, the news encoder included.  Its gradients here are
     # 1e-10 to 1e-8, and float64 finite differences carry noise of about
     # 1e-12 (one ulp of the loss over 2 eps), so the model runs in long
-    # double, where that noise is 2000 times smaller.
+    # double, where that noise is 2000 times smaller.  A model is built
+    # only in a dtype a checkpoint holds, so the parameters of a float64
+    # one are cast; the float64 constants of the forward pass promote.
     assert np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
-    model = AvoidanceAwareRanker(tiny_config(dtype="longdouble"), VocabSizes(12, 3, 5), seed=2)
+    model = AvoidanceAwareRanker(tiny_config(), VocabSizes(12, 3, 5), seed=2)
+    for p in model.parameters().values():
+        p.data = p.data.astype(np.longdouble)
     articles = make_articles(9)
     ids = sorted(articles)
     feats = make_features(ids)

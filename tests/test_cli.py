@@ -410,8 +410,8 @@ class TestTrainEvalAblate:
 
     def test_train_refuses_a_dtype_no_checkpoint_holds_before_loading(
             self, config_path, tmp_path, capsys, monkeypatch):
-        # longdouble is a library dtype for gradient checks; a checkpoint
-        # cannot hold it, so the command refuses it before any work.
+        # A checkpoint cannot hold longdouble, so the model config refuses
+        # it, and the command fails on the config before any work.
         cfg = json.loads(config_path.read_text())
         cfg["model"]["dtype"] = "longdouble"
         path = tmp_path / "longdouble.json"
@@ -420,7 +420,8 @@ class TestTrainEvalAblate:
         out = tmp_path / "out"
         assert main(["train", "--config", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: model dtype 'longdouble'") and "float64" in err
+        assert err.startswith("error: dtype must be one of") and "'longdouble'" in err
+        assert "float64" in err
         assert not out.exists()
 
     def test_eval_has_no_seed_flag(self, config_path, tmp_path, capsys):

@@ -2,6 +2,7 @@
 parse that counts every line or in a typed error (a few seconds)."""
 
 import importlib.util
+import random
 from pathlib import Path
 
 import pytest
@@ -17,8 +18,19 @@ def test_every_mutated_input_parses_or_fails_typed(tmp_path):
     for surface in fuzz.SURFACES:
         outcomes = {o: n for (s, o), n in counts.items() if s == surface}
         assert sum(outcomes.values()) == 1000, surface
-        # Both an accepted parse and a refusal are reached on every surface.
-        assert outcomes.get("parsed", 0) > 0 and len(outcomes) >= 2, (surface, outcomes)
+        if surface == "checkpoint":  # its sha256 covers every byte, and no case is a no-op
+            assert outcomes == {"CheckpointError": 1000}
+        else:  # both an accepted parse and a refusal are reached
+            assert outcomes.get("parsed", 0) > 0 and len(outcomes) >= 2, (surface, outcomes)
+
+
+def test_no_mutation_returns_its_input():
+    # Stress the no-op draws: one byte (every flip, overwrite, deletion
+    # and cut acts on it) and one line copied.
+    rnd = random.Random(0)
+    for data in (b"x", b"\n", b"a\nb", b"0" * 3):
+        for _ in range(500):
+            assert fuzz.mutate(data, rnd) != data
 
 
 @pytest.mark.parametrize("error", [ValueError("bad line"), UnicodeDecodeError(

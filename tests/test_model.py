@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import avoidrec.autodiff as ad
+from avoidrec.checkpoint import DTYPES
 from avoidrec.model import AvoidanceAwareRanker, ModelConfig, VocabSizes, recent_history
 from avoidrec.training import Adam
 from conftest import tiny_config
@@ -41,19 +42,20 @@ def test_heads_must_divide_their_widths():
     ModelConfig(d_news=256, dim_ue=32, user_heads=9)  # 288 = 9 * 32
 
 
-@pytest.mark.parametrize("dtype", ["float16", "int32", "bogus", None])
+@pytest.mark.parametrize("dtype", ["float16", "int32", "longdouble", "bogus", None])
 def test_dtype_must_be_a_float_width_the_model_runs_in(dtype):
     with pytest.raises(ValueError, match="dtype"):
         ModelConfig(dtype=dtype)
 
 
 def test_dtype_error_names_every_accepted_value():
-    assert ModelConfig(dtype="longdouble").numpy_dtype() == np.dtype(np.longdouble)
+    # The accepted dtypes are the ones a checkpoint holds.
+    assert [ModelConfig(dtype=name).numpy_dtype() for name in DTYPES] == list(map(np.dtype, DTYPES))
     with pytest.raises(ValueError) as err:
-        ModelConfig(dtype="float16")
+        ModelConfig(dtype="longdouble")
     message = str(err.value)
-    assert all(f"'{name}'" in message for name in ("float32", "float64", "longdouble"))
-    assert "gradient checks only" in message
+    assert message.startswith("dtype must be one of") and "'longdouble'" in message
+    assert all(f"'{name}'" in message for name in DTYPES)
 
 
 @pytest.mark.parametrize("name", ["use_entities", "word_trainable"])

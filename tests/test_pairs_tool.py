@@ -127,3 +127,31 @@ def test_an_aa_band_is_written_and_marks_a_comparison(tmp_path):
     lines = pairs.summaries(metrics, runs, "train", seeds, band)
     assert [line.endswith("outside") for line in lines] == [True, True, False]
     assert pairs.summaries(metrics, runs, "train", seeds)[0] == lines[0].split("  A/A band")[0]
+
+
+def test_a_traced_comparison_reads_the_per_layer_metrics_and_its_own_bands(tmp_path):
+    # Runs without git: the metric selection, and a band read back in each trace mode.
+    spec = importlib.util.spec_from_file_location("pairs", ROOT / "tools" / "pairs.py")
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert pairs.metric_specs(benchmark, 0) == benchmark["end_to_end"]
+    traced = pairs.metric_specs(benchmark, 1)
+    assert traced == benchmark["per_layer"]
+    assert {"trace.overhead_pct", "autodiff.ops_per_instance"} <= {m["name"] for m in traced}
+    metrics = [{"name": "autodiff.ops_per_instance", "better": "lower"}]
+    runs = {side: [{"autodiff.ops_per_instance": 106.0}] for side in ("parent", "change")}
+    for trace in (0, 1):
+        path = tmp_path / f"band{trace}.json"
+        path.write_text(json.dumps(pairs.aa_band(metrics, runs, "train", [0], 1.0, trace)),
+                        encoding="utf-8")
+        assert pairs.read_band(path, "train", trace)["trace"] == trace
+        with pytest.raises(ValueError, match=f"--trace {trace}, not --trace {1 - trace}"):
+            pairs.read_band(path, "train", 1 - trace)
+    # A band that records no trace mode was measured untraced.
+    band = json.loads((tmp_path / "band0.json").read_text())
+    del band["trace"]
+    (tmp_path / "old.json").write_text(json.dumps(band), encoding="utf-8")
+    assert pairs.read_band(tmp_path / "old.json", "train") == band
+    with pytest.raises(ValueError, match="--trace 0, not --trace 1"):
+        pairs.read_band(tmp_path / "old.json", "train", 1)

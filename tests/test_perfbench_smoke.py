@@ -23,16 +23,20 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # autodiff ops recorded per training instance (K=4, so 5 candidates) on the
 # train smoke run, where no batch holds two instances of one impression
-# (109 measured).  Running relevance, the gate or the candidate projections
+# (106 measured).  Running relevance, the gate or the candidate projections
 # once per candidate instead of once per impression would take it far above
-# this, and so would a loss of more than one op (the former 8-op chain: 124),
-# or recorded chunks of one candidate each at the 50-click cap (117).
-TRAIN_OPS_PER_INSTANCE = 110
+# this.  So would the three ops a group recorded before ``reshape`` permuted
+# first (109: the second reshape of each head merge and the reshape of the
+# candidate score halves into a stack), a loss of more than one op (the
+# former 8-op chain: 124, measured at 109) or recorded chunks of one
+# candidate each at the 50-click cap (117, measured at 109).
+TRAIN_OPS_PER_INSTANCE = 107
 
 # The same count on train smoke slot 0, where each batch's two instances
-# come from one impression and share one graph (56.5 measured; 68.5 with
-# recorded chunks of one candidate, 75.5 with the 8-op loss as well).
-SHARED_IMPRESSION_OPS_PER_INSTANCE = 57
+# come from one impression and share one graph (55 measured; 56.5 with the
+# three ops above, 68.5 with recorded chunks of one candidate as well, 75.5
+# with the 8-op loss on top of that).
+SHARED_IMPRESSION_OPS_PER_INSTANCE = 55.5
 
 # Peak MB of build_timeline on the ingest smoke log (480 records, 1000
 # articles, 48 buckets): per-bucket dict copies of the counters took

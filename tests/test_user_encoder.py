@@ -94,7 +94,7 @@ class TestAugment:
         assert history.scores.data.shape == (2, 4)       # (M, heads*M)
         assert history.values.data.shape == (4, 6)       # (heads*M, d_aug)
         assert history.local.data.shape == (2, 6)
-        assert history.cand_scores.data.shape == (1, 4)  # (C, heads*M)
+        assert history.cand_scores.data.shape == (1, 1, 4)  # (C, 1, heads*M)
         assert history.cand_local.data.shape == (1, 6)   # (C, d_aug)
         assert "keys" not in history._fields  # the (heads, d_q, M) block stays inside
         assert enc.pool_w.data.shape == (6, 1)  # merged_j . pool_w; no candidate rows, no bias
@@ -119,15 +119,15 @@ class TestAugment:
                            windows @ enc.cnn_window_w.data + enc.cnn_b.data, atol=1e-12)
 
     def test_candidate_terms_are_row_wise_projections(self):
-        # (C, .) candidate terms: the candidate half of the scores and the
-        # candidate block of the filter bank, row by row.
+        # Candidate terms: the (C, 1, .) candidate half of the scores and
+        # the (C, .) candidate block of the filter bank, row by row.
         enc = make_encoder()
         vecs, ues = rand_items(4)
         cv, cu = rand_items(3, seed=6)
         history, cands = augment(enc, vecs, ues, ad.concat(cv, axis=0), ad.concat(cu, axis=0))
         scores, local = history.cand_scores, history.cand_local
-        assert scores.data.shape == (3, 8)
-        assert np.allclose(scores.data, cand_scores(enc, rows_of(vecs, ues), cands).data,
+        assert scores.data.shape == (3, 1, 8)
+        assert np.allclose(scores.data[:, 0], cand_scores(enc, rows_of(vecs, ues), cands).data,
                            atol=1e-12)
         assert np.allclose(local.data, cand_local(enc, cands).data, atol=1e-12)
 
@@ -498,11 +498,11 @@ def watch_key_block(user, refs):
     """Make ``user`` add weak references to each key block that its score halves read."""
     head_scores = user._head_scores
 
-    def watched(queries, keys):
+    def watched(queries, keys, lead):
         # The (heads, d_q, M) block and the product it is a view of.
         refs.extend(weakref.ref(block) for block in (keys.data, keys.data.base)
                     if block is not None)
-        return head_scores(queries, keys)
+        return head_scores(queries, keys, lead)
 
     user._head_scores = watched
 

@@ -8,12 +8,12 @@ Each case takes the seed file of one surface (the news TSV, the
 behaviors TSV, behaviors JSONL, a checkpoint, a synthetic spec JSON and
 a train-config JSON), applies one to four random byte mutations with
 stdlib ``random`` under a fixed seed, and reads the result back with the
-program's reader.  The allowed outcomes are:
+program's reader.  No case is the unmutated file.  The allowed outcomes
+are:
 
 * ``parsed``: the reader returns.  For the news and behaviors readers
-  every non-blank line is a row or a counted ``ParseIssue``; a
-  checkpoint that loads holds the very tensor bytes and meta it was
-  saved with.
+  every non-blank line is a row or a counted ``ParseIssue``.  No
+  checkpoint may load: its trailing sha256 covers every byte.
 * ``CorpusError`` (the news and behaviors readers) or ``CheckpointError``
   (the checkpoint reader).
 * ``ValueError`` from a JSON-config reader whose message names the file
@@ -66,11 +66,8 @@ class FuzzFailure(AssertionError):
     pass
 
 
-def seed_files(workdir: Path) -> tuple[dict[str, bytes], tuple[list[bytes], dict]]:
-    """Each surface's unmutated bytes, from a small synthetic corpus, and the checkpoint's data.
-
-    The checkpoint's data are its tensor bytes and its meta.
-    """
+def seed_files(workdir: Path) -> dict[str, bytes]:
+    """Each surface's unmutated bytes, from a small synthetic corpus."""
     spec = {"n_users": 6, "n_articles": 8, "n_buckets": 2, "impressions_per_bucket": 4,
             "n_shown": 4, "grid_d": 2, "affinity": [[1.0, 0.5], [0.0, 2.0]], "seed": 1}
     news, behaviors = write_mind_files(generate(SyntheticSpec(**spec)), workdir / "corpus")
@@ -85,7 +82,7 @@ def seed_files(workdir: Path) -> tuple[dict[str, bytes], tuple[list[bytes], dict
               "max_epochs": 2, "learning_rate": 0.01, "mode": "full",
               "model": {"d_word": 8, "d_news": 8, "n_heads": 2, "grid_d": 5,
                         "dtype": "float32", "use_entities": True}}
-    files = {
+    return {
         "news_tsv": news.read_bytes(),
         "behaviors_tsv": behaviors.read_bytes(),
         "behaviors_jsonl": "".join(record_to_json(r) + "\n" for r in log).encode(),
@@ -93,37 +90,37 @@ def seed_files(workdir: Path) -> tuple[dict[str, bytes], tuple[list[bytes], dict
         "spec_json": json.dumps(spec).encode(),
         "train_config_json": json.dumps(config).encode(),
     }
-    tensors, meta = load_checkpoint(ckpt)
-    return files, (_tensor_bytes(tensors), meta)
-
-
-def _tensor_bytes(tensors) -> list[bytes]:
-    return sorted(a.tobytes() for a in tensors.values())
 
 
 def mutate(data: bytes, rnd: random.Random) -> bytes:
-    """``data`` with one to four random flips, deletions, insertions, overwrites, copies or cuts."""
-    out = bytearray(data)
-    for _ in range(rnd.randint(1, 4)):
-        pos = rnd.randrange(len(out) + 1)
-        kind = rnd.randrange(6)
-        if kind == 0 and pos < len(out):
-            out[pos] ^= 1 << rnd.randrange(8)
-        elif kind == 1:
-            del out[pos:pos + rnd.randint(1, 8)]
-        elif kind == 2:
-            out[pos:pos] = bytes(rnd.choice(ALPHABET) for _ in range(rnd.randint(1, 4)))
-        elif kind == 3 and pos < len(out):
-            out[pos] = rnd.choice(ALPHABET)
-        elif kind == 4:
-            lines = bytes(out).splitlines(keepends=True)
-            if lines:
+    """``data`` with one to four random flips, deletions, insertions, overwrites, copies or cuts.
+
+    No mutation is a no-op: a flip, overwrite, deletion or cut acts at an
+    existing byte, an overwrite writes a byte other than the one there,
+    and a result equal to ``data`` (one bit flipped twice) is drawn again.
+    """
+    while True:
+        out = bytearray(data)
+        for _ in range(rnd.randint(1, 4)):
+            kind = rnd.randrange(6) if out else 2  # empty bytes only grow
+            pos = rnd.randrange(len(out) + (kind == 2))
+            if kind == 0:
+                out[pos] ^= 1 << rnd.randrange(8)
+            elif kind == 1:
+                del out[pos:pos + rnd.randint(1, 8)]
+            elif kind == 2:
+                out[pos:pos] = bytes(rnd.choice(ALPHABET) for _ in range(rnd.randint(1, 4)))
+            elif kind == 3:
+                out[pos] = rnd.choice(ALPHABET.replace(out[pos:pos + 1], b""))
+            elif kind == 4:
+                lines = bytes(out).splitlines(keepends=True)
                 line = rnd.randrange(len(lines))
                 lines.insert(line, lines[line])
                 out = bytearray(b"".join(lines))
-        else:
-            del out[pos:]
-    return bytes(out)
+            else:
+                del out[pos:]
+        if out != data:
+            return bytes(out)
 
 
 def _non_blank_lines(path, whitespace_is_blank: bool) -> int:
@@ -137,7 +134,7 @@ def _names_file_or_field(message: str, path, fields) -> bool:
     return str(path) in message or any(re.search(rf"\b{name}\b", message) for name in fields)
 
 
-def _check(surface: str, path: Path, saved: tuple[list[bytes], dict]) -> str:
+def _check(surface: str, path: Path) -> str:
     """The outcome of reading ``path``; FuzzFailure if it is not an allowed one."""
     if surface == "news_tsv":
         try:
@@ -153,12 +150,10 @@ def _check(surface: str, path: Path, saved: tuple[list[bytes], dict]) -> str:
         rows, lines = len(log) + len(log.issues), _non_blank_lines(path, True)
     elif surface == "checkpoint":
         try:
-            tensors, meta = load_checkpoint(path)
+            load_checkpoint(path)
         except CheckpointError:
             return "CheckpointError"
-        if (_tensor_bytes(tensors), meta) != saved:
-            raise FuzzFailure("a checkpoint loaded with other tensor bytes or meta")
-        return "parsed"
+        raise FuzzFailure("a mutated checkpoint loaded")
     else:
         cls, fields = CONFIG_READERS[surface]
         try:
@@ -180,7 +175,7 @@ def run(workdir: Path, seed: int, cases: int) -> Counter:
 
     Raises FuzzFailure on the first outcome that is not allowed.
     """
-    files, saved = seed_files(workdir)
+    files = seed_files(workdir)
     rnd = random.Random(seed)
     counts = Counter()
     for case in range(cases):
@@ -189,7 +184,7 @@ def run(workdir: Path, seed: int, cases: int) -> Counter:
             path = workdir / f"case_{surface}"
             path.write_bytes(data)
             try:
-                outcome = _check(surface, path, saved)
+                outcome = _check(surface, path)
             except Exception as exc:  # every other outcome is a finding, reported with its input
                 raise FuzzFailure(f"{surface} case {case} (seed {seed}): {type(exc).__name__}: "
                                   f"{exc}; input {data!r}") from exc

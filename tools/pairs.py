@@ -3,7 +3,7 @@
 Usage, from the root of a checkout:
 
     python3 tools/pairs.py --workload rank|train|ingest [--base REV] [--aa]
-        [--band PATH] [--seeds 0-9] [--seconds 20] [--smoke]
+        [--band PATH] [--seeds 0-9] [--seconds 20] [--trace 0|1] [--smoke]
 
 The checkout this file is in is the change; ``--base`` (default ``HEAD``,
 so an uncommitted change is measured against its last commit) is the
@@ -13,18 +13,21 @@ with names of one length, so neither side gains from where its tree lies
 with ``git archive``, the change copied from the checkout as it stands
 (its tracked files with their uncommitted edits, and its untracked files
 that are not ignored).  Pair
-i runs ``perfbench/run.py --workload W --seed S_i --seconds T --trace 0``
+i runs ``perfbench/run.py --workload W --seed S_i --seconds T --trace X``
 once in each tree, one run at a time, the parent first on even pairs and
 the change first on odd ones, so a drift of the machine's speed falls on
 both sides alike.  ``--aa`` runs the parent against a second extraction
 of itself, which shows how far identical code spreads between runs.
 
-It prints one line per pair (each end-to-end metric, parent / change
-and the pair's change/parent ratio), then per metric the median and
-quartiles of each side, the ratio of the medians, on how many pairs the
-change was better (by the metric's direction in ``BENCHMARK.json``),
-whether the medians differ by more than the parent's interquartile range,
-and the median and quartiles of the pair ratios.  Both runs of a pair
+With ``--trace 0`` (the default) the metrics compared are the end-to-end
+ones of ``BENCHMARK.json``; with ``--trace 1`` they are its per-layer
+ones, ``trace.overhead_pct`` included, which only a traced run reports.
+It prints one line per pair (each metric, parent / change and the
+pair's change/parent ratio), then per metric the median and quartiles of
+each side, the ratio of the medians, on how many pairs the change was
+better (by the metric's direction in ``BENCHMARK.json``), whether the
+medians differ by more than the parent's interquartile range, and the
+median and quartiles of the pair ratios.  Both runs of a pair
 share a seed, so a pair ratio leaves out what the seed alone moves.  On
 ``train`` the summary is printed again for each slot kind (the seed
 modulo ``perfbench``'s 8 input slots): slots 0, 4 and 7, whose steps
@@ -36,10 +39,11 @@ comparison.
 ``--band PATH`` with ``--aa`` writes the A/A band to PATH as JSON: per
 summary (all pairs, and on ``train`` each slot kind) and per metric, the
 first quartile, median and third quartile of the pair ratios of
-identical trees.  Without ``--aa`` it reads such a file (of the same
-workload), and each summary line ends by saying whether that metric's
-median pair ratio lies inside or outside its A/A band, the interval from
-the band's first to its third quartile.  A claim is a median pair ratio
+identical trees, and the trace mode they ran in.  Without ``--aa`` it
+reads such a file (of the same workload and trace mode), and each
+summary line ends by saying whether that metric's median pair ratio
+lies inside or outside its A/A band, the interval from the band's first
+to its third quartile.  A claim is a median pair ratio
 outside the band, with the change better on at least 9 of 10 pairs.
 """
 
@@ -94,10 +98,16 @@ def copy_checkout(dest: Path) -> Path:
     return dest
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float, smoke: bool) -> dict:
-    """The end-to-end metrics of one ``perfbench/run.py`` run in ``tree``, by name."""
+def metric_specs(benchmark: dict, trace: int) -> list[dict]:
+    """The metrics of ``BENCHMARK.json`` that a run reports: end-to-end, or per-layer if traced."""
+    return benchmark["per_layer" if trace else "end_to_end"]
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float, smoke: bool,
+             trace: int) -> dict:
+    """The metrics of one ``perfbench/run.py`` run in ``tree``, by name."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-               "--seconds", str(seconds), "--trace", "0"] + (["--smoke"] if smoke else [])
+               "--seconds", str(seconds), "--trace", str(trace)] + (["--smoke"] if smoke else [])
     proc = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     lines = [line for line in proc.stdout.splitlines() if line.startswith("{")]
     result = json.loads(lines[-1]) if lines else {}
@@ -170,21 +180,27 @@ def summaries(metrics: list[dict], runs: dict, workload: str, seeds: list[int],
 
 
 def aa_band(metrics: list[dict], runs: dict, workload: str, seeds: list[int],
-            seconds: float) -> dict:
+            seconds: float, trace: int = 0) -> dict:
     """The pair-ratio quartiles of each metric per group, as ``--band`` writes them."""
-    return {"workload": workload, "seeds": seeds, "seconds": seconds, "groups": {
+    return {"workload": workload, "trace": trace, "seeds": seeds, "seconds": seconds, "groups": {
         label: {m["name"]: list(quartiles([ratio(runs["parent"][i][m["name"]],
                                                  runs["change"][i][m["name"]]) for i in pairs]))
                 for m in metrics}
         for label, pairs in groups(workload, seeds).items()}}
 
 
-def read_band(path: Path, workload: str) -> dict:
-    """An A/A band written by ``--aa --band``; ValueError if it is of another workload."""
+def read_band(path: Path, workload: str, trace: int = 0) -> dict:
+    """An A/A band written by ``--aa --band``; ValueError if of another workload or trace mode.
+
+    A band that records no trace mode was measured untraced.
+    """
     band = json.loads(path.read_text(encoding="utf-8"))
     if band.get("workload") != workload:
         raise ValueError(f"{path} is an A/A band of workload {band.get('workload')!r}, "
                          f"not {workload!r}")
+    if band.get("trace", 0) != trace:
+        raise ValueError(f"{path} is an A/A band of --trace {band.get('trace', 0)}, "
+                         f"not --trace {trace}")
     return band
 
 
@@ -198,11 +214,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("0-9"),
                         help="one pair per seed, e.g. 0-9 or 0,2,4")
     parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                        help="1: traced runs, compared on the per-layer metrics")
     parser.add_argument("--smoke", action="store_true", help="the workloads' smoke sizes")
     args = parser.parse_args(argv)
 
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    band = read_band(args.band, args.workload) if args.band and not args.aa else None
+    metrics = metric_specs(json.loads((ROOT / "BENCHMARK.json").read_text()), args.trace)
+    band = read_band(args.band, args.workload, args.trace) if args.band and not args.aa else None
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         base = extract(args.base, Path(tmp, "parent"))
         if args.aa:
@@ -211,13 +229,14 @@ def main(argv=None) -> int:
             change = copy_checkout(Path(tmp, "change"))
         print(f"parent {args.base} ({base}), "
               f"change {'the parent again' if args.aa else 'the checkout'} ({change}), "
-              f"workload {args.workload}, {args.seconds:g} s a run", flush=True)
+              f"workload {args.workload}{', traced' if args.trace else ''}, "
+              f"{args.seconds:g} s a run", flush=True)
         runs = {"parent": [], "change": []}
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(run_once(base if side == "parent" else change,
-                                           args.workload, seed, args.seconds, args.smoke))
+                runs[side].append(run_once(base if side == "parent" else change, args.workload,
+                                           seed, args.seconds, args.smoke, args.trace))
             values = [(m["name"], runs["parent"][-1][m["name"]], runs["change"][-1][m["name"]])
                       for m in metrics]
             print(f"pair {i} seed {seed} ({order[0]} first): " + ", ".join(
@@ -226,7 +245,8 @@ def main(argv=None) -> int:
     print("\n".join(summaries(metrics, runs, args.workload, args.seeds, band)))
     if args.band and args.aa:
         args.band.write_text(json.dumps(aa_band(metrics, runs, args.workload, args.seeds,
-                                                args.seconds), indent=1) + "\n", encoding="utf-8")
+                                                args.seconds, args.trace), indent=1) + "\n",
+                             encoding="utf-8")
         print(f"wrote the A/A band to {args.band}")
     return 0
 
